@@ -212,53 +212,63 @@ PipelineResults Pipeline::run() {
     churn_->attach(lab_->loop(), std::move(hosts));
   }
 
-  // Capture path, two shapes behind one tap:
+  // Capture path: one tap, each consumer scoped to the stages that read it.
   //
-  // Batch (historical): every local frame is appended exactly once into the
-  // store's arena; the stored PacketView (rebased onto the arena copy) is
-  // what the flow table and all five stage-3 analyses read. No Packet is
-  // materialized and no payload byte is copied after ingress. Memory is
-  // O(all packets).
+  //   consumer                      fed during               released
+  //   watcher                       lab_boot .. crowd        after watch
+  //   capture SHA-256               lab_boot .. interactions after classify
+  //   results.local_packets         lab_boot .. interactions (kept)
+  //   batch CaptureStore+FlowTable  lab_boot .. interactions after classify
+  //   streaming StreamAnalyzer      lab_boot .. interactions after classify
   //
-  // Streaming: no CaptureStore, no FlowTable — each packet folds straight
-  // into the stage-3 analysis builders behind the StreamAnalyzer's flow
-  // cache, on the sim thread in event order. Memory is O(active flows).
+  // The scan, apps and crowd stages are separate experiments whose outputs
+  // are their own reports (§4.2, §6): their traffic reaches only the
+  // watcher (scan_probe events, the "watch" stage hash). Feeding it to the
+  // stage-3 consumers would cost arena, flow state and hashing that no
+  // stage reads.
   //
-  // Either way the capture hasher folds every local frame (timestamp + raw
-  // bytes) into a running SHA-256; snapshots at stage boundaries become the
-  // sim stages' manifest hashes, pinning a determinism break to the first
-  // window whose traffic moved — and proving the two modes saw the same
-  // wire.
+  // The capture hash folds each stage-3 frame (timestamp + raw bytes); its
+  // snapshots are the sim stages' manifest hashes, pinning a determinism
+  // break to the first window whose traffic moved and proving both modes
+  // saw the same wire. Batch mode appends each frame once into the store's
+  // arena, and the flow table and the five analyses read the stored,
+  // arena-rebased views. Streaming mode folds each frame into the analysis
+  // builders behind the StreamAnalyzer's flow cache instead.
+  struct Stage3Capture {
+    obs::CanonicalHasher hash;
+    CaptureStore store;
+    FlowTable flow_table;
+    std::optional<stream::StreamAnalyzer> analyzer;
+  };
   const bool streaming = config_.mode == PipelineMode::kStreaming;
-  CaptureStore store;
   const LocalFilter filter;
-  FlowTable flow_table;
-  std::optional<stream::StreamAnalyzer> analyzer;
+  std::optional<Stage3Capture> stage3(std::in_place);
   if (streaming) {
-    analyzer.emplace(config_.stream, results.population);
+    stream::StreamAnalyzer& analyzer =
+        stage3->analyzer.emplace(config_.stream, results.population);
     // Flow completions (evictions mid-run, the rest at the classify flush)
     // feed the watch layer's upload-ratio rules in creation order — the
     // same order the batch adapter below replays.
     if (watcher != nullptr)
-      analyzer->set_flow_observer(
+      analyzer.set_flow_observer(
           [&w = *watcher](const FlowRecord& record, PruneReason reason) {
             w.on_flow(record, reason);
           });
   }
-  obs::CanonicalHasher capture_hash;
   lab_->network().add_packet_tap(
       [&](SimTime at, const PacketView& packet, BytesView raw) {
         if (!filter.matches(packet)) return;
-        ++results.local_packets;
-        capture_hash.i64(at.us());
-        capture_hash.bytes(raw);
         if (watcher != nullptr) watcher->on_packet(at, packet);
+        if (!stage3) return;
+        ++results.local_packets;
+        stage3->hash.i64(at.us());
+        stage3->hash.bytes(raw);
         if (streaming) {
-          analyzer->on_packet(at, packet);
+          stage3->analyzer->on_packet(at, packet);
           return;
         }
-        const PacketView stored = store.append(at, packet, raw);
-        flow_table.add(at, stored);
+        const PacketView stored = stage3->store.append(at, packet, raw);
+        stage3->flow_table.add(at, stored);
       });
 
   // --- Stage 1: idle capture (§3.1) -----------------------------------
@@ -266,18 +276,18 @@ PipelineResults Pipeline::run() {
     StageTimer stage(stages::kLabBoot, lab_->loop());
     lab_->start_all();
   }
-  record_stage(stages::kLabBoot, capture_hash.hex());
+  record_stage(stages::kLabBoot, stage3->hash.hex());
   {
     StageTimer stage(stages::kIdle, lab_->loop());
     lab_->run_idle(config_.idle_duration);
   }
-  record_stage(stages::kIdle, capture_hash.hex());
+  record_stage(stages::kIdle, stage3->hash.hex());
 
   // --- Stage 2: interactions (§3.1) ------------------------------------
   if (config_.interactions > 0) {
     StageTimer stage(stages::kInteractions, lab_->loop());
     lab_->run_interactions(config_.interactions);
-    record_stage(stages::kInteractions, capture_hash.hex());
+    record_stage(stages::kInteractions, stage3->hash.hex());
   }
 
   // --- Stage 3: passive analyses (§4.1, §5.1, C.2, D.2) ----------------
@@ -288,7 +298,7 @@ PipelineResults Pipeline::run() {
         // The folds already ran at tap time; finish() flushes the cache
         // (remaining flows complete in creation order — the batch flow
         // order) and hands over the accumulated results.
-        stream::StreamResults sr = analyzer->finish();
+        stream::StreamResults sr = stage3->analyzer->finish();
         results.usage = std::move(sr.usage);
         results.graph = std::move(sr.graph);
         results.exposure = std::move(sr.exposure);
@@ -309,7 +319,8 @@ PipelineResults Pipeline::run() {
       // read-only) capture, each filling its own results field — they run as
       // concurrent tasks, and cross_validate additionally shards its
       // per-flow/per-packet loops on the same pool.
-      const std::vector<Flow>& flows = flow_table.flows();
+      const CaptureStore& store = stage3->store;
+      const std::vector<Flow>& flows = stage3->flow_table.flows();
       exec::parallel_invoke(
           pool,
           {[&] { results.usage = protocol_usage(store); },
@@ -343,6 +354,7 @@ PipelineResults Pipeline::run() {
       }
     });
     record_stage(stages::kClassify, hash_classify_stage(results));
+    stage3.reset();
   }
 
   // --- Stage 4: active scan + vulnerability audit (§4.2, §5.2) ----------

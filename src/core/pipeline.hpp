@@ -25,10 +25,11 @@
 
 namespace roomnet {
 
-/// How stage 3 consumes the capture.
-/// - kBatch: materialize every local packet into CaptureStore/FlowTable,
+/// How stage 3 consumes the capture (the local frames from lab boot through
+/// the interactions; later stages' traffic never reaches it).
+/// - kBatch: materialize every stage-3 packet into CaptureStore/FlowTable,
 ///   then run the five passive analyses over the finished capture. Memory is
-///   O(all packets).
+///   O(stage-3 packets) until classify, then released.
 /// - kStreaming: fold each packet into the analysis builders at tap time
 ///   behind a stream::StreamAnalyzer flow cache. Memory is O(active flows).
 ///   With the default (non-evicting) StreamConfig, results — including the
@@ -90,6 +91,9 @@ struct PipelineResults {
   CommGraph graph;
   CrossValidation crossval;
   ResponseStats responses;
+  /// Local frames the stage-3 analyses read: everything the tap accepted
+  /// from lab boot through the interactions, the same count the "classify"
+  /// stage hash folds. Scan, app and crowd traffic is not counted.
   std::size_t local_packets = 0;
   std::size_t flows = 0;
   // RQ2 artifacts.

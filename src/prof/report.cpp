@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "proto/json.hpp"
@@ -241,17 +242,28 @@ ProfDiff diff_reports(const ProfReport& current, const ProfReport& baseline,
     std::string line;
   };
 
+  // A baseline under its floor is noise for the host-dependent metrics, so
+  // those gates skip. The deterministic arena gates must not: a stage whose
+  // baseline is 0 (the scan stage's capture arena) would otherwise let any
+  // new leak through. They fail once the current value clears the floor,
+  // with growth measured against the floor.
   const auto ratio_gate = [&](const char* metric, double cur, double base,
-                              double floor_value, double limit,
-                              bool enabled) -> Gate {
+                              double floor_value, double limit, bool enabled,
+                              bool deterministic) -> Gate {
     Gate g{metric, 0.0, false, false, {}};
     if (!enabled) {
       g.skipped = true;
       return g;
     }
     if (base < floor_value || base <= 0.0) {
-      g.skipped = true;
-      ++diff.skipped;
+      if (!deterministic || cur <= floor_value) {
+        g.skipped = true;
+        ++diff.skipped;
+        return g;
+      }
+      g.ratio = (cur - base) / floor_value;
+      g.over = true;
+      ++diff.compared;
       return g;
     }
     g.ratio = (cur - base) / base;
@@ -261,38 +273,39 @@ ProfDiff diff_reports(const ProfReport& current, const ProfReport& baseline,
   };
 
   const auto check_stage = [&](const StageProfile& cur,
-                               const StageProfile& base) -> std::string {
+                               const StageProfile& base)
+      -> std::optional<Gate> {
     std::vector<Gate> gates;
     gates.push_back(ratio_gate(
         "wall_us", static_cast<double>(cur.wall_us),
         static_cast<double>(base.wall_us),
         static_cast<double>(thresholds.min_wall_us),
-        thresholds.max_time_regression, same_hardware));
+        thresholds.max_time_regression, same_hardware, false));
     gates.push_back(ratio_gate(
         "arena_allocs", static_cast<double>(cur.arena_allocs),
         static_cast<double>(base.arena_allocs),
         static_cast<double>(thresholds.min_allocs) / 100.0,
-        thresholds.max_alloc_regression, true));
+        thresholds.max_alloc_regression, true, true));
     gates.push_back(ratio_gate(
         "arena_bytes", static_cast<double>(cur.arena_bytes),
         static_cast<double>(base.arena_bytes),
         static_cast<double>(thresholds.min_alloc_bytes),
-        thresholds.max_alloc_regression, true));
+        thresholds.max_alloc_regression, true, true));
     gates.push_back(ratio_gate(
         "heap_allocs", static_cast<double>(cur.heap_allocs),
         static_cast<double>(base.heap_allocs),
         static_cast<double>(thresholds.min_allocs),
-        thresholds.max_alloc_regression, heap_comparable));
+        thresholds.max_alloc_regression, heap_comparable, false));
     gates.push_back(ratio_gate(
         "heap_bytes", static_cast<double>(cur.heap_bytes),
         static_cast<double>(base.heap_bytes),
         static_cast<double>(thresholds.min_alloc_bytes),
-        thresholds.max_alloc_regression, heap_comparable));
+        thresholds.max_alloc_regression, heap_comparable, false));
     gates.push_back(ratio_gate(
         "peak_rss_kb", static_cast<double>(cur.peak_rss_kb),
         static_cast<double>(base.peak_rss_kb),
         static_cast<double>(thresholds.min_rss_kb),
-        thresholds.max_rss_regression, same_hardware));
+        thresholds.max_rss_regression, same_hardware, false));
 
     for (const Gate& g : gates) {
       if (g.skipped) continue;
@@ -309,57 +322,44 @@ ProfDiff diff_reports(const ProfReport& current, const ProfReport& baseline,
       diff.lines.emplace_back(buf);
     }
     for (const Gate& g : gates)
-      if (g.over) return g.metric;
-    return {};
+      if (g.over) return g;
+    return std::nullopt;
   };
 
   for (std::size_t i = 0; i < current.stages.size(); ++i) {
-    const std::string metric = check_stage(current.stages[i],
-                                           baseline.stages[i]);
-    if (!metric.empty() && diff.ok) {
+    const std::optional<Gate> tripped =
+        check_stage(current.stages[i], baseline.stages[i]);
+    if (tripped && diff.ok) {
       // Keep walking (the lines are a full report) but remember the FIRST
       // regressing stage — the one that introduced the cost.
+      const std::string metric = tripped->metric;
       diff.ok = false;
       diff.stage = current.stages[i].name;
       diff.metric = metric;
+      diff.ratio = tripped->ratio;
       const StageProfile& cur = current.stages[i];
       const StageProfile& base = baseline.stages[i];
-      double cur_v = 0.0;
-      double base_v = 0.0;
       std::string shown_cur;
       std::string shown_base;
       if (metric == "wall_us") {
-        cur_v = static_cast<double>(cur.wall_us);
-        base_v = static_cast<double>(base.wall_us);
         shown_cur = std::to_string(cur.wall_us / 1000) + "ms";
         shown_base = std::to_string(base.wall_us / 1000) + "ms";
       } else if (metric == "arena_allocs") {
-        cur_v = static_cast<double>(cur.arena_allocs);
-        base_v = static_cast<double>(base.arena_allocs);
         shown_cur = std::to_string(cur.arena_allocs);
         shown_base = std::to_string(base.arena_allocs);
       } else if (metric == "arena_bytes") {
-        cur_v = static_cast<double>(cur.arena_bytes);
-        base_v = static_cast<double>(base.arena_bytes);
         shown_cur = format_bytes(static_cast<double>(cur.arena_bytes));
         shown_base = format_bytes(static_cast<double>(base.arena_bytes));
       } else if (metric == "heap_allocs") {
-        cur_v = static_cast<double>(cur.heap_allocs);
-        base_v = static_cast<double>(base.heap_allocs);
         shown_cur = std::to_string(cur.heap_allocs);
         shown_base = std::to_string(base.heap_allocs);
       } else if (metric == "heap_bytes") {
-        cur_v = static_cast<double>(cur.heap_bytes);
-        base_v = static_cast<double>(base.heap_bytes);
         shown_cur = format_bytes(static_cast<double>(cur.heap_bytes));
         shown_base = format_bytes(static_cast<double>(base.heap_bytes));
       } else {  // peak_rss_kb
-        cur_v = static_cast<double>(cur.peak_rss_kb);
-        base_v = static_cast<double>(base.peak_rss_kb);
         shown_cur = std::to_string(cur.peak_rss_kb) + "kB";
         shown_base = std::to_string(base.peak_rss_kb) + "kB";
       }
-      diff.ratio = base_v > 0.0 ? (cur_v - base_v) / base_v : 0.0;
       std::snprintf(buf, sizeof(buf),
                     "first regressing stage: \"%s\" — %s %s vs baseline %s "
                     "(%+.1f%%)",

@@ -64,9 +64,12 @@ struct ProfReport {
 /// by contract (DESIGN.md §11).
 [[nodiscard]] std::string deterministic_fingerprint(const ProfReport& report);
 
-/// Regression gates for diff_reports. A ratio gate only fires when the
-/// baseline side also clears the matching noise floor — a stage that took
-/// 2ms and now takes 3ms is not a finding.
+/// Regression gates for diff_reports. A wall/RSS/heap ratio gate only fires
+/// when the baseline side also clears the matching noise floor — a stage
+/// that took 2ms and now takes 3ms is not a finding. The deterministic arena
+/// gates also fire when the baseline is under the floor but the current
+/// value is over it, so a stage whose baseline arena is 0 cannot start
+/// allocating unseen.
 struct DiffThresholds {
   double max_time_regression = 0.25;   // wall_us
   double max_alloc_regression = 0.10;  // arena_allocs/arena_bytes/heap_*
@@ -82,7 +85,9 @@ struct ProfDiff {
   /// First regressing stage + the metric that tripped, when !ok.
   std::string stage;
   std::string metric;
-  double ratio = 0.0;  // (current - baseline) / baseline of that metric
+  /// (current - baseline) / baseline of that metric; for an arena gate
+  /// tripped over an under-floor baseline, (current - baseline) / floor.
+  double ratio = 0.0;
   std::string detail;
   /// One line per (stage, metric family) comparison, in stage order —
   /// "stage classify: wall 812ms vs 790ms (+2.8%, limit +25%)" — including

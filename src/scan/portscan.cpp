@@ -187,62 +187,38 @@ void PortScanner::mark_answered(std::size_t index, bool udp,
   answered_.insert(probe_key(index, udp, port));
 }
 
-void PortScanner::send_tcp_probe(std::size_t index, std::uint16_t port,
-                                 int attempt) {
+void PortScanner::send_probe(Probe probe) {
   scan_metrics().probes.inc();
-  const ScanTarget& target = reports_[index].target;
-  scanner_->send_raw_tcp(target.ip, scanner_->ephemeral_port(), port,
-                         TcpFlags{.syn = true}, 1, 0);
+  const ScanTarget& target = reports_[probe.index].target;
+  if (probe.udp)
+    scanner_->send_udp(target.ip, scanner_->ephemeral_port(), probe.port,
+                       udp_probe_payload(probe.port));
+  else
+    scanner_->send_raw_tcp(target.ip, scanner_->ephemeral_port(), probe.port,
+                           TcpFlags{.syn = true}, 1, 0);
   if (config_.max_retries <= 0) return;
   const double wait =
-      config_.probe_timeout_s * static_cast<double>(1 << attempt);
-  scanner_->loop().schedule_in(
-      SimTime::from_seconds(wait), [this, index, port, attempt] {
-        if (answered(index, false, port)) return;
-        if (attempt >= config_.max_retries) {
-          probe_timeout_counter().inc();
-          ROOMNET_LOG(kDebug, "scan", "probe_timeout",
-                      kv("target", reports_[index].target.label),
-                      kv("port", port), kv("proto", "tcp"),
-                      kv("attempts", attempt + 1));
-          return;
-        }
-        probe_retry_counter().inc();
-        ROOMNET_LOG(kDebug, "scan", "probe_retry",
-                    kv("target", reports_[index].target.label),
-                    kv("port", port), kv("proto", "tcp"),
-                    kv("attempt", attempt + 1));
-        send_tcp_probe(index, port, attempt + 1);
-      });
-}
-
-void PortScanner::send_udp_probe(std::size_t index, std::uint16_t port,
-                                 int attempt) {
-  scan_metrics().probes.inc();
-  const ScanTarget& target = reports_[index].target;
-  scanner_->send_udp(target.ip, scanner_->ephemeral_port(), port,
-                     udp_probe_payload(port));
-  if (config_.max_retries <= 0) return;
-  const double wait =
-      config_.probe_timeout_s * static_cast<double>(1 << attempt);
-  scanner_->loop().schedule_in(
-      SimTime::from_seconds(wait), [this, index, port, attempt] {
-        if (answered(index, true, port)) return;
-        if (attempt >= config_.max_retries) {
-          probe_timeout_counter().inc();
-          ROOMNET_LOG(kDebug, "scan", "probe_timeout",
-                      kv("target", reports_[index].target.label),
-                      kv("port", port), kv("proto", "udp"),
-                      kv("attempts", attempt + 1));
-          return;
-        }
-        probe_retry_counter().inc();
-        ROOMNET_LOG(kDebug, "scan", "probe_retry",
-                    kv("target", reports_[index].target.label),
-                    kv("port", port), kv("proto", "udp"),
-                    kv("attempt", attempt + 1));
-        send_udp_probe(index, port, attempt + 1);
-      });
+      config_.probe_timeout_s * static_cast<double>(1 << probe.attempt);
+  scanner_->loop().schedule_in(SimTime::from_seconds(wait), [this, probe] {
+    if (answered(probe.index, probe.udp, probe.port)) return;
+    const char* proto = probe.udp ? "udp" : "tcp";
+    if (probe.attempt >= config_.max_retries) {
+      probe_timeout_counter().inc();
+      ROOMNET_LOG(kDebug, "scan", "probe_timeout",
+                  kv("target", reports_[probe.index].target.label),
+                  kv("port", probe.port), kv("proto", proto),
+                  kv("attempts", probe.attempt + 1));
+      return;
+    }
+    probe_retry_counter().inc();
+    ROOMNET_LOG(kDebug, "scan", "probe_retry",
+                kv("target", reports_[probe.index].target.label),
+                kv("port", probe.port), kv("proto", proto),
+                kv("attempt", probe.attempt + 1));
+    Probe retry = probe;
+    ++retry.attempt;
+    send_probe(retry);
+  });
 }
 
 void PortScanner::start(const std::vector<ScanTarget>& targets) {
@@ -269,20 +245,24 @@ void PortScanner::start(const std::vector<ScanTarget>& targets) {
     scanner_->add_arp_entry(target.ip, target.mac);
   }
 
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const ScanTarget& target = targets[i];
+  for (std::uint32_t i = 0; i < targets.size(); ++i) {
     for (const std::uint16_t port : config_.tcp_ports) {
       loop.schedule_in(SimTime::from_seconds(t += dt),
-                       [this, i, port] { send_tcp_probe(i, port, 0); });
+                       [this, probe = Probe{i, port, 0, false}] {
+                         send_probe(probe);
+                       });
     }
     for (const std::uint16_t port : config_.udp_ports) {
       loop.schedule_in(SimTime::from_seconds(t += dt),
-                       [this, i, port] { send_udp_probe(i, port, 0); });
+                       [this, probe = Probe{i, port, 0, true}] {
+                         send_probe(probe);
+                       });
     }
     for (const std::uint8_t protocol : config_.ip_protocols) {
-      loop.schedule_in(SimTime::from_seconds(t += dt), [this, target, protocol] {
+      loop.schedule_in(SimTime::from_seconds(t += dt), [this, i, protocol] {
         scan_metrics().probes.inc();
-        scanner_->send_raw_ip(target.ip, protocol, bytes_of("ipproto-probe"));
+        scanner_->send_raw_ip(reports_[i].target.ip, protocol,
+                              bytes_of("ipproto-probe"));
       });
     }
   }

@@ -1,5 +1,6 @@
 #include "stream/stream.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 namespace roomnet::stream {
@@ -13,6 +14,8 @@ StreamAnalyzer::StreamAnalyzer(const StreamConfig& config,
              }) {}
 
 void StreamAnalyzer::on_packet(SimTime at, const PacketView& packet) {
+  if (finished_)
+    throw std::logic_error("StreamAnalyzer::on_packet() after finish()");
   ++packets_;
   usage_.on_packet(packet);
   graph_.on_packet(packet);
@@ -31,6 +34,9 @@ void StreamAnalyzer::on_flow(const FlowRecord& record, PruneReason reason) {
 }
 
 StreamResults StreamAnalyzer::finish() {
+  if (finished_)
+    throw std::logic_error("StreamAnalyzer::finish() called twice");
+  finished_ = true;
   cache_.flush();
   StreamResults results;
   results.usage = usage_.finish();

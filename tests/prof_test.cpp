@@ -1,7 +1,8 @@
-// roomnet::prof tests: counter substrate, rusage sampling, the per-stage
-// profiler, perf.json round-trips, the regression differ, folded-stack
-// export, and the pipeline-level determinism contract (perf.json's
-// deterministic core is identical across thread counts).
+// roomnet::prof tests: counter substrate (including the heap-free probe
+// queue of a port scan), rusage sampling, the per-stage profiler, perf.json
+// round-trips, the regression differ, folded-stack export, and the
+// pipeline-level determinism contract (perf.json's deterministic core is
+// identical across thread counts).
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include "prof/report.hpp"
 #include "prof/rusage.hpp"
 #include "proto/json.hpp"
+#include "scan/portscan.hpp"
+#include "sim/network.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -83,6 +86,35 @@ TEST(CountersTest, HeapCountersMatchBuildConfiguration) {
     EXPECT_EQ(mid.heap_allocs, before.heap_allocs);
     EXPECT_EQ(after.heap_bytes, before.heap_bytes);
   }
+}
+
+TEST(CountersTest, QueuedScanProbesCostNoHeapBlockEach) {
+  // A scan queues every probe up front (~244k in the study). Each pending
+  // closure must fit std::function's inline buffer, so start() allocates a
+  // fixed amount (reports, ARP entries, the queue's doubling), not one heap
+  // block per probe. Needs the heap hooks (-DROOMNET_PROFILE=ON).
+  if (!prof::heap_hooks_active()) GTEST_SKIP() << "heap hooks are off";
+  EventLoop loop;
+  Switch net{loop};
+  Host scan_box(net, MacAddress::from_u64(0x02a0fc0000aaull), "scanbox");
+  scan_box.set_static_ip(Ipv4Address(192, 168, 10, 251));
+  const std::vector<ScanTarget> targets = {
+      {MacAddress::from_u64(0x02a000000001ull), Ipv4Address(192, 168, 10, 2),
+       "a"},
+      {MacAddress::from_u64(0x02a000000002ull), Ipv4Address(192, 168, 10, 3),
+       "b"}};
+  const PortScanConfig config;
+  PortScanner scanner(scan_box, config);
+  const std::size_t probes =
+      targets.size() * (config.tcp_ports.size() + config.udp_ports.size() +
+                        config.ip_protocols.size());
+  ASSERT_GT(probes, 2000u);
+
+  const prof::AllocSnapshot before = prof::snapshot_alloc_counters();
+  scanner.start(targets);
+  const prof::AllocSnapshot after = prof::snapshot_alloc_counters();
+  EXPECT_EQ(loop.pending(), probes);
+  EXPECT_LT(after.heap_allocs - before.heap_allocs, probes / 20);
 }
 
 prof::ProfReport make_report() {
@@ -217,6 +249,32 @@ TEST(DiffTest, HardwareMismatchSkipsTimeAndRssGates) {
   EXPECT_FALSE(diff2.ok);
   EXPECT_EQ(diff2.stage, "lab_boot");
   EXPECT_EQ(diff2.metric, "arena_bytes");
+}
+
+TEST(DiffTest, ArenaGrowthOverUnderFloorBaselineFails) {
+  // A stage that reserves no arena at the baseline (the scan stage, once
+  // the capture stops at classify) must not start leaking unseen.
+  prof::ProfReport baseline = make_report();
+  baseline.stages[2].arena_allocs = 0;
+  baseline.stages[2].arena_bytes = 0;
+  baseline.stages[0].wall_us = 1000;  // under the time floor
+  prof::ProfReport current = baseline;
+  EXPECT_TRUE(prof::diff_reports(current, baseline).ok);
+
+  // Host-dependent gates still treat an under-floor baseline as noise, and
+  // arena growth that stays under its floor is not a finding either.
+  current.stages[0].wall_us = 50000;
+  current.stages[2].arena_allocs = 1;
+  current.stages[2].arena_bytes = 256 << 10;
+  EXPECT_TRUE(prof::diff_reports(current, baseline).ok);
+
+  current.stages[2].arena_bytes = 100 << 20;
+  const prof::ProfDiff diff = prof::diff_reports(current, baseline);
+  EXPECT_FALSE(diff.ok);
+  EXPECT_EQ(diff.stage, "classify");
+  EXPECT_EQ(diff.metric, "arena_bytes");
+  EXPECT_NEAR(diff.ratio, 100.0, 1e-9);  // growth in units of the 1 MiB floor
+  EXPECT_NE(diff.detail.find("classify"), std::string::npos);
 }
 
 TEST(DiffTest, StageListMismatchFails) {

@@ -1,10 +1,13 @@
 // Streaming-pipeline tests: FlowCache eviction mechanics (memcap / LRU /
-// timeouts, prune-reason accounting), streaming-vs-batch byte-identical
-// parity at several thread counts on clean and faulty runs, and the
-// bounded-memory regression guard (streaming peak state stays flat while
-// batch capture memory grows with simulation length).
+// timeouts, prune-reason accounting), the StreamAnalyzer call-once contract,
+// the stage scoping of the pipeline's stage-3 consumers (scan traffic feeds
+// none of them), streaming-vs-batch byte-identical parity at several thread
+// counts on clean and faulty runs, and the bounded-memory regression guard
+// (streaming peak state stays flat while batch capture memory grows with
+// simulation length).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -423,6 +426,90 @@ TEST(StreamFlowCache, EveryPruneReasonSurvivesIntoExportedReport) {
   EXPECT_NE(prom.find("roomnet_flow_cache_peak_flows"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE roomnet_flow_cache_prunes_total counter"),
             std::string::npos);
+}
+
+// ------------------------------------------------------------- StreamContract
+
+TEST(StreamContract, OnPacketAfterFinishThrows) {
+  // finish() moves the builders' results out: a later fold would land in
+  // moved-from builders whose output nobody reads.
+  stream::StreamAnalyzer analyzer({}, {mac_n(1), mac_n(2)});
+  const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
+  const Packet p = udp_packet(a, 5000, b, 80, "x");
+  analyzer.on_packet(SimTime::from_ms(0), as_view(p));
+  const stream::StreamResults results = analyzer.finish();
+  EXPECT_EQ(results.flows, 1u);
+  EXPECT_THROW(analyzer.on_packet(SimTime::from_ms(1), as_view(p)),
+               std::logic_error);
+  EXPECT_EQ(analyzer.packets(), 1u);
+}
+
+TEST(StreamContract, SecondFinishThrows) {
+  stream::StreamAnalyzer analyzer({}, {});
+  (void)analyzer.finish();
+  EXPECT_THROW((void)analyzer.finish(), std::logic_error);
+}
+
+// ---------------------------------------------------------------- StreamScope
+
+TEST(StreamScope, ScanTrafficReachesNoStage3Consumer) {
+  // Stage-3 consumers read only the capture up to classify: the active scan
+  // must not grow the local-packet count, the flow cache, or the capture
+  // arena. Same seed with the scan on and off, in both modes.
+  auto& registry = telemetry::Registry::global();
+  const auto flows_total = [&] {
+    return registry
+               .counter("roomnet_flow_cache_flows_total",
+                        {{"transport", "tcp"}})
+               .value() +
+           registry
+               .counter("roomnet_flow_cache_flows_total",
+                        {{"transport", "udp"}})
+               .value();
+  };
+  for (const PipelineMode mode : {PipelineMode::kBatch,
+                                  PipelineMode::kStreaming}) {
+    SCOPED_TRACE(to_string(mode));
+    const auto run = [&](bool scan, std::uint64_t& flows_created) {
+      PipelineConfig config;
+      config.seed = 3;
+      config.threads = 1;
+      config.idle_duration = SimTime::from_minutes(10);
+      config.interactions = 20;
+      config.app_sample = 0;
+      config.run_crowd = false;
+      config.run_scan = scan;
+      config.mode = mode;
+      Pipeline pipeline(config);
+      const std::uint64_t flows0 = flows_total();
+      PipelineResults results = pipeline.run();
+      flows_created = flows_total() - flows0;
+      return results;
+    };
+    std::uint64_t flows_with_scan = 0;
+    std::uint64_t flows_without_scan = 0;
+    const PipelineResults with_scan = run(true, flows_with_scan);
+    const PipelineResults without_scan = run(false, flows_without_scan);
+
+    EXPECT_GT(with_scan.scan_reports.size(), 0u);
+    EXPECT_GT(with_scan.local_packets, 0u);
+    EXPECT_EQ(with_scan.local_packets, without_scan.local_packets);
+    EXPECT_EQ(with_scan.flow_cache.peak_flows,
+              without_scan.flow_cache.peak_flows);
+    EXPECT_EQ(with_scan.flow_cache.flows_created,
+              without_scan.flow_cache.flows_created);
+    // The process-wide flow-cache counters see every flow the cache ever
+    // created, including any after finish().
+    EXPECT_EQ(flows_with_scan, flows_without_scan);
+    bool saw_scan_stage = false;
+    for (const prof::StageProfile& stage : with_scan.profile.stages) {
+      if (stage.name != "scan") continue;
+      saw_scan_stage = true;
+      EXPECT_EQ(stage.arena_bytes, 0u);
+      EXPECT_EQ(stage.arena_allocs, 0u);
+    }
+    EXPECT_TRUE(saw_scan_stage);
+  }
 }
 
 // --------------------------------------------------------------- StreamParity
