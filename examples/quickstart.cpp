@@ -38,12 +38,20 @@ int main(int argc, char** argv) {
   lab.run_idle(SimTime::from_minutes(30));
   std::printf("capture: %zu frames recorded at the AP\n", lab.capture().size());
 
-  // 3. Decode and classify.
+  // 3. Decode each frame once and fold it into the protocol-usage and
+  //    communication-graph builders.
   span.emplace("classify");
-  const auto decoded = lab.capture().decoded();
-  const ProtocolUsage usage = protocol_usage(decoded);
   std::set<MacAddress> population;
   for (const auto& device : lab.devices()) population.insert(device->mac());
+  ProtocolUsageBuilder usage_builder;
+  CommGraphBuilder graph_builder(population);
+  for (const PcapRecord& record : lab.capture().records()) {
+    const auto view = decode_frame_view(BytesView(record.frame));
+    if (!view) continue;
+    usage_builder.on_packet(*view);
+    graph_builder.on_packet(*view);
+  }
+  const ProtocolUsage usage = usage_builder.finish();
 
   std::printf("\nprotocol prevalence (devices out of 93):\n");
   for (const ProtocolLabel label :
@@ -58,7 +66,7 @@ int main(int argc, char** argv) {
 
   // 4. Who talks to whom?
   span.emplace("graph");
-  const CommGraph graph = build_comm_graph(decoded, population);
+  const CommGraph graph = graph_builder.finish();
   std::printf("\ndevice-to-device graph: %zu devices connected, %zu edges\n",
               graph.connected_nodes().size(), graph.edges.size());
   int shown = 0;

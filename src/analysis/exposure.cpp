@@ -208,13 +208,6 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   }
 }
 
-ExposureMatrix analyze_exposure(
-    const std::vector<std::pair<SimTime, Packet>>& capture) {
-  ExposureBuilder builder;
-  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
-  return builder.finish();
-}
-
 ExposureMatrix analyze_exposure(const CaptureStore& capture) {
   ExposureBuilder builder;
   for (std::size_t i = 0; i < capture.size(); ++i)

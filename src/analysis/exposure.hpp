@@ -48,9 +48,9 @@ struct ExposureMatrix {
 
 /// Incremental fold behind analyze_exposure(): each packet marks
 /// (protocol, data type, device) cells in a map of sets, so the matrix is
-/// independent of packet order and the streaming fold equals the batch scan
-/// by construction. The UDP-discovery and TCP-serialNumber extractions are
-/// disjoint per packet; the builder applies both in one pass.
+/// independent of packet order. The UDP-discovery and TCP-serialNumber
+/// extractions are disjoint per packet; the builder applies both in one
+/// pass.
 class ExposureBuilder {
  public:
   void on_packet(const PacketView& packet);
@@ -60,11 +60,9 @@ class ExposureBuilder {
   ExposureMatrix matrix_;
 };
 
-/// Walks a decoded capture and fills the matrix. Detection is payload-based:
-/// nothing is taken from simulator ground truth.
-ExposureMatrix analyze_exposure(
-    const std::vector<std::pair<SimTime, Packet>>& capture);
-/// Zero-copy variant: reads payload slices straight out of the arena.
+/// The builder over stored frames: reads payload slices straight out of the
+/// arena. Detection is payload-based: nothing is taken from simulator
+/// ground truth.
 ExposureMatrix analyze_exposure(const CaptureStore& capture);
 
 /// The protocols Table 1 rows cover, in paper order.

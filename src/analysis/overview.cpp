@@ -20,16 +20,6 @@ std::set<ProtocolLabel> ProtocolUsage::all_labels() const {
   return out;
 }
 
-// Both batch entry points are loops over the incremental builder, so the
-// batch and streaming tabulations cannot drift apart (classify_packet on a
-// Packet and on its as_view() mirror agree field-for-field by construction).
-ProtocolUsage protocol_usage(
-    const std::vector<std::pair<SimTime, Packet>>& capture) {
-  ProtocolUsageBuilder builder;
-  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
-  return builder.finish();
-}
-
 ProtocolUsage protocol_usage(const CaptureStore& capture) {
   ProtocolUsageBuilder builder;
   for (std::size_t i = 0; i < capture.size(); ++i)
@@ -81,14 +71,6 @@ CommGraph CommGraphBuilder::finish() {
   for (auto& [key, edge] : edges_) graph.edges.push_back(edge);
   edges_.clear();
   return graph;
-}
-
-CommGraph build_comm_graph(
-    const std::vector<std::pair<SimTime, Packet>>& capture,
-    const std::set<MacAddress>& population) {
-  CommGraphBuilder builder(population);
-  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
-  return builder.finish();
 }
 
 CommGraph build_comm_graph(const CaptureStore& capture,

@@ -26,10 +26,9 @@ struct ProtocolUsage {
 };
 
 /// Incremental fold behind protocol_usage(): feed packets as they occur
-/// (streaming mode) or from a finished capture (the batch functions below
-/// are thin loops over this), then take the result with finish(). The fold
-/// is one order-independent set insertion per packet, so streaming and batch
-/// tabulations are identical by construction.
+/// (the pipeline's tap) or from stored frames (protocol_usage() below is a
+/// loop over this), then take the result with finish(). The fold is one
+/// order-independent set insertion per packet.
 class ProtocolUsageBuilder {
  public:
   void on_packet(const PacketView& packet) {
@@ -43,9 +42,8 @@ class ProtocolUsageBuilder {
   ProtocolUsage usage_;
 };
 
-ProtocolUsage protocol_usage(
-    const std::vector<std::pair<SimTime, Packet>>& capture);
-/// Zero-copy variant: classifies the arena-backed views directly.
+/// The builder over stored frames: classifies the arena-backed views
+/// directly.
 ProtocolUsage protocol_usage(const CaptureStore& capture);
 
 /// Figure 1/4: unicast device-to-device edges (multicast/broadcast and
@@ -66,8 +64,7 @@ struct CommGraph {
 
 /// Incremental fold behind build_comm_graph(): per-packet edge accumulation
 /// into a map keyed by the (sorted) MAC pair, flattened in key order by
-/// finish() — packet arrival order never shows in the output, so the
-/// streaming and batch graphs are identical by construction.
+/// finish() — packet arrival order never shows in the output.
 class CommGraphBuilder {
  public:
   explicit CommGraphBuilder(std::set<MacAddress> population)
@@ -81,10 +78,7 @@ class CommGraphBuilder {
   std::map<std::pair<MacAddress, MacAddress>, CommGraph::Edge> edges_;
 };
 
-CommGraph build_comm_graph(
-    const std::vector<std::pair<SimTime, Packet>>& capture,
-    const std::set<MacAddress>& population);
-/// Zero-copy variant over the arena-backed capture.
+/// The builder over stored frames (arena-backed views, no copies).
 CommGraph build_comm_graph(const CaptureStore& capture,
                            const std::set<MacAddress>& population);
 

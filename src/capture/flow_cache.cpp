@@ -24,7 +24,7 @@ const char* to_string(PruneReason reason) {
 }
 
 Flow FlowRecord::to_flow() const {
-  // The batch classifiers read a flow through four accessors only: key,
+  // The flow classifiers read a flow through four accessors only: key,
   // packets.empty(), first_client_payload(), first_server_payload(). Two
   // synthetic packets carrying the stored payload copies reproduce all four
   // exactly (a record exists only if at least one packet was folded, so

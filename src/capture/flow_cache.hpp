@@ -2,16 +2,16 @@
 // is the model): a hash-keyed table of *active* flows behind a memcap, with
 // an intrusive LRU list, idle/lifetime timeouts, per-reason prune
 // accounting, and per-proto flow counters. Where FlowTable keeps every flow
-// (and every packet of every flow) alive until the batch analyses run, the
-// cache keeps O(1) state per active flow — a condensed FlowRecord — and
+// (and every packet of every flow) alive for analyses over a stored capture,
+// the cache keeps O(1) state per active flow — a condensed FlowRecord — and
 // *emits* each record downstream the moment the flow completes (eviction or
 // final flush), so memory is O(active flows) regardless of run length.
 //
 // Determinism contract: add() and every eviction it triggers run on the sim
 // thread in event order, and flush() emits survivors in flow-creation order.
 // With all eviction knobs at their defaults (off), the set of emitted
-// records is exactly the batch FlowTable's flow set, which is how streaming
-// mode reproduces batch results bit-for-bit (DESIGN.md §12).
+// records is exactly the FlowTable's flow set over the same packets
+// (DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -47,7 +47,7 @@ inline constexpr std::size_t kPruneReasonCount = 5;
 [[nodiscard]] const char* to_string(PruneReason reason);
 
 /// Condensed, owning summary of one completed flow: everything the
-/// downstream consumers (flow classification, flow counts) read from a batch
+/// downstream consumers (flow classification, flow counts) read from a full
 /// Flow, in O(1) space — counts, times, and the first non-empty payload in
 /// each direction (copied out of the capture buffer, since the cache
 /// outlives any single delivery event).
@@ -65,10 +65,10 @@ struct FlowRecord {
   /// Union of every TCP flag observed (zero-initialized for UDP).
   TcpFlags tcp_flags_seen;
 
-  /// Synthesizes a minimal batch Flow over this record's payload copies so
+  /// Synthesizes a minimal Flow over this record's payload copies so
   /// the existing Classifier::classify_flow implementations apply unchanged:
   /// key, non-empty packet list, and first_client/server_payload() all agree
-  /// with the full flow the batch FlowTable would have built. The returned
+  /// with the full flow a FlowTable would have built. The returned
   /// Flow's payload views alias this record — classify before dropping it.
   [[nodiscard]] Flow to_flow() const;
 };
@@ -134,6 +134,11 @@ class FlowCache {
 
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
   [[nodiscard]] const FlowCacheConfig& config() const { return config_; }
+  /// Retained allocations: nodes in the pool (live + free) and hash buckets.
+  /// Neither shrinks on flush()/reset(), so on a recycled cache both track
+  /// the largest capture's high-water mark.
+  [[nodiscard]] std::size_t node_capacity() const { return nodes_.size(); }
+  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   /// Completed flows so far: prunes of every reason, including flush.
   [[nodiscard]] std::uint64_t flows_completed() const {
     return stats_.prunes_total();

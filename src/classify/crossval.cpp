@@ -37,36 +37,6 @@ void merge(CrossValidation& into, CrossValidation&& part) {
   into.deep_labeled += part.deep_labeled;
 }
 
-/// Shared tabulation over any packet accessor: get(i) may return a Packet or
-/// a PacketView; classify_packet resolves either without a copy beyond
-/// as_view's POD mirror.
-template <typename GetPacket>
-CrossValidation cross_validate_impl(const std::vector<Flow>& flows,
-                                    std::size_t packet_count,
-                                    const GetPacket& get,
-                                    exec::TaskPool& pool) {
-  // The classifiers are stateless; one instance is shared read-only by all
-  // workers. Flows and packets shard independently; their partial counts
-  // merge in index order, flows first (the historical tabulation order).
-  const SpecClassifier spec;
-  const DeepClassifier deep;
-
-  CrossValidation cv = exec::parallel_reduce(
-      pool, flows.size(), CrossValidation{},
-      [&](CrossValidation& acc, std::size_t i) {
-        record(acc, spec.classify_flow(flows[i]), deep.classify_flow(flows[i]));
-      },
-      merge);
-  merge(cv, exec::parallel_reduce(
-                pool, packet_count, CrossValidation{},
-                [&](CrossValidation& acc, std::size_t i) {
-                  record(acc, spec.classify_packet(get(i)),
-                         deep.classify_packet(get(i)));
-                },
-                merge));
-  return cv;
-}
-
 }  // namespace
 
 void CrossValidator::on_packet(const PacketView& packet) {
@@ -92,40 +62,33 @@ bool is_concrete_label(ProtocolLabel label) {
 CrossValidation cross_validate(const std::vector<Flow>& flows,
                                const CaptureStore& capture,
                                exec::TaskPool& pool) {
-  return cross_validate_impl(
-      flows, capture.size(),
-      [&](std::size_t i) -> PacketView { return capture.packet(i); },
-      pool);
+  // The classifiers are stateless; one instance is shared read-only by all
+  // workers. Flows and packets shard independently; their partial counts
+  // merge in index order, flows first (the historical tabulation order).
+  const SpecClassifier spec;
+  const DeepClassifier deep;
+
+  CrossValidation cv = exec::parallel_reduce(
+      pool, flows.size(), CrossValidation{},
+      [&](CrossValidation& acc, std::size_t i) {
+        record(acc, spec.classify_flow(flows[i]), deep.classify_flow(flows[i]));
+      },
+      merge);
+  merge(cv, exec::parallel_reduce(
+                pool, capture.size(), CrossValidation{},
+                [&](CrossValidation& acc, std::size_t i) {
+                  const PacketView packet = capture.packet(i);
+                  record(acc, spec.classify_packet(packet),
+                         deep.classify_packet(packet));
+                },
+                merge));
+  return cv;
 }
 
 CrossValidation cross_validate(const std::vector<Flow>& flows,
                                const CaptureStore& capture) {
   exec::TaskPool serial(1);
   return cross_validate(flows, capture, serial);
-}
-
-CrossValidation cross_validate(
-    const std::vector<Flow>& flows,
-    const std::vector<std::pair<SimTime, Packet>>& capture,
-    exec::TaskPool& pool) {
-  return cross_validate_impl(
-      flows, capture.size(),
-      [&](std::size_t i) -> const Packet& { return capture[i].second; }, pool);
-}
-
-CrossValidation cross_validate(
-    const std::vector<Flow>& flows,
-    const std::vector<std::pair<SimTime, Packet>>& capture) {
-  exec::TaskPool serial(1);
-  return cross_validate(flows, capture, serial);
-}
-
-CrossValidation cross_validate(const std::vector<Flow>& flows,
-                               const std::vector<Packet>& l2_l3_packets) {
-  exec::TaskPool serial(1);
-  return cross_validate_impl(
-      flows, l2_l3_packets.size(),
-      [&](std::size_t i) -> const Packet& { return l2_l3_packets[i]; }, serial);
 }
 
 }  // namespace roomnet

@@ -44,8 +44,8 @@ bool is_concrete_label(ProtocolLabel label);
 
 /// Incremental fold behind cross_validate(): feed packets as they occur and
 /// flows as they complete, in any interleaving. Every CrossValidation field
-/// is an additive count (keyed at most by label pair), so the streaming
-/// tabulation equals the batch flows-then-packets order by construction.
+/// is an additive count (keyed at most by label pair), so the tabulation
+/// does not depend on how packets and flows interleave.
 class CrossValidator {
  public:
   void on_packet(const PacketView& packet);
@@ -71,16 +71,5 @@ CrossValidation cross_validate(const std::vector<Flow>& flows,
 CrossValidation cross_validate(const std::vector<Flow>& flows,
                                const CaptureStore& capture,
                                exec::TaskPool& pool);
-
-/// Owning-Packet conveniences (offline pcap analysis, tests).
-CrossValidation cross_validate(const std::vector<Flow>& flows,
-                               const std::vector<Packet>& l2_l3_packets);
-CrossValidation cross_validate(
-    const std::vector<Flow>& flows,
-    const std::vector<std::pair<SimTime, Packet>>& capture);
-CrossValidation cross_validate(
-    const std::vector<Flow>& flows,
-    const std::vector<std::pair<SimTime, Packet>>& capture,
-    exec::TaskPool& pool);
 
 }  // namespace roomnet

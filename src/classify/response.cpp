@@ -58,14 +58,6 @@ void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet) {
   }
 }
 
-ResponseStats correlate_responses(
-    const std::vector<std::pair<SimTime, Packet>>& capture, SimTime window) {
-  ResponseCorrelator correlator(window);
-  for (const auto& [at, packet] : capture)
-    correlator.on_packet(at, as_view(packet));
-  return correlator.finish();
-}
-
 ResponseStats correlate_responses(const CaptureStore& capture,
                                   SimTime window) {
   ResponseCorrelator correlator(window);

@@ -41,10 +41,9 @@ struct ResponseStats {
   std::vector<ResponseMatch> matches;
 };
 
-/// Incremental fold behind correlate_responses(): the batch correlation is
-/// already a single time-ordered sweep with a sliding discovery window, so
-/// feeding packets as they occur reproduces it exactly — including the order
-/// of the `matches` vector, which follows packet arrival order.
+/// Incremental fold behind correlate_responses(): a single time-ordered
+/// sweep with a sliding discovery window, fed packets as they occur. The
+/// order of the `matches` vector follows packet arrival order.
 class ResponseCorrelator {
  public:
   explicit ResponseCorrelator(SimTime window = SimTime::from_seconds(3))
@@ -59,11 +58,7 @@ class ResponseCorrelator {
   std::deque<DiscoveryEvent> recent_;
 };
 
-/// Correlates a time-ordered decoded capture.
-ResponseStats correlate_responses(
-    const std::vector<std::pair<SimTime, Packet>>& capture,
-    SimTime window = SimTime::from_seconds(3));
-/// Zero-copy variant over the arena-backed capture.
+/// The builder over stored frames (time-ordered, arena-backed views).
 ResponseStats correlate_responses(const CaptureStore& capture,
                                   SimTime window = SimTime::from_seconds(3));
 

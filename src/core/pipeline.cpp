@@ -4,12 +4,9 @@
 #include <fstream>
 #include <optional>
 
-#include "capture/capture_store.hpp"
 #include "capture/filter.hpp"
-#include "capture/flow.hpp"
 #include "core/provenance.hpp"
 #include "core/stage_names.hpp"
-#include "exec/parallel.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/log.hpp"
 #include "prof/folded.hpp"
@@ -107,10 +104,11 @@ PipelineResults Pipeline::run() {
   const bool telemetry_run = !config_.telemetry_out.empty();
   if (telemetry_run) telemetry::enable();
   telemetry::Registry::global().counter("roomnet_pipeline_runs_total").inc();
-  // Worker pool for the analysis stages. The simulation itself (stages 1,
-  // 2, the scan sim, the app campaign) stays on the calling thread — only
-  // the pure analysis functions shard, each with ordered merges, so the
-  // results are byte-identical for any worker count.
+  // Worker pool for the post-simulation analyses (vulnerability audit,
+  // fingerprints). The simulation itself (stages 1, 2, the scan sim, the app
+  // campaign) and the stage-3 folds stay on the calling thread — only pure
+  // analysis functions shard, each with ordered merges, so the results are
+  // byte-identical for any worker count.
   exec::TaskPool pool(
       config_.threads <= 0 ? 0 : static_cast<std::size_t>(config_.threads));
   auto& registry = telemetry::Registry::global();
@@ -146,8 +144,7 @@ PipelineResults Pipeline::run() {
               kv("fault_seed", resolved_fault_seed),
               kv("config_digest", config_digest),
               kv("threads", static_cast<std::uint64_t>(pool.threads())),
-              kv("faults_enabled", fault_plan_->enabled()),
-              kv("mode", to_string(config_.mode)));
+              kv("faults_enabled", fault_plan_->enabled()));
 
   PipelineResults results;
   for (const auto& device : lab_->devices())
@@ -176,7 +173,7 @@ PipelineResults Pipeline::run() {
   // faulty runs, the switch fate tap and the churn observer). Everything it
   // sees arrives on the sim thread in event order, so the timeline — and
   // the "watch" manifest stage hashed from it — is byte-identical across
-  // thread counts and pipeline modes.
+  // thread counts.
   std::unique_ptr<watch::Watcher> watcher;
   if (config_.watch.enabled) {
     watcher = std::make_unique<watch::Watcher>(config_.watch);
@@ -214,47 +211,39 @@ PipelineResults Pipeline::run() {
 
   // Capture path: one tap, each consumer scoped to the stages that read it.
   //
-  //   consumer                      fed during               released
-  //   watcher                       lab_boot .. crowd        after watch
-  //   capture SHA-256               lab_boot .. interactions after classify
-  //   results.local_packets         lab_boot .. interactions (kept)
-  //   batch CaptureStore+FlowTable  lab_boot .. interactions after classify
-  //   streaming StreamAnalyzer      lab_boot .. interactions after classify
+  //   consumer                 fed during               released
+  //   watcher                  lab_boot .. crowd        after watch
+  //   capture SHA-256          lab_boot .. interactions after classify
+  //   results.local_packets    lab_boot .. interactions (kept)
+  //   StreamAnalyzer           lab_boot .. interactions after classify
   //
   // The scan, apps and crowd stages are separate experiments whose outputs
   // are their own reports (§4.2, §6): their traffic reaches only the
   // watcher (scan_probe events, the "watch" stage hash). Feeding it to the
-  // stage-3 consumers would cost arena, flow state and hashing that no
-  // stage reads.
+  // stage-3 consumers would cost flow state and hashing that no stage reads.
   //
   // The capture hash folds each stage-3 frame (timestamp + raw bytes); its
   // snapshots are the sim stages' manifest hashes, pinning a determinism
-  // break to the first window whose traffic moved and proving both modes
-  // saw the same wire. Batch mode appends each frame once into the store's
-  // arena, and the flow table and the five analyses read the stored,
-  // arena-rebased views. Streaming mode folds each frame into the analysis
-  // builders behind the StreamAnalyzer's flow cache instead.
+  // break to the first window whose traffic moved. The StreamAnalyzer folds
+  // each frame into the five passive analyses behind its flow cache, so
+  // stage-3 memory is O(active flows), never O(captured frames).
   struct Stage3Capture {
+    Stage3Capture(const stream::StreamConfig& config,
+                  std::set<MacAddress> population)
+        : analyzer(config, std::move(population)) {}
     obs::CanonicalHasher hash;
-    CaptureStore store;
-    FlowTable flow_table;
-    std::optional<stream::StreamAnalyzer> analyzer;
+    stream::StreamAnalyzer analyzer;
   };
-  const bool streaming = config_.mode == PipelineMode::kStreaming;
   const LocalFilter filter;
-  std::optional<Stage3Capture> stage3(std::in_place);
-  if (streaming) {
-    stream::StreamAnalyzer& analyzer =
-        stage3->analyzer.emplace(config_.stream, results.population);
-    // Flow completions (evictions mid-run, the rest at the classify flush)
-    // feed the watch layer's upload-ratio rules in creation order — the
-    // same order the batch adapter below replays.
-    if (watcher != nullptr)
-      analyzer.set_flow_observer(
-          [&w = *watcher](const FlowRecord& record, PruneReason reason) {
-            w.on_flow(record, reason);
-          });
-  }
+  std::optional<Stage3Capture> stage3(std::in_place, config_.stream,
+                                      results.population);
+  // Flow completions (evictions mid-run, the rest at the classify flush)
+  // feed the watch layer's upload-ratio rules in creation order.
+  if (watcher != nullptr)
+    stage3->analyzer.set_flow_observer(
+        [&w = *watcher](const FlowRecord& record, PruneReason reason) {
+          w.on_flow(record, reason);
+        });
   lab_->network().add_packet_tap(
       [&](SimTime at, const PacketView& packet, BytesView raw) {
         if (!filter.matches(packet)) return;
@@ -263,12 +252,7 @@ PipelineResults Pipeline::run() {
         ++results.local_packets;
         stage3->hash.i64(at.us());
         stage3->hash.bytes(raw);
-        if (streaming) {
-          stage3->analyzer->on_packet(at, packet);
-          return;
-        }
-        const PacketView stored = stage3->store.append(at, packet, raw);
-        stage3->flow_table.add(at, stored);
+        stage3->analyzer.on_packet(at, packet);
       });
 
   // --- Stage 1: idle capture (§3.1) -----------------------------------
@@ -294,64 +278,24 @@ PipelineResults Pipeline::run() {
   {
     StageTimer stage(stages::kClassify, lab_->loop());
     guarded(stages::kClassify, [&] {
-      if (streaming) {
-        // The folds already ran at tap time; finish() flushes the cache
-        // (remaining flows complete in creation order — the batch flow
-        // order) and hands over the accumulated results.
-        stream::StreamResults sr = stage3->analyzer->finish();
-        results.usage = std::move(sr.usage);
-        results.graph = std::move(sr.graph);
-        results.exposure = std::move(sr.exposure);
-        results.crossval = std::move(sr.crossval);
-        results.responses = std::move(sr.responses);
-        results.flows = sr.flows;
-        results.flow_cache = sr.cache;
-        ROOMNET_LOG(kInfo, "pipeline", "flow_cache",
-                    kv("flows_created", sr.cache.flows_created),
-                    kv("peak_flows",
-                       static_cast<std::uint64_t>(sr.cache.peak_flows)),
-                    kv("peak_bytes",
-                       static_cast<std::uint64_t>(sr.cache.peak_bytes)),
-                    kv("prunes", sr.cache.prunes_total()));
-        return;
-      }
-      // The five analyses are independent pure functions over the (now
-      // read-only) capture, each filling its own results field — they run as
-      // concurrent tasks, and cross_validate additionally shards its
-      // per-flow/per-packet loops on the same pool.
-      const CaptureStore& store = stage3->store;
-      const std::vector<Flow>& flows = stage3->flow_table.flows();
-      exec::parallel_invoke(
-          pool,
-          {[&] { results.usage = protocol_usage(store); },
-           [&] { results.graph = build_comm_graph(store, results.population); },
-           [&] { results.exposure = analyze_exposure(store); },
-           [&] { results.crossval = cross_validate(flows, store, pool); },
-           [&] { results.responses = correlate_responses(store); }});
-      results.flows = flows.size();
-      // Watch-layer flow signals: the batch twin of the streaming cache
-      // flush. FlowTable keeps flows in first-seen order — exactly the
-      // cache's creation-order flush — and the condensed record carries the
-      // same accounting the cache would have accumulated, so the resulting
-      // alert events (and the "watch" stage hash) match streaming mode
-      // byte-for-byte.
-      if (watcher != nullptr) {
-        for (const Flow& flow : flows) {
-          FlowRecord record;
-          record.key = flow.key;
-          record.first_seen = flow.first_seen();
-          record.last_seen = flow.last_seen();
-          record.packets = flow.packets.size();
-          for (const FlowPacket& packet : flow.packets) {
-            if (packet.from_client)
-              ++record.client_packets;
-            else
-              ++record.server_packets;
-          }
-          record.bytes = flow.byte_count();
-          watcher->on_flow(record, PruneReason::kFlush);
-        }
-      }
+      // The folds already ran at tap time; finish() flushes the cache
+      // (remaining flows complete in creation order) and hands over the
+      // accumulated results.
+      stream::StreamResults sr = stage3->analyzer.finish();
+      results.usage = std::move(sr.usage);
+      results.graph = std::move(sr.graph);
+      results.exposure = std::move(sr.exposure);
+      results.crossval = std::move(sr.crossval);
+      results.responses = std::move(sr.responses);
+      results.flows = sr.flows;
+      results.flow_cache = sr.cache;
+      ROOMNET_LOG(kInfo, "pipeline", "flow_cache",
+                  kv("flows_created", sr.cache.flows_created),
+                  kv("peak_flows",
+                     static_cast<std::uint64_t>(sr.cache.peak_flows)),
+                  kv("peak_bytes",
+                     static_cast<std::uint64_t>(sr.cache.peak_bytes)),
+                  kv("prunes", sr.cache.prunes_total()));
     });
     record_stage(stages::kClassify, hash_classify_stage(results));
     stage3.reset();

@@ -25,23 +25,6 @@
 
 namespace roomnet {
 
-/// How stage 3 consumes the capture (the local frames from lab boot through
-/// the interactions; later stages' traffic never reaches it).
-/// - kBatch: materialize every stage-3 packet into CaptureStore/FlowTable,
-///   then run the five passive analyses over the finished capture. Memory is
-///   O(stage-3 packets) until classify, then released.
-/// - kStreaming: fold each packet into the analysis builders at tap time
-///   behind a stream::StreamAnalyzer flow cache. Memory is O(active flows).
-///   With the default (non-evicting) StreamConfig, results — including the
-///   manifest stage hashes — are byte-identical to batch mode at any thread
-///   count; arming a memcap/timeout bounds memory at the cost of that
-///   equivalence (DESIGN.md §12).
-enum class PipelineMode { kBatch, kStreaming };
-
-[[nodiscard]] constexpr const char* to_string(PipelineMode mode) {
-  return mode == PipelineMode::kStreaming ? "streaming" : "batch";
-}
-
 struct PipelineConfig {
   std::uint64_t seed = 42;
   /// When non-empty: enables tracing + timing for this run and dumps
@@ -54,12 +37,13 @@ struct PipelineConfig {
   /// 6 h covers the slowest 2.5 h cadence with margin).
   SimTime idle_duration = SimTime::from_hours(6);
   int interactions = 500;
-  /// Worker parallelism for the analysis stages (the five stage-3 passive
-  /// analyses, the sharded classifier cross-validation, vulnerability
-  /// auditing, and household fingerprint extraction). 0 = auto: the
-  /// ROOMNET_THREADS env var, else hardware concurrency. Results are
-  /// byte-identical for every value — partial results always merge in
-  /// input order, and threads=1 runs the historical sequential code.
+  /// Worker parallelism for the analysis stages that run after the
+  /// simulation (vulnerability auditing and household fingerprint
+  /// extraction). Stage 3 folds on the sim thread at tap time and does not
+  /// use the pool. 0 = auto: the ROOMNET_THREADS env var, else hardware
+  /// concurrency. Results are byte-identical for every value — partial
+  /// results always merge in input order, and threads=1 runs the historical
+  /// sequential code.
   int threads = 0;
   /// Apps actually executed (the full 2,335 runs in the bench; smaller
   /// samples keep interactive use fast). 0 disables the campaign.
@@ -73,14 +57,15 @@ struct PipelineConfig {
   /// The fault RNG is seeded from `seed` (override: ROOMNET_FAULT_SEED),
   /// so faulty runs too are byte-identical at every thread count.
   faults::FaultConfig faults;
-  /// Stage-3 consumption mode (see PipelineMode).
-  PipelineMode mode = PipelineMode::kBatch;
-  /// Flow-cache bounds for streaming mode (ignored in batch mode). The
-  /// default never evicts, preserving batch equivalence.
+  /// Flow-cache bounds for stage 3, which folds every local packet from lab
+  /// boot through the interactions into the analysis builders at tap time
+  /// (stream::StreamAnalyzer). The default never evicts; arming a knob
+  /// bounds memory at the cost of possibly different results, which the
+  /// config digest then records (DESIGN.md §12).
   stream::StreamConfig stream;
   /// In-network observability (on by default): per-device event timelines
-  /// and the streaming alert-rule engine, fed from the same tap in both
-  /// modes. The timeline is hashed into the manifest as the "watch" stage
+  /// and the streaming alert-rule engine, fed from the same tap as stage 3.
+  /// The timeline is hashed into the manifest as the "watch" stage
   /// and spilled to `telemetry_out/events.jsonl` (DESIGN.md §14).
   watch::WatchConfig watch;
 };
@@ -107,9 +92,9 @@ struct PipelineResults {
   FingerprintAnalysis fingerprints;
   /// The 93 testbed MACs (percentage denominators).
   std::set<MacAddress> population;
-  /// Flow-cache accounting from streaming runs (all-zero in batch mode):
-  /// creation/prune counters by reason, occupancy and byte peaks. Not part
-  /// of any stage hash — it describes the machinery, not the analysis.
+  /// Stage-3 flow-cache accounting: creation/prune counters by reason,
+  /// occupancy and byte peaks. Not part of any stage hash — it describes
+  /// the machinery, not the analysis.
   FlowCacheStats flow_cache;
   /// Graceful-degradation ledger (empty unless faults are enabled): inputs
   /// a stage lost to injected faults, recorded instead of failing the run.
@@ -128,8 +113,7 @@ struct PipelineResults {
   /// The in-network event timeline + alert lifecycle (empty when
   /// config.watch.enabled is false). The merged event stream serializes to
   /// `telemetry_out/events.jsonl` and hashes into the manifest's "watch"
-  /// stage — byte-identical across thread counts and (non-evicting)
-  /// pipeline modes.
+  /// stage — byte-identical across thread counts.
   watch::WatchReport watch;
 };
 

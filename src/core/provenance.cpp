@@ -55,12 +55,11 @@ std::string pipeline_config_digest(const PipelineConfig& config) {
   h.f64(f.churn);
   h.f64(f.churn_period_s);
   h.f64(f.churn_downtime_s);
-  // Like `threads`, the pipeline mode alone must not change results — a
-  // batch run and a default (non-evicting) streaming run share a digest so
-  // the manifest comparison enforces their equivalence. Armed eviction knobs
-  // CAN change results (flows split, payload-less records classify
-  // generically), so only then do mode + bounds fold into the digest.
-  if (config.mode == PipelineMode::kStreaming && config.stream.evicting()) {
+  // Armed eviction knobs CAN change results (flows split, payload-less
+  // records classify generically), so only then do the bounds fold into the
+  // digest; the default non-evicting config keeps every historical digest,
+  // and the fixed tag keeps evicting runs' digests stable as well.
+  if (config.stream.evicting()) {
     h.str("streaming-evicting");
     h.u64(config.stream.max_flows);
     h.u64(config.stream.memcap_bytes);
@@ -68,7 +67,7 @@ std::string pipeline_config_digest(const PipelineConfig& config) {
     h.i64(config.stream.established_timeout.us());
   }
   // Watch knobs fold in only when customized: the stock config keeps every
-  // historical digest stable (and batch/streaming keep sharing one), while
+  // historical digest stable, while
   // a different ruleset/ring/tick — which changes the "watch" stage hash —
   // is correctly a different configuration.
   if (!config.watch.is_default()) {

@@ -1,5 +1,5 @@
 // Fork-join helpers over TaskPool: parallel_for / parallel_map /
-// parallel_reduce / parallel_invoke.
+// parallel_reduce.
 //
 // All helpers shard [0, n) into min(pool.threads(), n) CONTIGUOUS chunks and
 // combine per-chunk results in chunk (= index) order on the calling thread.
@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -82,13 +81,6 @@ template <typename T, typename Fold, typename Merge>
   for (std::size_t chunk = 1; chunk < chunks; ++chunk)
     merge(acc, std::move(partials[chunk]));
   return acc;
-}
-
-/// Runs independent tasks concurrently; returns after all complete.
-/// Exceptions rethrow from the lowest-numbered failing task.
-inline void parallel_invoke(TaskPool& pool,
-                            std::vector<std::function<void()>> tasks) {
-  pool.run_chunks(tasks.size(), [&](std::size_t i) { tasks[i](); });
 }
 
 }  // namespace roomnet::exec

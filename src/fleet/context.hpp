@@ -1,9 +1,8 @@
 // HouseholdContext: the recycled per-worker state that makes per-household
-// cost flat. The capture arenas (FrameStore chunks, CaptureStore columns),
-// the flow table's buckets, the flow cache's node pool, and the analysis
-// scratch vectors are all keep-capacity structures: begin_household() rewinds
+// cost flat. The flow cache's node pool and bucket array and the analysis
+// scratch vectors are keep-capacity structures: begin_household() rewinds
 // them without freeing, so after the first few households a context runs an
-// entire household without touching the allocator for capture state — the
+// entire household without touching the allocator for flow state — the
 // RSS-per-household slope the fleet bench proves to be ~0.
 //
 // ContextPool hands contexts to shard tasks through RAII leases. TaskPool's
@@ -19,8 +18,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "capture/capture_store.hpp"
-#include "capture/flow.hpp"
 #include "capture/flow_cache.hpp"
 #include "fleet/household.hpp"
 
@@ -37,8 +34,6 @@ class HouseholdContext {
 
   /// Rewinds every recycled structure for a `device_count`-device household.
   void begin_household(std::size_t device_count) {
-    store.reset();
-    flows.clear();
     cache.reset();
     macs.clear();
     macs.reserve(device_count);
@@ -49,10 +44,7 @@ class HouseholdContext {
     ++households_served;
   }
 
-  // Batch mode: the capture materializes here (arena-backed, keep-capacity).
-  CaptureStore store;
-  FlowTable flows;
-  // Streaming mode: O(active flows) state behind the configured bounds.
+  // O(active flows) state behind the configured bounds.
   FlowCache cache;
   // Per-household analysis scratch, indexed by device slot.
   std::vector<MacAddress> macs;

@@ -177,7 +177,10 @@ std::string fleet_config_digest(const FleetConfig& config) {
   hasher.f64(h.boot_window_s);
   hasher.u64(h.min_devices);
   hasher.u64(h.max_devices);
-  hasher.u8(static_cast<std::uint8_t>(h.mode));
+  // Once a batch/streaming mode selector; the tap-time fold is the only
+  // path now. The byte stays at the old streaming value so every fleet
+  // manifest keeps its config digest.
+  hasher.u8(0);
   hasher.u64(h.cache.max_flows);
   hasher.u64(h.cache.memcap_bytes);
   hasher.i64(h.cache.idle_timeout.us());

@@ -181,7 +181,7 @@ HouseholdResult run_household(const HouseholdConfig& config,
       device->set_cluster_coordinator(coordinator);
   }
 
-  // ---- Analysis fold: one pass per packet, shared by both modes.
+  // ---- Analysis fold: one pass per local packet, at tap time.
   HouseholdResult result;
   result.index = index;
   result.seed = seed;
@@ -226,19 +226,13 @@ HouseholdResult run_household(const HouseholdConfig& config,
   };
 
   const LocalFilter filter;
-  const bool batch = config.mode == HouseholdMode::kBatch;
   net.add_packet_tap(
       [&](SimTime at, const PacketView& packet, BytesView raw) {
         if (!filter.matches(packet)) return;
         ++result.packets;
         result.bytes += raw.size();
-        if (batch) {
-          const PacketView stored = ctx.store.append(at, packet, raw);
-          ctx.flows.add(at, stored);
-        } else {
-          fold(packet);
-          ctx.cache.add(at, packet);
-        }
+        fold(packet);
+        ctx.cache.add(at, packet);
       });
 
   // ---- Boot (staggered DHCP) and idle.
@@ -249,13 +243,8 @@ HouseholdResult run_household(const HouseholdConfig& config,
   }
   loop.run_until(config.idle);
 
-  if (batch) {
-    for (std::size_t i = 0; i < ctx.store.size(); ++i) fold(ctx.store.packet(i));
-    result.flows = ctx.flows.flows().size();
-  } else {
-    ctx.cache.flush();
-    result.flows = ctx.cache.stats().flows_created;
-  }
+  ctx.cache.flush();
+  result.flows = ctx.cache.stats().flows_created;
 
   // ---- Assemble the compact row.
   const ExposureMatrix matrix = exposure.finish();

@@ -1,8 +1,10 @@
 // One sampled household: a catalog-driven device mix seeded from
 // (fleet seed, household index), simulated as a self-contained mini network
 // (router + devices on a learning switch), with the per-packet analyses
-// folded at tap time into a compact HouseholdResult row — the unit of work
-// the fleet driver shards across the exec TaskPool.
+// folded at tap time behind the context's FlowCache into a compact
+// HouseholdResult row — the unit of work the fleet driver shards across the
+// exec TaskPool. Per-household memory is O(active flows), never
+// O(captured frames).
 //
 // Reproducibility contract: run_household() depends only on its arguments
 // and a fully reset HouseholdContext, never on which worker runs it or what
@@ -29,19 +31,6 @@ namespace roomnet::fleet {
 
 class HouseholdContext;
 
-/// How a household's capture is consumed (mirrors PipelineMode).
-/// - kStreaming: fold each local packet into the analyses at tap time behind
-///   the context's FlowCache; memory is O(active flows) per household.
-/// - kBatch: materialize the capture into the context's recycled
-///   CaptureStore/FlowTable arenas, then fold after the sim. With the
-///   default (non-evicting) cache config both modes produce byte-identical
-///   rows (FleetBatchStreamingParity asserts it).
-enum class HouseholdMode { kStreaming, kBatch };
-
-[[nodiscard]] constexpr const char* to_string(HouseholdMode mode) {
-  return mode == HouseholdMode::kBatch ? "batch" : "streaming";
-}
-
 struct HouseholdConfig {
   /// Idle-capture window per household. 150 virtual seconds covers DHCP,
   /// the boot-time mDNS/SSDP announcements, and at least one round of every
@@ -53,10 +42,9 @@ struct HouseholdConfig {
   /// clamped into [min_devices, max_devices].
   std::size_t min_devices = 1;
   std::size_t max_devices = 8;
-  HouseholdMode mode = HouseholdMode::kStreaming;
-  /// Streaming-mode flow-cache bounds (ignored in batch mode). The default
-  /// never evicts, preserving batch equivalence; arming a memcap bounds
-  /// per-household memory at the cost of that equivalence.
+  /// Flow-cache bounds for the household's tap-time fold. The default never
+  /// evicts; arming a memcap bounds per-household memory at the cost of
+  /// possibly different rows (the knobs are in the fleet config digest).
   FlowCacheConfig cache;
 };
 

@@ -1,18 +1,19 @@
-// roomnet::stream — the incremental stage-3 analysis path. Where batch mode
-// materializes every local packet into CaptureStore/FlowTable and then runs
-// the five passive analyses over the finished capture, a StreamAnalyzer
-// folds each packet into the analysis builders the moment the tap fires and
-// keeps per-flow state behind a bounded FlowCache — memory is O(active
-// flows), independent of run length.
+// roomnet::stream — stage 3 of the pipeline. A StreamAnalyzer folds each
+// local packet into the five passive analyses (protocol use, comm graph,
+// exposure, cross-validation, response correlation) the moment the tap
+// fires and keeps per-flow state behind a bounded FlowCache — memory is
+// O(active flows), independent of run length. The same fold runs over
+// stored captures (perfbench's replay of a pcap, for one).
 //
 // Determinism: on_packet runs on the sim thread in event order (it is called
 // straight from the packet tap), every builder fold is order-canonical, and
-// the cache flush emits surviving flows in creation order — so with the
-// default non-evicting StreamConfig the results are byte-identical to batch
-// mode at any thread count. Arming an eviction knob (memcap/max_flows/
-// timeouts) trades that equivalence for bounded memory: long flows may split
-// and payload-less records may classify generically. DESIGN.md §12 spells
-// out the contract.
+// the cache flush emits surviving flows in creation order — so the results
+// are byte-identical at any thread count. With the default non-evicting
+// StreamConfig every flow completes at the final flush, exactly as the
+// analyses over a stored capture (the CaptureStore entry points) see it.
+// Arming an eviction knob (memcap/max_flows/timeouts) trades that for
+// bounded memory: long flows may split and payload-less records may
+// classify generically. DESIGN.md §12 spells out the contract.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +28,9 @@
 
 namespace roomnet::stream {
 
-/// Flow-cache bounds for a streaming run. The default (everything 0 /
-/// disabled) never evicts: every flow survives to the final flush and the
-/// run is byte-identical to batch mode. Setting any knob arms eviction.
+/// Flow-cache bounds for stage 3. The default (everything 0 / disabled)
+/// never evicts: every flow survives to the final flush. Setting any knob
+/// arms eviction.
 struct StreamConfig {
   std::size_t max_flows = 0;
   std::size_t memcap_bytes = 0;
@@ -37,8 +38,8 @@ struct StreamConfig {
   SimTime established_timeout{};
 
   /// True when any eviction knob is armed — i.e. when results may
-  /// legitimately differ from batch mode (and the run's config digest says
-  /// so; see pipeline_config_digest).
+  /// legitimately differ from a non-evicting run (and the run's config
+  /// digest says so; see pipeline_config_digest).
   [[nodiscard]] bool evicting() const {
     return max_flows != 0 || memcap_bytes != 0 || idle_timeout.us() > 0 ||
            established_timeout.us() > 0;
@@ -57,7 +58,8 @@ struct StreamResults {
   CrossValidation crossval;
   ResponseStats responses;
   ExposureMatrix exposure;
-  /// Completed FlowRecords (== batch flow count when never evicting).
+  /// Completed FlowRecords (== the FlowTable flow count when never
+  /// evicting).
   std::size_t flows = 0;
   FlowCacheStats cache;
 };

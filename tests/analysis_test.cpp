@@ -104,6 +104,14 @@ std::pair<SimTime, Packet> udp_between(MacAddress src, MacAddress dst,
   return {SimTime{}, p};
 }
 
+/// Feeds a capture through an analysis builder, as the pipeline's tap does.
+template <typename Builder>
+auto fold(Builder builder,
+          const std::vector<std::pair<SimTime, Packet>>& capture) {
+  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
+  return builder.finish();
+}
+
 TEST(ProtocolUsageTest, AttributesToSourceDevice) {
   std::vector<std::pair<SimTime, Packet>> capture;
   DnsMessage mdns;
@@ -112,7 +120,7 @@ TEST(ProtocolUsageTest, AttributesToSourceDevice) {
   capture.push_back(udp_between(mac_n(1), multicast_mac_v4(kMdnsGroupV4),
                                 Ipv4Address(192, 168, 10, 5), kMdnsGroupV4,
                                 5353, 5353, encode_dns(mdns)));
-  const ProtocolUsage usage = protocol_usage(capture);
+  const ProtocolUsage usage = fold(ProtocolUsageBuilder{}, capture);
   const std::set<MacAddress> population = {mac_n(1), mac_n(2)};
   EXPECT_EQ(usage.devices_using(ProtocolLabel::kMdns, population), 1u);
   EXPECT_EQ(usage.devices_using(ProtocolLabel::kSsdp, population), 0u);
@@ -150,7 +158,7 @@ TEST(CommGraphTest, BuildsUndirectedEdgesWithProtocols) {
                                 Ipv4Address(192, 168, 10, 7), kSsdpGroupV4,
                                 3000, 1900, bytes_of("z")));
 
-  const CommGraph graph = build_comm_graph(capture, population);
+  const CommGraph graph = fold(CommGraphBuilder(population), capture);
   ASSERT_EQ(graph.edges.size(), 1u);
   const auto* edge = graph.find(mac_n(1), mac_n(2));
   ASSERT_NE(edge, nullptr);
@@ -167,7 +175,7 @@ TEST(ExposureTest, ArpExposesMac) {
   p.eth.src = mac_n(1);
   p.eth.dst = MacAddress::kBroadcast;
   p.arp = ArpPacket{};
-  const auto matrix = analyze_exposure(std::vector<std::pair<SimTime, Packet>>{{SimTime{}, p}});
+  const auto matrix = fold(ExposureBuilder{}, {{SimTime{}, p}});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kArp, ExposedData::kMac));
   EXPECT_FALSE(matrix.exposed(ProtocolLabel::kArp, ExposedData::kUuid));
 }
@@ -183,7 +191,7 @@ TEST(ExposureTest, DhcpHostnameAndClientVersion) {
                                    Ipv4Address(0, 0, 0, 0),
                                    Ipv4Address(255, 255, 255, 255), 68, 67,
                                    encode_dhcp(msg));
-  const auto matrix = analyze_exposure(std::vector<std::pair<SimTime, Packet>>{capture});
+  const auto matrix = fold(ExposureBuilder{}, {capture});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kDhcp, ExposedData::kMac));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kDhcp, ExposedData::kDeviceModel));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kDhcp, ExposedData::kOsVersion));
@@ -204,7 +212,7 @@ TEST(ExposureTest, MdnsHostnameWithMacAndDisplayName) {
   const auto capture = udp_between(mac_n(5), multicast_mac_v4(kMdnsGroupV4),
                                    Ipv4Address(192, 168, 10, 5), kMdnsGroupV4,
                                    5353, 5353, encode_dns(msg));
-  const auto matrix = analyze_exposure(std::vector<std::pair<SimTime, Packet>>{capture});
+  const auto matrix = fold(ExposureBuilder{}, {capture});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kMac));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kDisplayName));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kDeviceModel));
@@ -219,7 +227,7 @@ TEST(ExposureTest, SsdpUuidAndDeprecatedUpnp) {
   const auto capture = udp_between(mac_n(6), multicast_mac_v4(kSsdpGroupV4),
                                    Ipv4Address(192, 168, 10, 6), kSsdpGroupV4,
                                    50000, 1900, encode_ssdp(msg));
-  const auto matrix = analyze_exposure(std::vector<std::pair<SimTime, Packet>>{capture});
+  const auto matrix = fold(ExposureBuilder{}, {capture});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kUuid));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kOsVersion));
   EXPECT_TRUE(
@@ -234,7 +242,7 @@ TEST(ExposureTest, TuyaGwidAndProductKey) {
                                    Ipv4Address(192, 168, 10, 7),
                                    Ipv4Address(192, 168, 10, 255), 40000, 6666,
                                    encode_tuya_discovery(d));
-  const auto matrix = analyze_exposure(std::vector<std::pair<SimTime, Packet>>{capture});
+  const auto matrix = fold(ExposureBuilder{}, {capture});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kTuyaLp, ExposedData::kGwId));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kTuyaLp, ExposedData::kProductKey));
 }
@@ -250,7 +258,7 @@ TEST(ExposureTest, TplinkSysinfoExposesGeolocationAndOemId) {
                                    Ipv4Address(192, 168, 10, 8),
                                    Ipv4Address(192, 168, 10, 9), 9999, 50000,
                                    encode_tplink_udp(info.to_json()));
-  const auto matrix = analyze_exposure(std::vector<std::pair<SimTime, Packet>>{capture});
+  const auto matrix = fold(ExposureBuilder{}, {capture});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kTplinkShp, ExposedData::kMac));
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kTplinkShp, ExposedData::kOemId));
   EXPECT_TRUE(

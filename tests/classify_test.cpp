@@ -227,7 +227,9 @@ TEST(CrossValidation, CountsAgreementAndDisagreement) {
   // Unlabeled-by-both flow: random payload on random ports.
   flows.push_back(flow_of({udp_packet(40000, 40001, Bytes{0x99, 0x98, 0x97})}));
 
-  const CrossValidation cv = cross_validate(flows, std::vector<Packet>{});
+  CrossValidator validator;
+  for (const Flow& flow : flows) validator.on_flow(flow);
+  const CrossValidation cv = validator.finish();
   EXPECT_EQ(cv.total, 3u);
   EXPECT_EQ(cv.agreed, 1u);
   EXPECT_EQ(cv.disagreed, 1u);
@@ -323,6 +325,16 @@ TEST(Periodicity, TwoHourBeaconOverFiveDays) {
 
 // ------------------------------------------------- response correlation
 
+/// Feeds a time-ordered capture through the correlator, as the pipeline's
+/// tap does.
+ResponseStats correlate(
+    const std::vector<std::pair<SimTime, Packet>>& capture) {
+  ResponseCorrelator correlator;
+  for (const auto& [at, packet] : capture)
+    correlator.on_packet(at, as_view(packet));
+  return correlator.finish();
+}
+
 TEST(ResponseCorrelation, PairsDiscoveryWithUnicastReply) {
   std::vector<std::pair<SimTime, Packet>> capture;
 
@@ -343,7 +355,7 @@ TEST(ResponseCorrelation, PairsDiscoveryWithUnicastReply) {
   reply.eth.dst = mac_n(10);
   capture.emplace_back(SimTime::from_seconds(1), reply);
 
-  const auto stats = correlate_responses(capture);
+  const auto stats = correlate(capture);
   ASSERT_EQ(stats.matches.size(), 1u);
   EXPECT_EQ(stats.matches[0].responder, mac_n(20));
   EXPECT_EQ(stats.matches[0].discovery.protocol, ProtocolLabel::kSsdp);
@@ -367,7 +379,7 @@ TEST(ResponseCorrelation, LateReplyOutsideWindowIgnored) {
   reply.eth.dst = mac_n(10);
   capture.emplace_back(SimTime::from_seconds(10), reply);  // > 3 s window
 
-  const auto stats = correlate_responses(capture);
+  const auto stats = correlate(capture);
   EXPECT_TRUE(stats.matches.empty());
   // Discovery usage is still recorded.
   EXPECT_TRUE(stats.discovery_protocols.at(mac_n(10)).count(ProtocolLabel::kSsdp));
@@ -380,7 +392,7 @@ TEST(ResponseCorrelation, ArpAndDhcpExcludedFromTable4) {
   arp.eth.dst = MacAddress::kBroadcast;
   arp.arp = ArpPacket{};
   capture.emplace_back(SimTime{}, arp);
-  const auto stats = correlate_responses(capture);
+  const auto stats = correlate(capture);
   EXPECT_TRUE(stats.discovery_protocols.empty());
 }
 

@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "core/roomnet.hpp"
 #include "obs/log.hpp"
@@ -115,9 +117,8 @@ TEST(PipelineDeterminism, SameSeedSameHeadlineNumbers) {
 TEST(PipelineDeterminism, ByteIdenticalAcrossThreadCounts) {
   // The exec runtime's contract: partial results always merge in index
   // order, so the full result tables — including the parallelized
-  // cross-validation, vulnerability audit, and fingerprint analysis — are
-  // identical for every worker count, and threads=1 is the historical
-  // sequential path.
+  // vulnerability audit and fingerprint analysis — are identical for every
+  // worker count, and threads=1 is the historical sequential path.
   PipelineConfig config;
   config.idle_duration = SimTime::from_minutes(10);
   config.interactions = 20;
@@ -203,6 +204,44 @@ TEST(PipelineDeterminism, ByteIdenticalAcrossThreadCounts) {
     const obs::ManifestDiff diff = obs::diff_manifests(base.manifest, r.manifest);
     EXPECT_TRUE(diff.equal) << diff.detail;
   }
+}
+
+TEST(PipelineGolden, AuditDefaultsReproducePinnedStageHashes) {
+  // The `roomnet-audit run` defaults, pinned to the historical bytes so a
+  // refactor of the tap, stage 3 or the watch layer cannot move them
+  // unnoticed. Stage hashes rather than the result digest: the crowd
+  // stage's floating-point math is not pinned here.
+  PipelineConfig config;
+  config.seed = 42;
+  config.threads = 1;
+  config.idle_duration = SimTime::from_minutes(10);
+  config.interactions = 20;
+  config.app_sample = 0;
+  config.run_scan = true;
+  config.run_crowd = true;
+  Pipeline pipeline(config);
+  const PipelineResults results = pipeline.run();
+
+  EXPECT_EQ(results.manifest.config_digest,
+            "00c27bac6a965034bbc2ed14ee0d42dae81d8a54aa73c2346602d4bace7e7722");
+  const std::map<std::string, std::string> pinned = {
+      {"idle",
+       "0af88d1d54e3b840b6ff6d831f92d1c9420aa6a904a0343c53abc8cfa3ba8e06"},
+      {"interactions",
+       "016c7b858c3df9a55a2ab469194345fd83b376a49b2243894d650e5a80566453"},
+      {"classify",
+       "6f06426ca386a5c82e68f5d791541a4e540108ad86be7d24d1903f8f6a37aeae"},
+      {"watch",
+       "e3d2ca0f1dd22832f9a336c84bf2f9d91831a1afab26a6062df8ee16c8d3966d"},
+  };
+  std::size_t checked = 0;
+  for (const obs::StageRecord& stage : results.manifest.stages) {
+    const auto it = pinned.find(stage.name);
+    if (it == pinned.end()) continue;
+    EXPECT_EQ(stage.sha256, it->second) << stage.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, pinned.size());
 }
 
 TEST(PipelineDeterminism, ByteIdenticalAcrossThreadCountsWithFaults) {

@@ -1,10 +1,9 @@
 // Streaming-pipeline tests: FlowCache eviction mechanics (memcap / LRU /
 // timeouts, prune-reason accounting), the StreamAnalyzer call-once contract,
 // the stage scoping of the pipeline's stage-3 consumers (scan traffic feeds
-// none of them), streaming-vs-batch byte-identical parity at several thread
-// counts on clean and faulty runs, and the bounded-memory regression guard
-// (streaming peak state stays flat while batch capture memory grows with
-// simulation length).
+// none of them), the config digest of evicting runs, and the bounded-memory
+// regression guard (a memcapped run's peak flow state stays flat as the
+// simulation grows longer).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -16,7 +15,6 @@
 #include "core/pipeline.hpp"
 #include "core/provenance.hpp"
 #include "netcore/packet_view.hpp"
-#include "obs/manifest.hpp"
 #include "stream/stream.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -455,7 +453,7 @@ TEST(StreamContract, SecondFinishThrows) {
 TEST(StreamScope, ScanTrafficReachesNoStage3Consumer) {
   // Stage-3 consumers read only the capture up to classify: the active scan
   // must not grow the local-packet count, the flow cache, or the capture
-  // arena. Same seed with the scan on and off, in both modes.
+  // arena. Same seed with the scan on and off.
   auto& registry = telemetry::Registry::global();
   const auto flows_total = [&] {
     return registry
@@ -467,165 +465,57 @@ TEST(StreamScope, ScanTrafficReachesNoStage3Consumer) {
                         {{"transport", "udp"}})
                .value();
   };
-  for (const PipelineMode mode : {PipelineMode::kBatch,
-                                  PipelineMode::kStreaming}) {
-    SCOPED_TRACE(to_string(mode));
-    const auto run = [&](bool scan, std::uint64_t& flows_created) {
-      PipelineConfig config;
-      config.seed = 3;
-      config.threads = 1;
-      config.idle_duration = SimTime::from_minutes(10);
-      config.interactions = 20;
-      config.app_sample = 0;
-      config.run_crowd = false;
-      config.run_scan = scan;
-      config.mode = mode;
-      Pipeline pipeline(config);
-      const std::uint64_t flows0 = flows_total();
-      PipelineResults results = pipeline.run();
-      flows_created = flows_total() - flows0;
-      return results;
-    };
-    std::uint64_t flows_with_scan = 0;
-    std::uint64_t flows_without_scan = 0;
-    const PipelineResults with_scan = run(true, flows_with_scan);
-    const PipelineResults without_scan = run(false, flows_without_scan);
+  const auto run = [&](bool scan, std::uint64_t& flows_created) {
+    PipelineConfig config;
+    config.seed = 3;
+    config.threads = 1;
+    config.idle_duration = SimTime::from_minutes(10);
+    config.interactions = 20;
+    config.app_sample = 0;
+    config.run_crowd = false;
+    config.run_scan = scan;
+    Pipeline pipeline(config);
+    const std::uint64_t flows0 = flows_total();
+    PipelineResults results = pipeline.run();
+    flows_created = flows_total() - flows0;
+    return results;
+  };
+  std::uint64_t flows_with_scan = 0;
+  std::uint64_t flows_without_scan = 0;
+  const PipelineResults with_scan = run(true, flows_with_scan);
+  const PipelineResults without_scan = run(false, flows_without_scan);
 
-    EXPECT_GT(with_scan.scan_reports.size(), 0u);
-    EXPECT_GT(with_scan.local_packets, 0u);
-    EXPECT_EQ(with_scan.local_packets, without_scan.local_packets);
-    EXPECT_EQ(with_scan.flow_cache.peak_flows,
-              without_scan.flow_cache.peak_flows);
-    EXPECT_EQ(with_scan.flow_cache.flows_created,
-              without_scan.flow_cache.flows_created);
-    // The process-wide flow-cache counters see every flow the cache ever
-    // created, including any after finish().
-    EXPECT_EQ(flows_with_scan, flows_without_scan);
-    bool saw_scan_stage = false;
-    for (const prof::StageProfile& stage : with_scan.profile.stages) {
-      if (stage.name != "scan") continue;
-      saw_scan_stage = true;
-      EXPECT_EQ(stage.arena_bytes, 0u);
-      EXPECT_EQ(stage.arena_allocs, 0u);
-    }
-    EXPECT_TRUE(saw_scan_stage);
+  EXPECT_GT(with_scan.scan_reports.size(), 0u);
+  EXPECT_GT(with_scan.local_packets, 0u);
+  EXPECT_EQ(with_scan.local_packets, without_scan.local_packets);
+  EXPECT_EQ(with_scan.flow_cache.peak_flows,
+            without_scan.flow_cache.peak_flows);
+  EXPECT_EQ(with_scan.flow_cache.flows_created,
+            without_scan.flow_cache.flows_created);
+  // The process-wide flow-cache counters see every flow the cache ever
+  // created, including any after finish().
+  EXPECT_EQ(flows_with_scan, flows_without_scan);
+  bool saw_scan_stage = false;
+  for (const prof::StageProfile& stage : with_scan.profile.stages) {
+    if (stage.name != "scan") continue;
+    saw_scan_stage = true;
+    EXPECT_EQ(stage.arena_bytes, 0u);
+    EXPECT_EQ(stage.arena_allocs, 0u);
   }
+  EXPECT_TRUE(saw_scan_stage);
 }
 
 // --------------------------------------------------------------- StreamParity
 
-/// Field-level spot checks plus the machine-checkable form: byte-identical
-/// manifest JSON (same config digest, same stage hashes).
-void expect_equal_results(const PipelineResults& batch,
-                          const PipelineResults& streaming) {
-  EXPECT_EQ(streaming.local_packets, batch.local_packets);
-  EXPECT_EQ(streaming.flows, batch.flows);
-  EXPECT_EQ(streaming.usage.by_device, batch.usage.by_device);
-  ASSERT_EQ(streaming.graph.edges.size(), batch.graph.edges.size());
-  for (std::size_t i = 0; i < streaming.graph.edges.size(); ++i) {
-    EXPECT_EQ(streaming.graph.edges[i].a, batch.graph.edges[i].a) << i;
-    EXPECT_EQ(streaming.graph.edges[i].b, batch.graph.edges[i].b) << i;
-    EXPECT_EQ(streaming.graph.edges[i].packets, batch.graph.edges[i].packets)
-        << i;
-  }
-  EXPECT_EQ(streaming.crossval.matrix, batch.crossval.matrix);
-  EXPECT_EQ(streaming.crossval.total, batch.crossval.total);
-  EXPECT_EQ(streaming.crossval.agreed, batch.crossval.agreed);
-  EXPECT_EQ(streaming.crossval.disagreed, batch.crossval.disagreed);
-  EXPECT_EQ(streaming.exposure.cells, batch.exposure.cells);
-  EXPECT_EQ(streaming.responses.discovery_protocols,
-            batch.responses.discovery_protocols);
-  EXPECT_EQ(streaming.responses.answered_protocols,
-            batch.responses.answered_protocols);
-  ASSERT_EQ(streaming.responses.matches.size(), batch.responses.matches.size());
-  for (std::size_t i = 0; i < streaming.responses.matches.size(); ++i) {
-    EXPECT_EQ(streaming.responses.matches[i].responder,
-              batch.responses.matches[i].responder)
-        << i;
-    EXPECT_EQ(streaming.responses.matches[i].response_at,
-              batch.responses.matches[i].response_at)
-        << i;
-  }
-  EXPECT_EQ(obs::to_json(streaming.manifest), obs::to_json(batch.manifest));
-  const obs::ManifestDiff diff =
-      obs::diff_manifests(batch.manifest, streaming.manifest);
-  EXPECT_TRUE(diff.equal) << diff.detail;
-}
-
-TEST(StreamParity, ByteIdenticalToBatchAcrossThreadCounts) {
-  // The headline claim: a default (non-evicting) streaming run reproduces
-  // the batch run bit-for-bit — same analysis tables, same manifest stage
-  // hashes, same config digest — at every worker count.
-  PipelineConfig config;
-  config.idle_duration = SimTime::from_minutes(10);
-  config.interactions = 20;
-  config.app_sample = 0;
-  config.run_scan = true;
-  config.run_crowd = true;
-
-  Pipeline batch_pipeline(config);
-  const PipelineResults batch = batch_pipeline.run();
-  EXPECT_GT(batch.flows, 0u);
-
-  for (const int threads : {1, 2, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    PipelineConfig c = config;
-    c.mode = PipelineMode::kStreaming;
-    c.threads = threads;
-    Pipeline streaming_pipeline(c);
-    const PipelineResults streaming = streaming_pipeline.run();
-    expect_equal_results(batch, streaming);
-    // The cache saw every flow and completed all of them at flush.
-    EXPECT_EQ(streaming.flow_cache.flows_created, batch.flows);
-    EXPECT_EQ(streaming.flow_cache.prunes[static_cast<std::size_t>(
-                  PruneReason::kFlush)],
-              batch.flows);
-    EXPECT_EQ(streaming.flow_cache.active_flows, 0u);
-  }
-}
-
-TEST(StreamParity, ByteIdenticalToBatchWithFaults) {
-  // Same claim under an adversarial frame stream: loss/dup/truncation/
-  // corruption perturb the wire identically in both modes (same fault seed),
-  // and streaming still reproduces batch bit-for-bit.
-  PipelineConfig config;
-  config.idle_duration = SimTime::from_minutes(10);
-  config.interactions = 10;
-  config.app_sample = 0;
-  config.run_scan = false;
-  config.run_crowd = false;
-  config.faults.loss = 0.03;
-  config.faults.duplicate = 0.02;
-  config.faults.truncate = 0.02;
-  config.faults.corrupt = 0.01;
-
-  Pipeline batch_pipeline(config);
-  const PipelineResults batch = batch_pipeline.run();
-  for (const int threads : {1, 2, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    PipelineConfig c = config;
-    c.mode = PipelineMode::kStreaming;
-    c.threads = threads;
-    Pipeline streaming_pipeline(c);
-    const PipelineResults streaming = streaming_pipeline.run();
-    expect_equal_results(batch, streaming);
-  }
-}
-
 TEST(StreamParity, EvictingConfigChangesDigestHonestly) {
-  // A memcap'd run may legitimately differ from batch (flows split, payload
-  // state dropped), so its config digest must say so — while the default
-  // streaming digest matches batch exactly.
-  PipelineConfig batch;
-  PipelineConfig plain_streaming = batch;
-  plain_streaming.mode = PipelineMode::kStreaming;
-  PipelineConfig memcapped = plain_streaming;
+  // A memcap'd run may legitimately differ from a non-evicting one (flows
+  // split, payload state dropped), so its config digest must say so.
+  const PipelineConfig plain;
+  PipelineConfig memcapped = plain;
   memcapped.stream.memcap_bytes = 1 << 20;
 
-  EXPECT_EQ(pipeline_config_digest(batch),
-            pipeline_config_digest(plain_streaming));
-  EXPECT_NE(pipeline_config_digest(batch), pipeline_config_digest(memcapped));
-  EXPECT_FALSE(plain_streaming.stream.evicting());
+  EXPECT_NE(pipeline_config_digest(plain), pipeline_config_digest(memcapped));
+  EXPECT_FALSE(plain.stream.evicting());
   EXPECT_TRUE(memcapped.stream.evicting());
 }
 
@@ -656,45 +546,27 @@ TEST(StreamMemory, CacheStateBoundedByMemcapAsFlowCountGrows) {
   (void)a;
 }
 
-TEST(StreamMemory, StreamingPeakStaysFlatWhileBatchCaptureGrows) {
-  // The regression the whole refactor exists to prevent: batch capture
-  // memory is O(simulated time); a memcap'd streaming run's peak state is
-  // not. Run the same scenario at 1x and 3x length in both modes.
-  PipelineConfig config;
-  config.idle_duration = SimTime::from_minutes(10);
-  config.interactions = 0;
-  config.app_sample = 0;
-  config.run_scan = false;
-  config.run_crowd = false;
-
-  auto& registry = telemetry::Registry::global();
-  telemetry::Gauge& arena_bytes =
-      registry.gauge("roomnet_capture_arena_bytes_used");
-
-  const auto run = [&](PipelineMode mode, double scale) {
-    PipelineConfig c = config;
-    c.mode = mode;
+TEST(StreamMemory, MemcappedPeakStaysFlatAsRunGrows) {
+  // The regression stage 3's tap-time fold exists to prevent: a memcap'd
+  // run's peak flow state is bounded by the memcap, not by simulated time.
+  // Run the same scenario at 1x and 3x length.
+  const auto run = [](double scale) {
+    PipelineConfig c;
     c.idle_duration = SimTime::from_minutes(10 * scale);
-    if (mode == PipelineMode::kStreaming)
-      c.stream.memcap_bytes = 256 * 1024;
+    c.interactions = 0;
+    c.app_sample = 0;
+    c.run_scan = false;
+    c.run_crowd = false;
+    c.stream.memcap_bytes = 256 * 1024;
     Pipeline pipeline(c);
     return pipeline.run();
   };
 
-  const PipelineResults batch_short = run(PipelineMode::kBatch, 1);
-  const std::int64_t batch_short_arena = arena_bytes.value();
-  const PipelineResults batch_long = run(PipelineMode::kBatch, 3);
-  const std::int64_t batch_long_arena = arena_bytes.value();
-  EXPECT_GT(batch_short_arena, 0);
-  // Batch memory tracks simulated time (~3x the idle traffic).
-  EXPECT_GT(batch_long_arena, 2 * batch_short_arena);
-  EXPECT_GT(batch_long.local_packets, 2 * batch_short.local_packets);
-
-  const PipelineResults stream_short = run(PipelineMode::kStreaming, 1);
-  const PipelineResults stream_long = run(PipelineMode::kStreaming, 3);
+  const PipelineResults stream_short = run(1);
+  const PipelineResults stream_long = run(3);
+  EXPECT_GT(stream_long.local_packets, 2 * stream_short.local_packets);
   EXPECT_GT(stream_long.flow_cache.flows_created,
             stream_short.flow_cache.flows_created);
-  // ...but peak cache state is bounded by the memcap, not the run length.
   EXPECT_GT(stream_short.flow_cache.peak_bytes, 0u);
   EXPECT_LE(stream_long.flow_cache.peak_bytes, 256u * 1024u + 4096u);
   EXPECT_LE(stream_long.flow_cache.peak_bytes,

@@ -18,17 +18,18 @@
 //   --idle-minutes N   idle-capture window (default 10)
 //   --interactions N   interaction count (default 20)
 //   --app-sample N     apps executed (default 0: skip the campaign)
-//   --loss P           frame-loss probability (default 0; enables the fault
-//                      layer, so ROOMNET_FAULT_SEED makes runs diverge and
-//                      `diff` names the first stage the fault stream touched)
+//   --loss P           frame-loss probability in [0, 1] (default 0; enables
+//                      the fault layer, so ROOMNET_FAULT_SEED makes runs
+//                      diverge and `diff` names the first stage the fault
+//                      stream touched)
 //   --no-scan          skip the active scan stage
 //   --no-crowd         skip the crowd entropy stage
-//   --mode M           stage-3 mode: batch (default) or streaming. A default
-//                      streaming run must produce the same manifest as a
-//                      batch run — `diff` across modes is the CI parity gate
-//   --memcap-bytes N   streaming flow-cache memcap (arms eviction)
-//   --max-flows N      streaming flow-cache flow ceiling (arms eviction)
-//   --idle-timeout-s N streaming flow idle timeout, seconds (arms eviction)
+//   --memcap-bytes N   stage-3 flow-cache memcap (arms eviction)
+//   --max-flows N      stage-3 flow-cache flow ceiling (arms eviction)
+//   --idle-timeout-s N stage-3 flow idle timeout, seconds (arms eviction)
+//
+// A value that does not parse, a negative count, or a probability outside
+// [0, 1] is a usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,9 +46,8 @@ int usage() {
                "                        [--idle-minutes N] [--interactions N]\n"
                "                        [--app-sample N] [--loss P] "
                "[--no-scan] [--no-crowd]\n"
-               "                        [--mode batch|streaming] "
-               "[--memcap-bytes N] [--max-flows N]\n"
-               "                        [--idle-timeout-s N]\n"
+               "                        [--memcap-bytes N] [--max-flows N] "
+               "[--idle-timeout-s N]\n"
                "       roomnet-audit diff <manifest_a> <manifest_b>\n");
   return 2;
 }
@@ -57,6 +57,27 @@ std::int64_t parse_int(const char* text, const char* flag) {
   const long long v = std::strtoll(text, &end, 0);
   if (end == text || *end != '\0') {
     std::fprintf(stderr, "roomnet-audit: bad value for %s: %s\n", flag, text);
+    std::exit(2);
+  }
+  return v;
+}
+
+std::int64_t parse_count(const char* text, const char* flag) {
+  const std::int64_t v = parse_int(text, flag);
+  if (v < 0) {
+    std::fprintf(stderr, "roomnet-audit: %s must not be negative: %s\n", flag,
+                 text);
+    std::exit(2);
+  }
+  return v;
+}
+
+double parse_probability(const char* text, const char* flag) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+    std::fprintf(stderr, "roomnet-audit: bad probability for %s: %s\n", flag,
+                 text);
     std::exit(2);
   }
   return v;
@@ -93,31 +114,21 @@ int run_command(int argc, char** argv) {
     else if (std::strcmp(arg, "--app-sample") == 0)
       config.app_sample = static_cast<int>(parse_int(value(), arg));
     else if (std::strcmp(arg, "--loss") == 0)
-      config.faults.loss = std::strtod(value(), nullptr);
+      config.faults.loss = parse_probability(value(), arg);
     else if (std::strcmp(arg, "--no-scan") == 0)
       config.run_scan = false;
     else if (std::strcmp(arg, "--no-crowd") == 0)
       config.run_crowd = false;
-    else if (std::strcmp(arg, "--mode") == 0) {
-      const char* mode = value();
-      if (std::strcmp(mode, "streaming") == 0)
-        config.mode = roomnet::PipelineMode::kStreaming;
-      else if (std::strcmp(mode, "batch") == 0)
-        config.mode = roomnet::PipelineMode::kBatch;
-      else {
-        std::fprintf(stderr, "roomnet-audit: bad --mode: %s\n", mode);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--memcap-bytes") == 0)
+    else if (std::strcmp(arg, "--memcap-bytes") == 0)
       config.stream.memcap_bytes =
-          static_cast<std::size_t>(parse_int(value(), arg));
+          static_cast<std::size_t>(parse_count(value(), arg));
     else if (std::strcmp(arg, "--max-flows") == 0)
       config.stream.max_flows =
-          static_cast<std::size_t>(parse_int(value(), arg));
+          static_cast<std::size_t>(parse_count(value(), arg));
     else if (std::strcmp(arg, "--idle-timeout-s") == 0)
       config.stream.idle_timeout =
           roomnet::SimTime::from_seconds(
-              static_cast<double>(parse_int(value(), arg)));
+              static_cast<double>(parse_count(value(), arg)));
     else
       return usage();
   }
@@ -125,24 +136,21 @@ int run_command(int argc, char** argv) {
   roomnet::Pipeline pipeline(config);
   const roomnet::PipelineResults results = pipeline.run();
   const roomnet::obs::RunManifest& m = results.manifest;
-  std::printf("run: seed=%#llx fault_seed=%#llx threads=%d mode=%s\n",
+  std::printf("run: seed=%#llx fault_seed=%#llx threads=%d\n",
               static_cast<unsigned long long>(m.sim_seed),
-              static_cast<unsigned long long>(m.fault_seed), m.threads,
-              roomnet::to_string(config.mode));
-  if (config.mode == roomnet::PipelineMode::kStreaming) {
-    const roomnet::FlowCacheStats& fc = results.flow_cache;
-    std::printf(
-        "flow cache: created=%llu peak_flows=%zu peak_bytes=%zu "
-        "prunes=%llu (idle=%llu est=%llu memcap=%llu excess=%llu "
-        "flush=%llu)\n",
-        static_cast<unsigned long long>(fc.flows_created), fc.peak_flows,
-        fc.peak_bytes, static_cast<unsigned long long>(fc.prunes_total()),
-        static_cast<unsigned long long>(fc.prunes[0]),
-        static_cast<unsigned long long>(fc.prunes[1]),
-        static_cast<unsigned long long>(fc.prunes[2]),
-        static_cast<unsigned long long>(fc.prunes[3]),
-        static_cast<unsigned long long>(fc.prunes[4]));
-  }
+              static_cast<unsigned long long>(m.fault_seed), m.threads);
+  const roomnet::FlowCacheStats& fc = results.flow_cache;
+  std::printf(
+      "flow cache: created=%llu peak_flows=%zu peak_bytes=%zu "
+      "prunes=%llu (idle=%llu est=%llu memcap=%llu excess=%llu "
+      "flush=%llu)\n",
+      static_cast<unsigned long long>(fc.flows_created), fc.peak_flows,
+      fc.peak_bytes, static_cast<unsigned long long>(fc.prunes_total()),
+      static_cast<unsigned long long>(fc.prunes[0]),
+      static_cast<unsigned long long>(fc.prunes[1]),
+      static_cast<unsigned long long>(fc.prunes[2]),
+      static_cast<unsigned long long>(fc.prunes[3]),
+      static_cast<unsigned long long>(fc.prunes[4]));
   std::printf("config digest: %s\n", m.config_digest.c_str());
   for (const roomnet::obs::StageRecord& stage : m.stages)
     std::printf("  %-14s %s  sim_us=%lld\n", stage.name.c_str(),
