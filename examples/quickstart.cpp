@@ -89,9 +89,12 @@ int main(int argc, char** argv) {
   span.reset();
   telemetry::Tracer::global().set_sim_clock(nullptr);
   if (telemetry_dir != nullptr) {
-    const std::size_t n = roomnet_telemetry_report(telemetry_dir);
-    std::fprintf(stderr, "telemetry: wrote %zu files to %s\n", n,
-                 telemetry_dir);
+    const std::string failed = roomnet_telemetry_report(telemetry_dir);
+    if (!failed.empty()) {
+      std::fprintf(stderr, "telemetry: cannot write %s\n", failed.c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "telemetry: wrote 3 files to %s\n", telemetry_dir);
   }
   return 0;
 }

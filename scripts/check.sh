@@ -9,7 +9,7 @@
 #                             # own tree)
 #   scripts/check.sh --format # clang-format --dry-run --Werror over the tree
 #   scripts/check.sh --fuzz   # ROOMNET_FUZZ=ON + ASan/UBSan build, seed the
-#                             # corpora via roomnet-corpus, then smoke-run
+#                             # corpora via `roomnet corpus gen`, then smoke-run
 #                             # every harness. Total budget across harnesses
 #                             # comes from ROOMNET_FUZZ_BUDGET_S (default
 #                             # 60 s); ROOMNET_FUZZ_SANITIZE overrides the
@@ -87,7 +87,7 @@ if [[ "${1:-}" == "--fuzz" ]]; then
   CORPUS_DIR="${ROOMNET_FUZZ_CORPUS:-build-fuzz/corpus}"
   if [[ ! -d "${CORPUS_DIR}/frame" ]]; then
     echo "== fuzz: seeding corpora into ${CORPUS_DIR} =="
-    ./build-fuzz/tools/roomnet-corpus gen "${CORPUS_DIR}" \
+    ./build-fuzz/tools/roomnet corpus gen "${CORPUS_DIR}" \
       --idle-seconds 30 --interactions 10 --pcap-dir quickstart_pcaps
   fi
 

@@ -1,13 +1,14 @@
 #include "core/pipeline.hpp"
 
 #include <chrono>
-#include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "capture/filter.hpp"
 #include "core/provenance.hpp"
 #include "core/stage_names.hpp"
 #include "exec/task_pool.hpp"
+#include "netcore/text_file.hpp"
 #include "obs/log.hpp"
 #include "prof/folded.hpp"
 #include "prof/profiler.hpp"
@@ -79,13 +80,6 @@ telemetry::Counter& degraded_counter(const char* stage) {
                                                {{"stage", stage}});
 }
 
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return out.good();
-}
-
 }  // namespace
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
@@ -120,23 +114,13 @@ PipelineResults Pipeline::run() {
   pipeline_span.emplace("pipeline", "pipeline");
 
   // Provenance: every stage ends with a content hash of its outputs in the
-  // run manifest. Exec task counters are global and cumulative, so stage
-  // deltas are taken against this run's starting values.
-  telemetry::Counter& tasks_submitted =
-      registry.counter("roomnet_exec_tasks_submitted_total");
-  telemetry::Counter& tasks_completed =
-      registry.counter("roomnet_exec_tasks_completed_total");
-  const std::uint64_t tasks_submitted_epoch = tasks_submitted.value();
-  const std::uint64_t tasks_completed_epoch = tasks_completed.value();
+  // run manifest.
   const std::uint64_t resolved_fault_seed = faults::fault_seed(config_.seed);
   const std::string config_digest = pipeline_config_digest(config_);
   obs::ManifestBuilder manifest;
-  manifest.begin(config_.seed, resolved_fault_seed, config_digest,
-                 static_cast<int>(pool.threads()));
+  manifest.begin(config_.seed, resolved_fault_seed, config_digest);
   const auto record_stage = [&](const char* name, std::string content_hash) {
-    manifest.add_stage(name, std::move(content_hash), lab_->loop().now().us(),
-                       tasks_submitted.value() - tasks_submitted_epoch,
-                       tasks_completed.value() - tasks_completed_epoch);
+    manifest.add_stage(name, std::move(content_hash), lab_->loop().now().us());
   };
   // Log records from this run on (the global ledger outlives the pipeline).
   const std::uint64_t log_epoch = obs::Ledger::global().recorded();
@@ -429,7 +413,7 @@ PipelineResults Pipeline::run() {
   // --- Watch: close the in-network timeline -----------------------------
   // Final rule sweep (lingering alerts resolve, absence rules get one last
   // look), then the merged per-device rings become the run's event stream.
-  // Its jsonl serialization is the stage hash, so `roomnet-audit diff`
+  // Its jsonl serialization is the stage hash, so `roomnet audit diff`
   // names "watch" the moment any timeline byte moves.
   if (watcher != nullptr) {
     {
@@ -456,24 +440,30 @@ PipelineResults Pipeline::run() {
 
   pipeline_span.reset();  // close the whole-run span before exporting
   if (telemetry_run) {
-    roomnet_telemetry_report(config_.telemetry_out);
-    write_text_file(config_.telemetry_out + "/perf.json",
-                    prof::to_json(results.profile));
-    prof::write_folded_stacks(config_.telemetry_out);
-    write_text_file(config_.telemetry_out + "/manifest.json",
-                    obs::to_json(results.manifest));
-    write_text_file(config_.telemetry_out + "/resources.json",
-                    obs::resources_to_json(results.manifest));
+    // A run directory that cannot be written fails the run loudly, naming
+    // the first path that could not be created or written.
+    const std::string& dir = config_.telemetry_out;
+    const auto check = [](const std::string& failed) {
+      if (!failed.empty())
+        throw std::runtime_error("cannot write run artifact " + failed);
+    };
+    const auto write = [&](const char* file, const std::string& text) {
+      const std::string path = dir + "/" + file;
+      if (!write_text_file(path, text)) check(path);
+    };
+    check(roomnet_telemetry_report(dir));
+    write("perf.json", prof::to_json(results.profile));
+    check(prof::write_folded_stacks(dir));
+    write("manifest.json", obs::to_json(results.manifest));
     // The in-network event timeline, next to the manifest that hashes it.
     if (watcher != nullptr)
-      write_text_file(config_.telemetry_out + "/events.jsonl",
-                      watch::events_to_jsonl(results.watch.events));
+      write("events.jsonl", watch::events_to_jsonl(results.watch.events));
     // This run's slice of the global ledger (empty file when logging is off
     // — CI uploads the artifact unconditionally).
     std::vector<obs::LogRecord> run_logs;
     for (auto& record : obs::Ledger::global().records())
       if (record.seq >= log_epoch) run_logs.push_back(std::move(record));
-    obs::write_jsonl(config_.telemetry_out + "/logs.jsonl", run_logs);
+    write("logs.jsonl", obs::to_jsonl(run_logs));
   }
   return results;
 }

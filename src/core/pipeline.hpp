@@ -122,6 +122,8 @@ class Pipeline {
   explicit Pipeline(PipelineConfig config = {});
 
   /// Runs every stage and returns the results. Deterministic in the seed.
+  /// Throws std::runtime_error naming the first path under `telemetry_out`
+  /// that could not be created or written.
   PipelineResults run();
 
   /// The lab is exposed for callers wanting to poke at devices afterwards.

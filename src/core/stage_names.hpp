@@ -2,7 +2,7 @@
 // profiler's StageScope brackets, StageTimer gauges/log lines, and the perf
 // baseline under bench/baselines/ all key on these exact strings —
 // prof_test asserts the manifest and perf.json agree on them, and
-// `roomnet-prof diff` fails on a stage-list mismatch. Keeping them in one
+// `roomnet prof diff` fails on a stage-list mismatch. Keeping them in one
 // place means a new stage (like "watch") cannot drift between the three
 // observability layers.
 #pragma once
@@ -26,7 +26,7 @@ inline constexpr const char* kAll[] = {
     kApps,    kCrowd, kDegraded,     kWatch,
 };
 
-/// Fleet-driver phases (roomnet::fleet): recorded by `roomnet-fleet run`'s
+/// Fleet-driver phases (roomnet::fleet): recorded by `roomnet fleet run`'s
 /// perf.json, not by pipeline runs, so they stay out of kAll. kFleetRun
 /// brackets the sharded household sweep (sim + per-household analysis on the
 /// workers), kFleetReduce the sequential ordered reduction and manifest

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 namespace roomnet::obs {
 
@@ -179,14 +178,6 @@ std::string to_jsonl(const std::vector<LogRecord>& records) {
     out += "}}\n";
   }
   return out;
-}
-
-bool write_jsonl(const std::string& path,
-                 const std::vector<LogRecord>& records) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << to_jsonl(records);
-  return out.good();
 }
 
 }  // namespace roomnet::obs

@@ -130,10 +130,6 @@ class Ledger {
 ///  "sim_us":0,"wall_us":12,"fields":{"stage":"idle"}}
 [[nodiscard]] std::string to_jsonl(const std::vector<LogRecord>& records);
 
-/// Writes to_jsonl(records) to `path` (overwrite). Returns success.
-bool write_jsonl(const std::string& path,
-                 const std::vector<LogRecord>& records);
-
 }  // namespace roomnet::obs
 
 /// Emission macro: fields are only evaluated when `level` is enabled, so a

@@ -106,40 +106,22 @@ void CanonicalHasher::bytes(BytesView data) {
   hash_.update(data);
 }
 
-ManifestBuilder::ManifestBuilder()
-    : last_stage_end_(std::chrono::steady_clock::now()) {
+ManifestBuilder::ManifestBuilder() {
   manifest_.compiler = __VERSION__;
   manifest_.cxx_standard = __cplusplus;
 }
 
 void ManifestBuilder::begin(std::uint64_t sim_seed, std::uint64_t fault_seed,
-                            std::string config_digest, int threads) {
+                            std::string config_digest) {
   manifest_.sim_seed = sim_seed;
   manifest_.fault_seed = fault_seed;
   manifest_.config_digest = std::move(config_digest);
-  manifest_.threads = threads;
-  last_stage_end_ = std::chrono::steady_clock::now();
 }
 
 void ManifestBuilder::add_stage(std::string name, std::string content_sha256,
-                                std::int64_t sim_us,
-                                std::uint64_t exec_tasks_submitted,
-                                std::uint64_t exec_tasks_completed) {
-  const auto now = std::chrono::steady_clock::now();
-  StageRecord record;
-  record.name = std::move(name);
-  record.sha256 = std::move(content_sha256);
-  record.sim_us = sim_us;
-  record.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       now - last_stage_end_)
-                       .count();
-  record.peak_rss_kb = peak_rss_kb();
-  record.exec_tasks_submitted = exec_tasks_submitted - last_tasks_submitted_;
-  record.exec_tasks_completed = exec_tasks_completed - last_tasks_completed_;
-  last_stage_end_ = now;
-  last_tasks_submitted_ = exec_tasks_submitted;
-  last_tasks_completed_ = exec_tasks_completed;
-  manifest_.stages.push_back(std::move(record));
+                                std::int64_t sim_us) {
+  manifest_.stages.push_back(
+      StageRecord{std::move(name), std::move(content_sha256), sim_us});
 }
 
 RunManifest ManifestBuilder::finish() {
@@ -172,27 +154,6 @@ std::string to_json(const RunManifest& m) {
   }
   out += m.stages.empty() ? "],\n" : "\n  ],\n";
   out += "  \"result_digest\": \"" + escape_json(m.result_digest) + "\"\n";
-  out += "}\n";
-  return out;
-}
-
-std::string resources_to_json(const RunManifest& m) {
-  std::string out = "{\n";
-  out += "  \"threads\": " + std::to_string(m.threads) + ",\n";
-  out += "  \"stages\": [";
-  bool first = true;
-  for (const StageRecord& s : m.stages) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"name\": \"" + escape_json(s.name) +
-           "\", \"wall_ms\": " + std::to_string(s.wall_ms) +
-           ", \"peak_rss_kb\": " + std::to_string(s.peak_rss_kb) +
-           ", \"exec_tasks_submitted\": " +
-           std::to_string(s.exec_tasks_submitted) +
-           ", \"exec_tasks_completed\": " +
-           std::to_string(s.exec_tasks_completed) + "}";
-  }
-  out += m.stages.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
   return out;
 }

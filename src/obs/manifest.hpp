@@ -8,13 +8,12 @@
 // localized by diff_manifests() to the *first divergent stage* instead of
 // surfacing as "final results differ".
 //
-// The manifest is split from its volatile sidecar on purpose:
-//   manifest.json   — deterministic; comparable bytes across thread counts
-//   resources.json  — thread count, per-stage wall time, peak RSS, exec
-//                     task counts (varies run to run by nature)
+// The manifest holds only deterministic content, so its bytes compare
+// across thread counts. What varies run to run by nature (thread count,
+// per-stage wall time, peak RSS, pool task counts) lives in perf.json
+// (prof/report.hpp), the run's one resource record.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -55,15 +54,8 @@ struct StageRecord {
   std::string sha256;
   /// Sim clock at stage end — deterministic, so it belongs to the manifest.
   std::int64_t sim_us = 0;
-  // -- volatile resource accounting (resources.json only) ----------------
-  std::int64_t wall_ms = 0;
-  std::int64_t peak_rss_kb = 0;
-  std::uint64_t exec_tasks_submitted = 0;  // delta across this stage
-  std::uint64_t exec_tasks_completed = 0;
 
-  friend bool operator==(const StageRecord& a, const StageRecord& b) {
-    return a.name == b.name && a.sha256 == b.sha256 && a.sim_us == b.sim_us;
-  }
+  friend bool operator==(const StageRecord&, const StageRecord&) = default;
 };
 
 struct RunManifest {
@@ -80,41 +72,29 @@ struct RunManifest {
   std::vector<StageRecord> stages;
   /// Digest over the ordered stage hashes: one id for the whole run.
   std::string result_digest;
-  /// Volatile (resources.json only).
-  int threads = 0;
 };
 
-/// Accumulates StageRecords during a run: wall time between add_stage()
-/// calls, the process peak-RSS high water at each stage end, and deltas of
-/// the exec task counters the caller passes in (cumulative values; the
-/// builder differences them).
+/// Accumulates a run's StageRecords in order.
 class ManifestBuilder {
  public:
   ManifestBuilder();
 
   void begin(std::uint64_t sim_seed, std::uint64_t fault_seed,
-             std::string config_digest, int threads);
+             std::string config_digest);
 
   void add_stage(std::string name, std::string content_sha256,
-                 std::int64_t sim_us, std::uint64_t exec_tasks_submitted = 0,
-                 std::uint64_t exec_tasks_completed = 0);
+                 std::int64_t sim_us);
 
   /// Finalizes result_digest and returns the manifest.
   [[nodiscard]] RunManifest finish();
 
  private:
   RunManifest manifest_;
-  std::chrono::steady_clock::time_point last_stage_end_;
-  std::uint64_t last_tasks_submitted_ = 0;
-  std::uint64_t last_tasks_completed_ = 0;
 };
 
 /// Canonical JSON bytes of the deterministic manifest content. Fixed field
 /// order, no whitespace variance: equal manifests serialize to equal bytes.
 [[nodiscard]] std::string to_json(const RunManifest& manifest);
-
-/// The volatile sidecar (threads, wall_ms, peak_rss_kb, task counts).
-[[nodiscard]] std::string resources_to_json(const RunManifest& manifest);
 
 /// Parses to_json() output (strict; nullopt on malformed input).
 [[nodiscard]] std::optional<RunManifest> parse_manifest(std::string_view text);

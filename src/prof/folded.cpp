@@ -4,10 +4,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "netcore/text_file.hpp"
 #include "prof/counters.hpp"
 
 namespace roomnet::prof {
@@ -117,23 +118,18 @@ std::string folded_stacks(const telemetry::Tracer& tracer,
   return out;
 }
 
-std::size_t write_folded_stacks(const std::string& dir) {
+std::string write_folded_stacks(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  if (ec) return 0;
-  const auto write = [&](const std::string& file, const std::string& content) {
-    std::ofstream out(dir + "/" + file, std::ios::binary);
-    if (!out) return false;
-    out << content;
-    return out.good();
-  };
+  if (ec) return dir;
   const telemetry::Tracer& tracer = telemetry::Tracer::global();
-  std::size_t written = 0;
-  written += write("trace.folded",
-                   folded_stacks(tracer, FoldedWeight::kWallMicros));
-  written += write("alloc.folded",
-                   folded_stacks(tracer, FoldedWeight::kAllocBytes));
-  return written;
+  for (const auto& [file, weight] :
+       {std::pair{"trace.folded", FoldedWeight::kWallMicros},
+        std::pair{"alloc.folded", FoldedWeight::kAllocBytes}}) {
+    const std::string path = dir + "/" + file;
+    if (!write_text_file(path, folded_stacks(tracer, weight))) return path;
+  }
+  return {};
 }
 
 }  // namespace roomnet::prof

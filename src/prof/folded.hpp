@@ -33,7 +33,8 @@ enum class FoldedWeight {
                                         FoldedWeight weight);
 
 /// Writes `trace.folded` (wall µs) and `alloc.folded` (allocated bytes)
-/// into `dir` from the global tracer. Returns the number of files written.
-std::size_t write_folded_stacks(const std::string& dir);
+/// into `dir` from the global tracer. Returns the first path (the directory
+/// or a file) that could not be created or written; empty on success.
+[[nodiscard]] std::string write_folded_stacks(const std::string& dir);
 
 }  // namespace roomnet::prof

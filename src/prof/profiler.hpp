@@ -4,8 +4,8 @@
 // /proc/self/statm + allocation-counter deltas, and finish() folds the
 // accumulated StageProfiles into a ProfReport (perf.json) keyed to the SAME
 // stage names the RunManifest hashes — so "the first divergent stage" from
-// roomnet-audit and "the first regressing stage" from roomnet-prof name the
-// same place in the pipeline.
+// `roomnet audit diff` and "the first regressing stage" from
+// `roomnet prof diff` name the same place in the pipeline.
 //
 // Sampling happens ONLY at stage boundaries (a handful of syscalls per
 // stage), never per event or per packet: with ROOMNET_PROFILE=OFF the only

@@ -1,11 +1,13 @@
-// perf.json: the resource twin of manifest.json. One ProfReport records,
-// for every pipeline stage the run manifest names, where the wall/user/sys
-// time went, how many page faults and resident bytes it cost, and what it
-// allocated — split into the deterministic core (stage set + arena counters,
-// identical across thread counts and hosts for a fixed seed) and the
-// host-dependent remainder (timings, RSS, faults, heap counters). The
-// roomnet-prof CLI diffs two reports and names the FIRST regressing stage,
-// exactly as roomnet-audit names the first divergent one.
+// perf.json: the resource twin of manifest.json, and the run's only record
+// of resource cost (thread count, per-stage wall time, RSS, pool tasks). One
+// ProfReport records, for every pipeline stage the run manifest names, where
+// the wall/user/sys time went, how many page faults and resident bytes it
+// cost, and what it allocated — split into the deterministic core (stage set
+// + arena counters, identical across thread counts and hosts for a fixed
+// seed) and the host-dependent remainder (timings, RSS, faults, heap
+// counters). `roomnet prof diff` compares two reports and names the FIRST
+// regressing stage, exactly as `roomnet audit diff` names the first
+// divergent one.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,7 @@ struct StageProfile {
 
 struct ProfReport {
   int schema = 1;
-  std::string tool = "roomnet-prof";
+  std::string tool = "roomnet-prof";  // format id, kept by baselines
   std::string compiler;     // __VERSION__ at build time
   bool profile_heap = false;  // heap hooks compiled in (ROOMNET_PROFILE=ON)
   int threads = 0;

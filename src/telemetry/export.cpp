@@ -3,8 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
+
+#include "netcore/text_file.hpp"
 
 namespace roomnet::telemetry {
 
@@ -263,24 +264,21 @@ std::string trace_to_chrome_json(const Tracer& tracer) {
 
 namespace roomnet {
 
-std::size_t roomnet_telemetry_report(const std::string& dir) {
+std::string roomnet_telemetry_report(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  if (ec) return 0;
-  const auto write = [&](const std::string& file, const std::string& content) {
-    std::ofstream out(dir + "/" + file, std::ios::binary);
-    if (!out) return false;
-    out << content;
-    return out.good();
+  if (ec) return dir;
+  std::string failed;
+  const auto write = [&](const char* file, const std::string& text) {
+    if (failed.empty() && !write_text_file(dir + "/" + file, text))
+      failed = dir + "/" + file;
   };
-  std::size_t written = 0;
-  written += write("metrics.prom",
-                   telemetry::to_prometheus(telemetry::Registry::global()));
-  written +=
-      write("metrics.json", telemetry::to_json(telemetry::Registry::global()));
-  written += write("trace.json",
-                   telemetry::trace_to_chrome_json(telemetry::Tracer::global()));
-  return written;
+  write("metrics.prom",
+        telemetry::to_prometheus(telemetry::Registry::global()));
+  write("metrics.json", telemetry::to_json(telemetry::Registry::global()));
+  write("trace.json",
+        telemetry::trace_to_chrome_json(telemetry::Tracer::global()));
+  return failed;
 }
 
 }  // namespace roomnet

@@ -36,8 +36,8 @@ std::string trace_to_chrome_json(const Tracer& tracer);
 namespace roomnet {
 
 /// Dumps the global registry and tracer into `dir` as `metrics.prom`,
-/// `metrics.json`, and `trace.json`. Returns the number of files written
-/// (3 on success, 0 if the directory could not be created).
-std::size_t roomnet_telemetry_report(const std::string& dir);
+/// `metrics.json`, and `trace.json`. Returns the first path (the directory
+/// or a file) that could not be created or written; empty on success.
+[[nodiscard]] std::string roomnet_telemetry_report(const std::string& dir);
 
 }  // namespace roomnet

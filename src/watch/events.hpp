@@ -1,6 +1,6 @@
 // roomnet::watch event model: the typed NetEvent record, its canonical
 // one-line JSON serialization (events.jsonl), and the parse/diff helpers the
-// `roomnet-events` CLI and the determinism tests share.
+// `roomnet events` verbs and the determinism tests share.
 //
 // Determinism contract: events are emitted on the sim thread in event order,
 // `seq` is the global emission index, and every serialized field is either
@@ -89,10 +89,10 @@ struct NetEvent {
     const std::string& path);
 
 /// SHA-256 hex of `events_to_jsonl` — the "watch" stage's manifest hash, so
-/// `roomnet-audit diff` catches a timeline divergence by name.
+/// `roomnet audit diff` catches a timeline divergence by name.
 [[nodiscard]] std::string hash_events(const std::vector<NetEvent>& events);
 
-/// First divergence between two event streams (the `roomnet-events diff`
+/// First divergence between two event streams (the `roomnet events diff`
 /// core). `equal` when both streams match event-for-event.
 struct EventDiff {
   bool equal = true;

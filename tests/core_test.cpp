@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/roomnet.hpp"
@@ -207,7 +208,7 @@ TEST(PipelineDeterminism, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(PipelineGolden, AuditDefaultsReproducePinnedStageHashes) {
-  // The `roomnet-audit run` defaults, pinned to the historical bytes so a
+  // The `roomnet run` defaults, pinned to the historical bytes so a
   // refactor of the tap, stage 3 or the watch layer cannot move them
   // unnoticed. Stage hashes rather than the result digest: the crowd
   // stage's floating-point math is not pinned here.
@@ -395,9 +396,9 @@ TEST(PipelineTelemetry, PopulatesStageMetricsWithoutChangingResults) {
   EXPECT_TRUE(std::filesystem::exists(out_dir / "metrics.prom"));
   EXPECT_TRUE(std::filesystem::exists(out_dir / "metrics.json"));
 
-  // Run provenance rides along: the deterministic manifest, its volatile
-  // resources sidecar, and the JSONL log export (possibly empty).
-  EXPECT_TRUE(std::filesystem::exists(out_dir / "resources.json"));
+  // Run provenance rides along: the deterministic manifest, perf.json (the
+  // run's one resource record), and the JSONL log export (possibly empty).
+  EXPECT_TRUE(std::filesystem::exists(out_dir / "perf.json"));
   EXPECT_TRUE(std::filesystem::exists(out_dir / "logs.jsonl"));
   const std::optional<obs::RunManifest> manifest =
       obs::load_manifest((out_dir / "manifest.json").string());
@@ -416,6 +417,31 @@ TEST(PipelineTelemetry, PopulatesStageMetricsWithoutChangingResults) {
         << stage;
   }
   std::filesystem::remove_all(out_dir);
+}
+
+TEST(PipelineTelemetry, UnwritableRunDirectoryThrowsNamingThePath) {
+  // A regular file where the run directory's parent should be: nothing
+  // below it can be created, and the run must say so instead of returning.
+  const std::filesystem::path blocker = "core_test_not_a_directory";
+  std::ofstream(blocker) << "x";
+  PipelineConfig config;
+  config.idle_duration = SimTime::from_minutes(1);
+  config.interactions = 1;
+  config.app_sample = 0;
+  config.run_scan = false;
+  config.run_crowd = false;
+  config.telemetry_out = (blocker / "run").string();
+  Pipeline pipeline(config);
+  try {
+    (void)pipeline.run();
+    ADD_FAILURE() << "run() returned despite an unwritable run directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(config.telemetry_out),
+              std::string::npos)
+        << e.what();
+  }
+  telemetry::disable();
+  std::filesystem::remove(blocker);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "netcore/text_file.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 
@@ -122,7 +123,7 @@ TEST(Ledger, WriteJsonlRoundTripsThroughDisk) {
   ledger.set_level(LogLevel::kInfo);
   ledger.log(LogLevel::kInfo, "pipeline", "run_start", {kv("seed", 42)});
   const std::string path = "obs_test_logs.jsonl";
-  ASSERT_TRUE(write_jsonl(path, ledger.records()));
+  ASSERT_TRUE(write_text_file(path, to_jsonl(ledger.records())));
   std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -215,10 +216,10 @@ RunManifest sample_manifest() {
   ManifestBuilder builder;
   builder.begin(/*sim_seed=*/42,
                 /*fault_seed=*/0xfa175eed0c0de5ull ^ 42ull,
-                /*config_digest=*/"cfgdigest", /*threads=*/4);
-  builder.add_stage("lab_boot", std::string(64, 'a'), 1000, 2, 2);
-  builder.add_stage("idle", std::string(64, 'b'), 600000000, 5, 5);
-  builder.add_stage("classify", std::string(64, 'c'), 600000000, 9, 9);
+                /*config_digest=*/"cfgdigest");
+  builder.add_stage("lab_boot", std::string(64, 'a'), 1000);
+  builder.add_stage("idle", std::string(64, 'b'), 600000000);
+  builder.add_stage("classify", std::string(64, 'c'), 600000000);
   return builder.finish();
 }
 
@@ -245,7 +246,7 @@ TEST(Manifest, JsonRoundTripPreservesDeterministicFields) {
 TEST(Manifest, SeedsSurviveAsFullWidthU64) {
   ManifestBuilder builder;
   // Past 2^53: a JSON double would silently round this.
-  builder.begin(0xdeadbeefcafef00dull, 0xffffffffffffffffull, "cfg", 1);
+  builder.begin(0xdeadbeefcafef00dull, 0xffffffffffffffffull, "cfg");
   const RunManifest m = builder.finish();
   const std::string json = to_json(m);
   EXPECT_NE(json.find("\"sim_seed\": \"0xdeadbeefcafef00d\""),
@@ -265,11 +266,11 @@ TEST(Manifest, ParseRejectsMalformedInput) {
 
 TEST(Manifest, ResultDigestCoversStageOrder) {
   ManifestBuilder forward;
-  forward.begin(1, 2, "cfg", 1);
+  forward.begin(1, 2, "cfg");
   forward.add_stage("a", std::string(64, '1'), 0);
   forward.add_stage("b", std::string(64, '2'), 0);
   ManifestBuilder reversed;
-  reversed.begin(1, 2, "cfg", 1);
+  reversed.begin(1, 2, "cfg");
   reversed.add_stage("b", std::string(64, '2'), 0);
   reversed.add_stage("a", std::string(64, '1'), 0);
   EXPECT_NE(forward.finish().result_digest, reversed.finish().result_digest);
@@ -360,18 +361,10 @@ TEST(Manifest, LoadManifestReadsWhatToJsonWrote) {
   EXPECT_FALSE(load_manifest(path).has_value());
 }
 
-TEST(Manifest, ResourcesJsonCarriesVolatileAccounting) {
-  const RunManifest m = sample_manifest();
-  const std::string json = resources_to_json(m);
-  EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"wall_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"peak_rss_kb\":"), std::string::npos);
-  // The builder differences cumulative task counters into per-stage deltas.
-  EXPECT_NE(json.find("\"exec_tasks_submitted\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"exec_tasks_submitted\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"exec_tasks_submitted\": 4"), std::string::npos);
-  // None of it leaks into the deterministic manifest.
-  const std::string deterministic = to_json(m);
+TEST(Manifest, ToJsonCarriesNoVolatileAccounting) {
+  // Thread count, wall time and RSS live in perf.json; none of it may leak
+  // into the deterministic manifest.
+  const std::string deterministic = to_json(sample_manifest());
   EXPECT_EQ(deterministic.find("wall_ms"), std::string::npos);
   EXPECT_EQ(deterministic.find("peak_rss_kb"), std::string::npos);
   EXPECT_EQ(deterministic.find("threads"), std::string::npos);

@@ -1,4 +1,4 @@
-// roomnet-corpus: seeds the fuzz corpora from realistic traffic. Runs a
+// roomnet corpus gen: seeds the fuzz corpora from realistic traffic. Runs a
 // short testbed simulation (and optionally reads every pcap in a capture
 // directory), then files each frame and each application payload into the
 // per-harness corpus layout the fuzz executables consume:
@@ -16,17 +16,17 @@
 // against the same traffic is idempotent and merging corpora is a plain
 // copy. Usage:
 //
-//   roomnet-corpus gen <out_dir> [--seed N] [--idle-seconds S]
+//   roomnet corpus gen <out_dir> [--seed N] [--idle-seconds N]
 //                      [--interactions N] [--pcap-dir DIR]
 //                      [--max-per-category N]
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "netcore/pcap.hpp"
 #include "netcore/sha256.hpp"
 #include "proto/tls.hpp"
@@ -40,7 +40,7 @@ namespace fs = std::filesystem;
 struct Options {
   std::string out_dir;
   std::uint64_t seed = 42;
-  double idle_seconds = 60;
+  SimTime idle = SimTime::from_seconds(60);
   int interactions = 20;
   std::string pcap_dir;
   std::size_t max_per_category = 256;
@@ -157,10 +157,10 @@ int generate(const Options& options) {
   // mDNS/DNS, SSDP, TLS, and the vendor UDP protocols the devices speak.
   LabConfig config;
   config.seed = options.seed;
-  config.boot_window_s = std::min(options.idle_seconds / 2, 30.0);
+  config.boot_window_s = std::min(options.idle.seconds() / 2, 30.0);
   Lab lab(config);
   lab.start_all();
-  lab.run_idle(SimTime::from_seconds(options.idle_seconds));
+  lab.run_idle(options.idle);
   if (options.interactions > 0) lab.run_interactions(options.interactions);
   std::printf("simulation captured %zu frames (seed %llu)\n",
               lab.capture().size(),
@@ -211,42 +211,28 @@ int generate(const Options& options) {
   return 0;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s gen <out_dir> [--seed N] [--idle-seconds S]\n"
-               "          [--interactions N] [--pcap-dir DIR]\n"
-               "          [--max-per-category N]\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
-}  // namespace roomnet
 
-int main(int argc, char** argv) {
-  using roomnet::Options;
-  if (argc < 3 || std::strcmp(argv[1], "gen") != 0) return roomnet::usage(argv[0]);
+int cli::corpus_gen_main(int argc, char** argv) {
+  if (argc < 1) throw cli::UsageError("corpus gen needs an output directory");
   Options options;
-  options.out_dir = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--seed") {
-      if (const char* v = next()) options.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--idle-seconds") {
-      if (const char* v = next()) options.idle_seconds = std::atof(v);
-    } else if (arg == "--interactions") {
-      if (const char* v = next()) options.interactions = std::atoi(v);
-    } else if (arg == "--pcap-dir") {
-      if (const char* v = next()) options.pcap_dir = v;
-    } else if (arg == "--max-per-category") {
-      if (const char* v = next())
-        options.max_per_category = std::strtoull(v, nullptr, 10);
-    } else {
-      return roomnet::usage(argv[0]);
-    }
+  options.out_dir = argv[0];
+  cli::Flags flags(argc - 1, argv + 1);
+  while (flags.next()) {
+    if (flags.is("--seed"))
+      options.seed = static_cast<std::uint64_t>(flags.integer());
+    else if (flags.is("--idle-seconds"))
+      options.idle = flags.seconds();
+    else if (flags.is("--interactions"))
+      options.interactions = static_cast<int>(flags.count(cli::kIntMax));
+    else if (flags.is("--pcap-dir"))
+      options.pcap_dir = flags.value();
+    else if (flags.is("--max-per-category"))
+      options.max_per_category = static_cast<std::size_t>(flags.count());
+    else
+      flags.unknown();
   }
-  return roomnet::generate(options);
+  return generate(options);
 }
+
+}  // namespace roomnet
