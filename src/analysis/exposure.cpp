@@ -84,6 +84,23 @@ bool old_dhcp_client(const std::string& vendor_class) {
 
 }  // namespace
 
+std::string response_text(const DnsMessage& response) {
+  std::string text;
+  for (const auto& record : response.answers) {
+    text += record.name.to_string() + " ";
+    for (const auto& txt : record.txt()) text += txt + " ";
+    if (const auto ptr = record.ptr()) text += ptr->to_string() + " ";
+    if (const auto srv = record.srv()) text += srv->target.to_string() + " ";
+  }
+  for (const auto& record : response.additional)
+    text += record.name.to_string() + " ";
+  return text;
+}
+
+std::string response_text(const SsdpMessage& message) {
+  return message.usn + " " + message.server + " " + message.location;
+}
+
 void ExposureBuilder::on_packet(const PacketView& packet) {
   const MacAddress src = packet.eth.src;
   const auto mark = [&](ProtocolLabel protocol, ExposedData data,
@@ -144,23 +161,15 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   if (dport == kMdnsPort || sport == kMdnsPort) {
     const auto msg = decode_dns(payload);
     if (!msg || !msg->is_response) return;
-    std::string all_text;
-    for (const auto& record : msg->answers) {
-      all_text += record.name.to_string() + " ";
-      for (const auto& txt : record.txt()) all_text += txt + " ";
-      if (const auto ptr = record.ptr()) all_text += ptr->to_string() + " ";
-      if (const auto srv = record.srv()) all_text += srv->target.to_string() + " ";
-    }
-    for (const auto& record : msg->additional)
-      all_text += record.name.to_string() + " ";
-    if (contains_mac_like(all_text))
+    const std::string text = response_text(*msg);
+    if (contains_mac_like(text))
       mark(ProtocolLabel::kMdns, ExposedData::kMac, src);
-    if (!extract_uuids(all_text).empty())
+    if (!extract_uuids(text).empty())
       mark(ProtocolLabel::kMdns, ExposedData::kUuid, src);
-    if (!extract_possessive_names(all_text).empty() ||
-        all_text.find("Jane") != std::string::npos)
+    if (!extract_possessive_names(text).empty() ||
+        text.find("Jane") != std::string::npos)
       mark(ProtocolLabel::kMdns, ExposedData::kDisplayName, src);
-    if (looks_like_model_name(all_text))
+    if (looks_like_model_name(text))
       mark(ProtocolLabel::kMdns, ExposedData::kDeviceModel, src);
     return;
   }
@@ -169,8 +178,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   if (dport == kSsdpPort || sport == kSsdpPort) {
     const auto msg = decode_ssdp(payload);
     if (!msg) return;
-    const std::string text = msg->usn + " " + msg->server + " " + msg->location;
-    if (!extract_uuids(text).empty())
+    if (!extract_uuids(response_text(*msg)).empty())
       mark(ProtocolLabel::kSsdp, ExposedData::kUuid, src);
     if (!msg->server.empty()) {
       mark(ProtocolLabel::kSsdp, ExposedData::kOsVersion, src);

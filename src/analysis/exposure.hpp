@@ -17,6 +17,9 @@
 
 namespace roomnet {
 
+struct DnsMessage;
+struct SsdpMessage;
+
 enum class ExposedData {
   kMac,
   kDeviceModel,
@@ -64,6 +67,12 @@ class ExposureBuilder {
 /// arena. Detection is payload-based: nothing is taken from simulator
 /// ground truth.
 ExposureMatrix analyze_exposure(const CaptureStore& capture);
+
+/// The §6.3 response text the exposure analysis scans and the fleet
+/// harvests: an mDNS response's record names, TXT strings and PTR/SRV
+/// targets; an SSDP message's USN, SERVER and LOCATION.
+std::string response_text(const DnsMessage& response);
+std::string response_text(const SsdpMessage& message);
 
 /// The protocols Table 1 rows cover, in paper order.
 const std::vector<ProtocolLabel>& exposure_protocols();

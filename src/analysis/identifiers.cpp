@@ -134,4 +134,11 @@ std::vector<ExtractedIdentifier> extract_identifiers(
   return out;
 }
 
+void harvest_identifiers(std::string_view text, std::uint32_t oui,
+                         std::set<ExtractedIdentifier>& out) {
+  for (auto& id : extract_identifiers(text, oui)) out.insert(std::move(id));
+  for (auto& mac : extract_macs(text))
+    out.insert({IdentifierType::kMacAddress, std::move(mac)});
+}
+
 }  // namespace roomnet

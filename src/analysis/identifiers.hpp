@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,5 +49,11 @@ std::vector<std::string> extract_macs(std::string_view text,
 std::vector<ExtractedIdentifier> extract_identifiers(
     std::string_view text,
     std::optional<std::uint32_t> expected_oui = std::nullopt);
+
+/// The §6.3 harvest of one payload from a device with `oui` into `out`:
+/// OUI-checked identifiers plus every separated-form MAC, since degenerate
+/// constant MACs fail the OUI check yet still count as exposed values.
+void harvest_identifiers(std::string_view text, std::uint32_t oui,
+                         std::set<ExtractedIdentifier>& out);
 
 }  // namespace roomnet

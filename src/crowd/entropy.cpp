@@ -11,16 +11,23 @@ namespace roomnet {
 
 std::set<ExtractedIdentifier> device_identifiers(const InspectorDevice& device) {
   std::set<ExtractedIdentifier> out;
-  const auto scan = [&](const std::string& payload) {
-    for (auto& id : extract_identifiers(payload, device.oui)) out.insert(id);
-    // MACs may be degenerate constants that fail the OUI check yet still
-    // count as an exposed (shared) identifier value.
-    for (auto& mac : extract_macs(payload))
-      out.insert({IdentifierType::kMacAddress, mac});
-  };
-  for (const auto& payload : device.mdns_responses) scan(payload);
-  for (const auto& payload : device.ssdp_responses) scan(payload);
+  for (const auto& payload : device.mdns_responses)
+    harvest_identifiers(payload, device.oui, out);
+  for (const auto& payload : device.ssdp_responses)
+    harvest_identifiers(payload, device.oui, out);
   return out;
+}
+
+ExposureClass exposure_class(const std::set<ExtractedIdentifier>& ids) {
+  ExposureClass types;
+  for (const auto& id : ids) {
+    switch (id.type) {
+      case IdentifierType::kName: types.name = true; break;
+      case IdentifierType::kUuid: types.uuid = true; break;
+      case IdentifierType::kMacAddress: types.mac = true; break;
+    }
+  }
+  return types;
 }
 
 void FingerprintAccumulator::add(const DeviceFingerprintRow& row) {
@@ -29,14 +36,7 @@ void FingerprintAccumulator::add(const DeviceFingerprintRow& row) {
   // row for which it owns at least one such device (which is why the
   // paper's per-row household counts sum past 3,860 while the device counts
   // sum to exactly 12,669).
-  ExposureClass types;
-  for (const auto& id : row.ids) {
-    switch (id.type) {
-      case IdentifierType::kName: types.name = true; break;
-      case IdentifierType::kUuid: types.uuid = true; break;
-      case IdentifierType::kMacAddress: types.mac = true; break;
-    }
-  }
+  const ExposureClass types = exposure_class(row.ids);
   ClassState& state = classes_[types];
   state.products.insert(row.product);
   state.vendors.insert(row.vendor);

@@ -47,6 +47,9 @@ struct FingerprintAnalysis {
 /// MACs validated against the device's OUI as IoT Inspector does).
 std::set<ExtractedIdentifier> device_identifiers(const InspectorDevice& device);
 
+/// The identifier-type combination `ids` exposes (a device's Table 2 row).
+ExposureClass exposure_class(const std::set<ExtractedIdentifier>& ids);
+
 /// One device's contribution to the fingerprint analysis, already reduced to
 /// what the grouping needs: which household owns it, its product/model index
 /// and vendor, and the identifier set its payloads exposed. The fleet

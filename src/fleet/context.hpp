@@ -1,9 +1,9 @@
 // HouseholdContext: the recycled per-worker state that makes per-household
-// cost flat. The flow cache's node pool and bucket array and the analysis
-// scratch vectors are keep-capacity structures: begin_household() rewinds
-// them without freeing, so after the first few households a context runs an
-// entire household without touching the allocator for flow state — the
-// RSS-per-household slope the fleet bench proves to be ~0.
+// cost flat. The flow cache's node pool and bucket array are keep-capacity
+// structures: begin_household() rewinds them without freeing, so after the
+// first few households a context runs an entire household without touching
+// the allocator for flow state — the RSS-per-household slope the fleet bench
+// proves to be ~0.
 //
 // ContextPool hands contexts to shard tasks through RAII leases. TaskPool's
 // run_chunks exposes no worker identity, so the pool is a mutex-guarded free
@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <mutex>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -32,24 +31,15 @@ class HouseholdContext {
   explicit HouseholdContext(const FlowCacheConfig& cache_config)
       : cache(cache_config) {}
 
-  /// Rewinds every recycled structure for a `device_count`-device household.
-  void begin_household(std::size_t device_count) {
+  /// Rewinds every recycled structure for the next household.
+  void begin_household() {
     cache.reset();
-    macs.clear();
-    macs.reserve(device_count);
-    protocol_bits.assign(device_count, 0);
-    ids.resize(device_count);
-    for (auto& set : ids) set.clear();
     payload_memo.clear();
     ++households_served;
   }
 
   // O(active flows) state behind the configured bounds.
   FlowCache cache;
-  // Per-household analysis scratch, indexed by device slot.
-  std::vector<MacAddress> macs;
-  std::vector<std::uint32_t> protocol_bits;
-  std::vector<std::set<ExtractedIdentifier>> ids;
   /// (src MAC, payload) hashes already parsed for identifiers — periodic
   /// announcements repeat byte-identical payloads dozens of times per
   /// household; each is decoded once.

@@ -3,20 +3,18 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <stdexcept>
 
+#include "analysis/overview.hpp"
 #include "capture/filter.hpp"
-#include "classify/classifier.hpp"
+#include "crowd/entropy.hpp"
 #include "fleet/context.hpp"
 #include "obs/manifest.hpp"
 #include "proto/dns.hpp"
 #include "proto/ssdp.hpp"
-#include "sim/engine.hpp"
-#include "sim/host.hpp"
-#include "sim/network.hpp"
-#include "testbed/catalog.hpp"
-#include "testbed/device.hpp"
-#include "testbed/profiles.hpp"
+#include "testbed/lab.hpp"
 
 namespace roomnet::fleet {
 
@@ -32,28 +30,6 @@ std::uint64_t payload_memo_key(MacAddress src, BytesView payload) {
   for (const std::uint8_t b : src.octets()) fold(b);
   for (const std::uint8_t b : payload) fold(b);
   return h;
-}
-
-/// The §6.3 response text of an mDNS answer: record names, TXT strings, and
-/// PTR/SRV targets — the same assembly the exposure analysis scans.
-std::string mdns_response_text(BytesView payload) {
-  const auto msg = decode_dns(payload);
-  if (!msg || !msg->is_response) return {};
-  std::string text;
-  for (const auto& record : msg->answers) {
-    text += record.name.to_string() + " ";
-    for (const auto& txt : record.txt()) text += txt + " ";
-    if (const auto ptr = record.ptr()) text += ptr->to_string() + " ";
-    if (const auto srv = record.srv()) text += srv->target.to_string() + " ";
-  }
-  for (const auto& record : msg->additional) text += record.name.to_string() + " ";
-  return text;
-}
-
-std::string ssdp_response_text(BytesView payload) {
-  const auto msg = decode_ssdp(payload);
-  if (!msg) return {};
-  return msg->usn + " " + msg->server + " " + msg->location;
 }
 
 std::string row_hash(const HouseholdResult& result) {
@@ -114,31 +90,34 @@ std::size_t sample_household_size(Rng& rng, const HouseholdConfig& config) {
 HouseholdResult run_household(const HouseholdConfig& config,
                               std::uint64_t fleet_seed, std::uint64_t index,
                               HouseholdContext& ctx) {
-  const std::uint64_t seed = household_seed(fleet_seed, index);
-  Rng rng(seed);
+  if (config.max_devices < config.min_devices)
+    throw std::invalid_argument("household max_devices below min_devices");
+  HouseholdResult result;
+  result.index = index;
+  result.seed = household_seed(fleet_seed, index);
+  Rng rng(result.seed);
   const auto& catalog = moniotr_catalog();
 
   // ---- Sample the device mix (catalog indices, uniform).
-  const std::size_t count = sample_household_size(rng, config);
-  std::vector<std::uint32_t> mix(count);
-  for (auto& entry : mix)
-    entry = static_cast<std::uint32_t>(rng.below(catalog.size()));
+  result.devices.resize(sample_household_size(rng, config));
+  for (auto& device : result.devices)
+    device.catalog_index =
+        static_cast<std::uint32_t>(rng.below(catalog.size()));
 
-  ctx.begin_household(count);
+  ctx.begin_household();
 
-  // ---- Build the mini network: router + devices on a learning switch,
-  // mirroring the Lab's construction in miniature.
+  // ---- Build the home through the testbed's shared construction; only the
+  // MACs are the household's own.
   EventLoop loop;
   Switch net(loop);
-  const Ipv4Address router_ip(192, 168, 10, 1);
-  Router router(net, MacAddress::from_u64(0x02a0ff000001ull), router_ip);
+  Router router(net, kRouterMac, kRouterIp);
 
   const auto& registry = OuiRegistry::builtin();
-  std::vector<std::unique_ptr<TestbedDevice>> devices;
-  devices.reserve(count);
+  DeviceList devices;
+  devices.reserve(result.devices.size());
   std::set<std::uint64_t> used_macs;
-  for (const std::uint32_t catalog_index : mix) {
-    const DeviceSpec& spec = catalog[catalog_index];
+  for (auto& row : result.devices) {
+    const DeviceSpec& spec = catalog[row.catalog_index];
     const std::uint32_t oui = registry.oui_of(spec.vendor).value_or(0x02a0fe);
     // Household-specific MAC tails: real fleets never share NIC suffixes, so
     // payload-embedded MACs must differ across households for the entropy
@@ -148,62 +127,20 @@ HouseholdResult run_household(const HouseholdConfig& config,
       mac_value = (static_cast<std::uint64_t>(oui) << 24) |
                   (rng.below(0xfffffe) + 1);
     } while (!used_macs.insert(mac_value).second);
-    const MacAddress mac = MacAddress::from_u64(mac_value);
-    ctx.macs.push_back(mac);
+    row.mac = MacAddress::from_u64(mac_value);
     devices.push_back(std::make_unique<TestbedDevice>(
-        net, spec, behavior_for(spec, catalog_index), mac, rng));
+        net, spec, behavior_for(spec, row.catalog_index), row.mac, rng));
   }
-
-  // Statically configured devices get addresses above the DHCP pool.
-  std::uint32_t next_static = 200;
-  for (auto& device : devices) {
-    if (device->behavior().use_dhcp) continue;
-    device->host().set_static_ip(
-        Ipv4Address((router_ip.value() & 0xffffff00) | next_static++));
-  }
-
-  // Platform clusters in miniature: the first TLS-capable member
-  // coordinates, falling back to the first member.
-  std::map<Platform, TestbedDevice*> coordinators;
-  for (auto& device : devices) {
-    const Platform platform = device->spec().platform;
-    if (platform == Platform::kNone) continue;
-    auto [it, inserted] = coordinators.try_emplace(platform, device.get());
-    if (!inserted && device->behavior().tls_server &&
-        !it->second->behavior().tls_server)
-      it->second = device.get();
-  }
-  for (auto& device : devices) {
-    const Platform platform = device->spec().platform;
-    if (platform == Platform::kNone) continue;
-    TestbedDevice* coordinator = coordinators.at(platform);
-    if (coordinator != device.get())
-      device->set_cluster_coordinator(coordinator);
-  }
+  assign_static_ips(devices);
+  wire_platform_clusters(devices);
 
   // ---- Analysis fold: one pass per local packet, at tap time.
-  HouseholdResult result;
-  result.index = index;
-  result.seed = seed;
-
-  const HybridClassifier classifier;
+  ProtocolUsageBuilder usage;
   ExposureBuilder exposure;
-  const auto fold = [&](const PacketView& packet) {
-    exposure.on_packet(packet);
-    const MacAddress src = packet.eth.src;
-    int slot = -1;
-    for (std::size_t s = 0; s < ctx.macs.size(); ++s) {
-      if (ctx.macs[s] == src) {
-        slot = static_cast<int>(s);
-        break;
-      }
-    }
-    if (slot < 0) return;  // router traffic: outside the device population
-    ctx.protocol_bits[static_cast<std::size_t>(slot)] |=
-        1u << static_cast<int>(classifier.classify_packet(packet));
-
-    // Identifier harvest (§6.3) from mDNS/SSDP response payloads, parsed
-    // once per distinct (src, payload) pair.
+  std::map<MacAddress, std::set<ExtractedIdentifier>> ids;
+  // Identifier harvest (§6.3) from mDNS/SSDP response payloads, parsed once
+  // per distinct (src, payload) pair.
+  const auto harvest = [&](const PacketView& packet) {
     if (!packet.udp) return;
     const std::uint16_t sport = value(*packet.src_port());
     const std::uint16_t dport = value(*packet.dst_port());
@@ -212,17 +149,16 @@ HouseholdResult run_household(const HouseholdConfig& config,
     if (!mdns && !ssdp) return;
     const BytesView payload = packet.app_payload();
     if (payload.size() == 0) return;
+    const MacAddress src = packet.eth.src;
     if (!ctx.payload_memo.insert(payload_memo_key(src, payload)).second)
       return;
-    const std::string text =
-        mdns ? mdns_response_text(payload) : ssdp_response_text(payload);
-    if (text.empty()) return;
-    auto& ids = ctx.ids[static_cast<std::size_t>(slot)];
-    for (auto& id : extract_identifiers(text, src.oui())) ids.insert(id);
-    // As in device_identifiers(): degenerate constant MACs fail the OUI
-    // check yet still count as an exposed identifier value.
-    for (auto& mac : extract_macs(text))
-      ids.insert({IdentifierType::kMacAddress, mac});
+    std::optional<std::string> text;
+    if (!mdns) {
+      if (const auto msg = decode_ssdp(payload)) text = response_text(*msg);
+    } else if (const auto msg = decode_dns(payload); msg && msg->is_response) {
+      text = response_text(*msg);
+    }
+    if (text) harvest_identifiers(*text, src.oui(), ids[src]);
   };
 
   const LocalFilter filter;
@@ -231,44 +167,35 @@ HouseholdResult run_household(const HouseholdConfig& config,
         if (!filter.matches(packet)) return;
         ++result.packets;
         result.bytes += raw.size();
-        fold(packet);
+        // The router is outside the device population: not worth a classify.
+        if (packet.eth.src != kRouterMac) usage.on_packet(packet);
+        exposure.on_packet(packet);
+        harvest(packet);
         ctx.cache.add(at, packet);
       });
 
   // ---- Boot (staggered DHCP) and idle.
-  for (auto& device : devices) {
-    const double offset = rng.uniform() * config.boot_window_s;
-    loop.schedule_in(SimTime::from_seconds(offset),
-                     [d = device.get()] { d->start(); });
-  }
+  schedule_staggered_boot(loop, devices, rng, config.boot_window_s);
   loop.run_until(config.idle);
 
   ctx.cache.flush();
   result.flows = ctx.cache.stats().flows_created;
 
   // ---- Assemble the compact row.
+  const ProtocolUsage protocols = usage.finish();
   const ExposureMatrix matrix = exposure.finish();
-  result.devices.resize(count);
-  for (std::size_t slot = 0; slot < count; ++slot) {
-    HouseholdDevice& device = result.devices[slot];
-    device.catalog_index = mix[slot];
-    device.mac = ctx.macs[slot];
-    device.protocols = ctx.protocol_bits[slot];
-    const auto& ids = ctx.ids[slot];
-    device.ids.assign(ids.begin(), ids.end());
-    for (const auto& id : device.ids) {
-      switch (id.type) {
-        case IdentifierType::kName: device.exposure.name = true; break;
-        case IdentifierType::kUuid: device.exposure.uuid = true; break;
-        case IdentifierType::kMacAddress: device.exposure.mac = true; break;
-      }
+  for (auto& device : result.devices) {
+    if (const auto it = protocols.by_device.find(device.mac);
+        it != protocols.by_device.end()) {
+      for (const ProtocolLabel label : it->second)
+        device.protocols |= 1u << static_cast<int>(label);
     }
-  }
-  for (const auto& [cell, macs] : matrix.cells) {
-    for (std::size_t slot = 0; slot < count; ++slot) {
-      if (macs.count(ctx.macs[slot]) != 0)
-        result.devices[slot].exposed.push_back(cell);
+    if (const auto it = ids.find(device.mac); it != ids.end()) {
+      device.ids.assign(it->second.begin(), it->second.end());
+      device.exposure = exposure_class(it->second);
     }
+    for (const auto& [cell, macs] : matrix.cells)
+      if (macs.count(device.mac) != 0) device.exposed.push_back(cell);
   }
   result.sha256 = row_hash(result);
   return result;

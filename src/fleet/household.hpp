@@ -1,9 +1,10 @@
 // One sampled household: a catalog-driven device mix seeded from
-// (fleet seed, household index), simulated as a self-contained mini network
-// (router + devices on a learning switch), with the per-packet analyses
-// folded at tap time behind the context's FlowCache into a compact
-// HouseholdResult row — the unit of work the fleet driver shards across the
-// exec TaskPool. Per-household memory is O(active flows), never
+// (fleet seed, household index), built by the Lab's home construction and
+// simulated as a self-contained network, with the passive analyses folded
+// at tap time on the shared builders (ProtocolUsageBuilder, ExposureBuilder,
+// harvest_identifiers) and flows behind the context's FlowCache, into a
+// compact HouseholdResult row — the unit of work the fleet driver shards
+// across the exec TaskPool. Per-household memory is O(active flows), never
 // O(captured frames).
 //
 // Reproducibility contract: run_household() depends only on its arguments
@@ -90,7 +91,8 @@ struct HouseholdResult {
 
 /// Samples, simulates, and analyzes household `index`. The context provides
 /// the recycled arenas/flow state and is rewound internally; any prior
-/// contents are discarded.
+/// contents are discarded. Throws std::invalid_argument when
+/// config.max_devices < config.min_devices.
 [[nodiscard]] HouseholdResult run_household(const HouseholdConfig& config,
                                             std::uint64_t fleet_seed,
                                             std::uint64_t index,

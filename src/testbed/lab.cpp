@@ -16,7 +16,64 @@ void strip_identifier_placeholders(std::string& pattern) {
       pattern.replace(pos, std::string(placeholder).size(), "dev");
   }
 }
+
+std::string_view platform_owner(Platform platform) {
+  switch (platform) {
+    case Platform::kAlexa: return "Amazon";
+    case Platform::kGoogleHome: return "Google";
+    case Platform::kHomeKit: return "Apple";
+    case Platform::kTpLink: return "TP-Link";
+    case Platform::kTuya: return "Tuya";
+    case Platform::kSmartThings: return "SmartThings";
+    case Platform::kNone: return "";
+  }
+  return "";
+}
+
+/// Coordinator preference: the owner's TLS-capable devices, then any
+/// TLS-capable member, then the rest; ties go to the earlier device.
+int coordinator_rank(const TestbedDevice& device) {
+  if (!device.behavior().tls_server) return 0;
+  const bool owner =
+      device.spec().vendor == platform_owner(device.spec().platform);
+  return owner ? 2 : 1;
+}
 }  // namespace
+
+void assign_static_ips(const DeviceList& devices) {
+  std::uint32_t next_static = 200;
+  for (const auto& device : devices) {
+    if (device->behavior().use_dhcp) continue;
+    device->host().set_static_ip(
+        Ipv4Address((kRouterIp.value() & 0xffffff00) | next_static++));
+  }
+}
+
+void wire_platform_clusters(const DeviceList& devices) {
+  std::map<Platform, TestbedDevice*> coordinators;
+  for (const auto& device : devices) {
+    const Platform platform = device->spec().platform;
+    if (platform == Platform::kNone) continue;
+    auto [it, inserted] = coordinators.try_emplace(platform, device.get());
+    if (!inserted && coordinator_rank(*device) > coordinator_rank(*it->second))
+      it->second = device.get();
+  }
+  for (const auto& device : devices) {
+    const Platform platform = device->spec().platform;
+    if (platform == Platform::kNone) continue;
+    TestbedDevice* coordinator = coordinators.at(platform);
+    if (coordinator != device.get()) device->set_cluster_coordinator(coordinator);
+  }
+}
+
+void schedule_staggered_boot(EventLoop& loop, const DeviceList& devices,
+                             Rng& rng, double window_s) {
+  for (const auto& device : devices) {
+    const double offset = rng.uniform() * window_s;
+    loop.schedule_in(SimTime::from_seconds(offset),
+                     [d = device.get()] { d->start(); });
+  }
+}
 
 /// §7 "data exposure minimization / ID randomization" applied fleet-wide.
 void Lab::apply_privacy_hardening(DeviceBehavior& behavior) {
@@ -33,8 +90,7 @@ void Lab::apply_privacy_hardening(DeviceBehavior& behavior) {
 Lab::Lab(LabConfig config)
     : config_(config), rng_(config.seed), net_(loop_) {
   if (config_.record_frames) capture_.attach(net_);
-  router_ = std::make_unique<Router>(
-      net_, MacAddress::from_u64(0x02a0ff000001ull), config_.router_ip);
+  router_ = std::make_unique<Router>(net_, kRouterMac, kRouterIp);
 
   const auto& registry = OuiRegistry::builtin();
   std::map<std::string, int> per_vendor_index;
@@ -51,54 +107,8 @@ Lab::Lab(LabConfig config)
         net_, spec, std::move(behavior), mac, rng_));
     ++index;
   }
-
-  // Statically configured devices get addresses above the DHCP pool.
-  std::uint32_t next_static = 200;
-  for (auto& device : devices_) {
-    if (device->behavior().use_dhcp) continue;
-    device->host().set_static_ip(
-        Ipv4Address((config_.router_ip.value() & 0xffffff00) | next_static++));
-  }
-
-  // Wire platform clusters (Figure 4's hub-and-spoke shape). The
-  // coordinator is the first TLS-capable device of the platform OWNER's
-  // vendor (HomeKit coordinates through an Apple device, not a Hue hub),
-  // falling back to any TLS-capable member, then the first member.
-  const auto platform_owner = [](Platform platform) -> std::string {
-    switch (platform) {
-      case Platform::kAlexa: return "Amazon";
-      case Platform::kGoogleHome: return "Google";
-      case Platform::kHomeKit: return "Apple";
-      case Platform::kTpLink: return "TP-Link";
-      case Platform::kTuya: return "Tuya";
-      case Platform::kSmartThings: return "SmartThings";
-      case Platform::kNone: return "";
-    }
-    return "";
-  };
-  std::map<Platform, TestbedDevice*> coordinators;
-  for (auto& device : devices_) {
-    const Platform platform = device->spec().platform;
-    if (platform == Platform::kNone) continue;
-    auto [it, inserted] = coordinators.try_emplace(platform, device.get());
-    if (inserted) continue;
-    const bool current_owner_tls =
-        it->second->spec().vendor == platform_owner(platform) &&
-        it->second->behavior().tls_server.has_value();
-    if (current_owner_tls) continue;
-    const bool candidate_owner_tls =
-        device->spec().vendor == platform_owner(platform) &&
-        device->behavior().tls_server.has_value();
-    const bool candidate_better_tls = device->behavior().tls_server &&
-                                      !it->second->behavior().tls_server;
-    if (candidate_owner_tls || candidate_better_tls) it->second = device.get();
-  }
-  for (auto& device : devices_) {
-    const Platform platform = device->spec().platform;
-    if (platform == Platform::kNone) continue;
-    TestbedDevice* coordinator = coordinators.at(platform);
-    if (coordinator != device.get()) device->set_cluster_coordinator(coordinator);
-  }
+  assign_static_ips(devices_);
+  wire_platform_clusters(devices_);
 
   pixel_ = std::make_unique<Host>(
       net_, MacAddress::from_u64(0x02a0fd000001ull), "pixel-3");
@@ -115,11 +125,7 @@ TestbedDevice* Lab::find(std::string_view needle) {
 }
 
 void Lab::start_all() {
-  for (auto& device : devices_) {
-    const double offset = rng_.uniform() * config_.boot_window_s;
-    loop_.schedule_in(SimTime::from_seconds(offset),
-                      [d = device.get()] { d->start(); });
-  }
+  schedule_staggered_boot(loop_, devices_, rng_, config_.boot_window_s);
   pixel_->start_dhcp("Pixel-3", "android-dhcp-9", {1, 3, 6, 15, 26, 28, 51});
   iphone_->start_dhcp("iPhone", "", {1, 121, 3, 6, 15, 119, 252});
   schedule_interop();

@@ -1,7 +1,9 @@
 // Lab: the assembled MonIoTr testbed. Builds the router, all 93 catalog
 // devices with their behavior profiles, companion smartphones, and the
 // platform clusters; provides the idle-capture and interaction scenarios of
-// §3.1 plus the AP capture tap.
+// §3.1 plus the AP capture tap. The free functions are the home
+// construction the Lab shares with every fleet household; each caller builds
+// its own devices, since MACs and RNG draw order are its own contract.
 #pragma once
 
 #include <memory>
@@ -16,9 +18,30 @@
 
 namespace roomnet {
 
+/// The home router every household is built around.
+inline constexpr MacAddress kRouterMac =
+    MacAddress::from_u64(0x02a0ff000001ull);
+inline constexpr Ipv4Address kRouterIp = Ipv4Address(192, 168, 10, 1);
+
+using DeviceList = std::vector<std::unique_ptr<TestbedDevice>>;
+
+/// Gives every statically configured device an address above the DHCP pool
+/// (.200 upward, in device order).
+void assign_static_ips(const DeviceList& devices);
+
+/// Wires each platform cluster (Figure 4's hub-and-spoke shape) to one
+/// coordinator: the first TLS-capable device of the platform OWNER's vendor
+/// (HomeKit coordinates through an Apple device, not a Hue hub), falling
+/// back to the first TLS-capable member, then the first member.
+void wire_platform_clusters(const DeviceList& devices);
+
+/// Schedules every device's start() at a uniform offset in [0, window_s),
+/// drawing one offset per device from `rng` in device order.
+void schedule_staggered_boot(EventLoop& loop, const DeviceList& devices,
+                             Rng& rng, double window_s);
+
 struct LabConfig {
   std::uint64_t seed = 42;
-  Ipv4Address router_ip = Ipv4Address(192, 168, 10, 1);
   /// Stagger window for device boot (devices DHCP at random offsets here).
   double boot_window_s = 120;
   /// When false, the capture sink is not attached: long-running scenarios
@@ -42,13 +65,8 @@ class Lab {
   [[nodiscard]] CaptureSink& capture() { return capture_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  [[nodiscard]] std::vector<std::unique_ptr<TestbedDevice>>& devices() {
-    return devices_;
-  }
-  [[nodiscard]] const std::vector<std::unique_ptr<TestbedDevice>>& devices()
-      const {
-    return devices_;
-  }
+  [[nodiscard]] DeviceList& devices() { return devices_; }
+  [[nodiscard]] const DeviceList& devices() const { return devices_; }
   /// First device whose "<vendor> <model>" contains `needle` (nullptr if
   /// absent).
   [[nodiscard]] TestbedDevice* find(std::string_view needle);
@@ -80,7 +98,7 @@ class Lab {
   Switch net_;
   CaptureSink capture_;
   std::unique_ptr<Router> router_;
-  std::vector<std::unique_ptr<TestbedDevice>> devices_;
+  DeviceList devices_;
   std::unique_ptr<Host> pixel_;
   std::unique_ptr<Host> iphone_;
 };

@@ -5,6 +5,7 @@
 // on recycled contexts, and the manifest's folding behavior.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "exec/task_pool.hpp"
@@ -89,14 +90,19 @@ TEST(FleetShardInvariance, ShardSizeNeverChangesResults) {
 
 TEST(FleetGolden, SmallFleetReproducesPinnedRoot) {
   // Every row hash folded into households_root, and the config digest (with
-  // its constant former-mode byte), must keep their historical bytes.
+  // its constant former-mode byte), must keep their bytes. The root moved
+  // once, when households took the Lab's platform-coordinator rule (the
+  // owner's TLS-capable device first): a household whose first TLS-capable
+  // member of a platform is not the owner's (a Hue Hub ahead of an Apple TV)
+  // now coordinates through the owner's device — 14 of the first 1,000
+  // households at seed 42. The config digest did not move.
   FleetConfig config = small_fleet(200);
   config.threads = 2;
   const FleetResults results = run_fleet(config);
   EXPECT_EQ(results.manifest.config_digest,
             "67352719bab2a21ae74fbdb82a27426f4c5d87d5861f76838775de559b109539");
   EXPECT_EQ(results.manifest.households_root,
-            "68e2ed15f2d36302558fa9b4d112b7d862e4a40ebcfedb52c088f4b68240d1d5");
+            "4979d27fd84dbbfc39537dc2c7ab7f85bce2933d83a91b4db3ec157b003ff33c");
 }
 
 TEST(FleetFlatMemory, RecycledContextArenasPlateau) {
@@ -202,6 +208,12 @@ TEST(FleetSampling, HouseholdSizesRespectBoundsAndCoverTheRange) {
     ASSERT_GE(size, 3u);
     ASSERT_LE(size, 4u);
   }
+
+  HouseholdConfig empty;
+  empty.max_devices = 0;  // below min_devices: no household to sample
+  HouseholdContext context(empty.cache);
+  EXPECT_THROW((void)run_household(empty, 42, 0, context),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -201,6 +201,49 @@ TEST(Lab, FindLocatesDevices) {
   EXPECT_EQ(lab.find("Nonexistent Gadget"), nullptr);
 }
 
+// ------------------------------------------------------ platform clusters
+
+TEST(Lab, HomeKitCoordinatesThroughTheAppleTv) {
+  Lab lab;
+  const TestbedDevice* apple_tv = lab.find("Apple TV");
+  ASSERT_NE(apple_tv, nullptr);
+  int members = 0;
+  for (const auto& device : lab.devices()) {
+    if (device->spec().platform != Platform::kHomeKit) continue;
+    ++members;
+    const TestbedDevice* expected =
+        device.get() == apple_tv ? nullptr : apple_tv;
+    EXPECT_EQ(device->cluster_coordinator(), expected)
+        << device->spec().vendor << " " << device->spec().model;
+  }
+  EXPECT_EQ(members, 6);
+}
+
+TEST(HouseholdConstruction, OwnerTlsDeviceCoordinatesEvenWhenAddedLater) {
+  // The catalog lists the TLS-capable Hue Hub before the Apple TV, so a
+  // "first TLS-capable member" rule would pick the Hue; the owner must win.
+  EventLoop loop;
+  Switch net(loop);
+  Rng rng(1);
+  DeviceList devices;
+  const auto& catalog = moniotr_catalog();
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (catalog[i].model == "Hue Hub" || catalog[i].model == "Apple TV")
+      devices.push_back(std::make_unique<TestbedDevice>(
+          net, catalog[i], behavior_for(catalog[i], i),
+          MacAddress::from_u64(0x020000000001ull + i), rng));
+  }
+  ASSERT_EQ(devices.size(), 2u);
+  TestbedDevice& hue = *devices[0];
+  TestbedDevice& apple_tv = *devices[1];
+  ASSERT_EQ(hue.spec().model, "Hue Hub");
+  ASSERT_TRUE(hue.behavior().tls_server.has_value());
+
+  wire_platform_clusters(devices);
+  EXPECT_EQ(hue.cluster_coordinator(), &apple_tv);
+  EXPECT_EQ(apple_tv.cluster_coordinator(), nullptr);
+}
+
 // -------------------------------------------------- idle-capture integration
 
 class IdleCapture : public ::testing::Test {

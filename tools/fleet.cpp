@@ -16,7 +16,7 @@
 //   --shard-size N    households per TaskPool chunk (default 64)
 //   --idle-s N        per-household idle capture window, sim seconds
 //                     (default 150)
-//   --max-devices N   device-count ceiling per household (default 8)
+//   --max-devices N   device-count ceiling per household, >= 1 (default 8)
 //
 // Determinism: fleet_manifest.json and fleet_aggregates.json are
 // byte-identical for any --threads and any --shard-size (CI compares them
@@ -69,6 +69,8 @@ int fleet_run_main(int argc, char** argv) {
     else
       flags.unknown();
   }
+  if (config.household.max_devices < config.household.min_devices)
+    throw UsageError("--max-devices must be at least 1");
 
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
