@@ -94,30 +94,13 @@ int main() {
   {
     std::printf("\nB. fleet-wide data-exposure minimization (Table 1 matrix, "
                 "90-minute capture):\n");
-    const auto measure = [](bool hardened) {
-      CapturedLab captured_lab(SimTime::from_minutes(90), 42, 150);
-      if (hardened) {
-        // Rebuild hardened (CapturedLab has no flag; construct manually).
-      }
-      return analyze_exposure(captured_lab.store);
+    const auto exposure = [](LabConfig config) {
+      StreamedLab streamed(config);
+      streamed.run(SimTime::from_minutes(90), 150);
+      return streamed.finish().exposure;
     };
-    // Baseline.
-    CapturedLab baseline(SimTime::from_minutes(90), 42, 150);
-    const ExposureMatrix base_matrix = analyze_exposure(baseline.store);
-
-    // Hardened lab.
-    Lab hardened(LabConfig{.seed = 42, .record_frames = false,
-                           .privacy_hardening = true});
-    CaptureStore hardened_store;
-    const LocalFilter filter;
-    hardened.network().add_packet_tap(
-        [&](SimTime at, const PacketView& packet, BytesView raw) {
-          if (filter.matches(packet)) hardened_store.append(at, packet, raw);
-        });
-    hardened.start_all();
-    hardened.run_idle(SimTime::from_minutes(90));
-    hardened.run_interactions(150);
-    const ExposureMatrix hard_matrix = analyze_exposure(hardened_store);
+    const ExposureMatrix base_matrix = exposure({});
+    const ExposureMatrix hard_matrix = exposure({.privacy_hardening = true});
 
     std::printf("   filled exposure cells:      baseline %2zu -> hardened %2zu\n",
                 exposure_cells(base_matrix), exposure_cells(hard_matrix));
@@ -127,7 +110,6 @@ int main() {
                 identifier_exposing_devices(hard_matrix));
     std::printf("   (ARP/DHCP chaddr MACs remain — protocol-inherent, needs "
                 "standards work, §7)\n");
-    (void)measure;
   }
 
   // -------------------------------------------- C: ID randomization

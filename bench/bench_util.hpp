@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "core/roomnet.hpp"
 #include "exec/task_pool.hpp"
 #include "prof/counters.hpp"
+#include "stream/stream.hpp"
 #include "telemetry/export.hpp"
 
 #ifndef ROOMNET_BUILD_TYPE
@@ -98,9 +100,11 @@ inline void write_report() {
 }
 }  // namespace detail
 
-/// Registers one key result scalar for the BENCH_<name>.json report.
+/// Registers one key result scalar for the BENCH_<name>.json report. The
+/// key is sanitized like the report name (lowercase alphanumerics joined by
+/// '_'), so labels such as "TPLINK_SHP" or "TLSv1.2" can be spliced in.
 inline void scalar(const std::string& key, double value) {
-  detail::report_scalars.emplace_back(key, value);
+  detail::report_scalars.emplace_back(detail::sanitize(key), value);
 }
 
 inline void header(const std::string& artifact, const std::string& title) {
@@ -114,32 +118,56 @@ inline void header(const std::string& artifact, const std::string& title) {
   (void)registered;
 }
 
-/// Lab booted and idled for `idle` virtual time, with a streaming arena
-/// capture. Wall-clock cost scales with idle; 2 h ≈ 10 s on a laptop core.
-/// Each local frame is copied exactly once, into the store's arena; the
-/// flow table's payload views point into the same arena (which outlives the
-/// table — both live here).
-struct CapturedLab {
-  Lab lab;
-  CaptureStore store;
-  FlowTable flows;
-  std::set<MacAddress> population;
-
-  explicit CapturedLab(SimTime idle, std::uint64_t seed = 42,
-                       int interactions = 0)
-      : lab(LabConfig{.seed = seed, .record_frames = false}) {
-    const LocalFilter filter;
+/// A Lab whose local traffic folds at the tap into the one stage-3 path: a
+/// non-evicting StreamAnalyzer over the lab's device population, fed
+/// through LocalFilter. The capture sink is never attached — the fold is
+/// the only capture. finish() hands back the results and stops the tap
+/// feeding the analyzer (as Pipeline releases its stage-3 capture), so
+/// traffic a bench drives afterwards, such as a scan, is not folded.
+/// Wall-clock cost scales with run(): 2 h idle ≈ 10 s on a laptop core.
+class StreamedLab {
+ public:
+  explicit StreamedLab(LabConfig config = {})
+      : lab(disable_recording(config)),
+        population(device_macs(lab)),
+        analyzer_(std::in_place, stream::StreamConfig{}, population) {
     lab.network().add_packet_tap(
-        [this, filter](SimTime at, const PacketView& packet, BytesView raw) {
-          if (!filter.matches(packet)) return;
-          const PacketView stored = store.append(at, packet, raw);
-          flows.add(at, stored);
+        [this, filter = LocalFilter{}](SimTime at, const PacketView& packet,
+                                       BytesView) {
+          if (analyzer_ && filter.matches(packet))
+            analyzer_->on_packet(at, packet);
         });
-    for (const auto& device : lab.devices()) population.insert(device->mac());
+  }
+
+  /// Boots every device, idles for `idle`, then runs `interactions`.
+  void run(SimTime idle, int interactions = 0) {
     lab.start_all();
     lab.run_idle(idle);
     if (interactions > 0) lab.run_interactions(interactions);
   }
+
+  /// Flushes the flow cache and returns every analysis; call once.
+  [[nodiscard]] stream::StreamResults finish() {
+    stream::StreamResults results = analyzer_->finish();
+    analyzer_.reset();
+    return results;
+  }
+
+  Lab lab;
+  std::set<MacAddress> population;
+
+ private:
+  static LabConfig disable_recording(LabConfig config) {
+    config.record_frames = false;
+    return config;
+  }
+  static std::set<MacAddress> device_macs(const Lab& lab) {
+    std::set<MacAddress> macs;
+    for (const auto& device : lab.devices()) macs.insert(device->mac());
+    return macs;
+  }
+
+  std::optional<stream::StreamAnalyzer> analyzer_;
 };
 
 }  // namespace roomnet::bench

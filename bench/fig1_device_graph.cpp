@@ -8,9 +8,10 @@ using namespace roomnet::bench;
 
 int main() {
   header("Figure 1", "device-to-device transport-layer communication graph");
-  CapturedLab captured(SimTime::from_hours(3), 42, 400);
+  StreamedLab streamed;
+  streamed.run(SimTime::from_hours(3), 400);
 
-  const CommGraph graph = build_comm_graph(captured.store, captured.population);
+  const CommGraph graph = streamed.finish().graph;
   const auto nodes = graph.connected_nodes();
 
   std::printf("\nconnected devices:  measured %zu / 93   (paper: 43/93)\n",

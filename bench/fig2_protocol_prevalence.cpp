@@ -11,12 +11,13 @@ int main() {
   header("Figure 2", "protocol prevalence: passive / active scan / apps");
 
   // --- passive series ---------------------------------------------------
-  CapturedLab captured(SimTime::from_hours(4), 42, 600);
-  const ProtocolUsage usage = protocol_usage(captured.store);
+  StreamedLab streamed;
+  streamed.run(SimTime::from_hours(4), 600);
+  const ProtocolUsage usage = streamed.finish().usage;
   const auto pct = [&](ProtocolLabel label) {
     return 100.0 *
            static_cast<double>(
-               usage.devices_using(label, captured.population)) /
+               usage.devices_using(label, streamed.population)) /
            93.0;
   };
 
@@ -38,6 +39,7 @@ int main() {
   std::printf("\npassive capture (%% of 93 devices):\n");
   std::printf("  %-12s %8s %8s\n", "protocol", "paper", "measured");
   for (const auto& row : rows) {
+    scalar("passive_pct_" + to_string(row.label), pct(row.label));
     if (row.paper_pct >= 0)
       std::printf("  %-12s %7.0f%% %7.0f%%\n", to_string(row.label).c_str(),
                   row.paper_pct, pct(row.label));
@@ -47,17 +49,17 @@ int main() {
   }
 
   // --- active-scan series -------------------------------------------------
-  Host scan_box(captured.lab.network(), MacAddress::from_u64(0x02a0fc0000b1ull),
+  Host scan_box(streamed.lab.network(), MacAddress::from_u64(0x02a0fc0000b1ull),
                 "scanbox");
   scan_box.set_static_ip(Ipv4Address(192, 168, 10, 252));
   std::vector<ScanTarget> targets;
-  for (const auto& device : captured.lab.devices())
+  for (const auto& device : streamed.lab.devices())
     if (device->host().has_ip())
       targets.push_back({device->mac(), device->host().ip(),
                          device->spec().vendor + " " + device->spec().model});
   PortScanner scanner(scan_box);
   scanner.start(targets);
-  captured.lab.run_for(scanner.estimated_duration());
+  streamed.lab.run_for(scanner.estimated_duration());
 
   std::size_t http80 = 0, https = 0, telnet = 0, dns_udp = 0, port55443 = 0;
   for (const auto& report : scanner.reports()) {
@@ -79,6 +81,11 @@ int main() {
   std::printf("  DNS:53/udp    measured %2zu   (paper: 5%% ~ 5)\n", dns_udp);
   std::printf("  Amazon 55443  measured %2zu   (paper: 55442/55443/4070 on "
               "20%% ~ 19)\n", port55443);
+  scalar("scan_http80_devices", static_cast<double>(http80));
+  scalar("scan_tls_port_devices", static_cast<double>(https));
+  scalar("scan_telnet_devices", static_cast<double>(telnet));
+  scalar("scan_dns_udp_devices", static_cast<double>(dns_udp));
+  scalar("scan_amazon_55443_devices", static_cast<double>(port55443));
 
   // --- app series -----------------------------------------------------------
   Rng rng(42);
@@ -92,12 +99,20 @@ int main() {
     tplink += app.uses_tplink;
   }
   const double n = static_cast<double>(dataset.apps.size());
+  const auto app_pct = [n](std::size_t count) {
+    return 100.0 * static_cast<double>(count) / n;
+  };
   std::printf("\nmobile apps (%% of 2,335 apps; paper in parens):\n");
-  std::printf("  mDNS     %4.1f%%  (6.0%%)\n", 100.0 * static_cast<double>(mdns) / n);
-  std::printf("  SSDP     %4.1f%%  (4.0%%)\n", 100.0 * static_cast<double>(ssdp) / n);
-  std::printf("  NetBIOS  %4.1f%%  (0.5%%)\n", 100.0 * static_cast<double>(netbios) / n);
-  std::printf("  TLS      %4.1f%%  (25%%)\n", 100.0 * static_cast<double>(tls) / n);
+  std::printf("  mDNS     %4.1f%%  (6.0%%)\n", app_pct(mdns));
+  std::printf("  SSDP     %4.1f%%  (4.0%%)\n", app_pct(ssdp));
+  std::printf("  NetBIOS  %4.1f%%  (0.5%%)\n", app_pct(netbios));
+  std::printf("  TLS      %4.1f%%  (25%%)\n", app_pct(tls));
   std::printf("  TPLINK   %4.1f%%  (companion-app custom protocol)\n",
-              100.0 * static_cast<double>(tplink) / n);
+              app_pct(tplink));
+  scalar("apps_pct_mdns", app_pct(mdns));
+  scalar("apps_pct_ssdp", app_pct(ssdp));
+  scalar("apps_pct_netbios", app_pct(netbios));
+  scalar("apps_pct_tls", app_pct(tls));
+  scalar("apps_pct_tplink", app_pct(tplink));
   return 0;
 }

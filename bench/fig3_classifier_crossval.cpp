@@ -10,24 +10,30 @@ using namespace roomnet::bench;
 
 int main() {
   header("Figure 3", "spec(tshark)-vs-deep(nDPI) classification heatmap");
-  CapturedLab captured(SimTime::from_hours(3), 42, 400);
+  StreamedLab streamed;
+  streamed.run(SimTime::from_hours(3), 400);
 
-  const CrossValidation cv =
-      cross_validate(captured.flows.flows(), captured.store);
+  const CrossValidation cv = streamed.finish().crossval;
 
+  const double spec_pct = 100.0 * static_cast<double>(cv.spec_labeled) /
+                          static_cast<double>(cv.total);
+  const double deep_pct = 100.0 * static_cast<double>(cv.deep_labeled) /
+                          static_cast<double>(cv.total);
   std::printf("\nitems cross-validated: %zu packets+flows "
               "(paper: 366K over 5 days)\n", cv.total);
-  std::printf("  spec labeled:   %5.1f%%   (paper tshark: 76%%)\n",
-              100.0 * static_cast<double>(cv.spec_labeled) /
-                  static_cast<double>(cv.total));
-  std::printf("  deep labeled:   %5.1f%%   (paper nDPI:   74%%)\n",
-              100.0 * static_cast<double>(cv.deep_labeled) /
-                  static_cast<double>(cv.total));
+  std::printf("  spec labeled:   %5.1f%%   (paper tshark: 76%%)\n", spec_pct);
+  std::printf("  deep labeled:   %5.1f%%   (paper nDPI:   74%%)\n", deep_pct);
   std::printf("  agree:          %5.1f%%\n", 100.0 * cv.agreement_rate());
   std::printf("  disagree:       %5.1f%%   (paper: 16%%)\n",
               100.0 * cv.disagreement_rate());
   std::printf("  neither labels: %5.1f%%   (paper: 7.5%%)\n",
               100.0 * cv.unlabeled_rate());
+  scalar("items", static_cast<double>(cv.total));
+  scalar("spec_labeled_pct", spec_pct);
+  scalar("deep_labeled_pct", deep_pct);
+  scalar("agree_pct", 100.0 * cv.agreement_rate());
+  scalar("disagree_pct", 100.0 * cv.disagreement_rate());
+  scalar("neither_labeled_pct", 100.0 * cv.unlabeled_rate());
 
   // The disagreement heatmap: top (spec, deep) cells where labels differ.
   std::vector<std::pair<std::size_t, std::pair<ProtocolLabel, ProtocolLabel>>>
@@ -61,5 +67,12 @@ int main() {
   std::printf("  both STUN on Google 10000-10010 RTP:      %zu (agreeing but "
               "wrong — found via controlled experiments)\n",
               cell(ProtocolLabel::kStun, ProtocolLabel::kStun));
+  for (const auto& [spec, deep] :
+       {std::pair{ProtocolLabel::kGenericUdp, ProtocolLabel::kSsdp},
+        std::pair{ProtocolLabel::kSsdp, ProtocolLabel::kCiscoVpn},
+        std::pair{ProtocolLabel::kEapol, ProtocolLabel::kAmazonAws},
+        std::pair{ProtocolLabel::kStun, ProtocolLabel::kStun}})
+    scalar("cell_" + to_string(spec) + "_vs_" + to_string(deep),
+           static_cast<double>(cell(spec, deep)));
   return 0;
 }

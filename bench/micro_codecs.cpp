@@ -1,11 +1,11 @@
 // google-benchmark microbenchmarks: codec encode/decode throughput, the
 // classifiers, identifier extraction, SHA-256/HMAC, FFT, pcap I/O, and the
-// zero-copy hot-path primitives (view decode, flow-table lookup, encoder
+// zero-copy hot-path primitives (view decode, flow-cache lookup, encoder
 // reserve).
 #include <benchmark/benchmark.h>
 
 #include "analysis/identifiers.hpp"
-#include "capture/flow.hpp"
+#include "capture/flow_cache.hpp"
 #include "classify/classifier.hpp"
 #include "classify/periodicity.hpp"
 #include "netcore/sha256.hpp"
@@ -95,11 +95,10 @@ Packet udp_packet_with_sport(std::uint16_t sport) {
   return p;
 }
 
-void BM_FlowTableLookup(benchmark::State& state) {
+void BM_FlowCacheLookup(benchmark::State& state) {
   // 64 distinct 5-tuples cycled over 1024 adds: past the first cycle every
-  // add is a hit on an existing flow, i.e. pure index lookup. The
-  // unordered_map index makes this O(1) per packet where the previous
-  // std::map paid O(log n) lexicographic FlowKey compares.
+  // add is a hit on an existing flow, i.e. pure bucket lookup plus the LRU
+  // touch. The flush at the end emits the 64 records (no sink installed).
   constexpr int kTuples = 64;
   std::vector<Packet> packets;
   packets.reserve(kTuples);
@@ -109,14 +108,15 @@ void BM_FlowTableLookup(benchmark::State& state) {
   views.reserve(packets.size());
   for (const auto& p : packets) views.push_back(as_view(p));
   for (auto _ : state) {
-    FlowTable table;
+    FlowCache cache;
     for (int i = 0; i < 1024; ++i)
-      table.add(SimTime::from_ms(i), views[static_cast<std::size_t>(i % kTuples)]);
-    benchmark::DoNotOptimize(table);
+      cache.add(SimTime::from_ms(i), views[static_cast<std::size_t>(i % kTuples)]);
+    cache.flush();
+    benchmark::DoNotOptimize(cache);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
-BENCHMARK(BM_FlowTableLookup);
+BENCHMARK(BM_FlowCacheLookup);
 
 void BM_EncodeFrameStack(benchmark::State& state) {
   // Full eth/ip/udp encode of the mDNS sample frame — the encoders reserve

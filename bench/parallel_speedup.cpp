@@ -1,10 +1,9 @@
-// Parallel-runtime speedup: times the sharded analysis stages — classifier
-// cross-validation (Appendix C.2), household fingerprint entropy (§6.3),
-// and the vulnerability audit (§5.2) — at 1 vs 4 workers on identical
-// inputs, and asserts the results stay byte-identical. The BENCH json
-// records per-stage wall times, the combined speedup, and the worker
-// counts, so the perf trajectory is machine-readable across hosts (on a
-// single-core container the speedup is honestly ~1.0).
+// Parallel-runtime speedup: times the sharded analysis stages — household
+// fingerprint entropy (§6.3) and the vulnerability audit (§5.2) — at 1 vs 4
+// workers on identical inputs, and asserts the results stay byte-identical.
+// The BENCH json records per-stage wall times, the combined speedup, and the
+// worker counts, so the perf trajectory is machine-readable across hosts (on
+// a single-core container the speedup is honestly ~1.0).
 #include <chrono>
 #include <cstdio>
 
@@ -65,33 +64,23 @@ std::vector<DeviceAudit> synthetic_audits(std::size_t devices) {
 int main() {
   header("parallel_speedup", "exec runtime: analysis stages at 1 vs 4 workers");
 
-  CapturedLab captured(SimTime::from_hours(2), 42, 200);
   Rng crowd_rng(42 ^ 0xc0ffee);
   const InspectorDataset dataset = generate_inspector_dataset(crowd_rng);
   const std::vector<DeviceAudit> audits = synthetic_audits(93 * 8);
-  std::printf("\ninputs: %zu packets, %zu flows, %zu inspector devices, "
-              "%zu audits\n",
-              captured.store.size(), captured.flows.flows().size(),
+  std::printf("\ninputs: %zu inspector devices, %zu audits\n",
               dataset.devices.size(), audits.size());
 
   struct StageTimes {
-    double classify_ms = 0;
     double crowd_ms = 0;
     double scan_ms = 0;
-    CrossValidation cv;
     FingerprintAnalysis fp;
     std::vector<VulnFinding> vulns;
-    [[nodiscard]] double total() const {
-      return classify_ms + crowd_ms + scan_ms;
-    }
+    [[nodiscard]] double total() const { return crowd_ms + scan_ms; }
   };
   const auto run_stages = [&](std::size_t threads) {
     exec::TaskPool pool(threads);
     StageTimes t;
     auto start = std::chrono::steady_clock::now();
-    t.cv = cross_validate(captured.flows.flows(), captured.store, pool);
-    t.classify_ms = ms_since(start);
-    start = std::chrono::steady_clock::now();
     t.fp = fingerprint_households(dataset, pool);
     t.crowd_ms = ms_since(start);
     start = std::chrono::steady_clock::now();
@@ -104,14 +93,10 @@ int main() {
   const StageTimes parallel = run_stages(4);
   const double speedup =
       parallel.total() > 0 ? serial.total() / parallel.total() : 1.0;
-  const bool identical = serial.cv.matrix == parallel.cv.matrix &&
-                         serial.cv.total == parallel.cv.total &&
-                         serial.fp.rows.size() == parallel.fp.rows.size() &&
+  const bool identical = serial.fp.rows.size() == parallel.fp.rows.size() &&
                          serial.vulns.size() == parallel.vulns.size();
 
   std::printf("\n%-28s %10s %10s\n", "stage", "1 worker", "4 workers");
-  std::printf("%-28s %8.1fms %8.1fms\n", "classify cross-validation",
-              serial.classify_ms, parallel.classify_ms);
   std::printf("%-28s %8.1fms %8.1fms\n", "household fingerprints",
               serial.crowd_ms, parallel.crowd_ms);
   std::printf("%-28s %8.1fms %8.1fms\n", "vulnerability audit",
@@ -123,8 +108,6 @@ int main() {
   std::printf("hardware threads available: %zu\n",
               exec::TaskPool::default_threads());
 
-  scalar("classify_ms_threads1", serial.classify_ms);
-  scalar("classify_ms_threads4", parallel.classify_ms);
   scalar("crowd_ms_threads1", serial.crowd_ms);
   scalar("crowd_ms_threads4", parallel.crowd_ms);
   scalar("scan_ms_threads1", serial.scan_ms);

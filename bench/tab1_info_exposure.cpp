@@ -9,9 +9,10 @@ using namespace roomnet::bench;
 
 int main() {
   header("Table 1", "information exposure per discovery protocol");
-  CapturedLab captured(SimTime::from_hours(3), 42, 300);
+  StreamedLab streamed;
+  streamed.run(SimTime::from_hours(3), 300);
 
-  const ExposureMatrix matrix = analyze_exposure(captured.store);
+  const ExposureMatrix matrix = streamed.finish().exposure;
 
   // Paper's filled cells (from §5.1's findings).
   const std::set<std::pair<ProtocolLabel, ExposedData>> paper_cells = {
@@ -57,6 +58,8 @@ int main() {
       else
         std::snprintf(cell, sizeof cell, "%s", in_paper ? ".!" : ".");
       std::printf("%-11s", cell);
+      scalar("cell_" + to_string(protocol) + "_" + to_string(data),
+             static_cast<double>(count));
       matches += measured == in_paper;
       deviations += measured != in_paper;
     }
@@ -64,5 +67,7 @@ int main() {
   }
   std::printf("\ncell agreement with paper: %d/%d (deviations marked '!')\n",
               matches, matches + deviations);
+  scalar("cell_agreement", matches);
+  scalar("cells", matches + deviations);
   return 0;
 }

@@ -25,9 +25,10 @@ std::string group_of(const DeviceSpec& spec) {
 
 int main() {
   header("Table 4", "discovery protocols and responses per device group");
-  CapturedLab captured(SimTime::from_hours(3), 42, 0);
+  StreamedLab streamed;
+  streamed.run(SimTime::from_hours(3));
 
-  const ResponseStats stats = correlate_responses(captured.store);
+  const ResponseStats stats = streamed.finish().responses;
 
   struct GroupAgg {
     double protocols = 0;
@@ -36,7 +37,7 @@ int main() {
     int devices = 0;
   };
   std::map<std::string, GroupAgg> groups;
-  for (const auto& device : captured.lab.devices()) {
+  for (const auto& device : streamed.lab.devices()) {
     const std::string group = group_of(device->spec());
     auto& agg = groups[group];
     ++agg.devices;
@@ -63,6 +64,9 @@ int main() {
               "#dev(p)");
   for (const auto& [group, agg] : groups) {
     const double n = agg.devices;
+    scalar(group + "_discovery_protocols", agg.protocols / n);
+    scalar(group + "_answered_protocols", agg.answered / n);
+    scalar(group + "_responders", agg.responders / n);
     const auto it = paper.find(group);
     if (it != paper.end()) {
       std::printf("%-12s | %9.2f %9.2f | %9.2f %9.2f | %10.2f %10.2f\n",
@@ -78,5 +82,6 @@ int main() {
   std::printf("\n(per-device averages; ARP/DHCP/ICMPx excluded as in the "
               "paper; 3 s response window)\n");
   std::printf("total response matches observed: %zu\n", stats.matches.size());
+  scalar("response_matches", static_cast<double>(stats.matches.size()));
   return 0;
 }

@@ -11,12 +11,28 @@ using namespace roomnet::bench;
 
 int main() {
   header("Table 5", "example payloads exposing device information");
-  CapturedLab captured(SimTime::from_minutes(30), 42, 0);
+  Lab lab(LabConfig{.seed = 42, .record_frames = false});
+  // The first Philips Hue mDNS response on the local network.
+  std::optional<DnsMessage> hue;
+  lab.network().add_packet_tap(
+      [&hue, filter = LocalFilter{}](SimTime, const PacketView& packet,
+                                     BytesView) {
+        if (hue || !filter.matches(packet)) return;
+        if (!packet.udp || value(packet.udp->dst_port) != 5353) return;
+        auto msg = decode_dns(packet.app_payload());
+        if (!msg || !msg->is_response) return;
+        bool is_hue = false;
+        for (const auto& rec : msg->answers)
+          is_hue |= rec.name.to_string().find("_hue") != std::string::npos;
+        if (is_hue) hue = std::move(msg);
+      });
+  lab.start_all();
+  lab.run_idle(SimTime::from_minutes(30));
 
   // --- SSDP/UPnP description (Amcrest-style, serialNumber = MAC) --------
-  TestbedDevice* amcrest = captured.lab.find("Amcrest");
+  TestbedDevice* amcrest = lab.find("Amcrest");
   if (amcrest != nullptr && amcrest->host().has_ip()) {
-    Host probe(captured.lab.network(), MacAddress::from_u64(0x02a0fc0000c1ull),
+    Host probe(lab.network(), MacAddress::from_u64(0x02a0fc0000c1ull),
                "probe");
     probe.set_static_ip(Ipv4Address(192, 168, 10, 253));
     std::string xml;
@@ -31,30 +47,21 @@ int main() {
       if (res) xml = string_of(BytesView(res->body));
       c.close();
     };
-    captured.lab.run_for(SimTime::from_seconds(5));
+    lab.run_for(SimTime::from_seconds(5));
     std::printf("\n--- SSDP/UPnP device description (camera) ---\n%s\n",
                 xml.c_str());
   }
 
   // --- mDNS (Philips Hue hostname embedding the MAC tail) ----------------
-  for (std::size_t i = 0; i < captured.store.size(); ++i) {
-    const PacketView packet = captured.store.packet(i);
-    if (!packet.udp || value(packet.udp->dst_port) != 5353) continue;
-    const auto msg = decode_dns(packet.app_payload());
-    if (!msg || !msg->is_response) continue;
-    bool is_hue = false;
-    for (const auto& rec : msg->answers)
-      is_hue |= rec.name.to_string().find("_hue") != std::string::npos;
-    if (!is_hue) continue;
+  if (hue) {
     std::printf("--- mDNS response (Philips Hue) ---\n");
-    for (const auto& rec : msg->answers) {
+    for (const auto& rec : hue->answers) {
       std::printf("  %s", rec.name.to_string().c_str());
       if (const auto ptr = rec.ptr())
         std::printf("  PTR %s", ptr->to_string().c_str());
       for (const auto& txt : rec.txt()) std::printf("  TXT %s", txt.c_str());
       std::printf("\n");
     }
-    break;
   }
 
   // --- NetBIOS wildcard probe (the innosdk scan payload) -----------------
@@ -74,9 +81,9 @@ int main() {
   std::printf("(note the \"CKAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA\" encoded '*')\n");
 
   // --- TPLINK-SHP sysinfo (deviceId/hwId/oemId + geolocation) -------------
-  TestbedDevice* plug = captured.lab.find("Kasa Plug");
+  TestbedDevice* plug = lab.find("Kasa Plug");
   if (plug != nullptr && plug->host().has_ip()) {
-    Host phone(captured.lab.network(), MacAddress::from_u64(0x02a0fc0000c2ull),
+    Host phone(lab.network(), MacAddress::from_u64(0x02a0fc0000c2ull),
                "phone2");
     phone.set_static_ip(Ipv4Address(192, 168, 10, 254));
     std::string sysinfo;
@@ -87,7 +94,7 @@ int main() {
     });
     phone.send_udp(plug->host().ip(), 40000, kTplinkPort,
                    encode_tplink_udp(tplink_get_sysinfo_request()));
-    captured.lab.run_for(SimTime::from_seconds(3));
+    lab.run_for(SimTime::from_seconds(3));
     std::printf("\n--- TPLINK-SHP get_sysinfo response (decrypted) ---\n%s\n",
                 sysinfo.c_str());
     std::printf("(XOR-autokey 'encrypted' on the wire; key 171 — decryptable "

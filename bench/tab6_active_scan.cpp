@@ -11,20 +11,22 @@ using namespace roomnet::bench;
 
 int main() {
   header("Table 6 (§4.2)", "active scan: open services and response rates");
-  CapturedLab captured(SimTime::from_minutes(10), 42, 0);
+  Lab lab(LabConfig{.seed = 42, .record_frames = false});
+  lab.start_all();
+  lab.run_idle(SimTime::from_minutes(10));
 
-  Host scan_box(captured.lab.network(), MacAddress::from_u64(0x02a0fc0000d1ull),
+  Host scan_box(lab.network(), MacAddress::from_u64(0x02a0fc0000d1ull),
                 "scanbox");
   scan_box.set_static_ip(Ipv4Address(192, 168, 10, 250));
   std::vector<ScanTarget> targets;
-  for (const auto& device : captured.lab.devices())
+  for (const auto& device : lab.devices())
     if (device->host().has_ip())
       targets.push_back({device->mac(), device->host().ip(),
                          device->spec().vendor + " " + device->spec().model});
 
   PortScanner scanner(scan_box);
   scanner.start(targets);
-  captured.lab.run_for(scanner.estimated_duration());
+  lab.run_for(scanner.estimated_duration());
 
   std::set<std::uint16_t> unique_tcp, unique_udp;
   std::size_t tcp_responders = 0, udp_responders = 0, ip_responders = 0;

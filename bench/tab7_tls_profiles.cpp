@@ -7,13 +7,15 @@ using namespace roomnet::bench;
 
 int main() {
   header("Table 7 (§5.2)", "local TLS deployment profiles per vendor");
-  CapturedLab captured(SimTime::from_minutes(10), 42, 0);
+  Lab lab(LabConfig{.seed = 42, .record_frames = false});
+  lab.start_all();
+  lab.run_idle(SimTime::from_minutes(10));
 
-  Host scan_box(captured.lab.network(), MacAddress::from_u64(0x02a0fc0000e1ull),
+  Host scan_box(lab.network(), MacAddress::from_u64(0x02a0fc0000e1ull),
                 "scanbox");
   scan_box.set_static_ip(Ipv4Address(192, 168, 10, 250));
   std::vector<ScanTarget> targets;
-  for (const auto& device : captured.lab.devices())
+  for (const auto& device : lab.devices())
     if (device->host().has_ip())
       targets.push_back({device->mac(), device->host().ip(),
                          device->spec().vendor + " " + device->spec().model});
@@ -23,10 +25,10 @@ int main() {
   config.udp_ports = {};
   PortScanner scanner(scan_box, config);
   scanner.start(targets);
-  captured.lab.run_for(scanner.estimated_duration());
+  lab.run_for(scanner.estimated_duration());
   ServiceProber prober(scan_box);
   prober.start(scanner.reports());
-  captured.lab.run_for(prober.estimated_duration());
+  lab.run_for(prober.estimated_duration());
 
   struct VendorTls {
     std::set<std::string> versions;

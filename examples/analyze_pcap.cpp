@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/roomnet.hpp"
+#include "stream/stream.hpp"
 
 using namespace roomnet;
 
@@ -35,11 +36,13 @@ int main(int argc, char** argv) {
     filter.subnet = *subnet;
   }
 
-  // Decode + filter to local traffic (Appendix C.1 rule). Zero-copy path:
-  // each local frame is appended exactly once into the arena-backed store
-  // and every analysis below reads views of the stored bytes.
-  CaptureStore store;
-  FlowTable flows;
+  // Decode + filter to local traffic (Appendix C.1 rule), then one pass:
+  // each local packet folds into the stage-3 analyses — the StreamAnalyzer
+  // the pipeline runs at its tap — and its UDP payload text is scanned for
+  // identifiers. A pcap names no device population, so the comm graph stays
+  // empty and the device set is read off the protocol usage.
+  stream::StreamAnalyzer analyzer(stream::StreamConfig{}, {});
+  std::set<ExtractedIdentifier> identifiers;
   std::size_t undecodable = 0, nonlocal = 0;
   for (const auto& record : *records) {
     const auto view = decode_frame_view(BytesView(record.frame));
@@ -51,17 +54,19 @@ int main(int argc, char** argv) {
       ++nonlocal;
       continue;
     }
-    const PacketView stored =
-        store.append(record.timestamp, *view, BytesView(record.frame));
-    flows.add(record.timestamp, stored);
+    analyzer.on_packet(record.timestamp, *view);
+    if (!view->udp) continue;
+    for (auto& id : extract_identifiers(string_of(view->app_payload())))
+      identifiers.insert(std::move(id));
   }
+  const stream::StreamResults results = analyzer.finish();
   std::printf("%s: %zu frames (%zu undecodable, %zu non-local), %zu local "
               "packets, %zu flows\n",
-              argv[1], records->size(), undecodable, nonlocal, store.size(),
-              flows.flows().size());
+              argv[1], records->size(), undecodable, nonlocal,
+              analyzer.packets(), results.flows);
 
   // Protocol mix per source device.
-  const ProtocolUsage usage = protocol_usage(store);
+  const ProtocolUsage& usage = results.usage;
   std::set<MacAddress> population;
   for (const auto& [mac, labels] : usage.by_device) population.insert(mac);
   std::printf("\n%zu devices seen; protocol usage (devices using each):\n",
@@ -72,14 +77,14 @@ int main(int argc, char** argv) {
   }
 
   // Classifier cross-validation over the capture.
-  const CrossValidation cv = cross_validate(flows.flows(), store);
+  const CrossValidation& cv = results.crossval;
   std::printf("\nclassifier cross-validation: %.1f%% agree, %.1f%% disagree, "
               "%.1f%% unlabeled by both\n",
               100 * cv.agreement_rate(), 100 * cv.disagreement_rate(),
               100 * cv.unlabeled_rate());
 
   // Exposure matrix.
-  const ExposureMatrix exposure = analyze_exposure(store);
+  const ExposureMatrix& exposure = results.exposure;
   std::printf("\ninformation exposure observed:\n");
   for (const ProtocolLabel protocol : exposure_protocols()) {
     std::string row;
@@ -92,14 +97,7 @@ int main(int argc, char** argv) {
       std::printf("  %-12s %s\n", to_string(protocol).c_str(), row.c_str());
   }
 
-  // Identifiers harvestable from discovery payload text.
-  std::set<ExtractedIdentifier> identifiers;
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const PacketView packet = store.packet(i);
-    if (!packet.udp) continue;
-    const std::string text = string_of(packet.app_payload());
-    for (auto& id : extract_identifiers(text)) identifiers.insert(std::move(id));
-  }
+  // Identifiers harvested from discovery payload text.
   std::printf("\nidentifiers extractable from payloads (%zu):\n",
               identifiers.size());
   int shown = 0;

@@ -21,8 +21,12 @@ so when the two reports disagree on scalars.hardware_threads those gates
 SKIP (with a notice) instead of judging: the committed baseline records the
 machine shape it was measured on. Allocation gates always compare.
 
+Every alloc- or rss-family scalar in the baseline must also be in the
+current report, whatever the machine shape: a renamed or dropped gated
+scalar fails the guard by name instead of silently leaving its gate.
+
 Exit 0 when every compared gate passes, 1 when any metric regressed past
-its limit (the summary names the first one).
+its limit or a gated scalar is missing (the summary names the first one).
 """
 
 import argparse
@@ -128,9 +132,16 @@ def main():
         enabled=same_hardware,
     )
     # Scalar gates key off the baseline: a metric added since the baseline
-    # was committed has nothing to compare against yet.
+    # was committed has nothing to compare against yet, but a gated metric
+    # the current report lacks has left its gate.
     for key in sorted(base_scalars):
-        if is_alloc_key(key):
+        if (is_alloc_key(key) or RSS_KEY_MARK in key) and key not in cur_scalars:
+            print(
+                f"bench_guard: {name}.{key}: MISSING from the current report "
+                f"(renamed or dropped; regenerate the baseline)"
+            )
+            failures.append(key)
+        elif is_alloc_key(key):
             gate(
                 key,
                 cur_scalars.get(key),
@@ -151,7 +162,7 @@ def main():
     if failures:
         print(
             f"bench_guard: FAIL — {len(failures)} metric(s) regressed past "
-            f"the limit, first: {failures[0]}"
+            f"the limit or missing, first: {failures[0]}"
         )
         return 1
     print("bench_guard: OK")

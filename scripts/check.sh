@@ -53,16 +53,16 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # (the determinism tests run the pipeline at threads 1, 2, and 4 — the
   # Faults* suites additionally with fault injection live, the Stream*
   # suites in streaming mode where the flow cache evicts on the sim
-  # thread), plus the zero-copy capture-path suites (FrameStore/
-  # PacketView*/CaptureStore/DecodeFrameView): their arena + shared-frame-
-  # buffer invariants are exactly what data races would corrupt. The
+  # thread), plus the zero-copy capture-path suites (PacketView*/
+  # DecodeFrameView): their shared-frame-buffer invariants are exactly what
+  # data races would corrupt. The
   # PipelineFixture integration tests are excluded: each ctest entry
   # re-runs the whole 40-virtual-minute study, which under TSan costs
   # minutes apiece without adding concurrency coverage beyond the
   # determinism tests.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-          -R '^(ExecPool|ExecParallel|PipelineDeterminism|PipelineTelemetry|Faults|FrameStore|PacketView|CaptureStore|DecodeFrameView|Stream|Watch|Fleet|FuzzRegressions)'
+          -R '^(ExecPool|ExecParallel|PipelineDeterminism|PipelineTelemetry|Faults|PacketView|DecodeFrameView|Stream|Watch|Fleet|FuzzRegressions)'
   echo "== tsan checks passed =="
   exit 0
 fi

@@ -216,11 +216,4 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   }
 }
 
-ExposureMatrix analyze_exposure(const CaptureStore& capture) {
-  ExposureBuilder builder;
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    builder.on_packet(capture.packet(i));
-  return builder.finish();
-}
-
 }  // namespace roomnet

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "capture/capture_store.hpp"
 #include "classify/label.hpp"
 #include "netcore/packet.hpp"
+#include "netcore/packet_view.hpp"
 #include "netcore/time.hpp"
 
 namespace roomnet {
@@ -49,11 +49,11 @@ struct ExposureMatrix {
   }
 };
 
-/// Incremental fold behind analyze_exposure(): each packet marks
-/// (protocol, data type, device) cells in a map of sets, so the matrix is
-/// independent of packet order. The UDP-discovery and TCP-serialNumber
-/// extractions are disjoint per packet; the builder applies both in one
-/// pass.
+/// Per-packet fold: each packet marks (protocol, data type, device) cells in
+/// a map of sets, so the matrix is independent of packet order. The
+/// UDP-discovery and TCP-serialNumber extractions are disjoint per packet;
+/// the builder applies both in one pass. Detection is payload-based:
+/// nothing is taken from simulator ground truth.
 class ExposureBuilder {
  public:
   void on_packet(const PacketView& packet);
@@ -62,11 +62,6 @@ class ExposureBuilder {
  private:
   ExposureMatrix matrix_;
 };
-
-/// The builder over stored frames: reads payload slices straight out of the
-/// arena. Detection is payload-based: nothing is taken from simulator
-/// ground truth.
-ExposureMatrix analyze_exposure(const CaptureStore& capture);
 
 /// The §6.3 response text the exposure analysis scans and the fleet
 /// harvests: an mDNS response's record names, TXT strings and PTR/SRV

@@ -20,13 +20,6 @@ std::set<ProtocolLabel> ProtocolUsage::all_labels() const {
   return out;
 }
 
-ProtocolUsage protocol_usage(const CaptureStore& capture) {
-  ProtocolUsageBuilder builder;
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    builder.on_packet(capture.packet(i));
-  return builder.finish();
-}
-
 std::set<MacAddress> CommGraph::connected_nodes() const {
   std::set<MacAddress> nodes;
   for (const auto& edge : edges) {
@@ -71,14 +64,6 @@ CommGraph CommGraphBuilder::finish() {
   for (auto& [key, edge] : edges_) graph.edges.push_back(edge);
   edges_.clear();
   return graph;
-}
-
-CommGraph build_comm_graph(const CaptureStore& capture,
-                           const std::set<MacAddress>& population) {
-  CommGraphBuilder builder(population);
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    builder.on_packet(capture.packet(i));
-  return builder.finish();
 }
 
 }  // namespace roomnet

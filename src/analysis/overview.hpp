@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "capture/capture_store.hpp"
 #include "classify/classifier.hpp"
 #include "netcore/packet.hpp"
 #include "netcore/time.hpp"
@@ -25,10 +24,9 @@ struct ProtocolUsage {
   [[nodiscard]] std::set<ProtocolLabel> all_labels() const;
 };
 
-/// Incremental fold behind protocol_usage(): feed packets as they occur
-/// (the pipeline's tap) or from stored frames (protocol_usage() below is a
-/// loop over this), then take the result with finish(). The fold is one
-/// order-independent set insertion per packet.
+/// Per-packet fold: feed packets as they occur (the tap, a pcap read loop),
+/// then take the result with finish(). The fold is one order-independent
+/// set insertion per packet.
 class ProtocolUsageBuilder {
  public:
   void on_packet(const PacketView& packet) {
@@ -41,10 +39,6 @@ class ProtocolUsageBuilder {
   HybridClassifier classifier_;
   ProtocolUsage usage_;
 };
-
-/// The builder over stored frames: classifies the arena-backed views
-/// directly.
-ProtocolUsage protocol_usage(const CaptureStore& capture);
 
 /// Figure 1/4: unicast device-to-device edges (multicast/broadcast and
 /// router/phone endpoints excluded by the caller via `population`).
@@ -62,9 +56,10 @@ struct CommGraph {
   [[nodiscard]] const Edge* find(MacAddress a, MacAddress b) const;
 };
 
-/// Incremental fold behind build_comm_graph(): per-packet edge accumulation
-/// into a map keyed by the (sorted) MAC pair, flattened in key order by
-/// finish() — packet arrival order never shows in the output.
+/// Per-packet edge accumulation into a map keyed by the (sorted) MAC pair,
+/// flattened in key order by finish() — packet arrival order never shows in
+/// the output. Each packet's rule reads only its own two endpoints, so the
+/// graph over a sub-population is the full graph's edges between members.
 class CommGraphBuilder {
  public:
   explicit CommGraphBuilder(std::set<MacAddress> population)
@@ -77,9 +72,5 @@ class CommGraphBuilder {
   HybridClassifier classifier_;
   std::map<std::pair<MacAddress, MacAddress>, CommGraph::Edge> edges_;
 };
-
-/// The builder over stored frames (arena-backed views, no copies).
-CommGraph build_comm_graph(const CaptureStore& capture,
-                           const std::set<MacAddress>& population);
 
 }  // namespace roomnet

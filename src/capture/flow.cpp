@@ -2,12 +2,6 @@
 
 namespace roomnet {
 
-std::size_t Flow::byte_count() const {
-  std::size_t total = 0;
-  for (const auto& p : packets) total += p.size;
-  return total;
-}
-
 BytesView Flow::first_client_payload() const {
   for (const auto& p : packets)
     if (p.from_client && !p.payload.empty()) return p.payload;
@@ -18,47 +12,6 @@ BytesView Flow::first_server_payload() const {
   for (const auto& p : packets)
     if (!p.from_client && !p.payload.empty()) return p.payload;
   return {};
-}
-
-void FlowTable::add(SimTime at, const PacketView& packet) {
-  if (!packet.ipv4 || !packet.has_transport()) return;
-  ++packets_;
-
-  FlowKey forward;
-  forward.client_ip = packet.ipv4->src;
-  forward.server_ip = packet.ipv4->dst;
-  forward.client_port = *packet.src_port();
-  forward.server_port = *packet.dst_port();
-  forward.protocol = packet.ipv4->protocol;
-
-  FlowKey reverse = forward;
-  std::swap(reverse.client_ip, reverse.server_ip);
-  std::swap(reverse.client_port, reverse.server_port);
-
-  bool from_client = true;
-  auto it = index_.find(forward);
-  if (it == index_.end()) {
-    const auto rit = index_.find(reverse);
-    if (rit != index_.end()) {
-      it = rit;
-      from_client = false;
-    } else {
-      Flow flow;
-      flow.key = forward;
-      flows_.push_back(std::move(flow));
-      it = index_.emplace(forward, flows_.size() - 1).first;
-    }
-  }
-
-  FlowPacket fp;
-  fp.timestamp = at;
-  fp.from_client = from_client;
-  fp.size = static_cast<std::uint32_t>(packet.eth.payload.size() + 14);
-  fp.src_mac = packet.eth.src;
-  fp.dst_mac = packet.eth.dst;
-  fp.payload = packet.app_payload();
-  if (packet.tcp) fp.tcp_flags = packet.tcp->flags;
-  flows_[it->second].packets.push_back(std::move(fp));
 }
 
 }  // namespace roomnet

@@ -1,17 +1,15 @@
-// Bounded-memory flow cache for the streaming pipeline (snort3's flow_cache
-// is the model): a hash-keyed table of *active* flows behind a memcap, with
-// an intrusive LRU list, idle/lifetime timeouts, per-reason prune
-// accounting, and per-proto flow counters. Where FlowTable keeps every flow
-// (and every packet of every flow) alive for analyses over a stored capture,
-// the cache keeps O(1) state per active flow — a condensed FlowRecord — and
-// *emits* each record downstream the moment the flow completes (eviction or
-// final flush), so memory is O(active flows) regardless of run length.
+// Bounded-memory flow cache, the one flow assembler (snort3's flow_cache is
+// the model): a hash-keyed table of *active* flows behind a memcap, with an
+// intrusive LRU list, idle/lifetime timeouts, per-reason prune accounting,
+// and per-proto flow counters. The cache keeps O(1) state per active flow —
+// a condensed FlowRecord — and *emits* each record downstream the moment
+// the flow completes (eviction or final flush), so memory is O(active
+// flows) regardless of run length.
 //
 // Determinism contract: add() and every eviction it triggers run on the sim
 // thread in event order, and flush() emits survivors in flow-creation order.
-// With all eviction knobs at their defaults (off), the set of emitted
-// records is exactly the FlowTable's flow set over the same packets
-// (DESIGN.md §12).
+// With all eviction knobs at their defaults (off), every 5-tuple seen is
+// exactly one record, emitted at the final flush (DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -47,10 +45,10 @@ inline constexpr std::size_t kPruneReasonCount = 5;
 [[nodiscard]] const char* to_string(PruneReason reason);
 
 /// Condensed, owning summary of one completed flow: everything the
-/// downstream consumers (flow classification, flow counts) read from a full
-/// Flow, in O(1) space — counts, times, and the first non-empty payload in
-/// each direction (copied out of the capture buffer, since the cache
-/// outlives any single delivery event).
+/// downstream consumers (flow classification, flow counts) read from the
+/// flow's packets, in O(1) space — counts, times, and the first non-empty
+/// payload in each direction (copied out of the capture buffer, since the
+/// cache outlives any single delivery event).
 struct FlowRecord {
   FlowKey key;
   SimTime first_seen;
@@ -66,10 +64,10 @@ struct FlowRecord {
   TcpFlags tcp_flags_seen;
 
   /// Synthesizes a minimal Flow over this record's payload copies so
-  /// the existing Classifier::classify_flow implementations apply unchanged:
-  /// key, non-empty packet list, and first_client/server_payload() all agree
-  /// with the full flow a FlowTable would have built. The returned
-  /// Flow's payload views alias this record — classify before dropping it.
+  /// the Classifier::classify_flow implementations apply unchanged: key,
+  /// non-empty packet list, and first_client/server_payload() all agree
+  /// with the flow's full packet sequence. The returned Flow's payload
+  /// views alias this record — classify before dropping it.
   [[nodiscard]] Flow to_flow() const;
 };
 

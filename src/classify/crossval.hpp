@@ -1,19 +1,15 @@
 // Classifier cross-validation (Appendix C.2 / Figure 3): run the spec and
 // deep classifiers over the same packets+flows and tabulate agreement,
 // disagreement, and the confusion matrix between their label vocabularies.
+// StreamAnalyzer drives the fold: every local packet, then every flow as the
+// FlowCache completes it.
 #pragma once
 
 #include <map>
 #include <utility>
-#include <vector>
 
-#include "capture/capture_store.hpp"
 #include "capture/flow.hpp"
 #include "classify/classifier.hpp"
-
-namespace roomnet::exec {
-class TaskPool;
-}  // namespace roomnet::exec
 
 namespace roomnet {
 
@@ -42,10 +38,10 @@ struct CrossValidation {
 /// True when a label names a concrete protocol (vs generic/unknown bins).
 bool is_concrete_label(ProtocolLabel label);
 
-/// Incremental fold behind cross_validate(): feed packets as they occur and
-/// flows as they complete, in any interleaving. Every CrossValidation field
-/// is an additive count (keyed at most by label pair), so the tabulation
-/// does not depend on how packets and flows interleave.
+/// Incremental fold: feed packets as they occur and flows as they complete,
+/// in any interleaving. Every CrossValidation field is an additive count
+/// (keyed at most by label pair), so the tabulation does not depend on how
+/// packets and flows interleave.
 class CrossValidator {
  public:
   void on_packet(const PacketView& packet);
@@ -57,19 +53,5 @@ class CrossValidator {
   DeepClassifier deep_;
   CrossValidation cv_;
 };
-
-/// Cross-validates over flows plus the packet-level L2/L3 traffic in the
-/// arena-backed capture. The per-packet pass classifies the stored views
-/// directly — no Packet is materialized.
-CrossValidation cross_validate(const std::vector<Flow>& flows,
-                               const CaptureStore& capture);
-
-/// Parallel variant: shards the per-flow and per-packet classification
-/// loops over `pool` and merges the per-chunk confusion counts in index
-/// order, so the result is byte-identical for any worker count (threads=1
-/// reproduces the sequential tabulation exactly).
-CrossValidation cross_validate(const std::vector<Flow>& flows,
-                               const CaptureStore& capture,
-                               exec::TaskPool& pool);
 
 }  // namespace roomnet

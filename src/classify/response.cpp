@@ -58,12 +58,4 @@ void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet) {
   }
 }
 
-ResponseStats correlate_responses(const CaptureStore& capture,
-                                  SimTime window) {
-  ResponseCorrelator correlator(window);
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    correlator.on_packet(capture.timestamp(i), capture.packet(i));
-  return correlator.finish();
-}
-
 }  // namespace roomnet

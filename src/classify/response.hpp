@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "capture/capture_store.hpp"
 #include "classify/classifier.hpp"
 #include "classify/label.hpp"
 #include "netcore/packet.hpp"
@@ -41,9 +40,9 @@ struct ResponseStats {
   std::vector<ResponseMatch> matches;
 };
 
-/// Incremental fold behind correlate_responses(): a single time-ordered
-/// sweep with a sliding discovery window, fed packets as they occur. The
-/// order of the `matches` vector follows packet arrival order.
+/// Per-packet fold: a single time-ordered sweep with a sliding discovery
+/// window, fed packets as they occur. The order of the `matches` vector
+/// follows packet arrival order.
 class ResponseCorrelator {
  public:
   explicit ResponseCorrelator(SimTime window = SimTime::from_seconds(3))
@@ -57,9 +56,5 @@ class ResponseCorrelator {
   ResponseStats stats_;
   std::deque<DiscoveryEvent> recent_;
 };
-
-/// The builder over stored frames (time-ordered, arena-backed views).
-ResponseStats correlate_responses(const CaptureStore& capture,
-                                  SimTime window = SimTime::from_seconds(3));
 
 }  // namespace roomnet

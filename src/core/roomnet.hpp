@@ -22,7 +22,6 @@
 #include "apps/audit.hpp"
 #include "apps/runtime.hpp"
 #include "capture/capture.hpp"
-#include "capture/capture_store.hpp"
 #include "capture/filter.hpp"
 #include "capture/flow.hpp"
 #include "classify/classifier.hpp"

@@ -1,15 +1,11 @@
-// Fork-join helpers over TaskPool: parallel_for / parallel_map /
-// parallel_reduce.
+// Fork-join helpers over TaskPool: parallel_for / parallel_map.
 //
-// All helpers shard [0, n) into min(pool.threads(), n) CONTIGUOUS chunks and
-// combine per-chunk results in chunk (= index) order on the calling thread.
-// Consequence: whenever the merge operation is associative across chunk
-// boundaries — integer counts, ordered-map accumulation, concatenation,
-// writes to disjoint slots — the final result is byte-identical for every
-// worker count, and threads == 1 reproduces the plain sequential loop
-// exactly. Floating-point reductions are NOT associative; keep those in the
-// sequential aggregation stage after the parallel map (as the analyses here
-// do) or accept chunk-count-dependent rounding.
+// Both helpers shard [0, n) into min(pool.threads(), n) CONTIGUOUS chunks.
+// parallel_map writes each result into its own index slot, so its output is
+// byte-identical for every worker count and threads == 1 reproduces the
+// plain sequential loop exactly. Order-sensitive aggregation — floating-point
+// sums above all — belongs in the sequential stage after the map, as the
+// analyses here do it.
 #pragma once
 
 #include <algorithm>
@@ -53,34 +49,6 @@ template <typename Fn>
   std::vector<R> out(n);
   parallel_for(pool, n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
-}
-
-/// Ordered reduction: each chunk folds its contiguous index range into a
-/// private accumulator seeded from a copy of `init` via `fold(acc, i)`, then
-/// the partials merge left-to-right in chunk order via `merge(acc, part)` on
-/// the calling thread. threads == 1 degenerates to the plain sequential
-/// fold. `init` must be the identity of `merge` (empty counts, zero sums) —
-/// with multiple chunks it seeds every partial, so a non-identity init
-/// would be counted once per chunk and break worker-count invariance.
-template <typename T, typename Fold, typename Merge>
-[[nodiscard]] T parallel_reduce(TaskPool& pool, std::size_t n, T init,
-                                Fold&& fold, Merge&& merge) {
-  if (n == 0) return init;
-  const std::size_t chunks = std::min(pool.threads(), n);
-  if (chunks == 1) {
-    T acc = std::move(init);
-    for (std::size_t i = 0; i < n; ++i) fold(acc, i);
-    return acc;
-  }
-  std::vector<T> partials(chunks, init);
-  pool.run_chunks(chunks, [&](std::size_t chunk) {
-    const auto [begin, end] = chunk_bounds(n, chunks, chunk);
-    for (std::size_t i = begin; i < end; ++i) fold(partials[chunk], i);
-  });
-  T acc = std::move(partials[0]);
-  for (std::size_t chunk = 1; chunk < chunks; ++chunk)
-    merge(acc, std::move(partials[chunk]));
-  return acc;
 }
 
 }  // namespace roomnet::exec

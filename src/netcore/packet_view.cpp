@@ -1,7 +1,5 @@
 #include "netcore/packet_view.hpp"
 
-#include <functional>
-
 namespace roomnet {
 
 namespace {
@@ -336,32 +334,6 @@ Packet materialize(const PacketView& view) {
                       view.icmpv6->link_layer_option, owned(view.icmpv6->extra)};
   p.igmp = view.igmp;
   return p;
-}
-
-// ------------------------------------------------------------------- rebase
-
-namespace {
-BytesView translate(BytesView v, BytesView from, BytesView to) {
-  if (v.data() == nullptr || from.data() == nullptr) return v;
-  const std::uint8_t* base = from.data();
-  const std::less_equal<const std::uint8_t*> le;
-  if (!le(base, v.data()) || !le(v.data() + v.size(), base + from.size()))
-    return v;  // slice does not point into `from`
-  return to.subspan(static_cast<std::size_t>(v.data() - base), v.size());
-}
-}  // namespace
-
-PacketView rebase(PacketView view, BytesView from, BytesView to) {
-  view.eth.payload = translate(view.eth.payload, from, to);
-  if (view.llc) view.llc->info = translate(view.llc->info, from, to);
-  if (view.eapol) view.eapol->body = translate(view.eapol->body, from, to);
-  if (view.ipv4) view.ipv4->payload = translate(view.ipv4->payload, from, to);
-  if (view.ipv6) view.ipv6->payload = translate(view.ipv6->payload, from, to);
-  if (view.udp) view.udp->payload = translate(view.udp->payload, from, to);
-  if (view.tcp) view.tcp->payload = translate(view.tcp->payload, from, to);
-  if (view.icmp) view.icmp->body = translate(view.icmp->body, from, to);
-  if (view.icmpv6) view.icmpv6->extra = translate(view.icmpv6->extra, from, to);
-  return view;
 }
 
 }  // namespace roomnet

@@ -148,14 +148,9 @@ PacketView as_view(const Packet& packet);
 /// Deep-copies a PacketView into an owning Packet.
 Packet materialize(const PacketView& view);
 
-/// Translates every slice of `view` that points into `from` to the same
-/// offset in `to` (the two buffers must hold identical bytes, e.g. a frame
-/// and its arena copy). Slices outside `from` are kept untouched.
-PacketView rebase(PacketView view, BytesView from, BytesView to);
-
 // ---------------------------------------------------------------------------
-// Coarse wire-level protocol bucket. Shared by the switch's per-protocol
-// frame counters and the capture store's side index.
+// Coarse wire-level protocol bucket: the key of the switch's per-protocol
+// frame counters.
 // ---------------------------------------------------------------------------
 
 enum class WireProto : std::uint8_t {

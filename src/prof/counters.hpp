@@ -1,27 +1,26 @@
 // roomnet::prof — allocation counter substrate.
 //
 // This header is deliberately dependency-free (standard <atomic>/<cstdint>
-// only, everything inline) so the lowest layers of the stack — FrameStore in
-// netcore, ChunkedColumn in capture, the exec TaskPool, the span tracer —
-// can count allocations without linking against (or even knowing about) the
-// rest of roomnet::prof. Three counter families:
+// only, everything inline) so the lowest layers of the stack — the exec
+// TaskPool, the span tracer — can count allocations without linking against
+// (or even knowing about) the rest of roomnet::prof. Three counter families:
 //
 //   heap   — every operator new/delete, fed by the global hooks in
 //            alloc_hooks.cpp when the build is configured with
 //            -DROOMNET_PROFILE=ON; otherwise permanently zero.
-//   arena  — chunk reservations by the capture arenas (FrameStore chunks,
-//            CaptureStore columns). Always on: these happen on the sim
-//            thread in event order, so per-stage deltas are deterministic
-//            for a fixed seed at ANY thread count — they form the
-//            deterministic core of perf.json.
+//   arena  — chunk reservations by stored-capture arenas (the explicit
+//            note_arena_alloc hook). No production caller remains: stage 3
+//            folds at the tap and stores no frames, so these read zero in
+//            every run. The fields stay because perf.json and its readers
+//            carry them.
 //   pool   — tasks handed to exec::TaskPool (explicit hook; the queue node
 //            + std::function storage is the attributed cost). Always on,
 //            but NOT thread-count-invariant (chunk counts scale with the
 //            pool), so it is excluded from determinism fingerprints.
 //
 // Every hook is a handful of relaxed atomic adds plus two thread-local
-// increments; with ROOMNET_PROFILE=OFF only the explicit arena/pool call
-// sites pay, which keeps the profiler inside the ≤5% overhead budget
+// increments; with ROOMNET_PROFILE=OFF only the explicit pool call sites
+// pay, which keeps the profiler inside the ≤5% overhead budget
 // (DESIGN.md §11).
 #pragma once
 
@@ -119,6 +118,8 @@ inline void note_heap_free(std::size_t bytes) noexcept {
 }
 
 /// Explicit arena hook: one chunk reservation of `bytes` by a capture arena.
+/// No production code calls it any more (see the arena family above); the
+/// profiler's stage attribution is still tested through it.
 inline void note_arena_alloc(std::size_t bytes) noexcept {
   GlobalAllocCounters& g = global_alloc_counters();
   g.arena_allocs.fetch_add(1, std::memory_order_relaxed);

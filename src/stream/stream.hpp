@@ -1,19 +1,20 @@
-// roomnet::stream — stage 3 of the pipeline. A StreamAnalyzer folds each
-// local packet into the five passive analyses (protocol use, comm graph,
-// exposure, cross-validation, response correlation) the moment the tap
-// fires and keeps per-flow state behind a bounded FlowCache — memory is
-// O(active flows), independent of run length. The same fold runs over
-// stored captures (perfbench's replay of a pcap, for one).
+// roomnet::stream — stage 3 of the pipeline, and the one stage-3 fold in
+// the repo. A StreamAnalyzer folds each local packet into the five passive
+// analyses (protocol use, comm graph, exposure, cross-validation, response
+// correlation) the moment it is seen and keeps per-flow state behind a
+// bounded FlowCache — memory is O(active flows), independent of run length.
+// Every consumer feeds it the same way: the pipeline and the paper benches
+// from the packet tap, analyze_pcap and perfbench's replay from a pcap read
+// loop.
 //
 // Determinism: on_packet runs on the sim thread in event order (it is called
 // straight from the packet tap), every builder fold is order-canonical, and
 // the cache flush emits surviving flows in creation order — so the results
 // are byte-identical at any thread count. With the default non-evicting
-// StreamConfig every flow completes at the final flush, exactly as the
-// analyses over a stored capture (the CaptureStore entry points) see it.
-// Arming an eviction knob (memcap/max_flows/timeouts) trades that for
-// bounded memory: long flows may split and payload-less records may
-// classify generically. DESIGN.md §12 spells out the contract.
+// StreamConfig every flow completes at the final flush, whole. Arming an
+// eviction knob (memcap/max_flows/timeouts) trades that for bounded memory:
+// long flows may split and payload-less records may classify generically.
+// DESIGN.md §12 spells out the contract.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +59,7 @@ struct StreamResults {
   CrossValidation crossval;
   ResponseStats responses;
   ExposureMatrix exposure;
-  /// Completed FlowRecords (== the FlowTable flow count when never
+  /// Completed FlowRecords (== the distinct 5-tuples seen when never
   /// evicting).
   std::size_t flows = 0;
   FlowCacheStats cache;

@@ -1,11 +1,11 @@
 // Tests for the capture substrate: sink, per-MAC splitting, local filter,
-// flow assembly.
+// flow assembly (the FlowCache's records).
 #include <gtest/gtest.h>
 
 #include "capture/arpspoof.hpp"
 #include "capture/capture.hpp"
 #include "capture/filter.hpp"
-#include "capture/flow.hpp"
+#include "capture/flow_cache.hpp"
 #include "sim/host.hpp"
 
 namespace roomnet {
@@ -141,61 +141,64 @@ Packet udp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
   return p;
 }
 
-TEST(FlowTable, GroupsBidirectionalTraffic) {
-  FlowTable table;
+/// Every record a non-evicting FlowCache emits for `packets` (added 1 ms
+/// apart unless `at` says otherwise), in flow-creation order.
+std::vector<FlowRecord> flow_records(const std::vector<Packet>& packets,
+                                     const std::vector<SimTime>& at = {}) {
+  std::vector<FlowRecord> records;
+  FlowCache cache({}, [&records](const FlowRecord& record, PruneReason) {
+    records.push_back(record);
+  });
+  for (std::size_t i = 0; i < packets.size(); ++i)
+    cache.add(at.empty() ? SimTime::from_ms(static_cast<std::int64_t>(i)) : at[i],
+              as_view(packets[i]));
+  cache.flush();
+  return records;
+}
+
+TEST(FlowRecords, GroupsBidirectionalTraffic) {
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
-  // Named locals: the flow records payload views into these packets, so
-  // they must outlive the table reads below (DESIGN.md §10).
-  const Packet req = udp_packet(a, 5000, b, 80, "req");
-  const Packet res = udp_packet(b, 80, a, 5000, "res");
-  const Packet req2 = udp_packet(a, 5000, b, 80, "req2");
-  table.add(SimTime::from_ms(0), req);
-  table.add(SimTime::from_ms(10), res);
-  table.add(SimTime::from_ms(20), req2);
-  ASSERT_EQ(table.flows().size(), 1u);
-  const Flow& flow = table.flows()[0];
+  const auto records = flow_records({udp_packet(a, 5000, b, 80, "req"),
+                                     udp_packet(b, 80, a, 5000, "res"),
+                                     udp_packet(a, 5000, b, 80, "req2")});
+  ASSERT_EQ(records.size(), 1u);
+  const FlowRecord& flow = records[0];
   EXPECT_EQ(flow.key.client_ip, a);
   EXPECT_EQ(flow.key.server_port, port(80));
-  ASSERT_EQ(flow.packets.size(), 3u);
-  EXPECT_TRUE(flow.packets[0].from_client);
-  EXPECT_FALSE(flow.packets[1].from_client);
-  EXPECT_TRUE(flow.packets[2].from_client);
-  EXPECT_EQ(string_of(flow.first_client_payload()), "req");
-  EXPECT_EQ(string_of(flow.first_server_payload()), "res");
+  EXPECT_EQ(flow.packets, 3u);
+  EXPECT_EQ(flow.client_packets, 2u);
+  EXPECT_EQ(flow.server_packets, 1u);
+  EXPECT_EQ(string_of(BytesView(flow.client_payload)), "req");
+  EXPECT_EQ(string_of(BytesView(flow.server_payload)), "res");
 }
 
-TEST(FlowTable, DistinctTuplesAreDistinctFlows) {
-  FlowTable table;
+TEST(FlowRecords, DistinctTuplesAreDistinctFlows) {
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
-  const Packet x = udp_packet(a, 5000, b, 80, "x");
-  const Packet y = udp_packet(a, 5001, b, 80, "y");
-  const Packet z = udp_packet(a, 5000, b, 81, "z");
-  table.add(SimTime{}, x);
-  table.add(SimTime{}, y);
-  table.add(SimTime{}, z);
-  EXPECT_EQ(table.flows().size(), 3u);
+  EXPECT_EQ(flow_records({udp_packet(a, 5000, b, 80, "x"),
+                          udp_packet(a, 5001, b, 80, "y"),
+                          udp_packet(a, 5000, b, 81, "z")})
+                .size(),
+            3u);
 }
 
-TEST(FlowTable, IgnoresNonTransport) {
-  FlowTable table;
+TEST(FlowRecords, IgnoresNonTransport) {
   Packet arp;
   arp.arp = ArpPacket{};
-  table.add(SimTime{}, arp);
-  EXPECT_TRUE(table.flows().empty());
-  EXPECT_EQ(table.packet_count(), 0u);
+  FlowCache cache;
+  cache.add(SimTime{}, as_view(arp));
+  EXPECT_EQ(cache.stats().flows_created, 0u);
+  EXPECT_EQ(cache.stats().packets, 0u);
 }
 
-TEST(FlowTable, TimesAndBytes) {
-  FlowTable table;
+TEST(FlowRecords, TimesAndBytes) {
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
-  const Packet first = udp_packet(a, 1, b, 2, "abc");
-  const Packet second = udp_packet(a, 1, b, 2, "defg");
-  table.add(SimTime::from_seconds(1), first);
-  table.add(SimTime::from_seconds(9), second);
-  const Flow& flow = table.flows()[0];
-  EXPECT_EQ(flow.first_seen(), SimTime::from_seconds(1));
-  EXPECT_EQ(flow.last_seen(), SimTime::from_seconds(9));
-  EXPECT_EQ(flow.byte_count(), 2 * (64u + 14u));
+  const auto records = flow_records(
+      {udp_packet(a, 1, b, 2, "abc"), udp_packet(a, 1, b, 2, "defg")},
+      {SimTime::from_seconds(1), SimTime::from_seconds(9)});
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first_seen, SimTime::from_seconds(1));
+  EXPECT_EQ(records[0].last_seen, SimTime::from_seconds(9));
+  EXPECT_EQ(records[0].bytes, 2 * (64u + 14u));
 }
 
 // --------------------------------------------------------------- arpspoof

@@ -7,6 +7,7 @@
 
 #include <deque>
 
+#include "capture/flow_cache.hpp"
 #include "classify/classifier.hpp"
 #include "classify/crossval.hpp"
 #include "classify/periodicity.hpp"
@@ -57,17 +58,20 @@ Packet tcp_packet(std::uint16_t sport, std::uint16_t dport, Bytes payload) {
 }
 
 Flow flow_of(const std::vector<Packet>& packets) {
-  // FlowPacket.payload is a view; the call sites pass temporaries, so park
-  // a copy of the packets in a process-lifetime arena to back the views.
-  static std::deque<std::vector<Packet>> arena;
-  arena.push_back(packets);
-  FlowTable table;
+  // The Flow's payload views alias its FlowRecord; the call sites keep only
+  // the Flow, so park each record in a process-lifetime arena.
+  static std::deque<FlowRecord> arena;
+  const std::size_t first = arena.size();
+  FlowCache cache({}, [](const FlowRecord& record, PruneReason) {
+    arena.push_back(record);
+  });
   SimTime at;
-  for (const auto& p : arena.back()) {
-    table.add(at, p);
+  for (const auto& p : packets) {
+    cache.add(at, as_view(p));
     at += SimTime::from_ms(5);
   }
-  return table.flows().at(0);
+  cache.flush();
+  return arena.at(first).to_flow();
 }
 
 // ------------------------------------------------------- both classifiers

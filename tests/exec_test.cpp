@@ -87,35 +87,12 @@ TEST(ExecParallel, MapPreservesIndexOrder) {
   }
 }
 
-TEST(ExecParallel, ReductionIsOrderedAndWorkerCountInvariant) {
-  // Concatenation is order-sensitive: any out-of-order merge would scramble
-  // the sequence. Every worker count must produce 0,1,2,...,n-1 exactly.
-  const std::size_t n = 4099;
-  std::vector<std::size_t> expected(n);
-  std::iota(expected.begin(), expected.end(), 0u);
-  for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
-    TaskPool pool(threads);
-    const auto got = parallel_reduce(
-        pool, n, std::vector<std::size_t>{},
-        [](std::vector<std::size_t>& acc, std::size_t i) { acc.push_back(i); },
-        [](std::vector<std::size_t>& acc, std::vector<std::size_t>&& part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-        });
-    EXPECT_EQ(got, expected) << "threads=" << threads;
-  }
-}
-
 TEST(ExecParallel, EmptyAndTinyRanges) {
   TaskPool pool(4);
   bool touched = false;
   parallel_for(pool, 0, [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
   EXPECT_TRUE(parallel_map(pool, 0, [](std::size_t i) { return i; }).empty());
-  EXPECT_EQ(parallel_reduce(
-                pool, 0, 42,
-                [](int& acc, std::size_t) { ++acc; },
-                [](int& acc, int&& part) { acc += part; }),
-            42);
   // n smaller than the worker count still covers every index once.
   const auto tiny = parallel_map(pool, 2, [](std::size_t i) { return i + 1; });
   EXPECT_EQ(tiny, (std::vector<std::size_t>{1, 2}));
@@ -147,11 +124,10 @@ TEST(ExecParallel, NestedRegionsOnTheSamePoolDoNotDeadlock) {
   // SAME pool. The calling thread always participates in its own region, so
   // this makes progress even with every worker busy.
   const auto totals = parallel_map(pool, 8, [&](std::size_t outer) {
-    const std::size_t sum = parallel_reduce(
-        pool, 100, std::size_t{0},
-        [](std::size_t& acc, std::size_t i) { acc += i; },
-        [](std::size_t& acc, std::size_t&& part) { acc += part; });
-    return outer * 1000 + sum;
+    const auto inner =
+        parallel_map(pool, 100, [](std::size_t i) { return i; });
+    return outer * 1000 + std::accumulate(inner.begin(), inner.end(),
+                                          std::size_t{0});
   });
   ASSERT_EQ(totals.size(), 8u);
   for (std::size_t outer = 0; outer < totals.size(); ++outer)

@@ -1,121 +1,19 @@
-// Tests for the zero-copy packet hot path: the FrameStore arena, view-based
-// frame decode (decode_frame_view ≡ decode_frame on valid AND malformed
-// input), the as_view/materialize/rebase bridges, and the CaptureStore's
-// SoA side index. See DESIGN.md §10 for the memory model under test.
+// Tests for the zero-copy packet hot path: view-based frame decode
+// (decode_frame_view ≡ decode_frame on valid AND malformed input) and the
+// as_view/materialize bridges. See DESIGN.md §10 for the memory model under
+// test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "capture/capture_store.hpp"
-#include "netcore/frame_store.hpp"
-#include "telemetry/metrics.hpp"
 #include "netcore/packet.hpp"
 #include "netcore/packet_view.hpp"
 #include "netcore/rng.hpp"
 
 namespace roomnet {
 namespace {
-
-// ------------------------------------------------------------- FrameStore
-
-TEST(FrameStore, AppendedViewsKeepTheirBytes) {
-  FrameStore store;
-  const Bytes a = bytes_of("first frame");
-  const Bytes b = bytes_of("second frame, a bit longer");
-  const BytesView va = store.append(BytesView(a));
-  const BytesView vb = store.append(BytesView(b));
-  EXPECT_EQ(string_of(va), "first frame");
-  EXPECT_EQ(string_of(vb), "second frame, a bit longer");
-  EXPECT_NE(va.data(), a.data());  // it is a copy, not an alias
-  EXPECT_EQ(store.frame_count(), 2u);
-  EXPECT_EQ(store.byte_count(), a.size() + b.size());
-}
-
-TEST(FrameStore, AddressesAreStableAcrossChunkGrowth) {
-  // Small chunks force many chunk allocations; every previously returned
-  // view must still read back its own bytes afterwards.
-  FrameStore store(/*chunk_size=*/64);
-  Rng rng(7);
-  std::vector<Bytes> originals;
-  std::vector<BytesView> views;
-  for (int i = 0; i < 200; ++i) {
-    originals.push_back(rng.bytes(static_cast<std::size_t>(1 + i % 48)));
-    views.push_back(store.append(BytesView(originals.back())));
-  }
-  ASSERT_GT(store.chunk_count(), 1u);
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(to_hex(views[i]), to_hex(BytesView(originals[i]))) << "frame " << i;
-  }
-}
-
-TEST(FrameStore, OversizeFrameDoesNotDisturbActiveChunk) {
-  FrameStore store(/*chunk_size=*/32);
-  const Bytes small1 = bytes_of("abc");
-  const Bytes huge(100, 0xee);  // > chunk size: dedicated chunk
-  const Bytes small2 = bytes_of("def");
-  const BytesView v1 = store.append(BytesView(small1));
-  const BytesView vh = store.append(BytesView(huge));
-  const BytesView v2 = store.append(BytesView(small2));
-  EXPECT_EQ(string_of(v1), "abc");
-  EXPECT_EQ(vh.size(), 100u);
-  EXPECT_TRUE(std::all_of(vh.begin(), vh.end(),
-                          [](std::uint8_t x) { return x == 0xee; }));
-  EXPECT_EQ(string_of(v2), "def");
-  // small2 packed into the same chunk as small1, not a fresh one.
-  EXPECT_EQ(store.chunk_count(), 2u);
-}
-
-TEST(FrameStore, ResetRetainsChunksAndRefillsWithoutAllocating) {
-  FrameStore store(/*chunk_size=*/64);
-  Rng rng(11);
-  std::vector<BytesView> first_fill;
-  for (int i = 0; i < 40; ++i)
-    first_fill.push_back(store.append(BytesView(rng.bytes(16))));
-  const std::size_t chunks_before = store.chunk_count();
-  const std::size_t capacity_before = store.capacity();
-  const std::uint8_t* first_frame_addr = first_fill.front().data();
-  ASSERT_GT(chunks_before, 1u);
-
-  store.reset();
-  EXPECT_EQ(store.frame_count(), 0u);
-  EXPECT_EQ(store.byte_count(), 0u);
-  // Capacity is retained, not released: that's the keep in keep-capacity.
-  EXPECT_EQ(store.capacity(), capacity_before);
-  EXPECT_EQ(store.chunk_count(), chunks_before);
-
-  // The second fill overwrites the retained chunks in order — the very
-  // first append lands at the very first chunk's base, and an identical
-  // fill ends with zero chunk churn.
-  const BytesView refilled = store.append(BytesView(rng.bytes(16)));
-  EXPECT_EQ(refilled.data(), first_frame_addr);
-  for (int i = 1; i < 40; ++i) (void)store.append(BytesView(rng.bytes(16)));
-  EXPECT_EQ(store.chunk_count(), chunks_before);
-  EXPECT_EQ(store.capacity(), capacity_before);
-}
-
-TEST(FrameStore, ResetReleasesOversizeChunks) {
-  FrameStore store(/*chunk_size=*/32);
-  (void)store.append(BytesView(Bytes(8, 0x11)));
-  (void)store.append(BytesView(Bytes(100, 0xee)));  // dedicated chunk
-  ASSERT_EQ(store.large_chunk_count(), 1u);
-  const std::size_t fixed_capacity = store.capacity() - 100;
-
-  store.reset();
-  // Oversize chunks are frame-specific and rarely reusable: dropped.
-  EXPECT_EQ(store.large_chunk_count(), 0u);
-  EXPECT_EQ(store.capacity(), fixed_capacity);
-  EXPECT_EQ(store.chunk_count(), 1u);
-}
-
-TEST(FrameStore, EmptyAppendIsANoop) {
-  FrameStore store;
-  const BytesView v = store.append({});
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(store.frame_count(), 0u);
-  EXPECT_EQ(store.chunk_count(), 0u);
-}
 
 // ----------------------------------------------- frame builders for decode
 
@@ -390,7 +288,7 @@ TEST(DecodeFrameView, AgreesOnRandomGarbage) {
   }
 }
 
-// ------------------------------------------- as_view / materialize / rebase
+// ---------------------------------------------------- as_view / materialize
 
 TEST(PacketViewBridges, AsViewAliasesAndMaterializeCopies) {
   const Bytes raw = udp4_frame(5000, 80, "hello");
@@ -406,163 +304,6 @@ TEST(PacketViewBridges, AsViewAliasesAndMaterializeCopies) {
   const Packet copy = materialize(alias);
   expect_equivalent(copy, alias);
   EXPECT_NE(copy.udp->payload.data(), packet->udp->payload.data());
-}
-
-TEST(PacketViewBridges, RebaseRetargetsSlicesIntoArenaCopy) {
-  const Bytes raw = tcp4_frame("rebase me");
-  const auto view = decode_frame_view(BytesView(raw));
-  ASSERT_TRUE(view.has_value());
-
-  FrameStore arena;
-  const BytesView stored = arena.append(BytesView(raw));
-  const PacketView moved = rebase(*view, BytesView(raw), stored);
-
-  // Same decoded content...
-  const auto owned = decode_frame(BytesView(raw));
-  ASSERT_TRUE(owned.has_value());
-  expect_equivalent(*owned, moved);
-  // ...but every slice now points inside the arena copy, not the original.
-  ASSERT_TRUE(moved.tcp.has_value());
-  const auto* begin = stored.data();
-  const auto* end = stored.data() + stored.size();
-  EXPECT_GE(moved.tcp->payload.data(), begin);
-  EXPECT_LE(moved.tcp->payload.data() + moved.tcp->payload.size(), end);
-  EXPECT_GE(moved.eth.payload.data(), begin);
-  EXPECT_EQ(string_of(moved.tcp->payload), "rebase me");
-}
-
-// ------------------------------------------------------------ CaptureStore
-
-TEST(CaptureStore, AppendBuildsSideIndexColumns) {
-  CaptureStore store;
-  const Bytes f1 = udp4_frame(5353, 5353, "mdns");
-  const Bytes f2 = tcp4_frame("http body");
-  const Bytes f3 = arp_frame();
-
-  ASSERT_TRUE(store.append(SimTime::from_ms(1), BytesView(f1)).has_value());
-  ASSERT_TRUE(store.append(SimTime::from_ms(2), BytesView(f2)).has_value());
-  ASSERT_TRUE(store.append(SimTime::from_ms(3), BytesView(f3)).has_value());
-
-  ASSERT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.timestamp(0), SimTime::from_ms(1));
-  EXPECT_EQ(store.timestamp(2), SimTime::from_ms(3));
-
-  EXPECT_EQ(store.proto(0), WireProto::kUdp);
-  EXPECT_EQ(store.proto(1), WireProto::kTcp);
-  EXPECT_EQ(store.proto(2), WireProto::kArp);
-
-  EXPECT_EQ(store.src_port(0), 5353);
-  EXPECT_EQ(store.dst_port(0), 5353);
-  EXPECT_EQ(store.src_port(1), 40001);
-  EXPECT_EQ(store.dst_port(1), 80);
-  EXPECT_EQ(store.src_port(2), 0);  // no transport layer
-  EXPECT_EQ(store.dst_port(2), 0);
-
-  EXPECT_EQ(string_of(store.payload(0)), "mdns");
-  EXPECT_EQ(string_of(store.payload(1)), "http body");
-  EXPECT_TRUE(store.payload(2).empty());
-
-  EXPECT_EQ(store.src_mac(2), MacAddress::from_u64(11));
-  EXPECT_EQ(store.dst_mac(2), MacAddress::kBroadcast);
-  EXPECT_EQ(store.arena().frame_count(), 3u);
-}
-
-TEST(CaptureStore, StoredViewsPointIntoTheArena) {
-  CaptureStore store;
-  Bytes f = udp4_frame(1234, 80, "scribble");
-  const std::optional<PacketView> stored = store.append(SimTime{}, BytesView(f));
-  ASSERT_TRUE(stored.has_value());
-  // Clobber the source buffer: the stored view must be unaffected because
-  // append copied the frame into the arena.
-  std::fill(f.begin(), f.end(), std::uint8_t{0});
-  EXPECT_EQ(string_of(stored->app_payload()), "scribble");
-  EXPECT_EQ(string_of(store.payload(0)), "scribble");
-}
-
-TEST(CaptureStore, RejectsUndecodableFrames) {
-  CaptureStore store;
-  const Bytes garbage = {0x01, 0x02, 0x03};
-  EXPECT_FALSE(store.append(SimTime{}, BytesView(garbage)).has_value());
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.arena().frame_count(), 0u);
-}
-
-TEST(CaptureStore, PacketRowsSurviveHeavyGrowth) {
-  // Arena frames and layer columns never move: every view returned by
-  // append() — and every slice inside it — must stay valid and identical to
-  // what packet(i) reassembles, however far the store grows.
-  CaptureStore store;
-  std::vector<std::string> payloads;
-  std::vector<PacketView> stored;
-  for (int i = 0; i < 2000; ++i) {
-    payloads.push_back("payload-" + std::to_string(i));
-    const Bytes f = udp4_frame(static_cast<std::uint16_t>(1024 + i), 80,
-                               payloads.back());
-    const auto appended = store.append(SimTime::from_ms(i), BytesView(f));
-    ASSERT_TRUE(appended.has_value());
-    stored.push_back(*appended);
-  }
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    // The view handed out at append time still reads the arena correctly...
-    EXPECT_EQ(string_of(stored[i].app_payload()), payloads[i]);
-    // ...and reassembly from the layer columns slices the same bytes.
-    const PacketView row = store.packet(i);
-    EXPECT_EQ(string_of(row.app_payload()), payloads[i]);
-    EXPECT_EQ(row.udp->payload.data(), stored[i].udp->payload.data());
-    EXPECT_EQ(store.src_port(i), 1024 + i);
-  }
-}
-
-TEST(CaptureStore, ResetRecyclesColumnsAndArenaWithoutChurn) {
-  CaptureStore store;
-  const auto fill = [&store] {
-    for (int i = 0; i < 1500; ++i) {
-      const Bytes f = udp4_frame(static_cast<std::uint16_t>(1024 + i), 80,
-                                 "payload-" + std::to_string(i));
-      ASSERT_TRUE(store.append(SimTime::from_ms(i), BytesView(f)).has_value());
-    }
-  };
-  fill();
-  const std::size_t arena_chunks = store.arena().chunk_count();
-  const std::size_t arena_capacity = store.arena().capacity();
-  const std::size_t row_chunks = store.row_chunk_count();
-  ASSERT_GT(row_chunks, 1u);  // 1500 rows cross the 1024-row chunk boundary
-
-  store.reset();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.arena().frame_count(), 0u);
-
-  // An identical second fill reuses every retained chunk: no churn in the
-  // arena or any column, and the rows read back correctly.
-  fill();
-  EXPECT_EQ(store.arena().chunk_count(), arena_chunks);
-  EXPECT_EQ(store.arena().capacity(), arena_capacity);
-  EXPECT_EQ(store.row_chunk_count(), row_chunks);
-  ASSERT_EQ(store.size(), 1500u);
-  EXPECT_EQ(string_of(store.payload(7)), "payload-7");
-  EXPECT_EQ(store.src_port(1400), 1024 + 1400);
-  EXPECT_EQ(string_of(store.packet(1400).app_payload()), "payload-1400");
-}
-
-TEST(CaptureStore, ResetRepublishesArenaOccupancyGauges) {
-  CaptureStore store;
-  const Bytes f = udp4_frame(1234, 80, "gauge probe");
-  ASSERT_TRUE(store.append(SimTime{}, BytesView(f)).has_value());
-
-  auto& registry = telemetry::Registry::global();
-  EXPECT_GT(registry.gauge("roomnet_capture_arena_bytes_used").value(), 0);
-  EXPECT_GT(registry.gauge("roomnet_capture_arena_chunks").value(), 0);
-
-  store.reset();
-  // Occupancy reads zero used but the retained reservation, immediately —
-  // not only after the next append.
-  EXPECT_EQ(registry.gauge("roomnet_capture_arena_bytes_used").value(), 0);
-  EXPECT_EQ(registry.gauge("roomnet_capture_arena_large_chunks").value(), 0);
-  EXPECT_EQ(
-      static_cast<std::size_t>(
-          registry.gauge("roomnet_capture_arena_bytes_reserved").value()),
-      store.arena().capacity());
 }
 
 }  // namespace

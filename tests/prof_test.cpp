@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
-#include "netcore/frame_store.hpp"
 #include "prof/counters.hpp"
 #include "prof/folded.hpp"
 #include "prof/profiler.hpp"
@@ -45,27 +44,6 @@ TEST(ResourceSampleTest, SamplesAreSane) {
   const prof::ResourceDelta d = prof::delta(a, b);
   EXPECT_GE(d.wall_us, 0);
   EXPECT_EQ(d.rss_kb, b.rss_kb);
-}
-
-TEST(CountersTest, FrameStoreArenaHooksCountChunks) {
-  const prof::AllocSnapshot before = prof::snapshot_alloc_counters();
-  const std::uint64_t tl_before = prof::t_alloc_counters.arena_bytes;
-
-  FrameStore store(1024);
-  std::vector<std::uint8_t> frame(400, 0xab);
-  // Three 400B frames into 1KiB chunks: frames 1+2 share the first chunk,
-  // frame 3 opens the second.
-  for (int i = 0; i < 3; ++i)
-    store.append(BytesView(frame.data(), frame.size()));
-  std::vector<std::uint8_t> big(5000, 0xcd);
-  store.append(BytesView(big.data(), big.size()));  // dedicated large chunk
-
-  const prof::AllocSnapshot after = prof::snapshot_alloc_counters();
-  EXPECT_EQ(after.arena_allocs - before.arena_allocs, 3u);
-  EXPECT_EQ(after.arena_bytes - before.arena_bytes, 1024u + 1024u + 5000u);
-  EXPECT_EQ(prof::t_alloc_counters.arena_bytes - tl_before,
-            1024u + 1024u + 5000u);
-  EXPECT_EQ(store.large_chunk_count(), 1u);
 }
 
 TEST(CountersTest, HeapCountersMatchBuildConfiguration) {

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
-#include "capture/flow.hpp"
+#include "capture/flow_cache.hpp"
 #include "classify/classifier.hpp"
 #include "classify/periodicity.hpp"
 #include "crowd/entropy.hpp"
@@ -390,17 +391,18 @@ INSTANTIATE_TEST_SUITE_P(Cadences, PeriodSweep,
                                            900.0, 3600.0, 7200.0));
 
 // ---------------------------------------------------------------------------
-// Flow table invariants.
+// Flow assembly invariants (the non-evicting FlowCache).
 // ---------------------------------------------------------------------------
 
 class FlowProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FlowProperty, EveryTransportPacketLandsInExactlyOneFlow) {
   Rng rng(GetParam());
-  FlowTable table;
+  std::vector<FlowRecord> records;
+  FlowCache cache({}, [&records](const FlowRecord& record, PruneReason) {
+    records.push_back(record);
+  });
   std::size_t transport_packets = 0;
-  std::vector<Packet> keep;  // backs the flow table's payload views
-  keep.reserve(500);
   for (int round = 0; round < 500; ++round) {
     Packet p;
     p.eth.src = MacAddress::from_u64(1 + rng.below(6));
@@ -415,23 +417,26 @@ TEST_P(FlowProperty, EveryTransportPacketLandsInExactlyOneFlow) {
     u.dst_port = port(static_cast<std::uint16_t>(1000 + rng.below(4)));
     u.payload = rng.bytes(rng.below(32));
     p.udp = u;
-    keep.push_back(std::move(p));
-    table.add(SimTime::from_ms(round), keep.back());
+    cache.add(SimTime::from_ms(round), as_view(p));
     ++transport_packets;
   }
+  cache.flush();
   std::size_t in_flows = 0;
-  for (const auto& flow : table.flows()) {
-    in_flows += flow.packets.size();
-    // Timestamps within each flow are monotone.
-    for (std::size_t i = 1; i < flow.packets.size(); ++i)
-      EXPECT_LE(flow.packets[i - 1].timestamp, flow.packets[i].timestamp);
-    // Every packet in the flow matches the key's tuple in one direction.
-    for (const auto& packet : flow.packets) {
-      (void)packet;
-    }
+  std::set<FlowKey> keys;
+  for (const FlowRecord& record : records) {
+    in_flows += record.packets;
+    // Each direction's count adds up, and the flow's times are monotone.
+    EXPECT_EQ(record.client_packets + record.server_packets, record.packets);
+    EXPECT_LE(record.first_seen, record.last_seen);
+    // No 5-tuple (in either direction) is split across two records.
+    FlowKey reverse = record.key;
+    std::swap(reverse.client_ip, reverse.server_ip);
+    std::swap(reverse.client_port, reverse.server_port);
+    EXPECT_TRUE(keys.insert(record.key).second);
+    if (reverse != record.key) EXPECT_EQ(keys.count(reverse), 0u);
   }
   EXPECT_EQ(in_flows, transport_packets);
-  EXPECT_EQ(table.packet_count(), transport_packets);
+  EXPECT_EQ(cache.stats().packets, transport_packets);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowProperty, ::testing::Values(3, 13, 23));

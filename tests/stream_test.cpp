@@ -160,10 +160,12 @@ TEST(StreamFlowCache, ToFlowMatchesBatchFlowOnClassifierInputs) {
   const Packet req = udp_packet(a, 5000, b, 80, "question");
   const Packet res = udp_packet(b, 80, a, 5000, "answer");
 
-  FlowTable table;
-  table.add(SimTime::from_ms(0), req);
-  table.add(SimTime::from_ms(5), res);
-  const Flow& batch = table.flows()[0];
+  // The flow over every packet, the way a per-packet assembly holds it.
+  Flow batch;
+  batch.key = {a, port(5000), b, port(80),
+               static_cast<std::uint8_t>(IpProto::kUdp)};
+  batch.packets = {{SimTime::from_ms(0), true, as_view(req).app_payload()},
+                   {SimTime::from_ms(5), false, as_view(res).app_payload()}};
 
   RecordLog log;
   FlowCache cache({}, log.sink());

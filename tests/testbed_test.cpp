@@ -6,7 +6,7 @@
 #include <set>
 
 #include "capture/filter.hpp"
-#include "capture/flow.hpp"
+#include "capture/flow_cache.hpp"
 #include "classify/classifier.hpp"
 #include "proto/matter.hpp"
 #include "proto/ssdp.hpp"
@@ -275,10 +275,10 @@ TEST_F(IdleCapture, EveryFrameIsLocal) {
 TEST_F(IdleCapture, CoreProtocolsPresent) {
   HybridClassifier classifier;
   std::set<ProtocolLabel> seen;
-  FlowTable flows;
+  FlowCache flows;
   for (const auto& [at, packet] : lab_->capture().decoded()) {
     seen.insert(classifier.classify_packet(packet));
-    flows.add(at, packet);
+    flows.add(at, as_view(packet));
   }
   for (const ProtocolLabel expected :
        {ProtocolLabel::kArp, ProtocolLabel::kDhcp, ProtocolLabel::kEapol,
@@ -288,7 +288,7 @@ TEST_F(IdleCapture, CoreProtocolsPresent) {
         ProtocolLabel::kMatter, ProtocolLabel::kUnknown}) {
     EXPECT_TRUE(seen.count(expected)) << "missing " << to_string(expected);
   }
-  EXPECT_GT(flows.flows().size(), 50u);
+  EXPECT_GT(flows.stats().flows_created, 50u);
 }
 
 TEST_F(IdleCapture, TuyaBeaconCarriesGwid) {
@@ -328,19 +328,17 @@ TEST_F(IdleCapture, InteractionsLightUpHttpAndTplinkControl) {
   // Run interactions on top of the idle state.
   lab_->run_interactions(300);
   HybridClassifier classifier;
-  FlowTable flows;
-  // The flow table records payload views into these packets; the named
-  // local keeps them alive past the loop (decoded() returns by value).
-  const auto decoded = lab_->capture().decoded();
-  for (const auto& [at, packet] : decoded) flows.add(at, packet);
   int http_flows = 0, tplink_tcp = 0;
-  for (const auto& flow : flows.flows()) {
-    const ProtocolLabel label = classifier.classify_flow(flow);
+  FlowCache flows({}, [&](const FlowRecord& record, PruneReason) {
+    const ProtocolLabel label = classifier.classify_flow(record.to_flow());
     if (label == ProtocolLabel::kHttp) ++http_flows;
     if (label == ProtocolLabel::kTplinkShp &&
-        flow.key.protocol == static_cast<std::uint8_t>(IpProto::kTcp))
+        record.key.protocol == static_cast<std::uint8_t>(IpProto::kTcp))
       ++tplink_tcp;
-  }
+  });
+  for (const auto& [at, packet] : lab_->capture().decoded())
+    flows.add(at, as_view(packet));
+  flows.flush();
   EXPECT_GT(http_flows, 0);
   EXPECT_GT(tplink_tcp, 0);
 }
