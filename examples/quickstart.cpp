@@ -4,15 +4,15 @@
 //
 //   ./examples/quickstart [seed] [telemetry_dir]
 //
-// With a telemetry_dir, the run records a span per stage and dumps
-// Prometheus-text metrics plus a Chrome-trace JSON (open trace.json in
-// chrome://tracing or https://ui.perfetto.dev) into that directory. The
-// printed tables are byte-identical with and without telemetry.
+// With a telemetry_dir, the run times every event callback and writes the
+// metrics registry as Prometheus text (metrics.prom) into that directory.
+// The printed tables are byte-identical with and without telemetry.
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
+#include <filesystem>
 
 #include "core/roomnet.hpp"
+#include "netcore/text_file.hpp"
 #include "telemetry/export.hpp"
 
 using namespace roomnet;
@@ -24,23 +24,17 @@ int main(int argc, char** argv) {
   if (telemetry_dir != nullptr) telemetry::enable();
 
   // 1. Assemble the lab: router + 93 catalog devices + two phones.
-  std::optional<telemetry::ScopedSpan> span;
-  span.emplace("lab_boot");
   Lab lab(LabConfig{.seed = seed});
-  telemetry::Tracer::global().set_sim_clock(
-      [&lab] { return lab.loop().now(); });
   std::printf("lab: %zu devices on the switch (plus router and 2 phones)\n",
               lab.devices().size());
 
   // 2. Boot everything and let it idle for 30 virtual minutes.
   lab.start_all();
-  span.emplace("idle");
   lab.run_idle(SimTime::from_minutes(30));
   std::printf("capture: %zu frames recorded at the AP\n", lab.capture().size());
 
   // 3. Decode each frame once and fold it into the protocol-usage and
   //    communication-graph builders.
-  span.emplace("classify");
   std::set<MacAddress> population;
   for (const auto& device : lab.devices()) population.insert(device->mac());
   ProtocolUsageBuilder usage_builder;
@@ -65,7 +59,6 @@ int main(int argc, char** argv) {
   }
 
   // 4. Who talks to whom?
-  span.emplace("graph");
   const CommGraph graph = graph_builder.finish();
   std::printf("\ndevice-to-device graph: %zu devices connected, %zu edges\n",
               graph.connected_nodes().size(), graph.edges.size());
@@ -81,20 +74,21 @@ int main(int argc, char** argv) {
   }
 
   // 5. Export pcaps any real tool can open.
-  span.emplace("pcap_export");
   const std::size_t files = lab.capture().write_pcap_dir("quickstart_pcaps");
   std::printf("\nwrote %zu pcap files to quickstart_pcaps/\n", files);
 
-  // 6. Dump the telemetry (metrics + trace) when asked.
-  span.reset();
-  telemetry::Tracer::global().set_sim_clock(nullptr);
+  // 6. Write the metrics when asked.
   if (telemetry_dir != nullptr) {
-    const std::string failed = roomnet_telemetry_report(telemetry_dir);
-    if (!failed.empty()) {
-      std::fprintf(stderr, "telemetry: cannot write %s\n", failed.c_str());
+    const std::string path = std::string(telemetry_dir) + "/metrics.prom";
+    const std::string text =
+        telemetry::to_prometheus(telemetry::Registry::global());
+    std::error_code ec;
+    std::filesystem::create_directories(telemetry_dir, ec);
+    if (ec || !write_text_file(path, text)) {
+      std::fprintf(stderr, "telemetry: cannot write %s\n", path.c_str());
       return 1;
     }
-    std::fprintf(stderr, "telemetry: wrote 3 files to %s\n", telemetry_dir);
+    std::fprintf(stderr, "telemetry: wrote %s\n", path.c_str());
   }
   return 0;
 }

@@ -1,6 +1,6 @@
 #include "core/pipeline.hpp"
 
-#include <chrono>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 
@@ -14,65 +14,19 @@
 #include "prof/profiler.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace roomnet {
 
 namespace {
 
-/// One pipeline stage: a trace span (when tracing is on), a profiler stage
-/// bracket (rusage + allocation deltas into perf.json), plus always-on
-/// wall/sim duration gauges under `roomnet_pipeline_stage_*{stage=...}`.
-class StageTimer {
- public:
-  StageTimer(const char* stage, const EventLoop& loop)
-      : stage_(stage),
-        loop_(&loop),
-        span_(stage, "pipeline"),
-        prof_(stage),
-        wall_start_(std::chrono::steady_clock::now()),
-        sim_start_(loop.now()) {
-    ROOMNET_LOG(kInfo, "pipeline", "stage_begin", kv("stage", stage_),
-                kv("sim_us", sim_start_.us()));
-  }
-
-  ~StageTimer() {
-    const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - wall_start_)
-                             .count();
-    auto& registry = telemetry::Registry::global();
-    registry.gauge("roomnet_pipeline_stage_wall_ms", {{"stage", stage_}})
-        .set(wall_ms);
-    registry
-        .gauge("roomnet_pipeline_stage_sim_seconds", {{"stage", stage_}})
-        .set(static_cast<std::int64_t>((loop_->now() - sim_start_).seconds()));
-    ROOMNET_LOG(kInfo, "pipeline", "stage_end", kv("stage", stage_),
-                kv("wall_ms", static_cast<std::int64_t>(wall_ms)),
-                kv("sim_us", loop_->now().us()));
-  }
-
- private:
-  const char* stage_;
-  const EventLoop* loop_;
-  telemetry::ScopedSpan span_;
-  prof::StageScope prof_;
-  std::chrono::steady_clock::time_point wall_start_;
-  SimTime sim_start_;
-};
-
-/// Points the global tracer's and log ledger's sim clocks at this run's
-/// event loop for the duration of run(); cleared on exit so spans and log
-/// records never read a dead lab.
+/// Points the log ledger's sim clock at this run's event loop for the
+/// duration of run(); cleared on exit so log records never read a dead lab.
 class SimClockGuard {
  public:
   explicit SimClockGuard(EventLoop& loop) {
-    telemetry::Tracer::global().set_sim_clock([&loop] { return loop.now(); });
     obs::Ledger::global().set_sim_clock([&loop] { return loop.now(); });
   }
-  ~SimClockGuard() {
-    telemetry::Tracer::global().set_sim_clock(nullptr);
-    obs::Ledger::global().set_sim_clock(nullptr);
-  }
+  ~SimClockGuard() { obs::Ledger::global().set_sim_clock(nullptr); }
 };
 
 telemetry::Counter& degraded_counter(const char* stage) {
@@ -105,13 +59,8 @@ PipelineResults Pipeline::run() {
   // byte-identical for any worker count.
   exec::TaskPool pool(
       config_.threads <= 0 ? 0 : static_cast<std::size_t>(config_.threads));
-  auto& registry = telemetry::Registry::global();
-  registry.gauge("roomnet_exec_pool_threads")
-      .set(static_cast<std::int64_t>(pool.threads()));
   SimClockGuard sim_clock(lab_->loop());
   prof::Profiler::global().begin_run(static_cast<int>(pool.threads()));
-  std::optional<telemetry::ScopedSpan> pipeline_span;
-  pipeline_span.emplace("pipeline", "pipeline");
 
   // Provenance: every stage ends with a content hash of its outputs in the
   // run manifest.
@@ -241,26 +190,26 @@ PipelineResults Pipeline::run() {
 
   // --- Stage 1: idle capture (§3.1) -----------------------------------
   {
-    StageTimer stage(stages::kLabBoot, lab_->loop());
+    const prof::StageScope stage(stages::kLabBoot);
     lab_->start_all();
   }
   record_stage(stages::kLabBoot, stage3->hash.hex());
   {
-    StageTimer stage(stages::kIdle, lab_->loop());
+    const prof::StageScope stage(stages::kIdle);
     lab_->run_idle(config_.idle_duration);
   }
   record_stage(stages::kIdle, stage3->hash.hex());
 
   // --- Stage 2: interactions (§3.1) ------------------------------------
   if (config_.interactions > 0) {
-    StageTimer stage(stages::kInteractions, lab_->loop());
+    const prof::StageScope stage(stages::kInteractions);
     lab_->run_interactions(config_.interactions);
     record_stage(stages::kInteractions, stage3->hash.hex());
   }
 
   // --- Stage 3: passive analyses (§4.1, §5.1, C.2, D.2) ----------------
   {
-    StageTimer stage(stages::kClassify, lab_->loop());
+    const prof::StageScope stage(stages::kClassify);
     guarded(stages::kClassify, [&] {
       // The folds already ran at tap time; finish() flushes the cache
       // (remaining flows complete in creation order) and hands over the
@@ -287,7 +236,7 @@ PipelineResults Pipeline::run() {
 
   // --- Stage 4: active scan + vulnerability audit (§4.2, §5.2) ----------
   if (config_.run_scan) {
-    StageTimer stage(stages::kScan, lab_->loop());
+    const prof::StageScope stage(stages::kScan);
     guarded(stages::kScan, [&] {
       Host scan_box(lab_->network(), MacAddress::from_u64(0x02a0fc0000aaull),
                     "scanbox");
@@ -343,7 +292,7 @@ PipelineResults Pipeline::run() {
 
   // --- Stage 5: app campaign (§3.2, §6.1, §6.2) -------------------------
   if (config_.app_sample > 0) {
-    StageTimer stage(stages::kApps, lab_->loop());
+    const prof::StageScope stage(stages::kApps);
     guarded(stages::kApps, [&] {
       Rng app_rng = lab_->rng().fork("app-dataset");
       const AppDataset dataset = generate_app_dataset(app_rng);
@@ -380,7 +329,7 @@ PipelineResults Pipeline::run() {
 
   // --- Stage 6: crowdsourced entropy analysis (§6.3) --------------------
   if (config_.run_crowd) {
-    StageTimer stage(stages::kCrowd, lab_->loop());
+    const prof::StageScope stage(stages::kCrowd);
     guarded(stages::kCrowd, [&] {
       Rng crowd_rng(config_.seed ^ 0xc0ffee);
       const InspectorDataset dataset = generate_inspector_dataset(crowd_rng);
@@ -392,7 +341,7 @@ PipelineResults Pipeline::run() {
   // Churn ledger: every outage the run absorbed, in deterministic order.
   // Bracketed as a stage so perf.json covers every stage the manifest names.
   {
-    StageTimer stage(stages::kDegraded, lab_->loop());
+    const prof::StageScope stage(stages::kDegraded);
     if (churn_ != nullptr) {
       churn_->detach();
       for (const auto& event : churn_->log()) {
@@ -417,7 +366,7 @@ PipelineResults Pipeline::run() {
   // names "watch" the moment any timeline byte moves.
   if (watcher != nullptr) {
     {
-      StageTimer stage(stages::kWatch, lab_->loop());
+      const prof::StageScope stage(stages::kWatch);
       results.watch = watcher->finish();
       ROOMNET_LOG(kInfo, "watch", "timeline",
                   kv("events", results.watch.events_emitted),
@@ -438,32 +387,33 @@ PipelineResults Pipeline::run() {
               kv("degraded",
                  static_cast<std::uint64_t>(results.degraded.size())));
 
-  pipeline_span.reset();  // close the whole-run span before exporting
   if (telemetry_run) {
     // A run directory that cannot be written fails the run loudly, naming
     // the first path that could not be created or written.
     const std::string& dir = config_.telemetry_out;
-    const auto check = [](const std::string& failed) {
-      if (!failed.empty())
-        throw std::runtime_error("cannot write run artifact " + failed);
-    };
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) throw std::runtime_error("cannot write run artifact " + dir);
     const auto write = [&](const char* file, const std::string& text) {
       const std::string path = dir + "/" + file;
-      if (!write_text_file(path, text)) check(path);
+      if (!write_text_file(path, text))
+        throw std::runtime_error("cannot write run artifact " + path);
     };
-    check(roomnet_telemetry_report(dir));
-    write("perf.json", prof::to_json(results.profile));
-    check(prof::write_folded_stacks(dir));
     write("manifest.json", obs::to_json(results.manifest));
+    // perf.json is the run's one cost record; the flamegraph folds render
+    // it, and the registry carries the layers' counters.
+    write("perf.json", prof::to_json(results.profile));
+    write("trace.folded", prof::folded_stacks(results.profile));
+    write("metrics.prom",
+          telemetry::to_prometheus(telemetry::Registry::global()));
     // The in-network event timeline, next to the manifest that hashes it.
     if (watcher != nullptr)
       write("events.jsonl", watch::events_to_jsonl(results.watch.events));
-    // This run's slice of the global ledger (empty file when logging is off
-    // — CI uploads the artifact unconditionally).
+    // This run's slice of the global ledger, when the run logged any.
     std::vector<obs::LogRecord> run_logs;
     for (auto& record : obs::Ledger::global().records())
       if (record.seq >= log_epoch) run_logs.push_back(std::move(record));
-    write("logs.jsonl", obs::to_jsonl(run_logs));
+    if (!run_logs.empty()) write("logs.jsonl", obs::to_jsonl(run_logs));
   }
   return results;
 }

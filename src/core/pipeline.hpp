@@ -2,6 +2,14 @@
 // capture, interactions, classification, active scan, vulnerability audit,
 // app campaign, and the crowdsourced entropy analysis — and returning every
 // result table the paper's evaluation reports.
+//
+// A run with `telemetry_out` set leaves one run record in that directory:
+//   manifest.json  provenance — seeds, config digest, per-stage hashes
+//   perf.json      cost — per-stage wall/CPU/RSS/allocations
+//   trace.folded   perf.json's stage times as flamegraph folds
+//   events.jsonl   the in-network event timeline (watch stage)
+//   metrics.prom   the metrics registry's layer counters
+//   logs.jsonl     this run's log records (only when it logged any)
 #pragma once
 
 #include <memory>
@@ -27,8 +35,8 @@ namespace roomnet {
 
 struct PipelineConfig {
   std::uint64_t seed = 42;
-  /// When non-empty: enables tracing + timing for this run and dumps
-  /// `metrics.prom`, `metrics.json`, and `trace.json` into this directory
+  /// When non-empty: enables the latency histograms for this run and
+  /// writes the run record (see the header comment) into this directory
   /// after the last stage. Telemetry never perturbs results — a run with
   /// telemetry enabled produces byte-identical tables to one without.
   std::string telemetry_out;
@@ -108,7 +116,7 @@ struct PipelineResults {
   /// the manifest hashes. The arena counters and stage set are
   /// deterministic across thread counts; timings and heap counters are
   /// host-dependent (DESIGN.md §11). Written to `telemetry_out/perf.json`
-  /// (plus trace.folded / alloc.folded) when telemetry is enabled.
+  /// (and rendered as trace.folded) when telemetry is enabled.
   prof::ProfReport profile;
   /// The in-network event timeline + alert lifecycle (empty when
   /// config.watch.enabled is false). The merged event stream serializes to

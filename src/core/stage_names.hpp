@@ -1,10 +1,10 @@
 // The canonical pipeline stage names. RunManifest stage records, the
-// profiler's StageScope brackets, StageTimer gauges/log lines, and the perf
-// baseline under bench/baselines/ all key on these exact strings —
+// profiler's StageScope brackets (and so perf.json and trace.folded), and
+// the perf baseline under bench/baselines/ all key on these exact strings —
 // prof_test asserts the manifest and perf.json agree on them, and
 // `roomnet prof diff` fails on a stage-list mismatch. Keeping them in one
-// place means a new stage (like "watch") cannot drift between the three
-// observability layers.
+// place means a new stage (like "watch") cannot drift between the manifest
+// and the cost record.
 #pragma once
 
 namespace roomnet::stages {

@@ -9,7 +9,6 @@
 
 #include "prof/counters.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace roomnet::exec {
 
@@ -143,11 +142,6 @@ void TaskPool::run_task(std::function<void()>& task,
 }
 
 void TaskPool::worker_loop(std::size_t index) {
-  // Claim a trace track up front so the worker's spans (and the Chrome
-  // trace's thread_name metadata) attribute to "pool-worker-N" even when
-  // tracing is enabled mid-run.
-  telemetry::Tracer::global().set_thread_name("pool-worker-" +
-                                              std::to_string(index + 1));
   for (;;) {
     std::function<void()> task;
     {

@@ -20,7 +20,6 @@
 //   roomnet_exec_queue_depth_high_water  max queue depth ever observed
 //   roomnet_exec_task_latency_us         per-task run time (workers only;
 //                                        recorded when telemetry::enabled())
-//   roomnet_exec_pool_threads            configured parallelism (gauge)
 //   roomnet_exec_worker_busy_us_total{worker=N}
 //                                        per-worker utilization: µs spent
 //                                        inside tasks (telemetry::enabled()

@@ -11,7 +11,6 @@
 #include "obs/manifest.hpp"
 #include "prof/profiler.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 #include "testbed/catalog.hpp"
 
 namespace roomnet::fleet {
@@ -198,8 +197,6 @@ FleetResults run_fleet(const FleetConfig& config, exec::TaskPool& pool) {
   auto& registry = telemetry::Registry::global();
   auto& households_total =
       registry.counter("roomnet_fleet_households_total");
-  auto& household_wall_us =
-      registry.histogram("roomnet_fleet_household_wall_us");
 
   ContextPool contexts(config.household.cache);
   const auto& catalog = moniotr_catalog();
@@ -217,22 +214,10 @@ FleetResults run_fleet(const FleetConfig& config, exec::TaskPool& pool) {
         // Each row is folded into the shard partial and destroyed right
         // here, so in-flight memory holds one HouseholdResult per worker
         // plus the partials — not a row per household.
-        if (telemetry::enabled()) {
-          const auto t0 = std::chrono::steady_clock::now();
-          fold_household(partial,
-                         run_household(config.household, config.seed, index,
-                                       lease.context()),
-                         catalog);
-          household_wall_us.observe(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count()));
-        } else {
-          fold_household(partial,
-                         run_household(config.household, config.seed, index,
-                                       lease.context()),
-                         catalog);
-        }
+        fold_household(partial,
+                       run_household(config.household, config.seed, index,
+                                     lease.context()),
+                       catalog);
         households_total.inc();
       }
     });

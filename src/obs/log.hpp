@@ -4,8 +4,8 @@
 // names the subsystem that emitted it (`stage`), an event, and a list of
 // key=value fields, stamped with both sim-time (from the run's event loop)
 // and wall-time (since the ledger's epoch). Records land in a deterministic
-// per-run ledger — a fixed-capacity ring like the tracer's, appended under a
-// mutex in emission order — and export as JSONL (one record per line).
+// per-run ledger — a fixed-capacity ring, appended under a mutex in
+// emission order — and export as JSONL (one record per line).
 //
 // Determinism contract, same as telemetry's: logging observes, never
 // participates. The default level is OFF (override: ROOMNET_LOG_LEVEL env

@@ -164,9 +164,8 @@ std::optional<RunManifest> parse_manifest(std::string_view text) {
 
   RunManifest m;
   if (const json::Value* schema = doc->find("schema");
-      schema != nullptr && schema->is_number())
-    m.schema = static_cast<int>(schema->as_number());
-  else
+      schema == nullptr || !schema->is_number() ||
+      schema->as_number() != kRunRecordSchema)
     return std::nullopt;
   if (const std::string* tool = get_string(*doc, "tool"))
     m.tool = *tool;

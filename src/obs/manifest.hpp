@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "netcore/sha256.hpp"
+#include "obs/schema.hpp"
 
 namespace roomnet::obs {
 
@@ -59,7 +60,7 @@ struct StageRecord {
 };
 
 struct RunManifest {
-  int schema = 1;
+  int schema = kRunRecordSchema;
   std::string tool = "roomnet";
   std::string compiler;           // __VERSION__ at build time
   std::int64_t cxx_standard = 0;  // __cplusplus

@@ -1,9 +1,9 @@
 // roomnet::prof — allocation counter substrate.
 //
 // This header is deliberately dependency-free (standard <atomic>/<cstdint>
-// only, everything inline) so the lowest layers of the stack — the exec
-// TaskPool, the span tracer — can count allocations without linking against
-// (or even knowing about) the rest of roomnet::prof. Three counter families:
+// only, everything inline) so the lowest layer that counts allocations — the
+// exec TaskPool — can do so without linking against (or even knowing about)
+// the rest of roomnet::prof. Three counter families:
 //
 //   heap   — every operator new/delete, fed by the global hooks in
 //            alloc_hooks.cpp when the build is configured with
@@ -52,12 +52,11 @@ inline GlobalAllocCounters& global_alloc_counters() {
   return counters;
 }
 
-/// Per-thread running totals, read by ScopedSpan (per-span attribution) and
-/// by the TaskPool (per-task attribution). Monotone; consumers take deltas.
+/// Per-thread running heap totals, read by the TaskPool (per-task
+/// attribution). Monotone; consumers take deltas.
 struct ThreadAllocCounters {
   std::uint64_t heap_allocs = 0;
   std::uint64_t heap_bytes = 0;
-  std::uint64_t arena_bytes = 0;
 };
 
 inline thread_local ThreadAllocCounters t_alloc_counters;  // NOLINT
@@ -124,7 +123,6 @@ inline void note_arena_alloc(std::size_t bytes) noexcept {
   GlobalAllocCounters& g = global_alloc_counters();
   g.arena_allocs.fetch_add(1, std::memory_order_relaxed);
   g.arena_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  t_alloc_counters.arena_bytes += bytes;
 }
 
 /// Explicit pool hook: one task handed to an exec::TaskPool.

@@ -1,40 +1,23 @@
-// Folded-stack export: converts the span tracer's nested spans into the
-// `perf-folded` text format — one line per unique span stack,
-// `thread;outer;inner <weight>` — consumable by flamegraph.pl, speedscope,
-// or inferno without any adapter. Two weightings:
+// Folded-stack export: renders a run's perf.json (ProfReport) in the
+// `perf-folded` text format — one line per stack, `frame;frame <weight>` —
+// consumable by flamegraph.pl, speedscope, or inferno without any adapter.
+// The run directory's `trace.folded` is this rendering, so the flamegraph
+// and `roomnet prof show` read the same numbers from one record.
 //
-//   kWallMicros — self wall time per span (exclusive: children subtracted),
-//                 the classic CPU flamegraph;
-//   kAllocBytes — bytes allocated while the span was open on its thread
-//                 (heap bytes when the ROOMNET_PROFILE heap hooks are live,
-//                 else the explicit arena counters), an allocation
-//                 flamegraph showing *which stage* pays for memory.
-//
-// Nesting is reconstructed per thread track from span intervals (a child's
-// [start, end) lies inside its parent's), which is exactly the structure
-// ScopedSpan's scoping guarantees. Output lines are sorted, so two
-// identical runs fold to byte-identical files.
+// Each stage is a `main;pipeline;<stage>` frame weighted by its wall µs; the
+// `main;pipeline` root carries the run's wall time outside every stage
+// (totals minus the stage sum) when that is positive. Lines are sorted, so
+// one report always folds to the same bytes.
 #pragma once
 
 #include <string>
 
-#include "telemetry/trace.hpp"
+#include "prof/report.hpp"
 
 namespace roomnet::prof {
 
-enum class FoldedWeight {
-  kWallMicros,
-  kAllocBytes,
-};
-
-/// Folds the tracer's current snapshot. Empty string when no complete spans
-/// were recorded.
-[[nodiscard]] std::string folded_stacks(const telemetry::Tracer& tracer,
-                                        FoldedWeight weight);
-
-/// Writes `trace.folded` (wall µs) and `alloc.folded` (allocated bytes)
-/// into `dir` from the global tracer. Returns the first path (the directory
-/// or a file) that could not be created or written; empty on success.
-[[nodiscard]] std::string write_folded_stacks(const std::string& dir);
+/// Folds `report` into trace.folded text. Empty string for a report with no
+/// stages and no wall time outside them.
+[[nodiscard]] std::string folded_stacks(const ProfReport& report);
 
 }  // namespace roomnet::prof

@@ -3,8 +3,6 @@
 #include <thread>
 #include <utility>
 
-#include "telemetry/metrics.hpp"
-
 namespace roomnet::prof {
 
 void Profiler::begin_run(int threads) {
@@ -55,24 +53,6 @@ void Profiler::end_stage() {
   if (s.heap_peak_live_bytes > heap_peak_live_max_)
     heap_peak_live_max_ = s.heap_peak_live_bytes;
 
-  // Mirror into the registry so the ordinary metrics exporters carry the
-  // same per-stage resource picture as perf.json.
-  auto& registry = telemetry::Registry::global();
-  const telemetry::Labels labels = {{"stage", s.name}};
-  registry.gauge("roomnet_prof_stage_wall_us", labels).set(s.wall_us);
-  registry.gauge("roomnet_prof_stage_user_us", labels).set(s.user_us);
-  registry.gauge("roomnet_prof_stage_sys_us", labels).set(s.sys_us);
-  registry.gauge("roomnet_prof_stage_minor_faults", labels)
-      .set(s.minor_faults);
-  registry.gauge("roomnet_prof_stage_peak_rss_kb", labels)
-      .set(s.peak_rss_kb);
-  registry.gauge("roomnet_prof_stage_arena_bytes", labels)
-      .set(static_cast<std::int64_t>(s.arena_bytes));
-  registry.gauge("roomnet_prof_stage_heap_bytes", labels)
-      .set(static_cast<std::int64_t>(s.heap_bytes));
-  registry.gauge("roomnet_prof_stage_heap_peak_live_bytes", labels)
-      .set(s.heap_peak_live_bytes);
-
   stages_.push_back(std::move(s));
 }
 
@@ -104,10 +84,6 @@ ProfReport Profiler::finish() {
   t.heap_allocs = a1.heap_allocs - run_alloc_start_.heap_allocs;
   t.heap_bytes = a1.heap_bytes - run_alloc_start_.heap_bytes;
   t.heap_peak_live_bytes = heap_peak_live_max_;
-
-  auto& registry = telemetry::Registry::global();
-  registry.gauge("roomnet_prof_heap_live_bytes").set(a1.heap_live_bytes);
-  registry.gauge("roomnet_prof_run_peak_rss_kb").set(t.peak_rss_kb);
   return report;
 }
 

@@ -14,9 +14,8 @@
 // inside the ≤5% overhead budget while still making every run self-
 // measuring.
 //
-// Each end_stage() also publishes the stage's numbers to the telemetry
-// registry under the roomnet_prof_* families, so metrics.prom / metrics.json
-// carry resource data without anyone parsing perf.json.
+// The report is the run's only cost record: nothing mirrors it into the
+// metrics registry, and trace.folded is rendered from it (folded.hpp).
 #pragma once
 
 #include <string>

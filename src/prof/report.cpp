@@ -135,8 +135,9 @@ std::optional<ProfReport> parse_report(std::string_view text) {
 
   ProfReport report;
   const json::Value* schema = doc->find("schema");
-  if (schema == nullptr || !schema->is_number()) return std::nullopt;
-  report.schema = static_cast<int>(schema->as_number());
+  if (schema == nullptr || !schema->is_number() ||
+      schema->as_number() != obs::kRunRecordSchema)
+    return std::nullopt;
   const json::Value* tool = doc->find("tool");
   if (tool == nullptr || !tool->is_string()) return std::nullopt;
   report.tool = tool->as_string();

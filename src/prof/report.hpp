@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/schema.hpp"
+
 namespace roomnet::prof {
 
 struct StageProfile {
@@ -40,7 +42,7 @@ struct StageProfile {
 };
 
 struct ProfReport {
-  int schema = 1;
+  int schema = obs::kRunRecordSchema;  // shared with manifest.json
   std::string tool = "roomnet-prof";  // format id, kept by baselines
   std::string compiler;     // __VERSION__ at build time
   bool profile_heap = false;  // heap hooks compiled in (ROOMNET_PROFILE=ON)

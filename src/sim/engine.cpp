@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace roomnet {
 

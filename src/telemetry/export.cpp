@@ -2,10 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
 #include <utility>
-
-#include "netcore/text_file.hpp"
 
 namespace roomnet::telemetry {
 
@@ -216,69 +213,4 @@ std::string to_json(const Registry& registry) {
   return out;
 }
 
-std::string trace_to_chrome_json(const Tracer& tracer) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char buf[256];
-  // Per-thread tracks: name each registered thread via `thread_name`
-  // metadata events so Perfetto labels the main thread and pool workers.
-  for (const auto& [tid, name] : tracer.thread_names()) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "\n  {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                  "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                  tid, escape_json(name).c_str());
-    out += buf;
-  }
-  for (const TraceEvent& e : tracer.snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf), "\",\"pid\":1,\"tid\":%d", e.tid);
-    out += "\n  {\"name\":\"" + escape_json(e.name) + "\",\"cat\":\"" +
-           escape_json(e.category) + "\",\"ph\":\"" + e.phase + buf;
-    if (e.phase == 'X') {
-      std::snprintf(buf, sizeof(buf),
-                    ",\"ts\":%" PRIu64 ",\"dur\":%" PRIu64, e.wall_start_us,
-                    e.wall_dur_us);
-      out += buf;
-    } else {
-      std::snprintf(buf, sizeof(buf), ",\"ts\":%" PRIu64 ",\"s\":\"t\"",
-                    e.wall_start_us);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  ",\"args\":{\"sim_start_us\":%" PRId64
-                  ",\"sim_end_us\":%" PRId64 ",\"alloc_count\":%" PRIu64
-                  ",\"alloc_bytes\":%" PRIu64 ",\"arena_bytes\":%" PRIu64
-                  "}}",
-                  e.sim_start_us, e.sim_end_us, e.alloc_count, e.alloc_bytes,
-                  e.arena_bytes);
-    out += buf;
-  }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
-}
-
 }  // namespace roomnet::telemetry
-
-namespace roomnet {
-
-std::string roomnet_telemetry_report(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return dir;
-  std::string failed;
-  const auto write = [&](const char* file, const std::string& text) {
-    if (failed.empty() && !write_text_file(dir + "/" + file, text))
-      failed = dir + "/" + file;
-  };
-  write("metrics.prom",
-        telemetry::to_prometheus(telemetry::Registry::global()));
-  write("metrics.json", telemetry::to_json(telemetry::Registry::global()));
-  write("trace.json",
-        telemetry::trace_to_chrome_json(telemetry::Tracer::global()));
-  return failed;
-}
-
-}  // namespace roomnet

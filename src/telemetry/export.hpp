@@ -1,12 +1,11 @@
-// Exporters for the telemetry substrate: Prometheus text exposition format,
-// a JSON mirror of the same snapshot, and Chrome trace_event JSON for the
-// tracer (open in chrome://tracing or https://ui.perfetto.dev).
+// Exporters for the metrics registry: Prometheus text exposition format (a
+// run directory's metrics.prom) and a JSON array of the same snapshot (the
+// registry dump bench reports embed).
 #pragma once
 
 #include <string>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace roomnet::telemetry {
 
@@ -27,17 +26,4 @@ std::uint64_t histogram_quantile(const MetricSnapshot& snapshot, double q);
 /// per-bucket counts, sum, and count).
 std::string to_json(const Registry& registry);
 
-/// Chrome trace_event format: `{"traceEvents": [...]}`. Wall-clock is the
-/// primary axis; each event's args carry the SimTime window.
-std::string trace_to_chrome_json(const Tracer& tracer);
-
 }  // namespace roomnet::telemetry
-
-namespace roomnet {
-
-/// Dumps the global registry and tracer into `dir` as `metrics.prom`,
-/// `metrics.json`, and `trace.json`. Returns the first path (the directory
-/// or a file) that could not be created or written; empty on success.
-[[nodiscard]] std::string roomnet_telemetry_report(const std::string& dir);
-
-}  // namespace roomnet

@@ -8,7 +8,10 @@
 // counters safely.
 //
 // Naming convention: `roomnet_<layer>_<name>`, e.g.
-// `roomnet_switch_frames_total`, `roomnet_pipeline_stage_wall_ms`.
+// `roomnet_switch_frames_total`, `roomnet_sim_events_fired`.
+//
+// Per-stage cost (wall, CPU, RSS, allocations) is not a metric: it lives in
+// the profiler's perf.json (prof::ProfReport), the run's one cost record.
 #pragma once
 
 #include <array>
@@ -150,5 +153,13 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<Key, Entry> metrics_;
 };
+
+/// Master switch for the costly instrumentation: per-callback and per-task
+/// wall-clock latency histograms. Off by default; the cheap counters above
+/// stay on unconditionally. Enabling it never perturbs results — the sim
+/// never reads the wall clock.
+void enable();
+void disable();
+[[nodiscard]] bool enabled();
 
 }  // namespace roomnet::telemetry

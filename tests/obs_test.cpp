@@ -262,6 +262,20 @@ TEST(Manifest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(parse_manifest("not json").has_value());
   EXPECT_FALSE(parse_manifest("{}").has_value());
   EXPECT_FALSE(parse_manifest("[1,2,3]").has_value());
+
+  // A well-formed manifest of another format version, or of none, is
+  // rejected rather than misread.
+  const std::string text = to_json(sample_manifest());
+  ASSERT_TRUE(parse_manifest(text).has_value());
+  const std::string schema_line = "  \"schema\": 1,\n";
+  const std::size_t at = text.find(schema_line);
+  ASSERT_NE(at, std::string::npos) << text;
+  std::string other = text;
+  other.replace(at, schema_line.size(), "  \"schema\": 2,\n");
+  EXPECT_FALSE(parse_manifest(other).has_value());
+  std::string missing = text;
+  missing.erase(at, schema_line.size());
+  EXPECT_FALSE(parse_manifest(missing).has_value());
 }
 
 TEST(Manifest, ResultDigestCoversStageOrder) {

@@ -1,26 +1,27 @@
 // roomnet::prof tests: counter substrate (including the heap-free probe
 // queue of a port scan), rusage sampling, the per-stage profiler, perf.json
-// round-trips, the regression differ, folded-stack export, and the
+// round-trips, the regression differ, folded-stack export, the
 // pipeline-level determinism contract (perf.json's deterministic core is
-// identical across thread counts).
+// identical across thread counts), and the run directory's artifact set.
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "obs/log.hpp"
+#include "obs/schema.hpp"
 #include "prof/counters.hpp"
 #include "prof/folded.hpp"
 #include "prof/profiler.hpp"
 #include "prof/report.hpp"
 #include "prof/rusage.hpp"
-#include "proto/json.hpp"
 #include "scan/portscan.hpp"
 #include "sim/network.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace roomnet {
 namespace {
@@ -146,6 +147,19 @@ TEST(ReportTest, JsonRoundTripIsLossless) {
 
   EXPECT_FALSE(prof::parse_report("not json").has_value());
   EXPECT_FALSE(prof::parse_report("{\"schema\": 1}").has_value());
+
+  // perf.json shares manifest.json's format version; a report of another
+  // version, or of none, is rejected rather than misread.
+  EXPECT_EQ(report.schema, obs::kRunRecordSchema);
+  const std::string schema_line = "  \"schema\": 1,\n";
+  const std::size_t at = text.find(schema_line);
+  ASSERT_NE(at, std::string::npos) << text;
+  std::string other = text;
+  other.replace(at, schema_line.size(), "  \"schema\": 2,\n");
+  EXPECT_FALSE(prof::parse_report(other).has_value());
+  std::string missing = text;
+  missing.erase(at, schema_line.size());
+  EXPECT_FALSE(prof::parse_report(missing).has_value());
 }
 
 TEST(ReportTest, LoadReportReadsFile) {
@@ -305,24 +319,18 @@ TEST(ProfilerTest, AttributesArenaAllocsToTheOpenStage) {
 }
 
 TEST(FoldedTest, ReconstructsNestingAndSelfWeights) {
-  auto& tracer = telemetry::Tracer::global();
-  tracer.enable(1024);
-  // Two spans on this thread: child [10,30) nested inside root [0,100).
-  // Recorded directly (not via ScopedSpan) so the intervals are exact.
-  tracer.record_complete("root", "test", 0, 100, SimTime{}, SimTime{},
-                         /*alloc_count=*/0, /*alloc_bytes=*/0,
-                         /*arena_bytes=*/1000);
-  tracer.record_complete("child", "test", 10, 20, SimTime{}, SimTime{},
-                         /*alloc_count=*/0, /*alloc_bytes=*/0,
-                         /*arena_bytes=*/300);
-
-  const std::string wall =
-      prof::folded_stacks(tracer, prof::FoldedWeight::kWallMicros);
-  // Self wall time: root owns 100 - 20 = 80, the child keeps its 20.
-  EXPECT_NE(wall.find(";root 80\n"), std::string::npos) << wall;
-  EXPECT_NE(wall.find(";root;child 20\n"), std::string::npos) << wall;
+  // make_report(): lab_boot 50ms, idle 900ms, classify 700ms. The run's
+  // totals exceed the stage sum by 50ms: the root frame keeps that self time.
+  prof::ProfReport report = make_report();
+  report.totals.wall_us = 1700000;
+  const std::string folded = prof::folded_stacks(report);
+  EXPECT_EQ(folded,
+            "main;pipeline 50000\n"
+            "main;pipeline;classify 700000\n"
+            "main;pipeline;idle 900000\n"
+            "main;pipeline;lab_boot 50000\n");
   // Every line is "frame(;frame)* <weight>".
-  std::istringstream lines(wall);
+  std::istringstream lines(folded);
   std::string line;
   while (std::getline(lines, line)) {
     const auto space = line.rfind(' ');
@@ -334,29 +342,24 @@ TEST(FoldedTest, ReconstructsNestingAndSelfWeights) {
         << line;
   }
 
-  if (!prof::heap_hooks_active()) {
-    // Alloc weighting falls back to the arena counters when the heap hooks
-    // are off; children subtract from parents the same way.
-    const std::string alloc =
-        prof::folded_stacks(tracer, prof::FoldedWeight::kAllocBytes);
-    EXPECT_NE(alloc.find(";root 700\n"), std::string::npos) << alloc;
-    EXPECT_NE(alloc.find(";root;child 300\n"), std::string::npos) << alloc;
-  }
+  // No time outside the stages (totals == stage sum): no root line.
+  report.totals.wall_us = 1650000;
+  EXPECT_EQ(prof::folded_stacks(report).find("main;pipeline "),
+            std::string::npos);
 
-  // Deterministic: folding the same snapshot twice is byte-identical.
-  EXPECT_EQ(wall, prof::folded_stacks(tracer, prof::FoldedWeight::kWallMicros));
-  tracer.disable();
+  // Deterministic: folding the same report twice is byte-identical.
+  EXPECT_EQ(prof::folded_stacks(report), prof::folded_stacks(report));
 }
 
 TEST(FoldedTest, SanitizesSeparatorsInSpanNames) {
-  auto& tracer = telemetry::Tracer::global();
-  tracer.enable(64);
-  tracer.record_complete("bad;name with space", "test", 0, 50, SimTime{},
-                         SimTime{});
-  const std::string wall =
-      prof::folded_stacks(tracer, prof::FoldedWeight::kWallMicros);
-  EXPECT_NE(wall.find("bad_name_with_space 50\n"), std::string::npos) << wall;
-  tracer.disable();
+  prof::ProfReport report;
+  prof::StageProfile stage;
+  stage.name = "bad;name with space";
+  stage.wall_us = 50;
+  report.stages.push_back(stage);
+  report.totals.wall_us = 50;
+  EXPECT_EQ(prof::folded_stacks(report),
+            "main;pipeline;bad_name_with_space 50\n");
 }
 
 TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
@@ -374,13 +377,20 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
 
   config.threads = 1;
   config.telemetry_out = dir1.string();
+  obs::Ledger& ledger = obs::Ledger::global();
+  const obs::LogLevel saved = ledger.level();
+  ledger.set_level(obs::LogLevel::kOff);
   Pipeline p1(config);
   const PipelineResults r1 = p1.run();
 
+  // The second run also logs: logging never moves perf.json's
+  // deterministic core, and it adds logs.jsonl to the run directory.
+  ledger.set_level(obs::LogLevel::kInfo);
   config.threads = 2;
   config.telemetry_out = dir2.string();
   Pipeline p2(config);
   const PipelineResults r2 = p2.run();
+  ledger.set_level(saved);
   telemetry::disable();
 
   // The deterministic core (stage set + arena counters) must be
@@ -409,32 +419,32 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
   ASSERT_TRUE(on_disk.has_value());
   EXPECT_EQ(prof::to_json(*on_disk), prof::to_json(r1.profile));
 
-  // trace.json parses as strict JSON and carries the alloc attribution keys.
-  std::ifstream trace_file(dir1 / "trace.json");
-  ASSERT_TRUE(trace_file.is_open());
-  std::stringstream trace;
-  trace << trace_file.rdbuf();
-  const auto doc = json::parse(trace.str());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_NE(trace.str().find("\"alloc_bytes\""), std::string::npos);
+  // The run directory holds exactly the run record, no artifact empty, and
+  // logs.jsonl only for the run that logged.
+  const auto run_directory = [](const std::filesystem::path& dir) {
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.insert(entry.path().filename().string());
+      EXPECT_GT(entry.file_size(), 0u) << entry.path();
+    }
+    return names;
+  };
+  std::set<std::string> record = {"events.jsonl", "manifest.json",
+                                  "metrics.prom", "perf.json", "trace.folded"};
+  EXPECT_EQ(run_directory(dir1), record);
+  record.insert("logs.jsonl");
+  EXPECT_EQ(run_directory(dir2), record);
 
-  // The folded exports exist and the wall-weighted one names the stages.
-  for (const char* name : {"trace.folded", "alloc.folded"})
-    EXPECT_TRUE(std::filesystem::exists(dir1 / name)) << name;
+  // trace.folded is perf.json's stage list, rendered.
   std::ifstream folded_file(dir1 / "trace.folded");
   std::stringstream folded;
   folded << folded_file.rdbuf();
-  EXPECT_NE(folded.str().find(";pipeline"), std::string::npos);
-  EXPECT_NE(folded.str().find("idle"), std::string::npos);
+  EXPECT_EQ(folded.str(), prof::folded_stacks(r1.profile));
 
-  // Satellite telemetry: flow-cache occupancy gauges and per-stage prof
-  // gauges were published during the run.
+  // Satellite telemetry: the flow-cache occupancy gauge was published
+  // during the run.
   auto& registry = telemetry::Registry::global();
   EXPECT_GT(registry.gauge("roomnet_flow_cache_peak_flows").value(), 0);
-  EXPECT_GT(registry
-                .gauge("roomnet_prof_stage_wall_us", {{"stage", "idle"}})
-                .value(),
-            0);
 
   std::filesystem::remove_all(dir1);
   std::filesystem::remove_all(dir2);

@@ -1,13 +1,9 @@
 // Tests for roomnet::telemetry: counter/gauge/histogram semantics, labeled
-// families, log-2 bucket boundaries, tracer ring-buffer wraparound, and
-// exporter golden strings.
+// families, log-2 bucket boundaries, and exporter golden strings.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace roomnet::telemetry {
 namespace {
@@ -272,115 +268,14 @@ TEST(Exporters, PrometheusEmitsQuantileGaugeFamilies) {
             out.find("roomnet_test_q_us_p50"));
 }
 
-// ------------------------------------------------------------------ Tracer
+// --------------------------------------------------------------- enable()
 
-TEST(Tracer, DisabledByDefaultAndRecordsNothing) {
-  Tracer t;
-  EXPECT_FALSE(t.enabled());
-  t.record_instant("x", "test");
-  EXPECT_EQ(t.recorded(), 0u);
-  EXPECT_TRUE(t.snapshot().empty());
-}
-
-TEST(Tracer, RingBufferWrapsKeepingNewest) {
-  Tracer t;
-  t.enable(/*capacity=*/4);
-  for (int i = 0; i < 6; ++i) t.record_instant("ev" + std::to_string(i), "t");
-  EXPECT_EQ(t.recorded(), 6u);
-  const auto events = t.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].name, "ev2");  // oldest surviving
-  EXPECT_EQ(events[3].name, "ev5");  // newest
-}
-
-TEST(Tracer, ScopedSpanRecordsCompleteEventWithSimTime) {
-  Tracer t;
-  t.enable(16);
-  SimTime sim = SimTime::from_seconds(5);
-  t.set_sim_clock([&sim] { return sim; });
-  {
-    ScopedSpan span("stage", "test", t);
-    sim = SimTime::from_seconds(9);  // virtual time advances inside the span
-  }
-  const auto events = t.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "stage");
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_EQ(events[0].sim_start_us, SimTime::from_seconds(5).us());
-  EXPECT_EQ(events[0].sim_end_us, SimTime::from_seconds(9).us());
-}
-
-TEST(Tracer, ChromeJsonExportCarriesSpans) {
-  Tracer t;
-  t.enable(16);
-  t.set_sim_clock([] { return SimTime::from_ms(1); });
-  { ScopedSpan span("idle", "pipeline", t); }
-  t.record_instant("marker", "pipeline");
-  const std::string json = trace_to_chrome_json(t);
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"idle\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"marker\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"sim_start_us\":1000"), std::string::npos);
-}
-
-TEST(Tracer, RingOverwriteKeepsEmissionOrderAcrossMultipleWraps) {
-  Tracer t;
-  t.enable(/*capacity=*/3);
-  for (int i = 0; i < 11; ++i)
-    t.record_instant("ev" + std::to_string(i), "t");
-  EXPECT_EQ(t.recorded(), 11u);
-  const auto events = t.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "ev8");
-  EXPECT_EQ(events[1].name, "ev9");
-  EXPECT_EQ(events[2].name, "ev10");
-}
-
-TEST(Tracer, EventsFromDistinctThreadsGetDistinctTids) {
-  Tracer t;
-  t.enable(16);
-  t.record_instant("main-ev", "t");
-  std::thread([&t] {
-    t.set_thread_name("pool-worker-1");
-    t.record_instant("worker-ev", "t");
-  }).join();
-  const auto events = t.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_NE(events[0].tid, events[1].tid);
-  // The worker's registered name attaches to the worker's tid.
-  bool named = false;
-  for (const auto& [tid, name] : t.thread_names())
-    named |= tid == events[1].tid && name == "pool-worker-1";
-  EXPECT_TRUE(named);
-}
-
-TEST(Tracer, ChromeJsonEmitsThreadNameMetadataAndPerThreadTids) {
-  Tracer t;
-  t.enable(16);
-  t.set_thread_name("main");
-  { ScopedSpan span("stage", "pipeline", t); }
-  std::thread([&t] {
-    t.set_thread_name("pool-worker-1");
-    t.record_instant("task", "exec");
-  }).join();
-  const std::string json = trace_to_chrome_json(t);
-  EXPECT_NE(json.find("\"name\":\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"name\":\"main\"}"), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"name\":\"pool-worker-1\"}"),
-            std::string::npos);
-  // The worker's event rides its own track, not the hardcoded tid 1.
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
-}
-
-TEST(Tracer, SpanStartedWhileDisabledStaysSilent) {
-  Tracer t;
-  std::optional<ScopedSpan> span;
-  span.emplace("late", "test", t);
-  t.enable(8);
-  span.reset();  // tracer was off at construction: nothing recorded
-  EXPECT_EQ(t.recorded(), 0u);
+TEST(Telemetry, EnableIsAnOffByDefaultFlag) {
+  EXPECT_FALSE(enabled());
+  enable();
+  EXPECT_TRUE(enabled());
+  disable();
+  EXPECT_FALSE(enabled());
 }
 
 }  // namespace

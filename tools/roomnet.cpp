@@ -2,9 +2,10 @@
 //
 //   roomnet run <dir> [options]            run the pipeline and write the run
 //                                          directory: manifest.json,
-//                                          perf.json, events.jsonl,
-//                                          logs.jsonl, trace.folded,
-//                                          alloc.folded, metrics.*, trace.json
+//                                          perf.json, trace.folded (rendered
+//                                          from perf.json), events.jsonl,
+//                                          metrics.prom, and logs.jsonl when
+//                                          the run logged (ROOMNET_LOG_LEVEL)
 //   roomnet audit diff <manifest_a> <manifest_b>
 //                                          name the first divergent stage
 //   roomnet prof show|diff ...             the perf.json ledger (prof.cpp)
