@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks: codec encode/decode throughput, the
 // classifiers, identifier extraction, SHA-256/HMAC, FFT, pcap I/O, and the
 // zero-copy hot-path primitives (view decode, flow-cache lookup, encoder
-// reserve).
+// reserve). Packet fixtures are real encoded frames (tests/wire_frame.hpp).
 #include <benchmark/benchmark.h>
 
 #include "analysis/identifiers.hpp"
@@ -9,7 +9,6 @@
 #include "classify/classifier.hpp"
 #include "classify/periodicity.hpp"
 #include "netcore/sha256.hpp"
-#include "netcore/packet.hpp"
 #include "netcore/packet_view.hpp"
 #include "netcore/pcap.hpp"
 #include "netcore/rng.hpp"
@@ -17,11 +16,12 @@
 #include "proto/ssdp.hpp"
 #include "proto/tls.hpp"
 #include "proto/tplink.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
 
-Bytes sample_frame() {
+WireFrame sample_frame() {
   DnsMessage msg;
   msg.is_response = true;
   const auto instance =
@@ -35,39 +35,15 @@ Bytes sample_frame() {
   msg.answers.push_back(
       DnsRecord::make_txt(instance, {"bridgeid=001788fffe685f61"}));
 
-  UdpDatagram udp;
-  udp.src_port = port(5353);
-  udp.dst_port = port(5353);
-  udp.payload = encode_dns(msg);
-  const Ipv4Address src(192, 168, 10, 12);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = kMdnsGroupV4;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = encode_udp_v4(udp, src, kMdnsGroupV4);
-  EthernetFrame eth;
-  eth.dst = MacAddress::parse("01:00:5e:00:00:fb").value();
-  eth.src = MacAddress::from_u64(0x02a005000001ull);
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  eth.payload = encode_ipv4(ip);
-  return encode_ethernet(eth);
+  return udp_frame(MacAddress::from_u64(0x02a005000001ull),
+                   MacAddress::parse("01:00:5e:00:00:fb").value(),
+                   Ipv4Address(192, 168, 10, 12), 5353, kMdnsGroupV4, 5353,
+                   encode_dns(msg));
 }
-
-void BM_DecodeFrame(benchmark::State& state) {
-  const Bytes frame = sample_frame();
-  for (auto _ : state) {
-    auto packet = decode_frame(BytesView(frame));
-    benchmark::DoNotOptimize(packet);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(frame.size()));
-}
-BENCHMARK(BM_DecodeFrame);
 
 void BM_DecodeFrameView(benchmark::State& state) {
-  // Allocation-free counterpart of BM_DecodeFrame on the same wire bytes;
-  // the gap between the two is the per-layer payload copies.
-  const Bytes frame = sample_frame();
+  // The allocation-free decode every capture consumer reads.
+  const Bytes frame = sample_frame().bytes;
   for (auto _ : state) {
     auto packet = decode_frame_view(BytesView(frame));
     benchmark::DoNotOptimize(packet);
@@ -77,40 +53,25 @@ void BM_DecodeFrameView(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeFrameView);
 
-Packet udp_packet_with_sport(std::uint16_t sport) {
-  Packet p;
-  p.eth.src = MacAddress::from_u64(0x02a005000001ull);
-  p.eth.dst = MacAddress::from_u64(0x02a005000002ull);
-  p.eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  Ipv4Packet ip;
-  ip.src = Ipv4Address(192, 168, 10, 2);
-  ip.dst = Ipv4Address(192, 168, 10, 3);
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  p.ipv4 = ip;
-  UdpDatagram u;
-  u.src_port = port(sport);
-  u.dst_port = port(80);
-  u.payload = bytes_of("payload");
-  p.udp = u;
-  return p;
-}
-
 void BM_FlowCacheLookup(benchmark::State& state) {
   // 64 distinct 5-tuples cycled over 1024 adds: past the first cycle every
   // add is a hit on an existing flow, i.e. pure bucket lookup plus the LRU
   // touch. The flush at the end emits the 64 records (no sink installed).
   constexpr int kTuples = 64;
-  std::vector<Packet> packets;
-  packets.reserve(kTuples);
+  const Bytes payload = bytes_of("payload");
+  std::vector<WireFrame> frames;
+  frames.reserve(kTuples);
   for (int i = 0; i < kTuples; ++i)
-    packets.push_back(udp_packet_with_sport(static_cast<std::uint16_t>(1024 + i)));
-  std::vector<PacketView> views;
-  views.reserve(packets.size());
-  for (const auto& p : packets) views.push_back(as_view(p));
+    frames.push_back(udp_frame(MacAddress::from_u64(0x02a005000001ull),
+                               MacAddress::from_u64(0x02a005000002ull),
+                               Ipv4Address(192, 168, 10, 2),
+                               static_cast<std::uint16_t>(1024 + i),
+                               Ipv4Address(192, 168, 10, 3), 80, payload));
   for (auto _ : state) {
     FlowCache cache;
     for (int i = 0; i < 1024; ++i)
-      cache.add(SimTime::from_ms(i), views[static_cast<std::size_t>(i % kTuples)]);
+      cache.add(SimTime::from_ms(i),
+                frames[static_cast<std::size_t>(i % kTuples)].view);
     cache.flush();
     benchmark::DoNotOptimize(cache);
   }
@@ -125,22 +86,25 @@ void BM_EncodeFrameStack(benchmark::State& state) {
   msg.is_response = true;
   msg.answers.push_back(DnsRecord::make_txt(
       DnsName::from_string("bench._tcp.local"), {"id=0123456789abcdef"}));
+  const Bytes dns = encode_dns(msg);
   UdpDatagram udp;
   udp.src_port = port(5353);
   udp.dst_port = port(5353);
-  udp.payload = encode_dns(msg);
+  udp.payload = dns;
   const Ipv4Address src(192, 168, 10, 12);
   for (auto _ : state) {
+    const Bytes segment = encode_udp_v4(udp, src, kMdnsGroupV4);
     Ipv4Packet ip;
     ip.src = src;
     ip.dst = kMdnsGroupV4;
     ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-    ip.payload = encode_udp_v4(udp, src, kMdnsGroupV4);
+    ip.payload = segment;
+    const Bytes datagram = encode_ipv4(ip);
     EthernetFrame eth;
     eth.src = MacAddress::from_u64(0x02a005000001ull);
     eth.dst = MacAddress::parse("01:00:5e:00:00:fb").value();
     eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-    eth.payload = encode_ipv4(ip);
+    eth.payload = datagram;
     auto raw = encode_ethernet(eth);
     benchmark::DoNotOptimize(raw);
   }
@@ -200,22 +164,20 @@ void BM_TplinkCipher(benchmark::State& state) {
 BENCHMARK(BM_TplinkCipher)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_ClassifyPacketDeep(benchmark::State& state) {
-  const Bytes frame = sample_frame();
-  const auto packet = decode_frame(BytesView(frame));
+  const WireFrame frame = sample_frame();
   DeepClassifier classifier;
   for (auto _ : state) {
-    auto label = classifier.classify_packet(*packet);
+    auto label = classifier.classify_packet(frame.view);
     benchmark::DoNotOptimize(label);
   }
 }
 BENCHMARK(BM_ClassifyPacketDeep);
 
 void BM_ClassifyPacketSpec(benchmark::State& state) {
-  const Bytes frame = sample_frame();
-  const auto packet = decode_frame(BytesView(frame));
+  const WireFrame frame = sample_frame();
   SpecClassifier classifier;
   for (auto _ : state) {
-    auto label = classifier.classify_packet(*packet);
+    auto label = classifier.classify_packet(frame.view);
     benchmark::DoNotOptimize(label);
   }
 }
@@ -288,7 +250,7 @@ BENCHMARK(BM_TlsClientHelloRoundTrip);
 void BM_PcapEncode(benchmark::State& state) {
   std::vector<PcapRecord> records;
   Rng rng(3);
-  const Bytes frame = sample_frame();
+  const Bytes frame = sample_frame().bytes;
   for (int i = 0; i < 1000; ++i)
     records.push_back({SimTime::from_ms(i), frame});
   for (auto _ : state) {

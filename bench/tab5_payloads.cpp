@@ -88,7 +88,7 @@ int main() {
     phone.set_static_ip(Ipv4Address(192, 168, 10, 254));
     std::string sysinfo;
     phone.open_udp(40000, [&sysinfo](Host&, const PacketView&,
-                                     const UdpDatagramView& u) {
+                                     const UdpDatagram& u) {
       const auto body = decode_tplink_udp(u.payload);
       if (body) sysinfo = body->dump();
     });

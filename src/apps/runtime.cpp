@@ -63,7 +63,7 @@ void AppRunner::do_mdns_scan(Harvest& harvest) {
   const std::uint16_t sport = kMdnsPort;
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [this, &harvest](Host&, const PacketView& packet,
-                                         const UdpDatagramView& udp) {
+                                         const UdpDatagram& udp) {
     const auto msg = decode_dns(udp.payload);
     if (!msg || !msg->is_response) return;
     harvest.discovered_devices.insert(packet.eth.src);
@@ -109,7 +109,7 @@ void AppRunner::do_ssdp_scan(Harvest& harvest, bool igd_target) {
   const std::uint16_t sport = phone.ephemeral_port();
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [this, &harvest](Host&, const PacketView& packet,
-                                         const UdpDatagramView& udp) {
+                                         const UdpDatagram& udp) {
     const auto msg = decode_ssdp(udp.payload);
     if (!msg || msg->kind != SsdpKind::kResponse || !packet.ipv4) return;
     harvest.discovered_devices.insert(packet.eth.src);
@@ -170,7 +170,7 @@ void AppRunner::do_netbios_sweep(Harvest& harvest) {
   const std::uint16_t sport = phone.ephemeral_port();
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [&harvest](Host&, const PacketView& packet,
-                                   const UdpDatagramView& udp) {
+                                   const UdpDatagram& udp) {
     const auto response = decode_netbios(udp.payload);
     if (!response) return;
     harvest.discovered_devices.insert(packet.eth.src);
@@ -212,7 +212,7 @@ void AppRunner::do_tplink_discovery(Harvest& harvest) {
   const std::uint16_t sport = phone.ephemeral_port();
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [&harvest](Host&, const PacketView& packet,
-                                   const UdpDatagramView& udp) {
+                                   const UdpDatagram& udp) {
     const auto body = decode_tplink_udp(udp.payload);
     if (!body) return;
     const auto info = TplinkSysinfo::from_json(*body);

@@ -40,11 +40,12 @@ void ArpSpoofer::poison_once() {
       lie.sender_ip = b.ip;
       lie.target_mac = a.mac;
       lie.target_ip = a.ip;
+      const Bytes arp_bytes = encode_arp(lie);
       EthernetFrame eth;
       eth.dst = a.mac;
       eth.src = host_->mac();
       eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-      eth.payload = encode_arp(lie);
+      eth.payload = arp_bytes;
       host_->send_frame(encode_ethernet(eth));
     }
   }
@@ -72,8 +73,8 @@ void ArpSpoofer::on_packet(const PacketView& packet) {
   eth.dst = destination->mac;
   eth.src = host_->mac();
   eth.ethertype = packet.eth.ethertype;
-  // Forwarding re-frames the payload, so the view is copied exactly once.
-  eth.payload.assign(packet.eth.payload.begin(), packet.eth.payload.end());
+  // Re-framing borrows the delivery buffer; encode_ethernet copies it once.
+  eth.payload = packet.eth.payload;
   host_->send_frame(encode_ethernet(eth));
   intercept.forwarded = true;
   intercepts_.push_back(intercept);

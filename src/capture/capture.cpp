@@ -31,17 +31,6 @@ CaptureSink::split_index_by_source() const {
   return out;
 }
 
-std::map<MacAddress, std::vector<PcapRecord>> CaptureSink::split_by_source()
-    const {
-  std::map<MacAddress, std::vector<PcapRecord>> out;
-  for (const auto& [mac, indices] : split_index_by_source()) {
-    auto& recs = out[mac];
-    recs.reserve(indices.size());
-    for (const std::size_t i : indices) recs.push_back(records_[i]);
-  }
-  return out;
-}
-
 std::size_t CaptureSink::write_pcap_dir(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -56,16 +45,6 @@ std::size_t CaptureSink::write_pcap_dir(const std::string& dir) const {
       ++written;
   }
   return written;
-}
-
-std::vector<std::pair<SimTime, Packet>> CaptureSink::decoded() const {
-  std::vector<std::pair<SimTime, Packet>> out;
-  out.reserve(records_.size());
-  for (const auto& rec : records_) {
-    auto p = decode_frame(BytesView(rec.frame));
-    if (p) out.emplace_back(rec.timestamp, std::move(*p));
-  }
-  return out;
 }
 
 }  // namespace roomnet

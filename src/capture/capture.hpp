@@ -1,6 +1,8 @@
 // Capture sink: the tcpdump-on-the-AP vantage point. Records every frame on
-// the switch with its timestamp, supports per-source-MAC splitting (the
-// MonIoTr lab stores one pcap per device MAC, §3.1) and pcap export.
+// the switch with its timestamp as raw wire bytes, supports per-source-MAC
+// splitting (the MonIoTr lab stores one pcap per device MAC, §3.1) and pcap
+// export. Readers decode a record with decode_frame_view(); the view borrows
+// the record's bytes.
 #pragma once
 
 #include <map>
@@ -8,7 +10,6 @@
 #include <vector>
 
 #include "netcore/address.hpp"
-#include "netcore/packet.hpp"
 #include "netcore/pcap.hpp"
 #include "sim/network.hpp"
 
@@ -24,14 +25,9 @@ class CaptureSink {
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   void clear() { records_.clear(); }
 
-  /// Splits the capture by source MAC — one trace per device. Builds full
-  /// per-MAC record copies; prefer split_index_by_source() when the capture
-  /// itself is still available.
-  [[nodiscard]] std::map<MacAddress, std::vector<PcapRecord>> split_by_source()
-      const;
-
-  /// Index-based split: per-MAC vectors of record indices into records(),
-  /// in capture order. No frame bytes are duplicated.
+  /// Splits the capture by source MAC — one trace per device — as per-MAC
+  /// vectors of record indices into records(), in capture order. No frame
+  /// bytes are duplicated.
   [[nodiscard]] std::map<MacAddress, std::vector<std::size_t>>
   split_index_by_source() const;
 
@@ -39,9 +35,6 @@ class CaptureSink {
   /// per-device file from the index split (the capture is never duplicated).
   /// Returns the number of files written, 0 on failure.
   std::size_t write_pcap_dir(const std::string& dir) const;
-
-  /// Decodes all records (packets that fail Ethernet decode are skipped).
-  [[nodiscard]] std::vector<std::pair<SimTime, Packet>> decoded() const;
 
  private:
   std::vector<PcapRecord> records_;

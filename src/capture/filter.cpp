@@ -2,11 +2,7 @@
 
 namespace roomnet {
 
-namespace {
-// One implementation for both the owning Packet and the zero-copy
-// PacketView (identical member names).
-template <typename PacketLike>
-bool matches_impl(const LocalFilter& filter, const PacketLike& packet) {
+bool LocalFilter::matches(const PacketView& packet) const {
   // Multicast/broadcast destination: always local by definition.
   if (packet.eth.dst.is_multicast()) return true;
   // Unicast non-IP (ARP, EAPOL, LLC).
@@ -15,31 +11,13 @@ bool matches_impl(const LocalFilter& filter, const PacketLike& packet) {
   if (packet.ipv6)
     return packet.ipv6->src.is_link_local() && packet.ipv6->dst.is_link_local();
   // IPv4 unicast: both endpoints inside the subnet.
-  return packet.ipv4->src.in_subnet(filter.subnet, filter.prefix_len) &&
-         packet.ipv4->dst.in_subnet(filter.subnet, filter.prefix_len);
-}
-
-template <typename PacketLike>
-bool private_to_private_impl(const PacketLike& packet) {
-  if (!packet.ipv4) return false;
-  return packet.ipv4->src.is_private() && packet.ipv4->dst.is_private();
-}
-}  // namespace
-
-bool LocalFilter::matches(const Packet& packet) const {
-  return matches_impl(*this, packet);
-}
-
-bool LocalFilter::matches(const PacketView& packet) const {
-  return matches_impl(*this, packet);
-}
-
-bool is_private_to_private(const Packet& packet) {
-  return private_to_private_impl(packet);
+  return packet.ipv4->src.in_subnet(subnet, prefix_len) &&
+         packet.ipv4->dst.in_subnet(subnet, prefix_len);
 }
 
 bool is_private_to_private(const PacketView& packet) {
-  return private_to_private_impl(packet);
+  if (!packet.ipv4) return false;
+  return packet.ipv4->src.is_private() && packet.ipv4->dst.is_private();
 }
 
 }  // namespace roomnet

@@ -29,35 +29,28 @@
 
 #include "capture/flow.hpp"
 #include "classify/label.hpp"
-#include "netcore/packet.hpp"
 #include "netcore/packet_view.hpp"
 
 namespace roomnet {
 
 /// Interface: classify a single packet (L2/L3 traffic) or a whole flow.
-/// The packet entry point takes a PacketView so the pipeline's arena-backed
-/// capture classifies without materializing a Packet copy; the owning
-/// overload is a convenience shim over as_view().
+/// A packet is the PacketView that decode_frame_view() makes of a frame, so
+/// it is classified in place over the frame's bytes.
 class Classifier {
  public:
   virtual ~Classifier() = default;
   [[nodiscard]] virtual ProtocolLabel classify_packet(const PacketView& packet) const = 0;
-  [[nodiscard]] ProtocolLabel classify_packet(const Packet& packet) const {
-    return classify_packet(as_view(packet));
-  }
   [[nodiscard]] virtual ProtocolLabel classify_flow(const Flow& flow) const = 0;
 };
 
 class SpecClassifier final : public Classifier {
  public:
-  using Classifier::classify_packet;
   [[nodiscard]] ProtocolLabel classify_packet(const PacketView& packet) const override;
   [[nodiscard]] ProtocolLabel classify_flow(const Flow& flow) const override;
 };
 
 class DeepClassifier final : public Classifier {
  public:
-  using Classifier::classify_packet;
   [[nodiscard]] ProtocolLabel classify_packet(const PacketView& packet) const override;
   [[nodiscard]] ProtocolLabel classify_flow(const Flow& flow) const override;
 };
@@ -66,7 +59,6 @@ class DeepClassifier final : public Classifier {
 /// falling back to the spec classifier for flows deep cannot name.
 class HybridClassifier final : public Classifier {
  public:
-  using Classifier::classify_packet;
   [[nodiscard]] ProtocolLabel classify_packet(const PacketView& packet) const override;
   [[nodiscard]] ProtocolLabel classify_flow(const Flow& flow) const override;
 

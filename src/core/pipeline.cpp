@@ -29,6 +29,27 @@ class SimClockGuard {
   ~SimClockGuard() { obs::Ledger::global().set_sim_clock(nullptr); }
 };
 
+/// Turns the wall-clock latency histograms on for a telemetry run and puts
+/// the process-wide flag back as it was when the run returns or throws, so
+/// later runs in the process are not timed.
+class TelemetryScope {
+ public:
+  explicit TelemetryScope(bool on) : prior_(telemetry::enabled()) {
+    if (on) telemetry::enable();
+  }
+  ~TelemetryScope() {
+    if (prior_)
+      telemetry::enable();
+    else
+      telemetry::disable();
+  }
+  TelemetryScope(const TelemetryScope&) = delete;
+  TelemetryScope& operator=(const TelemetryScope&) = delete;
+
+ private:
+  bool prior_;
+};
+
 telemetry::Counter& degraded_counter(const char* stage) {
   return telemetry::Registry::global().counter("roomnet_faults_degraded_total",
                                                {{"stage", stage}});
@@ -50,7 +71,7 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
 
 PipelineResults Pipeline::run() {
   const bool telemetry_run = !config_.telemetry_out.empty();
-  if (telemetry_run) telemetry::enable();
+  const TelemetryScope telemetry_scope(telemetry_run);
   telemetry::Registry::global().counter("roomnet_pipeline_runs_total").inc();
   // Worker pool for the post-simulation analyses (vulnerability audit,
   // fingerprints). The simulation itself (stages 1, 2, the scan sim, the app

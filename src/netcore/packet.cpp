@@ -1,7 +1,6 @@
 #include "netcore/packet.hpp"
 
 #include "netcore/checksum.hpp"
-#include "netcore/packet_view.hpp"
 
 namespace roomnet {
 
@@ -40,8 +39,7 @@ std::optional<EthernetFrame> decode_ethernet(BytesView raw) {
   f.src = read_mac(r);
   f.ethertype = r.u16().value_or(0);
   if (!r.ok()) return std::nullopt;
-  const auto rest = r.rest();
-  f.payload.assign(rest.begin(), rest.end());
+  f.payload = r.rest();
   return f;
 }
 
@@ -101,8 +99,7 @@ std::optional<LlcXidFrame> decode_llc(BytesView raw) {
   const auto control = r.u8();
   if (!r.ok()) return std::nullopt;
   f.is_xid = (*control & 0xef) == 0xaf;
-  const auto rest = r.rest();
-  f.info.assign(rest.begin(), rest.end());
+  f.info = r.rest();
   return f;
 }
 
@@ -126,9 +123,9 @@ std::optional<EapolFrame> decode_eapol(BytesView raw) {
   const auto len = r.u16();
   if (!r.ok() || *type > 3) return std::nullopt;
   f.type = static_cast<EapolType>(*type);
-  auto body = r.bytes(*len);
+  const auto body = r.view(*len);
   if (!body) return std::nullopt;
-  f.body = std::move(*body);
+  f.body = *body;
   return f;
 }
 
@@ -169,7 +166,7 @@ std::optional<Ipv4Packet> decode_ipv4(BytesView raw) {
   const auto total_len = r.u16();
   Ipv4Packet p;
   p.identification = r.u16().value_or(0);
-  r.skip(2);  // flags+fragment offset
+  p.fragment_offset = r.u16().value_or(0) & 0x1fff;  // drop the 3 flag bits
   p.ttl = r.u8().value_or(0);
   p.protocol = r.u8().value_or(0);
   r.skip(2);  // checksum (trusted; simulator always writes valid ones)
@@ -177,10 +174,9 @@ std::optional<Ipv4Packet> decode_ipv4(BytesView raw) {
   p.dst = read_ipv4(r);
   if (!r.ok() || *total_len < ihl || raw.size() < *total_len) return std::nullopt;
   if (!r.seek(ihl)) return std::nullopt;
-  const std::size_t payload_len = *total_len - ihl;
-  auto payload = r.bytes(payload_len);
+  const auto payload = r.view(*total_len - ihl);
   if (!payload) return std::nullopt;
-  p.payload = std::move(*payload);
+  p.payload = *payload;
   return p;
 }
 
@@ -210,9 +206,9 @@ std::optional<Ipv6Packet> decode_ipv6(BytesView raw) {
   p.src = read_ipv6(r);
   p.dst = read_ipv6(r);
   if (!r.ok()) return std::nullopt;
-  auto payload = r.bytes(*payload_len);
+  const auto payload = r.view(*payload_len);
   if (!payload) return std::nullopt;
-  p.payload = std::move(*payload);
+  p.payload = *payload;
   return p;
 }
 
@@ -258,9 +254,9 @@ std::optional<UdpDatagram> decode_udp(BytesView raw) {
   const auto len = r.u16();
   r.skip(2);  // checksum
   if (!r.ok() || *len < 8 || raw.size() < *len) return std::nullopt;
-  auto payload = r.bytes(*len - 8);
+  const auto payload = r.view(*len - 8);
   if (!payload) return std::nullopt;
-  u.payload = std::move(*payload);
+  u.payload = *payload;
   return u;
 }
 
@@ -303,8 +299,7 @@ std::optional<TcpSegment> decode_tcp(BytesView raw) {
   if (header_len < 20 || raw.size() < header_len) return std::nullopt;
   t.flags = TcpFlags::from_byte(*flags_byte);
   if (!r.seek(header_len)) return std::nullopt;
-  const auto rest = r.rest();
-  t.payload.assign(rest.begin(), rest.end());
+  t.payload = r.rest();
   return t;
 }
 
@@ -331,8 +326,7 @@ std::optional<IcmpMessage> decode_icmp(BytesView raw) {
   m.code = r.u8().value_or(0);
   r.skip(2);
   if (!r.ok()) return std::nullopt;
-  const auto rest = r.rest();
-  m.body.assign(rest.begin(), rest.end());
+  m.body = r.rest();
   return m;
 }
 
@@ -397,8 +391,7 @@ std::optional<Icmpv6Message> decode_icmpv6(BytesView raw) {
       if (!r.ok()) return std::nullopt;
     }
   } else {
-    const auto rest = r.rest();
-    m.extra.assign(rest.begin(), rest.end());
+    m.extra = r.rest();
   }
   return m;
 }
@@ -427,17 +420,6 @@ std::optional<IgmpMessage> decode_igmp(BytesView raw) {
   m.group = read_ipv4(r);
   if (!r.ok()) return std::nullopt;
   return m;
-}
-
-// --------------------------------------------------------------- full frame
-
-std::optional<Packet> decode_frame(BytesView raw) {
-  // Single decode implementation: parse as views over `raw`, then deep-copy
-  // the slices. The view decode's layering rules (sub-layer failures stop
-  // the descent, an Ethernet failure fails the decode) carry over verbatim.
-  const auto view = decode_frame_view(raw);
-  if (!view) return std::nullopt;
-  return materialize(*view);
 }
 
 }  // namespace roomnet

@@ -1,15 +1,23 @@
-// Wire-format codecs for the link/network/transport layers, plus a decoded
-// `Packet` view that the capture/classification pipeline operates on.
+// Wire-format codecs for the link/network/transport layers: one struct, one
+// encoder and one decoder per layer. netcore/packet_view.hpp stacks the
+// decoders into decode_frame_view().
 //
 // Every encoder produces genuine wire bytes (correct framing and checksums);
 // every decoder is safe on arbitrary untrusted input and returns nullopt on
 // malformed data.
+//
+// Lifetime rule: a layer struct owns no bytes. Its variable-length field
+// (`payload`, `info`, `body`, `extra`) is a BytesView, so
+//   * a decoded struct borrows from the buffer it was decoded from and must
+//     not outlive it;
+//   * an encoder's input bytes must outlive the encode_* call. Bind each
+//     inner encoding to a named local before the outer struct points at it:
+//       const Bytes segment = encode_udp_v4(udp, src, dst);
+//       ip.payload = segment;  // not `ip.payload = encode_udp_v4(...)`
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <variant>
 
 #include "netcore/address.hpp"
 #include "netcore/bytes.hpp"
@@ -31,7 +39,7 @@ struct EthernetFrame {
   MacAddress dst;
   MacAddress src;
   std::uint16_t ethertype = 0;  // or length if < 1536 (LLC framing)
-  Bytes payload;
+  BytesView payload;
 
   [[nodiscard]] bool is_llc() const { return ethertype < 1536; }
 };
@@ -64,7 +72,7 @@ struct LlcXidFrame {
   std::uint8_t dsap = 0;
   std::uint8_t ssap = 0;
   bool is_xid = false;  // control byte 0xAF/0xBF
-  Bytes info;
+  BytesView info;
 };
 
 /// Encodes the LLC payload (placed in an Ethernet frame with length field).
@@ -80,7 +88,7 @@ enum class EapolType : std::uint8_t { kEapPacket = 0, kStart = 1, kLogoff = 2, k
 struct EapolFrame {
   std::uint8_t version = 2;
   EapolType type = EapolType::kKey;
-  Bytes body;
+  BytesView body;
 };
 
 Bytes encode_eapol(const EapolFrame& frame);
@@ -104,7 +112,11 @@ struct Ipv4Packet {
   std::uint8_t protocol = 0;
   std::uint8_t ttl = 64;
   std::uint16_t identification = 0;
-  Bytes payload;
+  /// Fragment offset in 8-byte units. Non-zero means the payload is the
+  /// middle of a datagram, so decode_frame_view() stops at this layer. Read
+  /// by the decoder only: the encoder always writes DF with offset 0.
+  std::uint16_t fragment_offset = 0;
+  BytesView payload;
 };
 
 Bytes encode_ipv4(const Ipv4Packet& packet);
@@ -119,7 +131,7 @@ struct Ipv6Packet {
   Ipv6Address dst;
   std::uint8_t next_header = 0;
   std::uint8_t hop_limit = 255;
-  Bytes payload;
+  BytesView payload;
 };
 
 Bytes encode_ipv6(const Ipv6Packet& packet);
@@ -132,7 +144,7 @@ std::optional<Ipv6Packet> decode_ipv6(BytesView raw);
 struct UdpDatagram {
   Port src_port{};
   Port dst_port{};
-  Bytes payload;
+  BytesView payload;
 };
 
 /// Checksum requires the enclosing IP addresses.
@@ -173,7 +185,7 @@ struct TcpSegment {
   std::uint32_t ack = 0;
   TcpFlags flags;
   std::uint16_t window = 65535;
-  Bytes payload;
+  BytesView payload;
 };
 
 Bytes encode_tcp_v4(const TcpSegment& tcp, Ipv4Address src, Ipv4Address dst);
@@ -186,7 +198,7 @@ std::optional<TcpSegment> decode_tcp(BytesView raw);
 struct IcmpMessage {
   std::uint8_t type = 8;  // 8 echo request, 0 echo reply, 3 unreachable
   std::uint8_t code = 0;
-  Bytes body;
+  BytesView body;
 };
 
 Bytes encode_icmp(const IcmpMessage& icmp);
@@ -210,7 +222,7 @@ struct Icmpv6Message {
   /// Source/target link-layer address option — this is the MAC exposure the
   /// paper flags (§5.1 "ICMPv6 queries can include the MAC addresses").
   std::optional<MacAddress> link_layer_option;
-  Bytes extra;
+  BytesView extra;
 };
 
 Bytes encode_icmpv6(const Icmpv6Message& msg, const Ipv6Address& src,
@@ -224,50 +236,5 @@ struct IgmpMessage {
 
 Bytes encode_igmp(const IgmpMessage& msg);
 std::optional<IgmpMessage> decode_igmp(BytesView raw);
-
-// ---------------------------------------------------------------------------
-// Decoded packet view
-// ---------------------------------------------------------------------------
-
-/// Fully decoded frame: the parse of each present layer. Produced by
-/// decode_frame() and consumed by the capture filter, flow assembler, and
-/// both traffic classifiers.
-struct Packet {
-  EthernetFrame eth;
-  std::optional<ArpPacket> arp;
-  std::optional<LlcXidFrame> llc;
-  std::optional<EapolFrame> eapol;
-  std::optional<Ipv4Packet> ipv4;
-  std::optional<Ipv6Packet> ipv6;
-  std::optional<UdpDatagram> udp;
-  std::optional<TcpSegment> tcp;
-  std::optional<IcmpMessage> icmp;
-  std::optional<Icmpv6Message> icmpv6;
-  std::optional<IgmpMessage> igmp;
-
-  [[nodiscard]] bool has_ip() const { return ipv4.has_value() || ipv6.has_value(); }
-  [[nodiscard]] bool has_transport() const { return udp.has_value() || tcp.has_value(); }
-  /// Application payload if a transport layer is present.
-  [[nodiscard]] BytesView app_payload() const {
-    if (udp) return BytesView(udp->payload);
-    if (tcp) return BytesView(tcp->payload);
-    return {};
-  }
-  [[nodiscard]] std::optional<Port> src_port() const {
-    if (udp) return udp->src_port;
-    if (tcp) return tcp->src_port;
-    return std::nullopt;
-  }
-  [[nodiscard]] std::optional<Port> dst_port() const {
-    if (udp) return udp->dst_port;
-    if (tcp) return tcp->dst_port;
-    return std::nullopt;
-  }
-};
-
-/// Parses a full Ethernet frame down to the transport layer. Layers that
-/// fail to parse simply stop the descent; the Ethernet layer itself must be
-/// valid or the whole decode fails.
-std::optional<Packet> decode_frame(BytesView raw);
 
 }  // namespace roomnet

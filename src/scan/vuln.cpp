@@ -156,7 +156,7 @@ void ServiceProber::probe_udp(DeviceAudit& audit, std::size_t service_index,
   scanner_->loop().schedule_in(SimTime::from_seconds(at_s), [this, ip, obs] {
     const std::uint16_t sport = scanner_->ephemeral_port();
     scanner_->open_udp(sport, [obs](Host& self, const PacketView& packet,
-                                    const UdpDatagramView& udp) {
+                                    const UdpDatagram& udp) {
       (void)self;
       (void)packet;
       const auto msg = decode_dns(udp.payload);

@@ -70,11 +70,12 @@ void Host::arp_request(Ipv4Address target) {
   arp.sender_mac = mac_;
   arp.sender_ip = ip_;
   arp.target_ip = target;
+  const Bytes arp_bytes = encode_arp(arp);
   EthernetFrame eth;
   eth.dst = MacAddress::kBroadcast;
   eth.src = mac_;
   eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-  eth.payload = encode_arp(arp);
+  eth.payload = arp_bytes;
   send_frame(encode_ethernet(eth));
 }
 
@@ -111,11 +112,12 @@ void Host::handle_arp(const ArpPacket& arp) {
     reply.sender_ip = ip_;
     reply.target_mac = arp.sender_mac;
     reply.target_ip = arp.sender_ip;
+    const Bytes arp_bytes = encode_arp(reply);
     EthernetFrame eth;
     eth.dst = arp.sender_mac;
     eth.src = mac_;
     eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-    eth.payload = encode_arp(reply);
+    eth.payload = arp_bytes;
     send_frame(encode_ethernet(eth));
   }
   if (arp.op == ArpOp::kReply) {
@@ -135,7 +137,7 @@ void Host::deliver_ipv4(Bytes ip_packet, Ipv4Address dst) {
   EthernetFrame eth;
   eth.src = mac_;
   eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  eth.payload = std::move(ip_packet);
+  eth.payload = ip_packet;
 
   if (dst.is_broadcast() || dst.is_subnet_broadcast24()) {
     eth.dst = MacAddress::kBroadcast;
@@ -144,7 +146,7 @@ void Host::deliver_ipv4(Bytes ip_packet, Ipv4Address dst) {
   } else {
     const auto mac = arp_lookup(dst);
     if (!mac) {
-      arp_pending_[dst].push_back({std::move(eth.payload)});
+      arp_pending_[dst].push_back({std::move(ip_packet)});
       arp_request(dst);
       return;
     }
@@ -158,12 +160,13 @@ void Host::send_udp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
   UdpDatagram udp;
   udp.src_port = port(sport);
   udp.dst_port = port(dport);
-  udp.payload = std::move(payload);
+  udp.payload = payload;
+  const Bytes segment = encode_udp_v4(udp, ip_, dst);
   Ipv4Packet ip;
   ip.src = ip_;
   ip.dst = dst;
   ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = encode_udp_v4(udp, ip_, dst);
+  ip.payload = segment;
   deliver_ipv4(encode_ipv4(ip), dst);
 }
 
@@ -173,18 +176,20 @@ void Host::send_udp_v6(const Ipv6Address& dst, std::uint16_t sport,
   UdpDatagram udp;
   udp.src_port = port(sport);
   udp.dst_port = port(dport);
-  udp.payload = std::move(payload);
+  udp.payload = payload;
+  const Bytes segment = encode_udp_v6(udp, link_local_, dst);
   Ipv6Packet ip;
   ip.src = link_local_;
   ip.dst = dst;
   ip.next_header = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = encode_udp_v6(udp, link_local_, dst);
+  ip.payload = segment;
+  const Bytes datagram = encode_ipv6(ip);
   EthernetFrame eth;
   eth.src = mac_;
   eth.dst = dst.is_multicast() ? multicast_mac_v6(dst)
                                : MacAddress::kBroadcast;  // no NDP table: flood
   eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv6);
-  eth.payload = encode_ipv6(ip);
+  eth.payload = datagram;
   send_frame(encode_ethernet(eth));
 }
 
@@ -194,12 +199,14 @@ void Host::send_icmp_echo(Ipv4Address dst) {
   ByteWriter body;
   body.u16(static_cast<std::uint16_t>(mac_.to_u64()));  // identifier
   body.u16(1);                                          // sequence
-  icmp.body = body.take();
+  const Bytes echo = body.take();
+  icmp.body = echo;
+  const Bytes message = encode_icmp(icmp);
   Ipv4Packet ip;
   ip.src = ip_;
   ip.dst = dst;
   ip.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-  ip.payload = encode_icmp(icmp);
+  ip.payload = message;
   deliver_ipv4(encode_ipv4(ip), dst);
 }
 
@@ -207,37 +214,42 @@ void Host::join_multicast_group(Ipv4Address group) {
   IgmpMessage igmp;
   igmp.type = 0x16;  // v2 membership report
   igmp.group = group;
+  const Bytes report = encode_igmp(igmp);
   Ipv4Packet ip;
   ip.src = ip_;
   ip.dst = group;
   ip.ttl = 1;
   ip.protocol = static_cast<std::uint8_t>(IpProto::kIgmp);
-  ip.payload = encode_igmp(igmp);
+  ip.payload = report;
   deliver_ipv4(encode_ipv4(ip), group);
 }
 
 void Host::send_eapol_key(Rng& rng) {
+  const Bytes key = rng.bytes(95);  // typical WPA2 key frame size
   EapolFrame eapol;
   eapol.type = EapolType::kKey;
-  eapol.body = rng.bytes(95);  // typical WPA2 key frame size
+  eapol.body = key;
+  const Bytes eapol_bytes = encode_eapol(eapol);
   EthernetFrame eth;
   eth.src = mac_;
   eth.dst = MacAddress::kBroadcast;
   eth.ethertype = static_cast<std::uint16_t>(EtherType::kEapol);
-  eth.payload = encode_eapol(eapol);
+  eth.payload = eapol_bytes;
   send_frame(encode_ethernet(eth));
 }
 
 void Host::send_llc_xid_broadcast() {
+  static constexpr std::uint8_t kXidInfo[] = {0x81, 0x01, 0x00};
   LlcXidFrame llc;
   llc.dsap = 0;
   llc.ssap = 1;
   llc.is_xid = true;
-  llc.info = {0x81, 0x01, 0x00};
+  llc.info = kXidInfo;
+  const Bytes llc_bytes = encode_llc_xid(llc);
   EthernetFrame eth;
   eth.src = mac_;
   eth.dst = MacAddress::kBroadcast;
-  eth.payload = encode_llc_xid(llc);
+  eth.payload = llc_bytes;
   eth.ethertype = static_cast<std::uint16_t>(eth.payload.size());
   send_frame(encode_ethernet(eth));
 }
@@ -249,16 +261,18 @@ void Host::send_neighbor_solicitation(const Ipv6Address& target) {
   msg.target = target;
   msg.link_layer_option = mac_;  // the MAC exposure §5.1 flags
   const Ipv6Address dst = Ipv6Address::solicited_node(target);
+  const Bytes message = encode_icmpv6(msg, link_local_, dst);
   Ipv6Packet ip;
   ip.src = link_local_;
   ip.dst = dst;
   ip.next_header = static_cast<std::uint8_t>(IpProto::kIcmpv6);
-  ip.payload = encode_icmpv6(msg, link_local_, dst);
+  ip.payload = message;
+  const Bytes datagram = encode_ipv6(ip);
   EthernetFrame eth;
   eth.src = mac_;
   eth.dst = multicast_mac_v6(dst);
   eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv6);
-  eth.payload = encode_ipv6(ip);
+  eth.payload = datagram;
   send_frame(encode_ethernet(eth));
 }
 
@@ -320,11 +334,12 @@ void Host::send_raw_tcp(Ipv4Address dst, std::uint16_t sport,
   seg.seq = seq;
   seg.ack = ack;
   seg.flags = flags;
+  const Bytes segment = encode_tcp_v4(seg, ip_, dst);
   Ipv4Packet ip;
   ip.src = ip_;
   ip.dst = dst;
   ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  ip.payload = encode_tcp_v4(seg, ip_, dst);
+  ip.payload = segment;
   deliver_ipv4(encode_ipv4(ip), dst);
 }
 
@@ -333,7 +348,7 @@ void Host::send_raw_ip(Ipv4Address dst, std::uint8_t protocol, Bytes payload) {
   ip.src = ip_;
   ip.dst = dst;
   ip.protocol = protocol;
-  ip.payload = std::move(payload);
+  ip.payload = payload;
   deliver_ipv4(encode_ipv4(ip), dst);
 }
 
@@ -344,14 +359,15 @@ void Host::tcp_emit(TcpConnection& conn, TcpFlags flags, Bytes payload) {
   seg.seq = conn.snd_next_;
   seg.ack = conn.rcv_next_;
   seg.flags = flags;
-  seg.payload = std::move(payload);
+  seg.payload = payload;
   conn.snd_next_ += static_cast<std::uint32_t>(seg.payload.size());
   if (flags.syn || flags.fin) conn.snd_next_ += 1;
+  const Bytes segment = encode_tcp_v4(seg, ip_, conn.remote_ip_);
   Ipv4Packet ip;
   ip.src = ip_;
   ip.dst = conn.remote_ip_;
   ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  ip.payload = encode_tcp_v4(seg, ip_, conn.remote_ip_);
+  ip.payload = segment;
   deliver_ipv4(encode_ipv4(ip), conn.remote_ip_);
 }
 
@@ -364,7 +380,7 @@ void Host::start_dhcp(std::string hostname, std::string vendor_class,
   dhcp_params_ = std::move(param_request_list);
   dhcp_xid_ = static_cast<std::uint32_t>(mac_.to_u64() ^ 0x5a5a5a5a);
   open_udp(kDhcpClientPort,
-           [this](Host&, const PacketView&, const UdpDatagramView& udp) {
+           [this](Host&, const PacketView&, const UdpDatagram& udp) {
              const auto reply = decode_dhcp(udp.payload);
              if (reply && !reply->is_request) handle_dhcp_reply(*reply);
            });
@@ -435,7 +451,7 @@ void Host::receive(const PacketView& packet, BytesView raw) {
 }
 
 void Host::handle_ipv4(const PacketView& packet) {
-  const Ipv4PacketView& ip = *packet.ipv4;
+  const Ipv4Packet& ip = *packet.ipv4;
   const bool for_me = ip.dst == ip_ || ip.dst.is_broadcast() ||
                       ip.dst.is_subnet_broadcast24() || ip.dst.is_multicast();
   if (!for_me) return;
@@ -448,13 +464,14 @@ void Host::handle_ipv4(const PacketView& packet) {
     if (packet.icmp->type == 8 && responds_to_ping) {
       IcmpMessage reply;
       reply.type = 0;
-      // The echo body is a view into the delivery buffer; the reply owns it.
-      reply.body.assign(packet.icmp->body.begin(), packet.icmp->body.end());
+      // The echo body borrows the delivery buffer, alive for this call.
+      reply.body = packet.icmp->body;
+      const Bytes message = encode_icmp(reply);
       Ipv4Packet out;
       out.src = ip_;
       out.dst = ip.src;
       out.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-      out.payload = encode_icmp(reply);
+      out.payload = message;
       deliver_ipv4(encode_ipv4(out), ip.src);
     }
   } else if (!packet.udp && !packet.tcp && !packet.icmp && !packet.igmp &&
@@ -470,11 +487,12 @@ void Host::handle_ipv4(const PacketView& packet) {
     IcmpMessage reply;
     reply.type = supported ? 0 : 3;  // echo-reply-ish marker vs unreachable
     reply.code = supported ? 0 : 2;  // protocol unreachable
+    const Bytes message = encode_icmp(reply);
     Ipv4Packet out;
     out.src = ip_;
     out.dst = ip.src;
     out.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-    out.payload = encode_icmp(reply);
+    out.payload = message;
     deliver_ipv4(encode_ipv4(out), ip.src);
   }
 }
@@ -488,23 +506,25 @@ void Host::handle_ipv6(const PacketView& packet) {
     adv.type = Icmpv6Type::kNeighborAdvertisement;
     adv.target = link_local_;
     adv.link_layer_option = mac_;
+    const Bytes message = encode_icmpv6(adv, link_local_, packet.ipv6->src);
     Ipv6Packet out;
     out.src = link_local_;
     out.dst = packet.ipv6->src;
     out.next_header = static_cast<std::uint8_t>(IpProto::kIcmpv6);
-    out.payload = encode_icmpv6(adv, link_local_, packet.ipv6->src);
+    out.payload = message;
+    const Bytes datagram = encode_ipv6(out);
     EthernetFrame eth;
     eth.src = mac_;
     eth.dst = packet.eth.src;
     eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv6);
-    eth.payload = encode_ipv6(out);
+    eth.payload = datagram;
     send_frame(encode_ethernet(eth));
   }
   if (packet.udp) handle_udp(packet);
 }
 
 void Host::handle_udp(const PacketView& packet) {
-  const UdpDatagramView& udp = *packet.udp;
+  const UdpDatagram& udp = *packet.udp;
   const std::uint16_t dport = value(udp.dst_port);
   const auto it = udp_handlers_.find(dport);
   if (it != udp_handlers_.end()) it->second(*this, packet, udp);
@@ -523,22 +543,22 @@ void Host::handle_udp(const PacketView& packet) {
     original.src = packet.ipv4->src;
     original.dst = packet.ipv4->dst;
     original.protocol = packet.ipv4->protocol;
-    original.payload.assign(packet.ipv4->payload.begin(),
-                            packet.ipv4->payload.end());
-    Bytes original_bytes = encode_ipv4(original);
-    original_bytes.resize(std::min<std::size_t>(original_bytes.size(), 28));
-    unreachable.body = std::move(original_bytes);
+    original.payload = packet.ipv4->payload;
+    const Bytes original_bytes = encode_ipv4(original);
+    const std::size_t quoted = std::min<std::size_t>(original_bytes.size(), 28);
+    unreachable.body = BytesView(original_bytes).first(quoted);
+    const Bytes message = encode_icmp(unreachable);
     Ipv4Packet out;
     out.src = ip_;
     out.dst = packet.ipv4->src;
     out.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-    out.payload = encode_icmp(unreachable);
+    out.payload = message;
     deliver_ipv4(encode_ipv4(out), packet.ipv4->src);
   }
 }
 
 void Host::handle_tcp(const PacketView& packet) {
-  const TcpSegmentView& seg = *packet.tcp;
+  const TcpSegment& seg = *packet.tcp;
   const Ipv4Address remote = packet.ipv4->src;
   const TcpKey key = tcp_key(remote, seg.src_port, seg.dst_port);
   const auto it = connections_.find(key);
@@ -635,7 +655,7 @@ Router::Router(Switch& net, MacAddress mac, Ipv4Address ip, int prefix_len)
   (void)prefix_len;  // /24 pools only; parameter reserved for future use
   set_static_ip(ip);
   open_udp(kDhcpServerPort,
-           [this](Host&, const PacketView& packet, const UdpDatagramView& udp) {
+           [this](Host&, const PacketView& packet, const UdpDatagram& udp) {
              handle_dhcp(packet, udp);
            });
 }
@@ -648,7 +668,7 @@ Ipv4Address Router::lease_for(const MacAddress& mac) {
   return assigned;
 }
 
-void Router::handle_dhcp(const PacketView& packet, const UdpDatagramView& udp) {
+void Router::handle_dhcp(const PacketView& packet, const UdpDatagram& udp) {
   (void)packet;
   const auto msg = decode_dhcp(udp.payload);
   if (!msg || !msg->is_request) return;

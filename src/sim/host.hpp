@@ -143,7 +143,7 @@ class Host : public NetworkNode {
   /// Handlers receive the shared zero-copy decode; the views die with the
   /// delivery event, so any payload kept for later must be copied.
   using UdpHandler =
-      std::function<void(Host&, const PacketView&, const UdpDatagramView&)>;
+      std::function<void(Host&, const PacketView&, const UdpDatagram&)>;
 
   /// Opens a UDP port with a handler. The port then counts as "open" for
   /// UDP scans.
@@ -258,7 +258,7 @@ class Router : public Host {
   }
 
  private:
-  void handle_dhcp(const PacketView& packet, const UdpDatagramView& udp);
+  void handle_dhcp(const PacketView& packet, const UdpDatagram& udp);
   Ipv4Address lease_for(const MacAddress& mac);
 
   Ipv4Address subnet_;

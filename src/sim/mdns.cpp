@@ -5,7 +5,7 @@ namespace roomnet {
 MdnsEndpoint::MdnsEndpoint(Host& host) : host_(&host) {
   host_->open_udp(
       kMdnsPort,
-      [this](Host&, const PacketView& packet, const UdpDatagramView& udp) {
+      [this](Host&, const PacketView& packet, const UdpDatagram& udp) {
         handle(packet, udp);
       });
   host_->join_multicast_group(kMdnsGroupV4);
@@ -63,7 +63,7 @@ void MdnsEndpoint::send_message(const DnsMessage& msg, bool unicast,
   }
 }
 
-void MdnsEndpoint::handle(const PacketView& packet, const UdpDatagramView& udp) {
+void MdnsEndpoint::handle(const PacketView& packet, const UdpDatagram& udp) {
   const auto msg = decode_dns(udp.payload);
   if (!msg) return;
   if (on_message) on_message(packet, *msg);

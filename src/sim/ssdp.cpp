@@ -7,7 +7,7 @@ namespace roomnet {
 SsdpEndpoint::SsdpEndpoint(Host& host) : host_(&host) {
   host_->open_udp(
       kSsdpPort,
-      [this](Host&, const PacketView& packet, const UdpDatagramView& udp) {
+      [this](Host&, const PacketView& packet, const UdpDatagram& udp) {
         handle(packet, udp);
       });
   host_->join_multicast_group(kSsdpGroupV4);
@@ -65,7 +65,7 @@ void SsdpEndpoint::msearch(const std::string& search_target, int mx) {
   const std::uint16_t sport = host_->ephemeral_port();
   host_->open_udp(
       sport,
-      [this](Host&, const PacketView& packet, const UdpDatagramView& udp) {
+      [this](Host&, const PacketView& packet, const UdpDatagram& udp) {
         handle(packet, udp);
       });
   host_->send_udp(kSsdpGroupV4, sport, kSsdpPort, encode_ssdp(msg));
@@ -80,7 +80,7 @@ void SsdpEndpoint::notify_alive() {
   }
 }
 
-void SsdpEndpoint::handle(const PacketView& packet, const UdpDatagramView& udp) {
+void SsdpEndpoint::handle(const PacketView& packet, const UdpDatagram& udp) {
   const auto msg = decode_ssdp(udp.payload);
   if (!msg) return;
   if (on_message) on_message(packet, *msg);

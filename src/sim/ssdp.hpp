@@ -42,7 +42,7 @@ class SsdpEndpoint {
   std::function<void(const PacketView&, const SsdpMessage&)> on_message;
 
  private:
-  void handle(const PacketView& packet, const UdpDatagramView& udp);
+  void handle(const PacketView& packet, const UdpDatagram& udp);
   [[nodiscard]] SsdpMessage base_message(SsdpKind kind,
                                          const std::string& nt) const;
 

@@ -327,7 +327,7 @@ void TestbedDevice::setup_services() {
   // -- DNS server (cache-snooping-prone, §5.2) --------------------------------
   if (behavior_.dns_server) {
     host_.open_udp(53, [this](Host&, const PacketView& packet,
-                              const UdpDatagramView& udp) {
+                              const UdpDatagram& udp) {
       if (!packet.ipv4) return;
       const auto query = decode_dns(udp.payload);
       if (!query || query->is_response || query->questions.empty()) return;
@@ -371,7 +371,7 @@ void TestbedDevice::setup_services() {
       return info;
     };
     host_.open_udp(kTplinkPort, [this, sysinfo](Host&, const PacketView& packet,
-                                                const UdpDatagramView& udp) {
+                                                const UdpDatagram& udp) {
       if (!packet.ipv4) return;
       const auto cmd = decode_tplink_udp(udp.payload);
       if (!cmd || cmd->find_path("system.get_sysinfo") == nullptr) return;
@@ -397,7 +397,7 @@ void TestbedDevice::setup_services() {
   // -- CoAP server (IoTivity-ish) ---------------------------------------------
   if (behavior_.coap_server) {
     host_.open_udp(kCoapPort, [this](Host&, const PacketView& packet,
-                                     const UdpDatagramView& udp) {
+                                     const UdpDatagram& udp) {
       if (!packet.ipv4) return;
       const auto msg = decode_coap(udp.payload);
       if (!msg || msg->code != kCoapGet) return;
@@ -422,7 +422,7 @@ void TestbedDevice::setup_services() {
     });
   }
   for (const std::uint16_t port : behavior_.misc_udp_open) {
-    host_.open_udp(port, [](Host&, const PacketView&, const UdpDatagramView&) {});
+    host_.open_udp(port, [](Host&, const PacketView&, const UdpDatagram&) {});
   }
 }
 
@@ -563,11 +563,12 @@ void TestbedDevice::arp_probe_known_peers() {
     probe.sender_ip = host_.ip();
     probe.target_mac = mac;
     probe.target_ip = ip;
+    const Bytes arp_bytes = encode_arp(probe);
     EthernetFrame eth;
     eth.dst = mac;
     eth.src = host_.mac();
     eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-    eth.payload = encode_arp(probe);
+    eth.payload = arp_bytes;
     host_.send_frame(encode_ethernet(eth));
   }
 }

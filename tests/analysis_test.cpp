@@ -11,6 +11,7 @@
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
 #include "sim/host.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
@@ -84,36 +85,21 @@ TEST(Identifiers, CombinedExtraction) {
 
 // ----------------------------------------------------------------- overview
 
-std::pair<SimTime, Packet> udp_between(MacAddress src, MacAddress dst,
-                                       Ipv4Address sip, Ipv4Address dip,
-                                       std::uint16_t sport, std::uint16_t dport,
-                                       Bytes payload) {
-  Packet p;
-  p.eth.src = src;
-  p.eth.dst = dst;
-  Ipv4Packet ip;
-  ip.src = sip;
-  ip.dst = dip;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  p.ipv4 = ip;
-  UdpDatagram u;
-  u.src_port = port(sport);
-  u.dst_port = port(dport);
-  u.payload = std::move(payload);
-  p.udp = u;
-  return {SimTime{}, p};
+WireFrame udp_between(MacAddress src, MacAddress dst, Ipv4Address sip,
+                      Ipv4Address dip, std::uint16_t sport,
+                      std::uint16_t dport, BytesView payload) {
+  return udp_frame(src, dst, sip, sport, dip, dport, payload);
 }
 
 /// Feeds a capture through an analysis builder, as the pipeline's tap does.
 template <typename Builder>
-auto fold(Builder builder,
-          const std::vector<std::pair<SimTime, Packet>>& capture) {
-  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
+auto fold(Builder builder, const std::vector<WireFrame>& capture) {
+  for (const WireFrame& frame : capture) builder.on_packet(frame.view);
   return builder.finish();
 }
 
 TEST(ProtocolUsageTest, AttributesToSourceDevice) {
-  std::vector<std::pair<SimTime, Packet>> capture;
+  std::vector<WireFrame> capture;
   DnsMessage mdns;
   mdns.questions.push_back({DnsName::from_string("_x._tcp.local"),
                             DnsType::kPtr, false});
@@ -130,7 +116,7 @@ TEST(ProtocolUsageTest, AttributesToSourceDevice) {
 
 TEST(CommGraphTest, BuildsUndirectedEdgesWithProtocols) {
   const std::set<MacAddress> population = {mac_n(1), mac_n(2), mac_n(3)};
-  std::vector<std::pair<SimTime, Packet>> capture;
+  std::vector<WireFrame> capture;
   capture.push_back(udp_between(mac_n(1), mac_n(2), Ipv4Address(192, 168, 10, 5),
                                 Ipv4Address(192, 168, 10, 6), 1000, 2000,
                                 bytes_of("x")));
@@ -138,21 +124,8 @@ TEST(CommGraphTest, BuildsUndirectedEdgesWithProtocols) {
                                 Ipv4Address(192, 168, 10, 5), 2000, 1000,
                                 bytes_of("y")));
   // TCP packet between 1 and 2 as well.
-  {
-    Packet p;
-    p.eth.src = mac_n(1);
-    p.eth.dst = mac_n(2);
-    Ipv4Packet ip;
-    ip.src = Ipv4Address(192, 168, 10, 5);
-    ip.dst = Ipv4Address(192, 168, 10, 6);
-    ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-    p.ipv4 = ip;
-    TcpSegment t;
-    t.src_port = port(1000);
-    t.dst_port = port(443);
-    p.tcp = t;
-    capture.emplace_back(SimTime{}, p);
-  }
+  capture.push_back(tcp_frame(mac_n(1), mac_n(2), Ipv4Address(192, 168, 10, 5),
+                              1000, Ipv4Address(192, 168, 10, 6), 443, {}, {}));
   // Multicast is excluded.
   capture.push_back(udp_between(mac_n(3), multicast_mac_v4(kSsdpGroupV4),
                                 Ipv4Address(192, 168, 10, 7), kSsdpGroupV4,
@@ -171,11 +144,8 @@ TEST(CommGraphTest, BuildsUndirectedEdgesWithProtocols) {
 // ----------------------------------------------------------------- exposure
 
 TEST(ExposureTest, ArpExposesMac) {
-  Packet p;
-  p.eth.src = mac_n(1);
-  p.eth.dst = MacAddress::kBroadcast;
-  p.arp = ArpPacket{};
-  const auto matrix = fold(ExposureBuilder{}, {{SimTime{}, p}});
+  const auto matrix =
+      fold(ExposureBuilder{}, {arp_frame(mac_n(1), MacAddress::kBroadcast, {})});
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kArp, ExposedData::kMac));
   EXPECT_FALSE(matrix.exposed(ProtocolLabel::kArp, ExposedData::kUuid));
 }

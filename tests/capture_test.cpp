@@ -7,6 +7,7 @@
 #include "capture/filter.hpp"
 #include "capture/flow_cache.hpp"
 #include "sim/host.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
@@ -42,7 +43,7 @@ TEST(CaptureSink, SplitsBySourceMac) {
   a.arp_request(Ipv4Address(192, 168, 10, 8));
   b.arp_request(Ipv4Address(192, 168, 10, 9));
   lan.settle();
-  const auto split = lan.capture.split_by_source();
+  const auto split = lan.capture.split_index_by_source();
   ASSERT_EQ(split.size(), 2u);
   EXPECT_EQ(split.at(a.mac()).size(), 2u);
   EXPECT_EQ(split.at(b.mac()).size(), 1u);
@@ -65,93 +66,64 @@ TEST(LocalFilter, MatchesPaperRules) {
   LocalFilter filter;  // 192.168.10.0/24
 
   const auto make_ipv4 = [](Ipv4Address src, Ipv4Address dst, bool bcast_mac) {
-    Packet p;
-    p.eth.src = mac_n(1);
-    p.eth.dst = bcast_mac ? MacAddress::kBroadcast : mac_n(2);
-    Ipv4Packet ip;
-    ip.src = src;
-    ip.dst = dst;
-    p.ipv4 = ip;
-    return p;
+    return udp_frame(mac_n(1), bcast_mac ? MacAddress::kBroadcast : mac_n(2),
+                     src, 5000, dst, 80, {});
   };
 
   // Local unicast: both in subnet.
   EXPECT_TRUE(filter.matches(make_ipv4(Ipv4Address(192, 168, 10, 5),
-                                       Ipv4Address(192, 168, 10, 6), false)));
+                                       Ipv4Address(192, 168, 10, 6), false).view));
   // Cloud-bound unicast: excluded.
   EXPECT_FALSE(filter.matches(make_ipv4(Ipv4Address(192, 168, 10, 5),
-                                        Ipv4Address(52, 1, 2, 3), false)));
+                                        Ipv4Address(52, 1, 2, 3), false).view));
   // Broadcast MAC: always local, even with an off-subnet IP.
   EXPECT_TRUE(filter.matches(make_ipv4(Ipv4Address(192, 168, 10, 5),
-                                       Ipv4Address(8, 8, 8, 8), true)));
+                                       Ipv4Address(8, 8, 8, 8), true).view));
   // Non-IP unicast (ARP): local.
-  Packet arp;
-  arp.eth.src = mac_n(1);
-  arp.eth.dst = mac_n(2);
-  arp.arp = ArpPacket{};
-  EXPECT_TRUE(filter.matches(arp));
+  EXPECT_TRUE(filter.matches(arp_frame(mac_n(1), mac_n(2), {}).view));
 }
 
 TEST(LocalFilter, Ipv6LinkLocalOnly) {
   LocalFilter filter;
-  Packet p;
-  p.eth.src = mac_n(1);
-  p.eth.dst = mac_n(2);
-  Ipv6Packet ip;
-  ip.src = Ipv6Address::parse("fe80::1").value();
-  ip.dst = Ipv6Address::parse("fe80::2").value();
-  p.ipv6 = ip;
-  EXPECT_TRUE(filter.matches(p));
-  ip.dst = Ipv6Address::parse("2001:db8::1").value();
-  p.ipv6 = ip;
-  EXPECT_FALSE(filter.matches(p));
+  const auto make_ipv6 = [](const char* dst) {
+    Ipv6Packet ip;
+    ip.src = Ipv6Address::parse("fe80::1").value();
+    ip.dst = Ipv6Address::parse(dst).value();
+    const Bytes datagram = encode_ipv6(ip);
+    return ethernet_frame(mac_n(1), mac_n(2), EtherType::kIpv6, datagram);
+  };
+  EXPECT_TRUE(filter.matches(make_ipv6("fe80::2").view));
+  EXPECT_FALSE(filter.matches(make_ipv6("2001:db8::1").view));
 }
 
 TEST(PrivateToPrivate, CrowdsourcedMembership) {
-  Packet p;
-  Ipv4Packet ip;
-  ip.src = Ipv4Address(10, 0, 0, 5);
-  ip.dst = Ipv4Address(192, 168, 1, 5);
-  p.ipv4 = ip;
-  EXPECT_TRUE(is_private_to_private(p));
-  ip.dst = Ipv4Address(1, 1, 1, 1);
-  p.ipv4 = ip;
-  EXPECT_FALSE(is_private_to_private(p));
+  const auto make_ipv4 = [](Ipv4Address dst) {
+    return udp_frame(mac_n(1), mac_n(2), Ipv4Address(10, 0, 0, 5), 5000, dst,
+                     80, {});
+  };
+  EXPECT_TRUE(is_private_to_private(make_ipv4(Ipv4Address(192, 168, 1, 5)).view));
+  EXPECT_FALSE(is_private_to_private(make_ipv4(Ipv4Address(1, 1, 1, 1)).view));
 }
 
 // -------------------------------------------------------------------- Flow
 
-Packet udp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
-                  std::uint16_t dport, std::string_view payload,
-                  MacAddress src_mac = mac_n(1), MacAddress dst_mac = mac_n(2)) {
-  Packet p;
-  p.eth.src = src_mac;
-  p.eth.dst = dst_mac;
-  p.eth.payload = Bytes(64);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = dst;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  p.ipv4 = ip;
-  UdpDatagram u;
-  u.src_port = port(sport);
-  u.dst_port = port(dport);
-  u.payload = bytes_of(payload);
-  p.udp = u;
-  return p;
+WireFrame udp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
+                     std::uint16_t dport, std::string_view payload,
+                     MacAddress src_mac = mac_n(1), MacAddress dst_mac = mac_n(2)) {
+  return udp_frame(src_mac, dst_mac, src, sport, dst, dport, bytes_of(payload));
 }
 
 /// Every record a non-evicting FlowCache emits for `packets` (added 1 ms
 /// apart unless `at` says otherwise), in flow-creation order.
-std::vector<FlowRecord> flow_records(const std::vector<Packet>& packets,
+std::vector<FlowRecord> flow_records(const std::vector<WireFrame>& frames,
                                      const std::vector<SimTime>& at = {}) {
   std::vector<FlowRecord> records;
   FlowCache cache({}, [&records](const FlowRecord& record, PruneReason) {
     records.push_back(record);
   });
-  for (std::size_t i = 0; i < packets.size(); ++i)
+  for (std::size_t i = 0; i < frames.size(); ++i)
     cache.add(at.empty() ? SimTime::from_ms(static_cast<std::int64_t>(i)) : at[i],
-              as_view(packets[i]));
+              frames[i].view);
   cache.flush();
   return records;
 }
@@ -182,23 +154,22 @@ TEST(FlowRecords, DistinctTuplesAreDistinctFlows) {
 }
 
 TEST(FlowRecords, IgnoresNonTransport) {
-  Packet arp;
-  arp.arp = ArpPacket{};
   FlowCache cache;
-  cache.add(SimTime{}, as_view(arp));
+  cache.add(SimTime{}, arp_frame(mac_n(1), mac_n(2), {}).view);
   EXPECT_EQ(cache.stats().flows_created, 0u);
   EXPECT_EQ(cache.stats().packets, 0u);
 }
 
 TEST(FlowRecords, TimesAndBytes) {
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
+  const WireFrame first = udp_packet(a, 1, b, 2, "abc");
+  const WireFrame second = udp_packet(a, 1, b, 2, "defg");
   const auto records = flow_records(
-      {udp_packet(a, 1, b, 2, "abc"), udp_packet(a, 1, b, 2, "defg")},
-      {SimTime::from_seconds(1), SimTime::from_seconds(9)});
+      {first, second}, {SimTime::from_seconds(1), SimTime::from_seconds(9)});
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].first_seen, SimTime::from_seconds(1));
   EXPECT_EQ(records[0].last_seen, SimTime::from_seconds(9));
-  EXPECT_EQ(records[0].bytes, 2 * (64u + 14u));
+  EXPECT_EQ(records[0].bytes, first.bytes.size() + second.bytes.size());
 }
 
 // --------------------------------------------------------------- arpspoof
@@ -226,7 +197,7 @@ TEST(ArpSpoof, InterceptsAndForwardsVictimTraffic) {
 
   // a -> b traffic still arrives (transparent forwarding)...
   std::string received;
-  b.open_udp(7000, [&](Host&, const PacketView&, const UdpDatagramView& udp) {
+  b.open_udp(7000, [&](Host&, const PacketView&, const UdpDatagram& udp) {
     received = string_of(udp.payload);
   });
   a.send_udp(b.ip(), 6000, 7000, bytes_of("secret-reading"));

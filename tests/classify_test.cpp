@@ -21,43 +21,28 @@
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
 #include "sim/host.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
 
 MacAddress mac_n(std::uint64_t n) { return MacAddress::from_u64(0x02a000000000ull | n); }
 
-Packet udp_packet(std::uint16_t sport, std::uint16_t dport, Bytes payload,
-                  MacAddress src_mac = mac_n(1)) {
-  Packet p;
-  p.eth.src = src_mac;
-  p.eth.dst = mac_n(2);
-  Ipv4Packet ip;
-  ip.src = Ipv4Address(192, 168, 10, 5);
-  ip.dst = Ipv4Address(192, 168, 10, 6);
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  p.ipv4 = ip;
-  UdpDatagram u;
-  u.src_port = port(sport);
-  u.dst_port = port(dport);
-  u.payload = std::move(payload);
-  p.udp = u;
-  return p;
+WireFrame udp_packet(std::uint16_t sport, std::uint16_t dport,
+                     BytesView payload, MacAddress src_mac = mac_n(1),
+                     MacAddress dst_mac = mac_n(2),
+                     Ipv4Address dst = Ipv4Address(192, 168, 10, 6)) {
+  return udp_frame(src_mac, dst_mac, Ipv4Address(192, 168, 10, 5), sport, dst,
+                   dport, payload);
 }
 
-Packet tcp_packet(std::uint16_t sport, std::uint16_t dport, Bytes payload) {
-  Packet p = udp_packet(sport, dport, {});
-  p.udp.reset();
-  p.ipv4->protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  TcpSegment t;
-  t.src_port = port(sport);
-  t.dst_port = port(dport);
-  t.payload = std::move(payload);
-  p.tcp = t;
-  return p;
+WireFrame tcp_packet(std::uint16_t sport, std::uint16_t dport,
+                     BytesView payload) {
+  return tcp_frame(mac_n(1), mac_n(2), Ipv4Address(192, 168, 10, 5), sport,
+                   Ipv4Address(192, 168, 10, 6), dport, {}, payload);
 }
 
-Flow flow_of(const std::vector<Packet>& packets) {
+Flow flow_of(const std::vector<WireFrame>& frames) {
   // The Flow's payload views alias its FlowRecord; the call sites keep only
   // the Flow, so park each record in a process-lifetime arena.
   static std::deque<FlowRecord> arena;
@@ -66,8 +51,8 @@ Flow flow_of(const std::vector<Packet>& packets) {
     arena.push_back(record);
   });
   SimTime at;
-  for (const auto& p : packets) {
-    cache.add(at, as_view(p));
+  for (const auto& frame : frames) {
+    cache.add(at, frame.view);
     at += SimTime::from_ms(5);
   }
   cache.flush();
@@ -83,59 +68,53 @@ TEST(Classifiers, AgreeOnCommonProtocols) {
   DnsMessage mdns;
   mdns.questions.push_back({DnsName::from_string("_hue._tcp.local"),
                             DnsType::kPtr, false});
-  const Packet mdns_pkt = udp_packet(5353, 5353, encode_dns(mdns));
-  EXPECT_EQ(spec.classify_packet(mdns_pkt), ProtocolLabel::kMdns);
-  EXPECT_EQ(deep.classify_packet(mdns_pkt), ProtocolLabel::kMdns);
+  const WireFrame mdns_pkt = udp_packet(5353, 5353, encode_dns(mdns));
+  EXPECT_EQ(spec.classify_packet(mdns_pkt.view), ProtocolLabel::kMdns);
+  EXPECT_EQ(deep.classify_packet(mdns_pkt.view), ProtocolLabel::kMdns);
 
   DhcpMessage dhcp;
   dhcp.set_message_type(DhcpMessageType::kDiscover);
-  const Packet dhcp_pkt = udp_packet(68, 67, encode_dhcp(dhcp));
-  EXPECT_EQ(spec.classify_packet(dhcp_pkt), ProtocolLabel::kDhcp);
-  EXPECT_EQ(deep.classify_packet(dhcp_pkt), ProtocolLabel::kDhcp);
+  const WireFrame dhcp_pkt = udp_packet(68, 67, encode_dhcp(dhcp));
+  EXPECT_EQ(spec.classify_packet(dhcp_pkt.view), ProtocolLabel::kDhcp);
+  EXPECT_EQ(deep.classify_packet(dhcp_pkt.view), ProtocolLabel::kDhcp);
 
   SsdpMessage msearch;
   msearch.kind = SsdpKind::kMSearch;
   msearch.search_target = "ssdp:all";
-  const Packet ssdp_pkt = udp_packet(50000, 1900, encode_ssdp(msearch));
-  EXPECT_EQ(spec.classify_packet(ssdp_pkt), ProtocolLabel::kSsdp);
-  EXPECT_EQ(deep.classify_packet(ssdp_pkt), ProtocolLabel::kSsdp);
+  const WireFrame ssdp_pkt = udp_packet(50000, 1900, encode_ssdp(msearch));
+  EXPECT_EQ(spec.classify_packet(ssdp_pkt.view), ProtocolLabel::kSsdp);
+  EXPECT_EQ(deep.classify_packet(ssdp_pkt.view), ProtocolLabel::kSsdp);
 
   Rng rng(1);
   TlsClientHello hello;
   hello.random = rng.bytes(32);
   hello.cipher_suites = {0x1301};
-  const Packet tls_pkt = tcp_packet(50001, 8009, encode_client_hello(hello));
-  EXPECT_EQ(spec.classify_packet(tls_pkt), ProtocolLabel::kTls);
-  EXPECT_EQ(deep.classify_packet(tls_pkt), ProtocolLabel::kTls);
+  const WireFrame tls_pkt = tcp_packet(50001, 8009, encode_client_hello(hello));
+  EXPECT_EQ(spec.classify_packet(tls_pkt.view), ProtocolLabel::kTls);
+  EXPECT_EQ(deep.classify_packet(tls_pkt.view), ProtocolLabel::kTls);
 
-  const Packet arp_pkt = [] {
-    Packet p;
-    p.eth.src = mac_n(1);
-    p.eth.dst = MacAddress::kBroadcast;
-    p.arp = ArpPacket{};
-    return p;
-  }();
-  EXPECT_EQ(spec.classify_packet(arp_pkt), ProtocolLabel::kArp);
-  EXPECT_EQ(deep.classify_packet(arp_pkt), ProtocolLabel::kArp);
+  const WireFrame arp_pkt = arp_frame(mac_n(1), MacAddress::kBroadcast, {});
+  EXPECT_EQ(spec.classify_packet(arp_pkt.view), ProtocolLabel::kArp);
+  EXPECT_EQ(deep.classify_packet(arp_pkt.view), ProtocolLabel::kArp);
 }
 
 TEST(Classifiers, TplinkUdpRecognized) {
   SpecClassifier spec;
   DeepClassifier deep;
-  const Packet pkt =
+  const WireFrame pkt =
       udp_packet(9999, 9999, encode_tplink_udp(tplink_get_sysinfo_request()));
-  EXPECT_EQ(spec.classify_packet(pkt), ProtocolLabel::kTplinkShp);
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kTplinkShp);
+  EXPECT_EQ(spec.classify_packet(pkt.view), ProtocolLabel::kTplinkShp);
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kTplinkShp);
 }
 
 TEST(Classifiers, TuyaRecognized) {
   DeepClassifier deep;
   TuyaDiscovery d;
   d.gw_id = "gw";
-  const Packet pkt = udp_packet(6666, 6666, encode_tuya_discovery(d));
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kTuyaLp);
+  const WireFrame pkt = udp_packet(6666, 6666, encode_tuya_discovery(d));
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kTuyaLp);
   SpecClassifier spec;
-  EXPECT_EQ(spec.classify_packet(pkt), ProtocolLabel::kTuyaLp);
+  EXPECT_EQ(spec.classify_packet(pkt.view), ProtocolLabel::kTuyaLp);
 }
 
 // -------------------------------------------- documented error modes (C.2)
@@ -145,7 +124,7 @@ TEST(SpecClassifier, SsdpUnicastResponseFlowBecomesGenericUdp) {
   SsdpMessage res;
   res.kind = SsdpKind::kResponse;
   res.search_target = "upnp:rootdevice";
-  const Packet pkt = udp_packet(1900, 50123, encode_ssdp(res));
+  const WireFrame pkt = udp_packet(1900, 50123, encode_ssdp(res));
   const Flow flow = flow_of({pkt});
   SpecClassifier spec;
   DeepClassifier deep;
@@ -156,12 +135,12 @@ TEST(SpecClassifier, SsdpUnicastResponseFlowBecomesGenericUdp) {
 TEST(SpecClassifier, OverTriggersTplinkOnD0Byte) {
   // An unknown vendor beacon that happens to start with 0xd0.
   Bytes beacon = {0xd0, 0x42, 0x42, 0x42};
-  const Packet pkt = udp_packet(56700, 56700, beacon);
+  const WireFrame pkt = udp_packet(56700, 56700, beacon);
   SpecClassifier spec;
   DeepClassifier deep;
-  EXPECT_EQ(spec.classify_packet(pkt), ProtocolLabel::kTplinkShp);
+  EXPECT_EQ(spec.classify_packet(pkt.view), ProtocolLabel::kTplinkShp);
   // Deep decrypts and sees non-JSON -> stays unknown.
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kUnknown);
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kUnknown);
 }
 
 TEST(DeepClassifier, IgdSearchMislabeledCiscoVpn) {
@@ -169,49 +148,47 @@ TEST(DeepClassifier, IgdSearchMislabeledCiscoVpn) {
   msearch.kind = SsdpKind::kMSearch;
   msearch.search_target =
       "urn:schemas-upnp-org:device:InternetGatewayDevice:1";
-  const Packet pkt = udp_packet(50000, 1900, encode_ssdp(msearch));
+  const WireFrame pkt = udp_packet(50000, 1900, encode_ssdp(msearch));
   DeepClassifier deep;
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kCiscoVpn);
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kCiscoVpn);
   // The hybrid's manual rule corrects it.
   HybridClassifier hybrid;
-  EXPECT_EQ(hybrid.classify_packet(pkt), ProtocolLabel::kSsdp);
+  EXPECT_EQ(hybrid.classify_packet(pkt.view), ProtocolLabel::kSsdp);
 }
 
 TEST(DeepClassifier, NintendoEapolMislabeledAmazonAws) {
   const auto nintendo_oui = OuiRegistry::builtin().oui_of("Nintendo");
   ASSERT_TRUE(nintendo_oui.has_value());
-  Packet pkt;
-  pkt.eth.src = MacAddress::from_u64(
-      (static_cast<std::uint64_t>(*nintendo_oui) << 24) | 1);
-  pkt.eth.dst = MacAddress::kBroadcast;
-  pkt.eapol = EapolFrame{};
+  const WireFrame pkt = eapol_frame(
+      MacAddress::from_u64((static_cast<std::uint64_t>(*nintendo_oui) << 24) | 1),
+      MacAddress::kBroadcast, {});
   DeepClassifier deep;
   SpecClassifier spec;
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kAmazonAws);
-  EXPECT_EQ(spec.classify_packet(pkt), ProtocolLabel::kEapol);
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kAmazonAws);
+  EXPECT_EQ(spec.classify_packet(pkt.view), ProtocolLabel::kEapol);
   HybridClassifier hybrid;
-  EXPECT_EQ(hybrid.classify_packet(pkt), ProtocolLabel::kEapol);
+  EXPECT_EQ(hybrid.classify_packet(pkt.view), ProtocolLabel::kEapol);
 }
 
 TEST(BothClassifiers, GoogleRtpOn10000RangeLabeledStun) {
   RtpPacket rtp;
   rtp.payload = Bytes(32, 0x11);
-  const Packet pkt = udp_packet(10002, 10004, encode_rtp(rtp));
+  const WireFrame pkt = udp_packet(10002, 10004, encode_rtp(rtp));
   SpecClassifier spec;
   DeepClassifier deep;
-  EXPECT_EQ(spec.classify_packet(pkt), ProtocolLabel::kStun);
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kStun);
+  EXPECT_EQ(spec.classify_packet(pkt.view), ProtocolLabel::kStun);
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kStun);
   // Hybrid's controlled-experiment rule recovers RTP.
   HybridClassifier hybrid;
-  EXPECT_EQ(hybrid.classify_packet(pkt), ProtocolLabel::kRtp);
+  EXPECT_EQ(hybrid.classify_packet(pkt.view), ProtocolLabel::kRtp);
 }
 
 TEST(DeepClassifier, RtpOffGoogleRangeIsRtp) {
   RtpPacket rtp;
   rtp.payload = Bytes(16, 0x22);
-  const Packet pkt = udp_packet(55444, 55444, encode_rtp(rtp));
+  const WireFrame pkt = udp_packet(55444, 55444, encode_rtp(rtp));
   DeepClassifier deep;
-  EXPECT_EQ(deep.classify_packet(pkt), ProtocolLabel::kRtp);
+  EXPECT_EQ(deep.classify_packet(pkt.view), ProtocolLabel::kRtp);
 }
 
 // --------------------------------------------------------- cross-validation
@@ -332,32 +309,30 @@ TEST(Periodicity, TwoHourBeaconOverFiveDays) {
 /// Feeds a time-ordered capture through the correlator, as the pipeline's
 /// tap does.
 ResponseStats correlate(
-    const std::vector<std::pair<SimTime, Packet>>& capture) {
+    const std::vector<std::pair<SimTime, WireFrame>>& capture) {
   ResponseCorrelator correlator;
-  for (const auto& [at, packet] : capture)
-    correlator.on_packet(at, as_view(packet));
+  for (const auto& [at, frame] : capture) correlator.on_packet(at, frame.view);
   return correlator.finish();
 }
 
 TEST(ResponseCorrelation, PairsDiscoveryWithUnicastReply) {
-  std::vector<std::pair<SimTime, Packet>> capture;
+  std::vector<std::pair<SimTime, WireFrame>> capture;
 
   // Phone multicasts an SSDP M-SEARCH at t=0 from port 50000.
   SsdpMessage msearch;
   msearch.kind = SsdpKind::kMSearch;
   msearch.search_target = "ssdp:all";
-  Packet query = udp_packet(50000, 1900, encode_ssdp(msearch), mac_n(10));
-  query.eth.dst = multicast_mac_v4(kSsdpGroupV4);
-  query.ipv4->dst = kSsdpGroupV4;
-  capture.emplace_back(SimTime::from_seconds(0), query);
+  capture.emplace_back(SimTime::from_seconds(0),
+                       udp_packet(50000, 1900, encode_ssdp(msearch), mac_n(10),
+                                  multicast_mac_v4(kSsdpGroupV4), kSsdpGroupV4));
 
   // TV replies unicast at t=1 to phone:50000.
   SsdpMessage res;
   res.kind = SsdpKind::kResponse;
   res.search_target = "upnp:rootdevice";
-  Packet reply = udp_packet(1900, 50000, encode_ssdp(res), mac_n(20));
-  reply.eth.dst = mac_n(10);
-  capture.emplace_back(SimTime::from_seconds(1), reply);
+  capture.emplace_back(SimTime::from_seconds(1),
+                       udp_packet(1900, 50000, encode_ssdp(res), mac_n(20),
+                                  mac_n(10)));
 
   const auto stats = correlate(capture);
   ASSERT_EQ(stats.matches.size(), 1u);
@@ -368,20 +343,20 @@ TEST(ResponseCorrelation, PairsDiscoveryWithUnicastReply) {
 }
 
 TEST(ResponseCorrelation, LateReplyOutsideWindowIgnored) {
-  std::vector<std::pair<SimTime, Packet>> capture;
+  std::vector<std::pair<SimTime, WireFrame>> capture;
   SsdpMessage msearch;
   msearch.kind = SsdpKind::kMSearch;
   msearch.search_target = "ssdp:all";
-  Packet query = udp_packet(50000, 1900, encode_ssdp(msearch), mac_n(10));
-  query.eth.dst = multicast_mac_v4(kSsdpGroupV4);
-  capture.emplace_back(SimTime::from_seconds(0), query);
+  capture.emplace_back(SimTime::from_seconds(0),
+                       udp_packet(50000, 1900, encode_ssdp(msearch), mac_n(10),
+                                  multicast_mac_v4(kSsdpGroupV4)));
 
   SsdpMessage res;
   res.kind = SsdpKind::kResponse;
   res.search_target = "upnp:rootdevice";
-  Packet reply = udp_packet(1900, 50000, encode_ssdp(res), mac_n(20));
-  reply.eth.dst = mac_n(10);
-  capture.emplace_back(SimTime::from_seconds(10), reply);  // > 3 s window
+  capture.emplace_back(SimTime::from_seconds(10),  // > 3 s window
+                       udp_packet(1900, 50000, encode_ssdp(res), mac_n(20),
+                                  mac_n(10)));
 
   const auto stats = correlate(capture);
   EXPECT_TRUE(stats.matches.empty());
@@ -390,12 +365,9 @@ TEST(ResponseCorrelation, LateReplyOutsideWindowIgnored) {
 }
 
 TEST(ResponseCorrelation, ArpAndDhcpExcludedFromTable4) {
-  std::vector<std::pair<SimTime, Packet>> capture;
-  Packet arp;
-  arp.eth.src = mac_n(1);
-  arp.eth.dst = MacAddress::kBroadcast;
-  arp.arp = ArpPacket{};
-  capture.emplace_back(SimTime{}, arp);
+  std::vector<std::pair<SimTime, WireFrame>> capture;
+  capture.emplace_back(SimTime{},
+                       arp_frame(mac_n(1), MacAddress::kBroadcast, {}));
   const auto stats = correlate(capture);
   EXPECT_TRUE(stats.discovery_protocols.empty());
 }

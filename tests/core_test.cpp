@@ -357,7 +357,6 @@ TEST(PipelineTelemetry, PopulatesStageMetricsWithoutChangingResults) {
   instrumented.telemetry_out = out_dir.string();
   Pipeline traced(instrumented);
   const auto r2 = traced.run();
-  telemetry::disable();
 
   // Determinism guard: telemetry must not perturb the study's result tables.
   EXPECT_EQ(r1.local_packets, r2.local_packets);
@@ -421,7 +420,32 @@ TEST(PipelineTelemetry, UnwritableRunDirectoryThrowsNamingThePath) {
               std::string::npos)
         << e.what();
   }
-  telemetry::disable();
+  std::filesystem::remove(blocker);
+}
+
+TEST(PipelineTelemetry, RunRestoresTheTelemetryFlag) {
+  // A telemetry run times event callbacks only while it runs: the flag it
+  // turned on is off again whether the run returns or throws.
+  ASSERT_FALSE(telemetry::enabled());
+  PipelineConfig config;
+  config.idle_duration = SimTime::from_minutes(1);
+  config.interactions = 1;
+  config.app_sample = 0;
+  config.run_scan = false;
+  config.run_crowd = false;
+  const std::filesystem::path out_dir = "core_test_flag_run";
+  config.telemetry_out = out_dir.string();
+  Pipeline returns(config);
+  (void)returns.run();
+  EXPECT_FALSE(telemetry::enabled());
+  std::filesystem::remove_all(out_dir);
+
+  const std::filesystem::path blocker = "core_test_flag_blocker";
+  std::ofstream(blocker) << "x";
+  config.telemetry_out = (blocker / "run").string();
+  Pipeline throws(config);
+  EXPECT_THROW((void)throws.run(), std::runtime_error);
+  EXPECT_FALSE(telemetry::enabled());
   std::filesystem::remove(blocker);
 }
 

@@ -35,7 +35,7 @@ struct FaultLan {
     sender.add_arp_entry(receiver.ip(), receiver.mac());
     receiver.add_arp_entry(sender.ip(), sender.mac());
     receiver.open_udp(
-        9000, [this](Host&, const PacketView&, const UdpDatagramView&) { ++received; });
+        9000, [this](Host&, const PacketView&, const UdpDatagram&) { ++received; });
   }
 
   void send_one() {

@@ -23,8 +23,8 @@ namespace roomnet::fuzz {
 
 // -- harness entry points (one per family member) ---------------------------
 
-/// Differential: decode_frame_view vs decode_frame vs materialize/as_view/
-/// rebase must agree field-for-field on every input.
+/// Contract: decode_frame_view on every input obeys
+/// frame_contract_violation() below.
 int fuzz_frame(BytesView data);
 /// Round-trip: input-driven construction of every layer + payload message;
 /// encode must decode, and re-encoding the decode must be a fixpoint.
@@ -46,6 +46,13 @@ int fuzz_payload(BytesView data);
 /// FlowCache/StreamAnalyzer: replays input-framed records through the
 /// streaming fold and asserts the cache's bound invariants.
 int fuzz_stream(BytesView data);
+
+/// The frame decode contract: nullptr when decode_frame_view(raw) keeps
+/// every view inside the input and each layer inside its parent, has at most
+/// one layer per level, matches the standalone decode of each layer's parent
+/// payload, and buckets wire_proto by the present layers; otherwise the
+/// clause that failed.
+const char* frame_contract_violation(BytesView raw);
 
 // -- registry ---------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 // Round-trip fuzz of every encoder: the input drives construction of one
-// message (layer or payload protocol), which must encode, decode back, and
-// re-encode to a byte-for-byte fixpoint. Protocols whose decode normalizes
-// the wire form (DNS name compression, SSDP/HTTP header layout, NetBIOS
-// name padding) are held to idempotence — encode∘decode applied twice must
-// agree with itself — while everything else is held to strict equality of
-// the first and second encode.
+// message (layer or payload protocol), which must encode, decode back with
+// the decoder production runs, and re-encode to a byte-for-byte fixpoint.
+// Protocols whose decode normalizes the wire form (DNS name compression,
+// SSDP/HTTP header layout, NetBIOS name padding) are held to idempotence —
+// encode∘decode applied twice must agree with itself — while everything
+// else is held to strict equality of the first and second encode.
 #include <string>
 
 #include "harness.hpp"
@@ -34,6 +34,8 @@ constexpr std::string_view kUpper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
 
 /// encode → decode → re-encode. `strict`: e2 must equal e1; always: the
 /// decode must succeed and a second cycle must be a fixpoint (e2 == e3).
+/// Layer decodes borrow their input, so d1 aliases e1 and d2 aliases e2;
+/// both buffers live for the whole cycle.
 template <typename Msg, typename Enc, typename Dec>
 void roundtrip(const char* what, const Msg& m, Enc&& enc, Dec&& dec,
                bool strict) {
@@ -99,7 +101,8 @@ int fuzz_roundtrip(BytesView data) {
       f.dst = in.mac();
       f.src = in.mac();
       f.ethertype = in.u16();
-      f.payload = in.bytes(in.range(0, 64));
+      const Bytes payload = in.bytes(in.range(0, 64));
+      f.payload = payload;
       roundtrip("ethernet", f, encode_ethernet, decode_ethernet, true);
       break;
     }
@@ -118,7 +121,8 @@ int fuzz_roundtrip(BytesView data) {
       f.dsap = in.u8();
       f.ssap = in.u8();
       f.is_xid = in.boolean();
-      f.info = in.bytes(in.range(0, 48));
+      const Bytes info = in.bytes(in.range(0, 48));
+      f.info = info;
       roundtrip("llc", f, encode_llc_xid, decode_llc, true);
       break;
     }
@@ -126,7 +130,8 @@ int fuzz_roundtrip(BytesView data) {
       EapolFrame f;
       f.version = in.u8();
       f.type = static_cast<EapolType>(in.u8() % 4);
-      f.body = in.bytes(in.range(0, 48));
+      const Bytes body = in.bytes(in.range(0, 48));
+      f.body = body;
       roundtrip("eapol", f, encode_eapol, decode_eapol, true);
       break;
     }
@@ -137,7 +142,8 @@ int fuzz_roundtrip(BytesView data) {
       p.protocol = in.u8();
       p.ttl = in.u8();
       p.identification = in.u16();
-      p.payload = in.bytes(in.range(0, 96));
+      const Bytes payload = in.bytes(in.range(0, 96));
+      p.payload = payload;
       roundtrip("ipv4", p, encode_ipv4, decode_ipv4, true);
       break;
     }
@@ -147,7 +153,8 @@ int fuzz_roundtrip(BytesView data) {
       p.dst = in.ipv6();
       p.next_header = in.u8();
       p.hop_limit = in.u8();
-      p.payload = in.bytes(in.range(0, 96));
+      const Bytes payload = in.bytes(in.range(0, 96));
+      p.payload = payload;
       roundtrip("ipv6", p, encode_ipv6, decode_ipv6, true);
       break;
     }
@@ -155,7 +162,8 @@ int fuzz_roundtrip(BytesView data) {
       UdpDatagram u;
       u.src_port = port(in.u16());
       u.dst_port = port(in.u16());
-      u.payload = in.bytes(in.range(0, 96));
+      const Bytes payload = in.bytes(in.range(0, 96));
+      u.payload = payload;
       roundtrip(
           "udp", u,
           [&](const UdpDatagram& m) { return encode_udp_v4(m, src4, dst4); },
@@ -170,7 +178,8 @@ int fuzz_roundtrip(BytesView data) {
       t.ack = in.u32();
       t.flags = TcpFlags::from_byte(in.u8() & 0x1f);
       t.window = in.u16();
-      t.payload = in.bytes(in.range(0, 96));
+      const Bytes payload = in.bytes(in.range(0, 96));
+      t.payload = payload;
       roundtrip(
           "tcp", t,
           [&](const TcpSegment& m) { return encode_tcp_v4(m, src4, dst4); },
@@ -181,7 +190,8 @@ int fuzz_roundtrip(BytesView data) {
       IcmpMessage m;
       m.type = in.u8();
       m.code = in.u8();
-      m.body = in.bytes(in.range(0, 48));
+      const Bytes body = in.bytes(in.range(0, 48));
+      m.body = body;
       roundtrip("icmp", m, encode_icmp, decode_icmp, true);
       break;
     }
@@ -196,11 +206,13 @@ int fuzz_roundtrip(BytesView data) {
       m.code = in.u8();
       const bool ndp = m.type == Icmpv6Type::kNeighborSolicitation ||
                        m.type == Icmpv6Type::kNeighborAdvertisement;
+      Bytes extra;
       if (ndp) {
         m.target = in.ipv6();
         if (in.boolean()) m.link_layer_option = in.mac();
       } else {
-        m.extra = in.bytes(in.range(0, 48));
+        extra = in.bytes(in.range(0, 48));
+        m.extra = extra;
       }
       roundtrip(
           "icmpv6", m,

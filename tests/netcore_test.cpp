@@ -6,9 +6,11 @@
 #include "netcore/bytes.hpp"
 #include "netcore/checksum.hpp"
 #include "netcore/packet.hpp"
+#include "netcore/packet_view.hpp"
 #include "netcore/pcap.hpp"
 #include "netcore/rng.hpp"
 #include "netcore/uuid.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
@@ -217,11 +219,12 @@ TEST(Checksum, OddLengthPadsWithZero) {
 // ------------------------------------------------------------------ codecs
 
 TEST(Ethernet, RoundTrip) {
+  const Bytes payload = bytes_of("payload");
   EthernetFrame f;
   f.dst = MacAddress::kBroadcast;
   f.src = MacAddress::from_u64(0x02a000000001ull);
   f.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  f.payload = bytes_of("payload");
+  f.payload = payload;
   const Bytes raw = encode_ethernet(f);
   ASSERT_EQ(raw.size(), 14 + 7u);
   const auto back = decode_ethernet(BytesView(raw));
@@ -229,7 +232,9 @@ TEST(Ethernet, RoundTrip) {
   EXPECT_EQ(back->dst, f.dst);
   EXPECT_EQ(back->src, f.src);
   EXPECT_EQ(back->ethertype, f.ethertype);
-  EXPECT_EQ(back->payload, f.payload);
+  EXPECT_EQ(to_hex(back->payload), to_hex(payload));
+  // The decoded payload borrows the frame buffer.
+  EXPECT_EQ(back->payload.data(), raw.data() + 14);
 }
 
 TEST(Ethernet, RejectsTruncated) {
@@ -259,13 +264,14 @@ TEST(Arp, RejectsNonEthernetHardware) {
 }
 
 TEST(Ipv4, RoundTripWithChecksum) {
+  const Bytes payload = bytes_of("hello ip");
   Ipv4Packet p;
   p.src = Ipv4Address(192, 168, 1, 10);
   p.dst = Ipv4Address(192, 168, 1, 255);
   p.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
   p.ttl = 64;
   p.identification = 0x1234;
-  p.payload = bytes_of("hello ip");
+  p.payload = payload;
   const Bytes raw = encode_ipv4(p);
   // Header checksum must validate (sum over header == 0 when folded).
   EXPECT_EQ(internet_checksum(BytesView(raw).first(20)), 0);
@@ -274,35 +280,41 @@ TEST(Ipv4, RoundTripWithChecksum) {
   EXPECT_EQ(back->src, p.src);
   EXPECT_EQ(back->dst, p.dst);
   EXPECT_EQ(back->protocol, p.protocol);
-  EXPECT_EQ(back->payload, p.payload);
+  EXPECT_EQ(back->identification, p.identification);
+  EXPECT_EQ(back->fragment_offset, 0);
+  EXPECT_EQ(to_hex(back->payload), to_hex(payload));
 }
 
 TEST(Ipv4, RejectsTruncatedTotalLength) {
+  const Bytes payload = bytes_of("0123456789");
   Ipv4Packet p;
-  p.payload = bytes_of("0123456789");
+  p.payload = payload;
   Bytes raw = encode_ipv4(p);
   raw.resize(raw.size() - 4);  // truncate below total_length
   EXPECT_EQ(decode_ipv4(BytesView(raw)), std::nullopt);
 }
 
 TEST(Ipv6, RoundTrip) {
+  const Bytes payload = bytes_of("v6 payload");
   Ipv6Packet p;
   p.src = Ipv6Address::parse("fe80::1").value();
   p.dst = Ipv6Address::mdns_group();
   p.next_header = static_cast<std::uint8_t>(IpProto::kUdp);
-  p.payload = bytes_of("v6 payload");
-  const auto back = decode_ipv6(BytesView(encode_ipv6(p)));
+  p.payload = payload;
+  const Bytes raw = encode_ipv6(p);
+  const auto back = decode_ipv6(BytesView(raw));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->src, p.src);
   EXPECT_EQ(back->dst, p.dst);
-  EXPECT_EQ(back->payload, p.payload);
+  EXPECT_EQ(to_hex(back->payload), to_hex(payload));
 }
 
 TEST(Udp, RoundTripAndChecksum) {
+  const Bytes payload = bytes_of("mdns-ish");
   UdpDatagram u;
   u.src_port = port(5353);
   u.dst_port = port(5353);
-  u.payload = bytes_of("mdns-ish");
+  u.payload = payload;
   const Ipv4Address src(192, 168, 1, 10), dst(224, 0, 0, 251);
   const Bytes raw = encode_udp_v4(u, src, dst);
   // Verifying: checksum over segment with pseudo-header must fold to zero.
@@ -311,17 +323,18 @@ TEST(Udp, RoundTripAndChecksum) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->src_port, u.src_port);
   EXPECT_EQ(back->dst_port, u.dst_port);
-  EXPECT_EQ(back->payload, u.payload);
+  EXPECT_EQ(to_hex(back->payload), to_hex(payload));
 }
 
 TEST(Tcp, RoundTripFlagsAndSeq) {
+  const Bytes payload = bytes_of("tls?");
   TcpSegment t;
   t.src_port = port(51000);
   t.dst_port = port(8009);
   t.seq = 1000;
   t.ack = 2000;
   t.flags = {.syn = true, .ack = true};
-  t.payload = bytes_of("tls?");
+  t.payload = payload;
   const Ipv4Address src(192, 168, 1, 10), dst(192, 168, 1, 20);
   const Bytes raw = encode_tcp_v4(t, src, dst);
   EXPECT_EQ(transport_checksum_v4(src, dst, 6, BytesView(raw)), 0);
@@ -332,7 +345,7 @@ TEST(Tcp, RoundTripFlagsAndSeq) {
   EXPECT_FALSE(back->flags.fin);
   EXPECT_EQ(back->seq, 1000u);
   EXPECT_EQ(back->ack, 2000u);
-  EXPECT_EQ(back->payload, t.payload);
+  EXPECT_EQ(to_hex(back->payload), to_hex(payload));
 }
 
 TEST(TcpFlags, ByteRoundTrip) {
@@ -343,14 +356,16 @@ TEST(TcpFlags, ByteRoundTrip) {
 }
 
 TEST(Icmp, RoundTrip) {
+  const Bytes body = bytes_of("ping");
   IcmpMessage m;
   m.type = 8;
   m.code = 0;
-  m.body = bytes_of("ping");
-  const auto back = decode_icmp(BytesView(encode_icmp(m)));
+  m.body = body;
+  const Bytes raw = encode_icmp(m);
+  const auto back = decode_icmp(BytesView(raw));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->type, 8);
-  EXPECT_EQ(back->body, m.body);
+  EXPECT_EQ(to_hex(back->body), to_hex(body));
 }
 
 TEST(Icmpv6, NeighborSolicitationCarriesMacOption) {
@@ -381,47 +396,40 @@ TEST(Igmp, RoundTrip) {
 }
 
 TEST(Eapol, RoundTrip) {
+  const Bytes body = bytes_of("key-data");
   EapolFrame f;
   f.type = EapolType::kKey;
-  f.body = bytes_of("key-data");
-  const auto back = decode_eapol(BytesView(encode_eapol(f)));
+  f.body = body;
+  const Bytes raw = encode_eapol(f);
+  const auto back = decode_eapol(BytesView(raw));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->type, EapolType::kKey);
-  EXPECT_EQ(back->body, f.body);
+  EXPECT_EQ(to_hex(back->body), to_hex(body));
 }
 
 TEST(LlcXid, RoundTrip) {
+  const Bytes info = {0x81, 0x01, 0x00};
   LlcXidFrame f;
   f.dsap = 0x00;
   f.ssap = 0x01;
   f.is_xid = true;
-  f.info = {0x81, 0x01, 0x00};
-  const auto back = decode_llc(BytesView(encode_llc_xid(f)));
+  f.info = info;
+  const Bytes raw = encode_llc_xid(f);
+  const auto back = decode_llc(BytesView(raw));
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->is_xid);
-  EXPECT_EQ(back->info, f.info);
+  EXPECT_EQ(to_hex(back->info), to_hex(info));
 }
 
-// ------------------------------------------------------------ decode_frame
+// ------------------------------------------------------- decode_frame_view
 
 TEST(DecodeFrame, FullUdpStack) {
-  UdpDatagram u;
-  u.src_port = port(1900);
-  u.dst_port = port(1900);
-  u.payload = bytes_of("M-SEARCH * HTTP/1.1\r\n\r\n");
-  const Ipv4Address src(192, 168, 1, 7), dst(239, 255, 255, 250);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = dst;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = encode_udp_v4(u, src, dst);
-  EthernetFrame eth;
-  eth.dst = MacAddress::parse("01:00:5e:7f:ff:fa").value();
-  eth.src = MacAddress::from_u64(0x02a000000007ull);
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  eth.payload = encode_ipv4(ip);
-
-  const auto p = decode_frame(BytesView(encode_ethernet(eth)));
+  const WireFrame frame = udp_frame(
+      MacAddress::from_u64(0x02a000000007ull),
+      MacAddress::parse("01:00:5e:7f:ff:fa").value(), Ipv4Address(192, 168, 1, 7),
+      1900, Ipv4Address(239, 255, 255, 250), 1900,
+      bytes_of("M-SEARCH * HTTP/1.1\r\n\r\n"));
+  const auto p = decode_frame_view(BytesView(frame.bytes));
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->ipv4.has_value());
   ASSERT_TRUE(p->udp.has_value());
@@ -436,12 +444,9 @@ TEST(DecodeFrame, ArpFrame) {
   a.op = ArpOp::kRequest;
   a.sender_ip = Ipv4Address(192, 168, 1, 1);
   a.target_ip = Ipv4Address(192, 168, 1, 2);
-  EthernetFrame eth;
-  eth.dst = MacAddress::kBroadcast;
-  eth.src = MacAddress::from_u64(1);
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-  eth.payload = encode_arp(a);
-  const auto p = decode_frame(BytesView(encode_ethernet(eth)));
+  const WireFrame frame =
+      arp_frame(MacAddress::from_u64(1), MacAddress::kBroadcast, a);
+  const auto p = decode_frame_view(BytesView(frame.bytes));
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->arp.has_value());
   EXPECT_FALSE(p->has_ip());
@@ -451,32 +456,52 @@ TEST(DecodeFrame, ArpFrame) {
 TEST(DecodeFrame, LlcFrameViaLengthField) {
   LlcXidFrame f;
   f.is_xid = true;
-  EthernetFrame eth;
-  eth.dst = MacAddress::kBroadcast;
-  eth.src = MacAddress::from_u64(2);
-  eth.payload = encode_llc_xid(f);
-  eth.ethertype = static_cast<std::uint16_t>(eth.payload.size());  // length
-  const auto p = decode_frame(BytesView(encode_ethernet(eth)));
+  const Bytes llc = encode_llc_xid(f);
+  // LLC framing: the ethertype field carries the payload length.
+  const WireFrame frame =
+      ethernet_frame(MacAddress::from_u64(2), MacAddress::kBroadcast,
+                     static_cast<EtherType>(llc.size()), llc);
+  const auto p = decode_frame_view(BytesView(frame.bytes));
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->llc.has_value());
   EXPECT_TRUE(p->llc->is_xid);
 }
 
 TEST(DecodeFrame, GarbageTransportDoesNotKillDecode) {
-  Ipv4Packet ip;
-  ip.src = Ipv4Address(192, 168, 1, 7);
-  ip.dst = Ipv4Address(192, 168, 1, 8);
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  ip.payload = bytes_of("xx");  // far too short for a TCP header
-  EthernetFrame eth;
-  eth.dst = MacAddress::from_u64(3);
-  eth.src = MacAddress::from_u64(4);
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  eth.payload = encode_ipv4(ip);
-  const auto p = decode_frame(BytesView(encode_ethernet(eth)));
+  const Bytes too_short = bytes_of("xx");  // far too short for a TCP header
+  const WireFrame frame =
+      ipv4_frame(MacAddress::from_u64(4), MacAddress::from_u64(3),
+                 Ipv4Address(192, 168, 1, 7), Ipv4Address(192, 168, 1, 8),
+                 IpProto::kTcp, too_short);
+  const auto p = decode_frame_view(BytesView(frame.bytes));
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(p->ipv4.has_value());
   EXPECT_FALSE(p->tcp.has_value());
+}
+
+TEST(DecodeFrame, NonFirstIpv4FragmentStopsAtIpLayer) {
+  // The middle of a datagram is not a transport header: an mDNS-looking
+  // fragment must not be read as UDP to port 5353.
+  const WireFrame mdns =
+      udp_frame(MacAddress::from_u64(7), MacAddress::from_u64(8),
+                Ipv4Address(192, 168, 1, 7), 5353, Ipv4Address(224, 0, 0, 251),
+                5353, bytes_of("not a header"));
+  Bytes raw = mdns.bytes;
+  ASSERT_TRUE(decode_frame_view(BytesView(raw))->udp.has_value());
+  constexpr std::size_t kFlagsOffset = 14 + 6;  // Ethernet + IPv4 bytes 0-5
+  raw[kFlagsOffset] = 0;                         // clear DF, offset high bits
+  raw[kFlagsOffset + 1] = 185;                   // offset 185 * 8 bytes
+  const auto p = decode_frame_view(BytesView(raw));
+  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p->ipv4.has_value());
+  EXPECT_EQ(p->ipv4->fragment_offset, 185);
+  EXPECT_FALSE(p->udp.has_value());
+  EXPECT_EQ(wire_proto(*p), WireProto::kIpOther);
+
+  // A first fragment (MF set, offset 0) still carries the transport header.
+  raw[kFlagsOffset] = 0x20;  // MF
+  raw[kFlagsOffset + 1] = 0;
+  ASSERT_TRUE(decode_frame_view(BytesView(raw))->udp.has_value());
 }
 
 // -------------------------------------------------------------------- pcap

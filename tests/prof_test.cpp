@@ -391,7 +391,6 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
   Pipeline p2(config);
   const PipelineResults r2 = p2.run();
   ledger.set_level(saved);
-  telemetry::disable();
 
   // The deterministic core (stage set + arena counters) must be
   // byte-identical across thread counts — the perf twin of the manifest's

@@ -14,7 +14,7 @@
 #include "crowd/inspector.hpp"
 #include "netcore/sha256.hpp"
 #include "netcore/checksum.hpp"
-#include "netcore/packet.hpp"
+#include "netcore/packet_view.hpp"
 #include "netcore/pcap.hpp"
 #include "netcore/rng.hpp"
 #include "proto/coap.hpp"
@@ -28,6 +28,7 @@
 #include "proto/tls.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
@@ -44,7 +45,7 @@ TEST_P(DecoderFuzz, NoDecoderCrashesOnRandomBytes) {
     const Bytes blob = rng.bytes(rng.below(200));
     const BytesView view(blob);
     // Each call must return nullopt or a valid object — never crash/UB.
-    decode_frame(view);
+    decode_frame_view(view);
     decode_ethernet(view);
     decode_arp(view);
     decode_ipv4(view);
@@ -83,30 +84,29 @@ TEST_P(DecoderFuzz, TruncationsOfValidMessagesAreSafe) {
   msg.answers.push_back(DnsRecord::make_ptr(
       DnsName::from_string("_hue._tcp.local"),
       DnsName::from_string("X._hue._tcp.local")));
-  UdpDatagram udp;
-  udp.src_port = port(5353);
-  udp.dst_port = port(5353);
-  udp.payload = encode_dns(msg);
-  const Ipv4Address src(192, 168, 10, 2);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = kMdnsGroupV4;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = encode_udp_v4(udp, src, kMdnsGroupV4);
-  EthernetFrame eth;
-  eth.src = MacAddress::from_u64(GetParam());
-  eth.dst = MacAddress::kBroadcast;
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  eth.payload = encode_ipv4(ip);
-  const Bytes frame = encode_ethernet(eth);
-  for (std::size_t n = 0; n <= frame.size(); ++n)
-    decode_frame(BytesView(frame).first(n));
+  const Bytes dns = encode_dns(msg);
+  const WireFrame valid =
+      udp_frame(MacAddress::from_u64(GetParam()), MacAddress::kBroadcast,
+                Ipv4Address(192, 168, 10, 2), 5353, kMdnsGroupV4, 5353, dns);
+  const Bytes& frame = valid.bytes;
+  const PacketView& layers = valid.view;
+  ASSERT_TRUE(layers.udp.has_value());
+  // Every layer decoder on every prefix of its own layer, and the whole
+  // frame on every prefix of the frame.
+  for (std::size_t n = 0; n <= frame.size(); ++n) {
+    decode_frame_view(BytesView(frame).first(n));
+    decode_ethernet(BytesView(frame).first(n));
+  }
+  for (std::size_t n = 0; n <= layers.eth.payload.size(); ++n)
+    decode_ipv4(layers.eth.payload.first(n));
+  for (std::size_t n = 0; n <= layers.ipv4->payload.size(); ++n)
+    decode_udp(layers.ipv4->payload.first(n));
   // And random single-byte corruptions.
   for (int round = 0; round < 100; ++round) {
     Bytes corrupted = frame;
     corrupted[rng.below(corrupted.size())] ^=
         static_cast<std::uint8_t>(1 + rng.below(255));
-    decode_frame(BytesView(corrupted));
+    decode_frame_view(BytesView(corrupted));
   }
 }
 
@@ -288,20 +288,23 @@ TEST_P(RoundTrip, ChecksumsSelfVerify) {
     UdpDatagram udp;
     udp.src_port = port(static_cast<std::uint16_t>(1 + rng_.below(65535)));
     udp.dst_port = port(static_cast<std::uint16_t>(1 + rng_.below(65535)));
-    udp.payload = rng_.bytes(rng_.below(256));
+    const Bytes udp_payload = rng_.bytes(rng_.below(256));
+    udp.payload = udp_payload;
     EXPECT_EQ(transport_checksum_v4(src, dst, 17,
                                     BytesView(encode_udp_v4(udp, src, dst))),
               0);
     TcpSegment tcp;
     tcp.seq = rng_.next_u32();
-    tcp.payload = rng_.bytes(rng_.below(256));
+    const Bytes tcp_payload = rng_.bytes(rng_.below(256));
+    tcp.payload = tcp_payload;
     EXPECT_EQ(transport_checksum_v4(src, dst, 6,
                                     BytesView(encode_tcp_v4(tcp, src, dst))),
               0);
     Ipv4Packet ip;
     ip.src = src;
     ip.dst = dst;
-    ip.payload = rng_.bytes(rng_.below(64));
+    const Bytes ip_payload = rng_.bytes(rng_.below(64));
+    ip.payload = ip_payload;
     EXPECT_EQ(internet_checksum(BytesView(encode_ipv4(ip)).first(20)), 0);
   }
 }
@@ -321,28 +324,20 @@ TEST_P(ClassifierProperty, HybridNeverEmitsKnownWrongLabels) {
   SpecClassifier spec;
   DeepClassifier deep;
   for (int round = 0; round < 300; ++round) {
-    Packet p;
-    p.eth.src = MacAddress::from_u64(rng.next_u64() & 0xffffffffffffull);
-    p.eth.dst = MacAddress::from_u64(rng.next_u64() & 0xffffffffffffull);
-    Ipv4Packet ip;
-    ip.src = Ipv4Address(rng.next_u32());
-    ip.dst = Ipv4Address(rng.next_u32());
+    const MacAddress src_mac =
+        MacAddress::from_u64(rng.next_u64() & 0xffffffffffffull);
+    const MacAddress dst_mac =
+        MacAddress::from_u64(rng.next_u64() & 0xffffffffffffull);
+    const Ipv4Address src(rng.next_u32());
+    const Ipv4Address dst(rng.next_u32());
     const bool udp = rng.chance(0.5);
-    ip.protocol = static_cast<std::uint8_t>(udp ? IpProto::kUdp : IpProto::kTcp);
-    p.ipv4 = ip;
-    if (udp) {
-      UdpDatagram u;
-      u.src_port = port(static_cast<std::uint16_t>(1 + rng.below(65535)));
-      u.dst_port = port(static_cast<std::uint16_t>(1 + rng.below(65535)));
-      u.payload = rng.bytes(rng.below(120));
-      p.udp = u;
-    } else {
-      TcpSegment t;
-      t.src_port = port(static_cast<std::uint16_t>(1 + rng.below(65535)));
-      t.dst_port = port(static_cast<std::uint16_t>(1 + rng.below(65535)));
-      t.payload = rng.bytes(rng.below(120));
-      p.tcp = t;
-    }
+    const auto sport = static_cast<std::uint16_t>(1 + rng.below(65535));
+    const auto dport = static_cast<std::uint16_t>(1 + rng.below(65535));
+    const Bytes payload = rng.bytes(rng.below(120));
+    const WireFrame frame =
+        udp ? udp_frame(src_mac, dst_mac, src, sport, dst, dport, payload)
+            : tcp_frame(src_mac, dst_mac, src, sport, dst, dport, {}, payload);
+    const PacketView& p = frame.view;
     // All three produce SOME label without crashing; the hybrid's manual
     // rules guarantee the known-wrong labels never escape it.
     (void)spec.classify_packet(p);
@@ -404,20 +399,15 @@ TEST_P(FlowProperty, EveryTransportPacketLandsInExactlyOneFlow) {
   });
   std::size_t transport_packets = 0;
   for (int round = 0; round < 500; ++round) {
-    Packet p;
-    p.eth.src = MacAddress::from_u64(1 + rng.below(6));
-    p.eth.dst = MacAddress::from_u64(1 + rng.below(6));
-    Ipv4Packet ip;
-    ip.src = Ipv4Address(192, 168, 10, static_cast<std::uint8_t>(2 + rng.below(5)));
-    ip.dst = Ipv4Address(192, 168, 10, static_cast<std::uint8_t>(2 + rng.below(5)));
-    ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-    p.ipv4 = ip;
-    UdpDatagram u;
-    u.src_port = port(static_cast<std::uint16_t>(1000 + rng.below(4)));
-    u.dst_port = port(static_cast<std::uint16_t>(1000 + rng.below(4)));
-    u.payload = rng.bytes(rng.below(32));
-    p.udp = u;
-    cache.add(SimTime::from_ms(round), as_view(p));
+    const MacAddress src_mac = MacAddress::from_u64(1 + rng.below(6));
+    const MacAddress dst_mac = MacAddress::from_u64(1 + rng.below(6));
+    const Ipv4Address src(192, 168, 10, static_cast<std::uint8_t>(2 + rng.below(5)));
+    const Ipv4Address dst(192, 168, 10, static_cast<std::uint8_t>(2 + rng.below(5)));
+    const auto sport = static_cast<std::uint16_t>(1000 + rng.below(4));
+    const auto dport = static_cast<std::uint16_t>(1000 + rng.below(4));
+    const Bytes payload = rng.bytes(rng.below(32));
+    cache.add(SimTime::from_ms(round),
+              udp_frame(src_mac, dst_mac, src, sport, dst, dport, payload).view);
     ++transport_packets;
   }
   cache.flush();

@@ -173,11 +173,12 @@ TEST(Arp, TargetedRequestAlwaysAnswered) {
   targeted.sender_ip = a.ip();
   targeted.target_mac = b.mac();
   targeted.target_ip = b.ip();
+  const Bytes arp = encode_arp(targeted);
   EthernetFrame eth;
   eth.dst = b.mac();
   eth.src = a.mac();
   eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-  eth.payload = encode_arp(targeted);
+  eth.payload = arp;
   a.send_frame(encode_ethernet(eth));
   lan.settle(1);
   EXPECT_EQ(a.arp_lookup(b.ip()), b.mac());
@@ -206,7 +207,7 @@ TEST(Dhcp, ClientAcquiresLeaseAndExposesHostname) {
 
   std::optional<std::string> seen_hostname;
   lan.net.add_tap([&](SimTime, BytesView frame) {
-    const auto p = decode_frame(frame);
+    const auto p = decode_frame_view(frame);
     if (!p || !p->udp || value(p->udp->dst_port) != kDhcpServerPort) return;
     const auto msg = decode_dhcp(BytesView(p->udp->payload));
     if (msg && msg->hostname()) seen_hostname = msg->hostname();
@@ -244,7 +245,7 @@ TEST(Udp, HandlerReceivesDatagram) {
   a.set_static_ip(Ipv4Address(192, 168, 10, 2));
   b.set_static_ip(Ipv4Address(192, 168, 10, 3));
   std::string got;
-  b.open_udp(7777, [&](Host&, const PacketView&, const UdpDatagramView& udp) {
+  b.open_udp(7777, [&](Host&, const PacketView&, const UdpDatagram& udp) {
     got = string_of(udp.payload);
   });
   a.send_udp(b.ip(), 1111, 7777, bytes_of("ping!"));
@@ -260,7 +261,7 @@ TEST(Udp, MulticastReachesGroupListeners) {
   listener.set_static_ip(Ipv4Address(192, 168, 10, 3));
   int got = 0;
   listener.open_udp(kSsdpPort,
-                    [&](Host&, const PacketView&, const UdpDatagramView&) { ++got; });
+                    [&](Host&, const PacketView&, const UdpDatagram&) { ++got; });
   sender.send_udp(kSsdpGroupV4, 5000, kSsdpPort, bytes_of("M-SEARCH..."));
   lan.settle(1);
   EXPECT_EQ(got, 1);
@@ -271,7 +272,7 @@ TEST(Udp, Ipv6LinkLocalDelivery) {
   Host a(lan.net, mac_n(2), "a");
   Host b(lan.net, mac_n(3), "b");
   int got = 0;
-  b.open_udp(kMdnsPort, [&](Host&, const PacketView& p, const UdpDatagramView&) {
+  b.open_udp(kMdnsPort, [&](Host&, const PacketView& p, const UdpDatagram&) {
     got += p.ipv6.has_value();
   });
   a.send_udp_v6(Ipv6Address::mdns_group(), kMdnsPort, kMdnsPort, bytes_of("q"));

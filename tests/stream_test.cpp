@@ -18,6 +18,7 @@
 #include "stream/stream.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet {
 namespace {
@@ -26,46 +27,18 @@ MacAddress mac_n(std::uint64_t n) {
   return MacAddress::from_u64(0x02a000000000ull | n);
 }
 
-Packet udp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
-                  std::uint16_t dport, std::string_view payload,
-                  MacAddress src_mac = mac_n(1),
-                  MacAddress dst_mac = mac_n(2)) {
-  Packet p;
-  p.eth.src = src_mac;
-  p.eth.dst = dst_mac;
-  p.eth.payload = Bytes(64);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = dst;
-  ip.protocol = 17;
-  p.ipv4 = ip;
-  UdpDatagram u;
-  u.src_port = port(sport);
-  u.dst_port = port(dport);
-  u.payload = bytes_of(payload);
-  p.udp = u;
-  return p;
+WireFrame udp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
+                     std::uint16_t dport, std::string_view payload,
+                     MacAddress src_mac = mac_n(1),
+                     MacAddress dst_mac = mac_n(2)) {
+  return udp_frame(src_mac, dst_mac, src, sport, dst, dport, bytes_of(payload));
 }
 
-Packet tcp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
-                  std::uint16_t dport, std::string_view payload,
-                  TcpFlags flags = {}) {
-  Packet p;
-  p.eth.src = mac_n(1);
-  p.eth.dst = mac_n(2);
-  p.eth.payload = Bytes(64);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = dst;
-  ip.protocol = 6;
-  p.ipv4 = ip;
-  TcpSegment t;
-  t.src_port = port(sport);
-  t.dst_port = port(dport);
-  t.flags = flags;
-  t.payload = bytes_of(payload);
-  p.tcp = t;
-  return p;
+WireFrame tcp_packet(Ipv4Address src, std::uint16_t sport, Ipv4Address dst,
+                     std::uint16_t dport, std::string_view payload,
+                     TcpFlags flags = {}) {
+  return tcp_frame(mac_n(1), mac_n(2), src, sport, dst, dport, flags,
+                   bytes_of(payload));
 }
 
 /// Collects every emitted record (deep copy — the reference dies with the
@@ -88,12 +61,12 @@ TEST(StreamFlowCache, CondensesBidirectionalFlowAndFlushes) {
   RecordLog log;
   FlowCache cache({}, log.sink());
 
-  const Packet req = udp_packet(a, 5000, b, 80, "req");
-  const Packet res = udp_packet(b, 80, a, 5000, "resp");
-  const Packet req2 = udp_packet(a, 5000, b, 80, "req2");
-  cache.add(SimTime::from_ms(0), as_view(req));
-  cache.add(SimTime::from_ms(10), as_view(res));
-  cache.add(SimTime::from_ms(20), as_view(req2));
+  const WireFrame req = udp_packet(a, 5000, b, 80, "req");
+  const WireFrame res = udp_packet(b, 80, a, 5000, "resp");
+  const WireFrame req2 = udp_packet(a, 5000, b, 80, "req2");
+  cache.add(SimTime::from_ms(0), req.view);
+  cache.add(SimTime::from_ms(10), res.view);
+  cache.add(SimTime::from_ms(20), req2.view);
   EXPECT_EQ(cache.stats().flows_created, 1u);
   EXPECT_EQ(cache.stats().active_flows, 1u);
   EXPECT_EQ(cache.stats().packets, 3u);
@@ -108,7 +81,8 @@ TEST(StreamFlowCache, CondensesBidirectionalFlowAndFlushes) {
   EXPECT_EQ(rec.packets, 3u);
   EXPECT_EQ(rec.client_packets, 2u);
   EXPECT_EQ(rec.server_packets, 1u);
-  EXPECT_EQ(rec.bytes, 3 * (64u + 14u));  // matches Flow::byte_count
+  EXPECT_EQ(rec.bytes, req.bytes.size() + res.bytes.size() +
+                           req2.bytes.size());  // matches Flow::byte_count
   EXPECT_EQ(rec.first_seen, SimTime::from_ms(0));
   EXPECT_EQ(rec.last_seen, SimTime::from_ms(20));
   // First non-empty payload per direction, copied out of the packet.
@@ -127,9 +101,9 @@ TEST(StreamFlowCache, ResetZeroesStatsAndReproducesAFreshCache) {
 
   const auto feed = [&cache, &a, &b] {
     for (int i = 0; i < 20; ++i) {
-      const Packet p = udp_packet(a, static_cast<std::uint16_t>(5000 + i), b,
-                                  80, "req");
-      cache.add(SimTime::from_ms(i), as_view(p));
+      const WireFrame p = udp_packet(a, static_cast<std::uint16_t>(5000 + i), b,
+                                     80, "req");
+      cache.add(SimTime::from_ms(i), p.view);
     }
     cache.flush();
   };
@@ -157,20 +131,20 @@ TEST(StreamFlowCache, ResetZeroesStatsAndReproducesAFreshCache) {
 
 TEST(StreamFlowCache, ToFlowMatchesBatchFlowOnClassifierInputs) {
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
-  const Packet req = udp_packet(a, 5000, b, 80, "question");
-  const Packet res = udp_packet(b, 80, a, 5000, "answer");
+  const WireFrame req = udp_packet(a, 5000, b, 80, "question");
+  const WireFrame res = udp_packet(b, 80, a, 5000, "answer");
 
   // The flow over every packet, the way a per-packet assembly holds it.
   Flow batch;
   batch.key = {a, port(5000), b, port(80),
                static_cast<std::uint8_t>(IpProto::kUdp)};
-  batch.packets = {{SimTime::from_ms(0), true, as_view(req).app_payload()},
-                   {SimTime::from_ms(5), false, as_view(res).app_payload()}};
+  batch.packets = {{SimTime::from_ms(0), true, req.view.app_payload()},
+                   {SimTime::from_ms(5), false, res.view.app_payload()}};
 
   RecordLog log;
   FlowCache cache({}, log.sink());
-  cache.add(SimTime::from_ms(0), as_view(req));
-  cache.add(SimTime::from_ms(5), as_view(res));
+  cache.add(SimTime::from_ms(0), req.view);
+  cache.add(SimTime::from_ms(5), res.view);
   cache.flush();
   ASSERT_EQ(log.records.size(), 1u);
   const Flow synth = log.records[0].to_flow();
@@ -194,12 +168,12 @@ TEST(StreamFlowCache, TracksTcpFlagsAndPerProtoCounters) {
   TcpFlags finack;
   finack.fin = true;
   finack.ack = true;
-  const Packet open = tcp_packet(a, 40000, b, 443, "", syn);
-  const Packet close = tcp_packet(a, 40000, b, 443, "", finack);
-  const Packet dgram = udp_packet(a, 5000, b, 53, "q");
-  cache.add(SimTime::from_ms(0), as_view(open));
-  cache.add(SimTime::from_ms(1), as_view(close));
-  cache.add(SimTime::from_ms(2), as_view(dgram));
+  const WireFrame open = tcp_packet(a, 40000, b, 443, "", syn);
+  const WireFrame close = tcp_packet(a, 40000, b, 443, "", finack);
+  const WireFrame dgram = udp_packet(a, 5000, b, 53, "q");
+  cache.add(SimTime::from_ms(0), open.view);
+  cache.add(SimTime::from_ms(1), close.view);
+  cache.add(SimTime::from_ms(2), dgram.view);
   EXPECT_EQ(cache.stats().tcp_flows, 1u);
   EXPECT_EQ(cache.stats().udp_flows, 1u);
 
@@ -219,14 +193,14 @@ TEST(StreamFlowCache, MaxFlowsEvictsLeastRecentlyUsed) {
   config.max_flows = 2;
   FlowCache cache(config, log.sink());
 
-  const Packet f1 = udp_packet(a, 5001, b, 80, "one");
-  const Packet f2 = udp_packet(a, 5002, b, 80, "two");
-  const Packet f1b = udp_packet(a, 5001, b, 80, "one-again");
-  const Packet f3 = udp_packet(a, 5003, b, 80, "three");
-  cache.add(SimTime::from_ms(0), as_view(f1));
-  cache.add(SimTime::from_ms(1), as_view(f2));
-  cache.add(SimTime::from_ms(2), as_view(f1b));  // touch: f2 is now LRU
-  cache.add(SimTime::from_ms(3), as_view(f3));   // over max_flows: evict f2
+  const WireFrame f1 = udp_packet(a, 5001, b, 80, "one");
+  const WireFrame f2 = udp_packet(a, 5002, b, 80, "two");
+  const WireFrame f1b = udp_packet(a, 5001, b, 80, "one-again");
+  const WireFrame f3 = udp_packet(a, 5003, b, 80, "three");
+  cache.add(SimTime::from_ms(0), f1.view);
+  cache.add(SimTime::from_ms(1), f2.view);
+  cache.add(SimTime::from_ms(2), f1b.view);  // touch: f2 is now LRU
+  cache.add(SimTime::from_ms(3), f3.view);   // over max_flows: evict f2
   ASSERT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.reasons[0], PruneReason::kExcess);
   EXPECT_EQ(log.records[0].key.client_port, port(5002));
@@ -246,9 +220,9 @@ TEST(StreamFlowCache, MemcapEvictsUntilUnderBudget) {
 
   const std::string big(200, 'x');
   for (std::uint16_t i = 0; i < 6; ++i) {
-    const Packet p =
+    const WireFrame p =
         udp_packet(a, static_cast<std::uint16_t>(6000 + i), b, 80, big);
-    cache.add(SimTime::from_ms(i), as_view(p));
+    cache.add(SimTime::from_ms(i), p.view);
     EXPECT_LE(cache.stats().bytes_used, config.memcap_bytes);
   }
   EXPECT_EQ(cache.stats().flows_created, 6u);
@@ -269,16 +243,16 @@ TEST(StreamFlowCache, IdleTimeoutEvictsInEventOrder) {
   config.idle_timeout = SimTime::from_seconds(5);
   FlowCache cache(config, log.sink());
 
-  const Packet f1 = udp_packet(a, 5001, b, 80, "one");
-  const Packet f2 = udp_packet(a, 5002, b, 80, "two");
-  cache.add(SimTime::from_seconds(0), as_view(f1));
-  cache.add(SimTime::from_seconds(2), as_view(f2));
+  const WireFrame f1 = udp_packet(a, 5001, b, 80, "one");
+  const WireFrame f2 = udp_packet(a, 5002, b, 80, "two");
+  cache.add(SimTime::from_seconds(0), f1.view);
+  cache.add(SimTime::from_seconds(2), f2.view);
   EXPECT_TRUE(log.records.empty());
 
   // t=8: f1 idle 8s (out), f2 idle 6s (out); both expire before the new
   // packet folds, oldest last_seen first.
-  const Packet f3 = udp_packet(a, 5003, b, 80, "three");
-  cache.add(SimTime::from_seconds(8), as_view(f3));
+  const WireFrame f3 = udp_packet(a, 5003, b, 80, "three");
+  cache.add(SimTime::from_seconds(8), f3.view);
   ASSERT_EQ(log.records.size(), 2u);
   EXPECT_EQ(log.reasons[0], PruneReason::kIdle);
   EXPECT_EQ(log.reasons[1], PruneReason::kIdle);
@@ -294,13 +268,13 @@ TEST(StreamFlowCache, EstablishedTimeoutSplitsLongLivedFlow) {
   config.established_timeout = SimTime::from_seconds(10);
   FlowCache cache(config, log.sink());
 
-  const Packet chat = udp_packet(a, 5000, b, 80, "tick");
-  cache.add(SimTime::from_seconds(0), as_view(chat));
-  cache.add(SimTime::from_seconds(5), as_view(chat));
+  const WireFrame chat = udp_packet(a, 5000, b, 80, "tick");
+  cache.add(SimTime::from_seconds(0), chat.view);
+  cache.add(SimTime::from_seconds(5), chat.view);
   EXPECT_TRUE(log.records.empty());
   // t=12: lifetime cap hit — the old record is emitted and a fresh one
   // starts with this packet.
-  cache.add(SimTime::from_seconds(12), as_view(chat));
+  cache.add(SimTime::from_seconds(12), chat.view);
   ASSERT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.reasons[0], PruneReason::kEstablished);
   EXPECT_EQ(log.records[0].packets, 2u);
@@ -313,15 +287,15 @@ TEST(StreamFlowCache, FlushEmitsSurvivorsInCreationOrder) {
   RecordLog log;
   FlowCache cache({}, log.sink());
   for (std::uint16_t i = 0; i < 5; ++i) {
-    const Packet p =
+    const WireFrame p =
         udp_packet(a, static_cast<std::uint16_t>(7000 + i), b, 80, "p");
-    cache.add(SimTime::from_ms(i), as_view(p));
+    cache.add(SimTime::from_ms(i), p.view);
   }
   // Touch them in reverse so LRU order is the opposite of creation order.
   for (std::uint16_t i = 5; i-- > 0;) {
-    const Packet p =
+    const WireFrame p =
         udp_packet(a, static_cast<std::uint16_t>(7000 + i), b, 80, "p");
-    cache.add(SimTime::from_ms(100 + (5 - i)), as_view(p));
+    cache.add(SimTime::from_ms(100 + (5 - i)), p.view);
   }
   cache.flush();
   ASSERT_EQ(log.records.size(), 5u);
@@ -343,9 +317,9 @@ TEST(StreamFlowCache, PruneCountersReachTelemetry) {
   FlowCache cache(config, {});
   const std::string big(200, 'x');
   for (std::uint16_t i = 0; i < 3; ++i) {
-    const Packet p =
+    const WireFrame p =
         udp_packet(a, static_cast<std::uint16_t>(6100 + i), b, 80, big);
-    cache.add(SimTime::from_ms(i), as_view(p));
+    cache.add(SimTime::from_ms(i), p.view);
   }
   EXPECT_GT(memcap_counter.value(), before);
   EXPECT_GT(registry.gauge("roomnet_flow_cache_peak_flows").value(), 0);
@@ -359,8 +333,8 @@ TEST(StreamFlowCache, EveryPruneReasonSurvivesIntoExportedReport) {
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
   const auto flow_starter = [&](FlowCache& cache, std::uint16_t sport,
                                 SimTime at) {
-    const Packet p = udp_packet(a, sport, b, 80, "x");
-    cache.add(at, as_view(p));
+    const WireFrame p = udp_packet(a, sport, b, 80, "x");
+    cache.add(at, p.view);
   };
   {
     FlowCacheConfig config;
@@ -382,9 +356,9 @@ TEST(StreamFlowCache, EveryPruneReasonSurvivesIntoExportedReport) {
     FlowCache cache(config, {});
     const std::string big(200, 'x');
     for (std::uint16_t i = 0; i < 3; ++i) {
-      const Packet p =
+      const WireFrame p =
           udp_packet(a, static_cast<std::uint16_t>(7100 + i), b, 80, big);
-      cache.add(SimTime::from_ms(i), as_view(p));
+      cache.add(SimTime::from_ms(i), p.view);
     }
   }
   {
@@ -435,11 +409,11 @@ TEST(StreamContract, OnPacketAfterFinishThrows) {
   // moved-from builders whose output nobody reads.
   stream::StreamAnalyzer analyzer({}, {mac_n(1), mac_n(2)});
   const Ipv4Address a(192, 168, 10, 5), b(192, 168, 10, 6);
-  const Packet p = udp_packet(a, 5000, b, 80, "x");
-  analyzer.on_packet(SimTime::from_ms(0), as_view(p));
+  const WireFrame p = udp_packet(a, 5000, b, 80, "x");
+  analyzer.on_packet(SimTime::from_ms(0), p.view);
   const stream::StreamResults results = analyzer.finish();
   EXPECT_EQ(results.flows, 1u);
-  EXPECT_THROW(analyzer.on_packet(SimTime::from_ms(1), as_view(p)),
+  EXPECT_THROW(analyzer.on_packet(SimTime::from_ms(1), p.view),
                std::logic_error);
   EXPECT_EQ(analyzer.packets(), 1u);
 }
@@ -532,11 +506,11 @@ TEST(StreamMemory, CacheStateBoundedByMemcapAsFlowCountGrows) {
   FlowCache cache(config, {});
   const std::string payload(300, 'y');
   for (std::uint32_t i = 0; i < 500; ++i) {
-    const Packet p = udp_packet(
+    const WireFrame p = udp_packet(
         Ipv4Address(192, 168, static_cast<std::uint8_t>(10 + i / 250),
                     static_cast<std::uint8_t>(i % 250)),
         static_cast<std::uint16_t>(1024 + i), b, 80, payload);
-    cache.add(SimTime::from_ms(i), as_view(p));
+    cache.add(SimTime::from_ms(i), p.view);
     EXPECT_LE(cache.stats().bytes_used, config.memcap_bytes);
   }
   EXPECT_EQ(cache.stats().flows_created, 500u);

@@ -257,6 +257,14 @@ class IdleCapture : public ::testing::Test {
     delete lab_;
     lab_ = nullptr;
   }
+  /// Every captured frame that decodes, as views over the lab's capture.
+  static std::vector<std::pair<SimTime, PacketView>> packets() {
+    std::vector<std::pair<SimTime, PacketView>> out;
+    for (const PcapRecord& record : lab_->capture().records())
+      if (const auto packet = decode_frame_view(BytesView(record.frame)))
+        out.emplace_back(record.timestamp, *packet);
+    return out;
+  }
   static Lab* lab_;
 };
 Lab* IdleCapture::lab_ = nullptr;
@@ -264,7 +272,7 @@ Lab* IdleCapture::lab_ = nullptr;
 TEST_F(IdleCapture, EveryFrameIsLocal) {
   const LocalFilter filter;
   int local = 0, total = 0;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     ++total;
     local += filter.matches(packet);
   }
@@ -276,9 +284,9 @@ TEST_F(IdleCapture, CoreProtocolsPresent) {
   HybridClassifier classifier;
   std::set<ProtocolLabel> seen;
   FlowCache flows;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     seen.insert(classifier.classify_packet(packet));
-    flows.add(at, as_view(packet));
+    flows.add(at, packet);
   }
   for (const ProtocolLabel expected :
        {ProtocolLabel::kArp, ProtocolLabel::kDhcp, ProtocolLabel::kEapol,
@@ -293,7 +301,7 @@ TEST_F(IdleCapture, CoreProtocolsPresent) {
 
 TEST_F(IdleCapture, TuyaBeaconCarriesGwid) {
   bool found = false;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     if (!packet.udp || value(packet.udp->dst_port) != 6666) continue;
     const auto d = decode_tuya_discovery(packet.app_payload());
     if (d && !d->gw_id.empty()) {
@@ -315,7 +323,7 @@ TEST_F(IdleCapture, GoogleSsdpEvery20Seconds) {
     }
   ASSERT_NE(google, nullptr);
   int msearches = 0;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     if (packet.eth.src != google->mac()) continue;
     if (!packet.udp || value(packet.udp->dst_port) != 1900) continue;
     if (string_of(packet.app_payload()).starts_with("M-SEARCH")) ++msearches;
@@ -336,8 +344,8 @@ TEST_F(IdleCapture, InteractionsLightUpHttpAndTplinkControl) {
         record.key.protocol == static_cast<std::uint8_t>(IpProto::kTcp))
       ++tplink_tcp;
   });
-  for (const auto& [at, packet] : lab_->capture().decoded())
-    flows.add(at, as_view(packet));
+  for (const auto& [at, packet] : packets())
+    flows.add(at, packet);
   flows.flush();
   EXPECT_GT(http_flows, 0);
   EXPECT_GT(tplink_tcp, 0);
@@ -352,7 +360,7 @@ TEST_F(IdleCapture, LgTvRotatesFirmwareStrings) {
         device->spec().category == DeviceCategory::kMediaTv)
       lg = device.get();
   ASSERT_NE(lg, nullptr);
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     if (packet.eth.src != lg->mac() || !packet.udp) continue;
     if (value(packet.udp->dst_port) != 1900) continue;
     const auto msg = decode_ssdp(packet.app_payload());
@@ -368,7 +376,7 @@ TEST_F(IdleCapture, FireTvAnnouncesBogusSlash16Location) {
   // §5.1: Fire TV NOTIFYs advertise a 192.168.0.0/16 LOCATION that does not
   // exist on this LAN (the misconfiguration finding).
   bool bogus_location = false;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     if (!packet.udp || value(packet.udp->dst_port) != 1900) continue;
     const auto msg = decode_ssdp(packet.app_payload());
     if (msg && msg->kind == SsdpKind::kNotify &&
@@ -386,7 +394,7 @@ TEST_F(IdleCapture, PlatformInteropCrossesVendors) {
   ASSERT_NE(echo, nullptr);
   ASSERT_NE(kasa, nullptr);
   bool echo_to_kasa_tcp = false;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     if (packet.tcp && packet.eth.src == echo->mac() &&
         packet.eth.dst == kasa->mac() &&
         value(packet.tcp->dst_port) == 9999)
@@ -399,7 +407,7 @@ TEST_F(IdleCapture, EchoMatterAdvertisementsExposeMacInstance) {
   // §7: Matter "exposes MAC addresses in mDNS discovery" — the
   // commissionable instance name is the MAC in plain hex.
   bool matter_mac_instance = false;
-  for (const auto& [at, packet] : lab_->capture().decoded()) {
+  for (const auto& [at, packet] : packets()) {
     if (!packet.udp || value(packet.udp->dst_port) != 5353) continue;
     const auto msg = decode_dns(packet.app_payload());
     if (!msg || !msg->is_response) continue;

@@ -15,6 +15,7 @@
 #include "watch/events.hpp"
 #include "watch/rules.hpp"
 #include "watch/watch.hpp"
+#include "wire_frame.hpp"
 
 namespace roomnet::watch {
 namespace {
@@ -301,23 +302,9 @@ TEST(WatchEngine, MetricThresholdAttributesToNetworkPseudoDevice) {
 
 // --------------------------------------------------------------- WatchRing
 
-Packet syn_packet(MacAddress src_mac, MacAddress dst_mac, Ipv4Address src,
-                  Ipv4Address dst, std::uint16_t dport) {
-  Packet p;
-  p.eth.src = src_mac;
-  p.eth.dst = dst_mac;
-  p.eth.payload = Bytes(64);
-  Ipv4Packet ip;
-  ip.src = src;
-  ip.dst = dst;
-  ip.protocol = 6;
-  p.ipv4 = ip;
-  TcpSegment t;
-  t.src_port = port(40000);
-  t.dst_port = port(dport);
-  t.flags.syn = true;
-  p.tcp = t;
-  return p;
+WireFrame syn_packet(MacAddress src_mac, MacAddress dst_mac, Ipv4Address src,
+                     Ipv4Address dst, std::uint16_t dport) {
+  return tcp_frame(src_mac, dst_mac, src, 40000, dst, dport, {.syn = true}, {});
 }
 
 TEST(WatchRing, BoundedRingDropsOldestAndCountsDrops) {
@@ -330,9 +317,9 @@ TEST(WatchRing, BoundedRingDropsOldestAndCountsDrops) {
   // 10 distinct (ip, port) SYNs: one new_peer + 10 scan_probe events, all
   // owned by the scanner's ring.
   for (std::uint16_t i = 0; i < 10; ++i) {
-    const Packet p = syn_packet(scanner, victim, src, dst,
-                                static_cast<std::uint16_t>(8000 + i));
-    watcher.on_packet(SimTime::from_ms(i), as_view(p));
+    const WireFrame p = syn_packet(scanner, victim, src, dst,
+                                   static_cast<std::uint16_t>(8000 + i));
+    watcher.on_packet(SimTime::from_ms(i), p.view);
   }
   const WatchReport report = watcher.finish();
   EXPECT_EQ(report.events_emitted, 11u);
