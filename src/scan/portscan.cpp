@@ -1,6 +1,7 @@
 #include "scan/portscan.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/log.hpp"
 #include "telemetry/metrics.hpp"
@@ -99,6 +100,10 @@ std::string infer_service_from_port(std::uint16_t port, bool udp) {
 
 PortScanner::PortScanner(Host& scanner, PortScanConfig config)
     : scanner_(&scanner), config_(std::move(config)) {
+  // A negative spacing would clamp probes to "now" differently at start()
+  // and at firing time, and has no meaning anyway.
+  if (!(config_.probe_spacing_s >= 0))
+    throw std::invalid_argument("PortScanConfig: negative probe_spacing_s");
   scanner_->packet_monitor = [this](Host&, const PacketView& packet) {
     on_packet(packet);
   };
@@ -222,6 +227,8 @@ void PortScanner::send_probe(Probe probe) {
 }
 
 void PortScanner::start(const std::vector<ScanTarget>& targets) {
+  if (sweep_.armed)
+    throw std::logic_error("PortScanner::start: previous sweep still running");
   reports_.clear();
   by_ip_.clear();
   answered_.clear();
@@ -233,10 +240,6 @@ void PortScanner::start(const std::vector<ScanTarget>& targets) {
               kv("udp_ports",
                  static_cast<std::uint64_t>(config_.udp_ports.size())),
               kv("max_retries", config_.max_retries));
-  EventLoop& loop = scanner_->loop();
-  double t = 0.5;  // settle ARP first
-  const double dt = config_.probe_spacing_s;
-
   for (const auto& target : targets) {
     by_ip_[target.ip] = reports_.size();
     reports_.push_back(PortScanReport{.target = target});
@@ -245,26 +248,21 @@ void PortScanner::start(const std::vector<ScanTarget>& targets) {
     scanner_->add_arp_entry(target.ip, target.mac);
   }
 
-  for (std::uint32_t i = 0; i < targets.size(); ++i) {
-    for (const std::uint16_t port : config_.tcp_ports) {
-      loop.schedule_in(SimTime::from_seconds(t += dt),
-                       [this, probe = Probe{i, port, 0, false}] {
-                         send_probe(probe);
-                       });
-    }
-    for (const std::uint16_t port : config_.udp_ports) {
-      loop.schedule_in(SimTime::from_seconds(t += dt),
-                       [this, probe = Probe{i, port, 0, true}] {
-                         send_probe(probe);
-                       });
-    }
-    for (const std::uint8_t protocol : config_.ip_protocols) {
-      loop.schedule_in(SimTime::from_seconds(t += dt), [this, i, protocol] {
-        scan_metrics().probes.inc();
-        scanner_->send_raw_ip(reports_[i].target.ip, protocol,
-                              bytes_of("ipproto-probe"));
-      });
-    }
+  const std::uint64_t probes =
+      targets.size() * (config_.tcp_ports.size() + config_.udp_ports.size() +
+                        config_.ip_protocols.size());
+  EventLoop& loop = scanner_->loop();
+  const double t0 = 0.5;  // settle ARP first
+  double t = t0;
+  for (std::uint64_t k = 0; k < probes; ++k) t += config_.probe_spacing_s;
+  // One seq per probe, in sweep order: each target's TCP ports, then its
+  // UDP ports, then its IP protocols.
+  const std::uint64_t first_seq = loop.reserve_seqs(probes);
+  if (probes > 0) {
+    sweep_ = Sweep{.start = loop.now(),
+                   .t = t0 + config_.probe_spacing_s,
+                   .seq = first_seq};
+    arm_probe();
   }
   double tail = 5;
   if (config_.max_retries > 0) {
@@ -273,6 +271,42 @@ void PortScanner::start(const std::vector<ScanTarget>& targets) {
       tail += config_.probe_timeout_s * static_cast<double>(1 << a);
   }
   duration_ = SimTime::from_seconds(t + tail);
+}
+
+void PortScanner::arm_probe() {
+  sweep_.armed = true;
+  scanner_->loop().schedule_at(sweep_.start + SimTime::from_seconds(sweep_.t),
+                               sweep_.seq, [this] { fire_probe(); });
+}
+
+void PortScanner::fire_probe() {
+  sweep_.armed = false;
+  const std::uint32_t index = sweep_.target;
+  const std::size_t step = sweep_.step;
+  const std::size_t tcp = config_.tcp_ports.size();
+  const std::size_t udp = config_.udp_ports.size();
+  // Arm the successor under its reserved key, the one the up-front
+  // schedule gave it: same or later time and a larger seq than this probe.
+  if (++sweep_.step == tcp + udp + config_.ip_protocols.size()) {
+    sweep_.step = 0;
+    ++sweep_.target;
+  }
+  if (sweep_.target < reports_.size()) {
+    sweep_.t += config_.probe_spacing_s;
+    ++sweep_.seq;
+    arm_probe();
+  }
+
+  if (step < tcp) {
+    send_probe(Probe{index, config_.tcp_ports[step], 0, false});
+  } else if (step < tcp + udp) {
+    send_probe(Probe{index, config_.udp_ports[step - tcp], 0, true});
+  } else {
+    scan_metrics().probes.inc();
+    scanner_->send_raw_ip(reports_[index].target.ip,
+                          config_.ip_protocols[step - tcp - udp],
+                          bytes_of("ipproto-probe"));
+  }
 }
 
 SimTime PortScanner::estimated_duration() const { return duration_; }

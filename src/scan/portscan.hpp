@@ -69,11 +69,15 @@ std::string infer_service_from_port(std::uint16_t port, bool udp);
 class PortScanner {
  public:
   /// `scanner` is the host the scans originate from (the lab's scan box).
+  /// Throws std::invalid_argument when `config.probe_spacing_s` is negative.
   PortScanner(Host& scanner, PortScanConfig config = {});
 
   /// Schedules the full scan of `targets`; results are valid once the event
-  /// loop has drained past the last probe (run the loop for
-  /// estimated_duration()).
+  /// loop has run past the last probe (run the loop for
+  /// estimated_duration()). The sweep is lazy: one probe is pending at a
+  /// time, and each fired probe arms the next at the `(at, seq)` key an
+  /// up-front schedule would have given it, so firing order is the same.
+  /// Must not be called again before the previous sweep has finished.
   void start(const std::vector<ScanTarget>& targets);
   [[nodiscard]] SimTime estimated_duration() const;
 
@@ -84,9 +88,9 @@ class PortScanner {
  private:
   void on_packet(const PacketView& packet);
   [[nodiscard]] Bytes udp_probe_payload(std::uint16_t port);
-  /// One TCP/UDP probe attempt. Eight bytes, so a `[this, probe]` closure
-  /// fits std::function's two-pointer inline buffer: the probes start()
-  /// queues up front (~244k in the study) cost no heap block each.
+  /// One TCP/UDP probe attempt. Eight bytes, so a retry's `[this, probe]`
+  /// closure fits std::function's two-pointer inline buffer: a pending
+  /// retry costs no heap block.
   struct Probe {
     std::uint32_t index;  // into reports_
     std::uint16_t port;
@@ -94,6 +98,22 @@ class PortScanner {
     bool udp;
   };
   static_assert(sizeof(Probe) == 8);
+  /// The cursor of the lazy sweep: the one armed probe's target, its step
+  /// (TCP ports, then UDP ports, then IP protocols), its offset `t` from
+  /// `start` (accumulated `t += probe_spacing_s`, as the estimate is) and
+  /// its reserved seq.
+  struct Sweep {
+    SimTime start;
+    double t = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t target = 0;
+    std::uint32_t step = 0;
+    bool armed = false;
+  };
+  /// Schedules the probe under the cursor.
+  void arm_probe();
+  /// Fires the armed probe: arms its successor, then sends itself.
+  void fire_probe();
   /// Sends `probe` and, when a retry budget is set, schedules a timeout
   /// check that retransmits until the budget runs out.
   void send_probe(Probe probe);
@@ -106,6 +126,7 @@ class PortScanner {
   std::vector<PortScanReport> reports_;
   std::map<Ipv4Address, std::size_t> by_ip_;
   std::set<std::uint64_t> answered_;
+  Sweep sweep_;
   SimTime duration_;
 };
 

@@ -1,8 +1,8 @@
-// roomnet::prof tests: counter substrate (including the heap-free probe
-// queue of a port scan), rusage sampling, the per-stage profiler, perf.json
-// round-trips, the regression differ, folded-stack export, the
-// pipeline-level determinism contract (perf.json's deterministic core is
-// identical across thread counts), and the run directory's artifact set.
+// roomnet::prof tests: counter substrate, rusage sampling, the per-stage
+// profiler, perf.json round-trips, the regression differ, folded-stack
+// export, the pipeline-level determinism contract (perf.json's
+// deterministic core is identical across thread counts), and the run
+// directory's artifact set.
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -19,8 +19,6 @@
 #include "prof/profiler.hpp"
 #include "prof/report.hpp"
 #include "prof/rusage.hpp"
-#include "scan/portscan.hpp"
-#include "sim/network.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -65,35 +63,6 @@ TEST(CountersTest, HeapCountersMatchBuildConfiguration) {
     EXPECT_EQ(mid.heap_allocs, before.heap_allocs);
     EXPECT_EQ(after.heap_bytes, before.heap_bytes);
   }
-}
-
-TEST(CountersTest, QueuedScanProbesCostNoHeapBlockEach) {
-  // A scan queues every probe up front (~244k in the study). Each pending
-  // closure must fit std::function's inline buffer, so start() allocates a
-  // fixed amount (reports, ARP entries, the queue's doubling), not one heap
-  // block per probe. Needs the heap hooks (-DROOMNET_PROFILE=ON).
-  if (!prof::heap_hooks_active()) GTEST_SKIP() << "heap hooks are off";
-  EventLoop loop;
-  Switch net{loop};
-  Host scan_box(net, MacAddress::from_u64(0x02a0fc0000aaull), "scanbox");
-  scan_box.set_static_ip(Ipv4Address(192, 168, 10, 251));
-  const std::vector<ScanTarget> targets = {
-      {MacAddress::from_u64(0x02a000000001ull), Ipv4Address(192, 168, 10, 2),
-       "a"},
-      {MacAddress::from_u64(0x02a000000002ull), Ipv4Address(192, 168, 10, 3),
-       "b"}};
-  const PortScanConfig config;
-  PortScanner scanner(scan_box, config);
-  const std::size_t probes =
-      targets.size() * (config.tcp_ports.size() + config.udp_ports.size() +
-                        config.ip_protocols.size());
-  ASSERT_GT(probes, 2000u);
-
-  const prof::AllocSnapshot before = prof::snapshot_alloc_counters();
-  scanner.start(targets);
-  const prof::AllocSnapshot after = prof::snapshot_alloc_counters();
-  EXPECT_EQ(loop.pending(), probes);
-  EXPECT_LT(after.heap_allocs - before.heap_allocs, probes / 20);
 }
 
 prof::ProfReport make_report() {

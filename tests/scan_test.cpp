@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "prof/counters.hpp"
 #include "scan/portscan.hpp"
 #include "scan/vuln.hpp"
+#include "sim/network.hpp"
+#include "telemetry/metrics.hpp"
 #include "testbed/lab.hpp"
 
 namespace roomnet {
@@ -216,6 +220,67 @@ TEST(PortScanConfigTest, DefaultsAndFullRange) {
   EXPECT_EQ(all.size(), 65535u);
   EXPECT_EQ(all.front(), 1);
   EXPECT_EQ(all.back(), 65535);
+}
+
+TEST(PortScanSweepTest, KeepsOneProbePendingAndSendsEveryProbe) {
+  // The sweep is lazy: start() arms one probe, and each fired probe arms
+  // the next. So the queue holds the armed probe plus the few deliveries
+  // and answers in flight — never the sweep itself.
+  EventLoop loop;
+  Switch net{loop};
+  Host scan_box(net, MacAddress::from_u64(0x02a0fc0000aaull), "scanbox");
+  scan_box.set_static_ip(Ipv4Address(192, 168, 10, 251));
+  Host a(net, MacAddress::from_u64(0x02a000000001ull), "a");
+  Host b(net, MacAddress::from_u64(0x02a000000002ull), "b");
+  a.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  b.set_static_ip(Ipv4Address(192, 168, 10, 3));
+  const std::vector<ScanTarget> targets = {{a.mac(), a.ip(), "a"},
+                                           {b.mac(), b.ip(), "b"}};
+  const PortScanConfig config;
+  PortScanner scanner(scan_box, config);
+  const std::size_t per_target = config.tcp_ports.size() +
+                                 config.udp_ports.size() +
+                                 config.ip_protocols.size();
+  ASSERT_GT(per_target, 1000u);
+  const telemetry::Counter& probes_sent =
+      telemetry::Registry::global().counter("roomnet_scan_probes_sent_total");
+  const std::uint64_t sent_before = probes_sent.value();
+
+  const std::size_t pending_before = loop.pending();
+  const prof::AllocSnapshot before = prof::snapshot_alloc_counters();
+  scanner.start(targets);
+  const prof::AllocSnapshot after = prof::snapshot_alloc_counters();
+  EXPECT_EQ(loop.pending(), pending_before + 1);
+  if (prof::heap_hooks_active()) {
+    // start() allocates a fixed amount (reports, ARP entries, the one
+    // armed probe), not one heap block per probe.
+    EXPECT_LT(after.heap_allocs - before.heap_allocs, per_target / 20);
+  }
+
+  // The armed probe, plus the probe/answer frames of one exchange in
+  // flight (each probe is 2 ms apart, far beyond a LAN round trip), plus
+  // slack for a reset and an unreachable crossing on the wire.
+  constexpr std::size_t kMaxPending = 8;
+  std::size_t max_pending = 0;
+  const SimTime end = loop.now() + scanner.estimated_duration();
+  while (loop.now() < end) {
+    loop.run_until(std::min(end, loop.now() + SimTime::from_ms(37)));
+    max_pending = std::max(max_pending, loop.pending());
+  }
+  EXPECT_LE(max_pending, kMaxPending);
+  EXPECT_EQ(probes_sent.value() - sent_before, targets.size() * per_target);
+  EXPECT_EQ(loop.pending(), 0u);
+  scanner.start(targets);  // the finished sweep may be started again
+  EXPECT_THROW(scanner.start(targets), std::logic_error);
+}
+
+TEST(PortScanSweepTest, RejectsNegativeSpacing) {
+  EventLoop loop;
+  Switch net{loop};
+  Host scan_box(net, MacAddress::from_u64(0x02a0fc0000aaull), "scanbox");
+  PortScanConfig config;
+  config.probe_spacing_s = -0.001;
+  EXPECT_THROW(PortScanner(scan_box, config), std::invalid_argument);
 }
 
 }  // namespace

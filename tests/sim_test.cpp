@@ -2,6 +2,8 @@
 // (ARP, DHCP, UDP, TCP), mDNS and SSDP endpoints.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/engine.hpp"
 #include "sim/host.hpp"
 #include "sim/mdns.hpp"
@@ -97,6 +99,60 @@ TEST(EventLoop, EventsScheduledDuringRunAreExecuted) {
   });
   loop.run_until(SimTime::from_ms(10));
   EXPECT_TRUE(inner);
+}
+
+TEST(EventLoop, StaleCancelIsNoOp) {
+  // A handle names a slot plus its generation: once the cancelled timer has
+  // been reaped, cancelling the same handle again must neither leak
+  // bookkeeping nor touch whichever timer reuses the slot.
+  EventLoop loop;
+  int stale_fired = 0;
+  const auto stale = loop.schedule_periodic(
+      SimTime::from_ms(1), SimTime::from_ms(5), [&] { ++stale_fired; });
+  loop.cancel_periodic(stale);
+  loop.run_until(SimTime::from_ms(10));  // past the drop point
+  EXPECT_EQ(stale_fired, 0);
+  EXPECT_EQ(loop.cancelled_pending(), 0u);
+  loop.cancel_periodic(stale);
+  EXPECT_EQ(loop.cancelled_pending(), 0u);
+
+  int fresh_fired = 0;
+  const auto fresh = loop.schedule_periodic(
+      SimTime::from_ms(1), SimTime::from_ms(5), [&] { ++fresh_fired; });
+  EXPECT_NE(fresh, stale);
+  loop.cancel_periodic(stale);
+  EXPECT_EQ(loop.cancelled_pending(), 0u);
+  loop.run_until(SimTime::from_ms(30));  // fires at 11, 16, 21, 26
+  EXPECT_EQ(fresh_fired, 4);
+  loop.cancel_periodic(0);  // 0 means "no timer"
+  EXPECT_EQ(loop.cancelled_pending(), 0u);
+}
+
+TEST(EventLoop, RejectsNonPositivePeriod) {
+  // A zero period would re-arm at the same instant forever and livelock
+  // run_until.
+  EventLoop loop;
+  EXPECT_THROW(loop.schedule_periodic(SimTime{}, SimTime{}, [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      loop.schedule_periodic(SimTime{}, SimTime::from_us(-1), [] {}),
+      std::invalid_argument);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, ReservedSeqKeepsFifoOrder) {
+  // An event scheduled later under a reserved, smaller seq fires first
+  // among the events at its instant: where it would have, had it been
+  // scheduled when the seq was reserved.
+  EventLoop loop;
+  std::vector<int> order;
+  const std::uint64_t reserved = loop.reserve_seqs(1);
+  loop.schedule_at(SimTime::from_ms(10), [&] { order.push_back(1); });
+  loop.schedule_at(SimTime::from_ms(10), [&] { order.push_back(2); });
+  loop.schedule_at(SimTime::from_ms(10), reserved,
+                   [&] { order.push_back(0); });
+  loop.run_until(SimTime::from_ms(10));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 // ------------------------------------------------------------------ Switch
