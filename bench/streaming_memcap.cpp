@@ -11,9 +11,9 @@
 // the alloc gate; peak_rss_kib sits under the rss gate.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.hpp"
+#include "obs/manifest.hpp"
 #include "stream/stream.hpp"
 
 using namespace roomnet;
@@ -25,22 +25,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// Peak resident set (VmHWM) in KiB, from /proc/self/status; 0 if absent.
-double peak_rss_kib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  double kib = 0;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kib = std::strtod(line + 6, nullptr);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kib;
 }
 
 constexpr std::size_t kMemcapBytes = 256 * 1024;
@@ -143,7 +127,7 @@ int main() {
   // before the deliberately unbounded one.
   const ReplayResult s1 = replay(corpus, cut_1x, population, kMemcapBytes);
   const ReplayResult s4 = replay(corpus, corpus.size(), population, kMemcapBytes);
-  const double rss_after_streaming = peak_rss_kib();
+  const std::int64_t rss_after_streaming = obs::peak_rss_kb();
   const ReplayResult u1 = replay(corpus, cut_1x, population, 0);
   const ReplayResult u4 = replay(corpus, corpus.size(), population, 0);
 
@@ -172,8 +156,10 @@ int main() {
   std::printf("streaming peak within memcap: %s (peak %zu, cap %zu)\n",
               s4.state_bytes <= kMemcapBytes + 4096 ? "yes" : "NO — BUG",
               s4.state_bytes, kMemcapBytes);
-  std::printf("peak RSS: %.0f KiB after streaming, %.0f KiB final\n",
-              rss_after_streaming, peak_rss_kib());
+  const std::int64_t rss_final = obs::peak_rss_kb();
+  std::printf("peak RSS: %lld KiB after streaming, %lld KiB final\n",
+              static_cast<long long>(rss_after_streaming),
+              static_cast<long long>(rss_final));
 
   scalar("corpus_frames", static_cast<double>(corpus.size()));
   scalar("unbounded_frames_per_sec_4x", u4.frames_per_sec());
@@ -193,8 +179,9 @@ int main() {
   scalar("streaming_flows_created_4x", static_cast<double>(s4.flows));
   scalar("unbounded_flows_4x", static_cast<double>(u4.flows));
   scalar("results_consistent", consistent ? 1 : 0);
-  scalar("peak_rss_kib_streaming_phase", rss_after_streaming);
-  scalar("peak_rss_kib", peak_rss_kib());
+  scalar("peak_rss_kib_streaming_phase",
+         static_cast<double>(rss_after_streaming));
+  scalar("peak_rss_kib", static_cast<double>(rss_final));
   scalar("hardware_threads",
          static_cast<double>(exec::TaskPool::default_threads()));
 

@@ -4,9 +4,9 @@
 //
 //   ./examples/quickstart [seed] [telemetry_dir]
 //
-// With a telemetry_dir, the run times every event callback and writes the
-// metrics registry as Prometheus text (metrics.prom) into that directory.
-// The printed tables are byte-identical with and without telemetry.
+// With a telemetry_dir, the run writes the metrics registry as Prometheus
+// text (metrics.prom) into that directory. The printed tables are
+// byte-identical with and without it.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
   const char* telemetry_dir = argc > 2 ? argv[2] : nullptr;
-  if (telemetry_dir != nullptr) telemetry::enable();
 
   // 1. Assemble the lab: router + 93 catalog devices + two phones.
   Lab lab(LabConfig{.seed = seed});

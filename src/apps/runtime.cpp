@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "obs/log.hpp"
 #include "telemetry/metrics.hpp"
 
 #include "analysis/identifiers.hpp"
@@ -491,14 +490,6 @@ AppRunRecord AppRunner::run(const AppSpec& app, SimTime window) {
   runs.inc();
   uploads.inc(record.uploads.size());
   accesses.inc(record.accesses.size());
-  ROOMNET_LOG(kDebug, "apps", "app_run", kv("package", app.package),
-              kv("platform", app.platform == MobilePlatform::kIos ? "ios"
-                                                                  : "android"),
-              kv("devices_discovered",
-                 static_cast<std::uint64_t>(record.devices_discovered)),
-              kv("uploads", static_cast<std::uint64_t>(record.uploads.size())),
-              kv("accesses",
-                 static_cast<std::uint64_t>(record.accesses.size())));
   return record;
 }
 

@@ -9,7 +9,6 @@
 #include "core/stage_names.hpp"
 #include "exec/task_pool.hpp"
 #include "netcore/text_file.hpp"
-#include "obs/log.hpp"
 #include "prof/folded.hpp"
 #include "prof/profiler.hpp"
 #include "telemetry/export.hpp"
@@ -19,37 +18,6 @@ namespace roomnet {
 
 namespace {
 
-/// Points the log ledger's sim clock at this run's event loop for the
-/// duration of run(); cleared on exit so log records never read a dead lab.
-class SimClockGuard {
- public:
-  explicit SimClockGuard(EventLoop& loop) {
-    obs::Ledger::global().set_sim_clock([&loop] { return loop.now(); });
-  }
-  ~SimClockGuard() { obs::Ledger::global().set_sim_clock(nullptr); }
-};
-
-/// Turns the wall-clock latency histograms on for a telemetry run and puts
-/// the process-wide flag back as it was when the run returns or throws, so
-/// later runs in the process are not timed.
-class TelemetryScope {
- public:
-  explicit TelemetryScope(bool on) : prior_(telemetry::enabled()) {
-    if (on) telemetry::enable();
-  }
-  ~TelemetryScope() {
-    if (prior_)
-      telemetry::enable();
-    else
-      telemetry::disable();
-  }
-  TelemetryScope(const TelemetryScope&) = delete;
-  TelemetryScope& operator=(const TelemetryScope&) = delete;
-
- private:
-  bool prior_;
-};
-
 telemetry::Counter& degraded_counter(const char* stage) {
   return telemetry::Registry::global().counter("roomnet_faults_degraded_total",
                                                {{"stage", stage}});
@@ -58,6 +26,13 @@ telemetry::Counter& degraded_counter(const char* stage) {
 }  // namespace
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
+  // A custom rule set must parse whole: a run alerting on whatever a
+  // broken file salvaged would look like a clean run.
+  if (config_.watch.enabled && !config_.watch.rules.empty()) {
+    const watch::RuleParse parsed = watch::parse_rules(config_.watch.rules);
+    if (!parsed.ok())
+      throw std::invalid_argument("watch rules: " + parsed.error);
+  }
   lab_ = std::make_unique<Lab>(
       LabConfig{.seed = config_.seed, .record_frames = false});
   fault_plan_ = std::make_unique<faults::FaultPlan>(
@@ -70,8 +45,6 @@ Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
 }
 
 PipelineResults Pipeline::run() {
-  const bool telemetry_run = !config_.telemetry_out.empty();
-  const TelemetryScope telemetry_scope(telemetry_run);
   telemetry::Registry::global().counter("roomnet_pipeline_runs_total").inc();
   // Worker pool for the post-simulation analyses (vulnerability audit,
   // fingerprints). The simulation itself (stages 1, 2, the scan sim, the app
@@ -80,7 +53,6 @@ PipelineResults Pipeline::run() {
   // byte-identical for any worker count.
   exec::TaskPool pool(
       config_.threads <= 0 ? 0 : static_cast<std::size_t>(config_.threads));
-  SimClockGuard sim_clock(lab_->loop());
   prof::Profiler::global().begin_run(static_cast<int>(pool.threads()));
 
   // Provenance: every stage ends with a content hash of its outputs in the
@@ -92,13 +64,6 @@ PipelineResults Pipeline::run() {
   const auto record_stage = [&](const char* name, std::string content_hash) {
     manifest.add_stage(name, std::move(content_hash), lab_->loop().now().us());
   };
-  // Log records from this run on (the global ledger outlives the pipeline).
-  const std::uint64_t log_epoch = obs::Ledger::global().recorded();
-  ROOMNET_LOG(kInfo, "pipeline", "run_start", kv("seed", config_.seed),
-              kv("fault_seed", resolved_fault_seed),
-              kv("config_digest", config_digest),
-              kv("threads", static_cast<std::uint64_t>(pool.threads())),
-              kv("faults_enabled", fault_plan_->enabled()));
 
   PipelineResults results;
   for (const auto& device : lab_->devices())
@@ -117,8 +82,6 @@ PipelineResults Pipeline::run() {
     } catch (const std::exception& e) {
       results.degraded.push_back({stage, "stage", e.what()});
       degraded_counter(stage).inc();
-      ROOMNET_LOG(kWarn, "pipeline", "stage_degraded", kv("stage", stage),
-                  kv("reason", e.what()));
     }
   };
 
@@ -140,9 +103,6 @@ PipelineResults Pipeline::run() {
     watcher->register_device(MacAddress::from_u64(0x02a0fc0000aaull),
                              "scanbox");
     watcher->add_known_resolver(lab_->router().ip());
-    if (!watcher->rule_error().empty())
-      ROOMNET_LOG(kWarn, "watch", "rule_parse_error",
-                  kv("error", watcher->rule_error()));
     if (fault_plan_->enabled())
       lab_->network().add_fate_tap(
           [&w = *watcher](SimTime at, MacAddress src,
@@ -243,13 +203,6 @@ PipelineResults Pipeline::run() {
       results.responses = std::move(sr.responses);
       results.flows = sr.flows;
       results.flow_cache = sr.cache;
-      ROOMNET_LOG(kInfo, "pipeline", "flow_cache",
-                  kv("flows_created", sr.cache.flows_created),
-                  kv("peak_flows",
-                     static_cast<std::uint64_t>(sr.cache.peak_flows)),
-                  kv("peak_bytes",
-                     static_cast<std::uint64_t>(sr.cache.peak_bytes)),
-                  kv("prunes", sr.cache.prunes_total()));
     });
     record_stage(stages::kClassify, hash_classify_stage(results));
     stage3.reset();
@@ -273,9 +226,6 @@ PipelineResults Pipeline::run() {
             results.degraded.push_back(
                 {stages::kScan, label, "no IPv4 lease at scan time"});
             degraded_counter(stages::kScan).inc();
-            ROOMNET_LOG(kWarn, "scan", "target_unreachable",
-                        kv("device", label),
-                        kv("reason", "no IPv4 lease at scan time"));
           }
           continue;
         }
@@ -296,9 +246,6 @@ PipelineResults Pipeline::run() {
           results.degraded.push_back({stages::kScan, report.target.label,
                                       "silent under scan despite retries"});
           degraded_counter(stages::kScan).inc();
-          ROOMNET_LOG(kWarn, "scan", "target_silent",
-                      kv("device", report.target.label),
-                      kv("reason", "silent under scan despite retries"));
         }
       }
 
@@ -336,9 +283,6 @@ PipelineResults Pipeline::run() {
             results.degraded.push_back(
                 {stages::kApps, spec.package, "discovery scans returned no devices"});
             degraded_counter(stages::kApps).inc();
-            ROOMNET_LOG(kWarn, "apps", "discovery_empty",
-                        kv("package", spec.package),
-                        kv("reason", "discovery scans returned no devices"));
           }
         }
       }
@@ -389,26 +333,14 @@ PipelineResults Pipeline::run() {
     {
       const prof::StageScope stage(stages::kWatch);
       results.watch = watcher->finish();
-      ROOMNET_LOG(kInfo, "watch", "timeline",
-                  kv("events", results.watch.events_emitted),
-                  kv("kept",
-                     static_cast<std::uint64_t>(results.watch.events.size())),
-                  kv("dropped", results.watch.events_dropped),
-                  kv("devices", results.watch.devices_tracked));
     }
     record_stage(stages::kWatch, watch::hash_events(results.watch.events));
   }
   results.profile = prof::Profiler::global().finish();
 
   results.manifest = manifest.finish();
-  ROOMNET_LOG(kInfo, "pipeline", "run_end",
-              kv("result_digest", results.manifest.result_digest),
-              kv("stages",
-                 static_cast<std::uint64_t>(results.manifest.stages.size())),
-              kv("degraded",
-                 static_cast<std::uint64_t>(results.degraded.size())));
 
-  if (telemetry_run) {
+  if (!config_.telemetry_out.empty()) {
     // A run directory that cannot be written fails the run loudly, naming
     // the first path that could not be created or written.
     const std::string& dir = config_.telemetry_out;
@@ -430,11 +362,6 @@ PipelineResults Pipeline::run() {
     // The in-network event timeline, next to the manifest that hashes it.
     if (watcher != nullptr)
       write("events.jsonl", watch::events_to_jsonl(results.watch.events));
-    // This run's slice of the global ledger, when the run logged any.
-    std::vector<obs::LogRecord> run_logs;
-    for (auto& record : obs::Ledger::global().records())
-      if (record.seq >= log_epoch) run_logs.push_back(std::move(record));
-    if (!run_logs.empty()) write("logs.jsonl", obs::to_jsonl(run_logs));
   }
   return results;
 }

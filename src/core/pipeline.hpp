@@ -9,7 +9,6 @@
 //   trace.folded   perf.json's stage times as flamegraph folds
 //   events.jsonl   the in-network event timeline (watch stage)
 //   metrics.prom   the metrics registry's layer counters
-//   logs.jsonl     this run's log records (only when it logged any)
 #pragma once
 
 #include <memory>
@@ -35,10 +34,10 @@ namespace roomnet {
 
 struct PipelineConfig {
   std::uint64_t seed = 42;
-  /// When non-empty: enables the latency histograms for this run and
-  /// writes the run record (see the header comment) into this directory
-  /// after the last stage. Telemetry never perturbs results — a run with
-  /// telemetry enabled produces byte-identical tables to one without.
+  /// When non-empty: writes the run record (see the header comment) into
+  /// this directory after the last stage. Writing it never perturbs
+  /// results — a run with a directory produces byte-identical tables to
+  /// one without.
   std::string telemetry_out;
   /// Idle-capture window (the paper used 5 days; protocol prevalence
   /// saturates after every periodic behavior has fired at least once —
@@ -106,6 +105,8 @@ struct PipelineResults {
   FlowCacheStats flow_cache;
   /// Graceful-degradation ledger (empty unless faults are enabled): inputs
   /// a stage lost to injected faults, recorded instead of failing the run.
+  /// The one home of each loss's reason: hashed as the "degraded" stage,
+  /// counted by roomnet_faults_degraded_total, printed by `roomnet run`.
   std::vector<faults::DegradedResult> degraded;
   /// Flight-recorder provenance: build + seeds + per-stage content hashes.
   /// Byte-identical (as obs::to_json) across thread counts for one seed;
@@ -127,6 +128,8 @@ struct PipelineResults {
 
 class Pipeline {
  public:
+  /// Throws std::invalid_argument, naming the offending line, when
+  /// `config.watch` is enabled with custom rules that do not parse.
   explicit Pipeline(PipelineConfig config = {});
 
   /// Runs every stage and returns the results. Deterministic in the seed.

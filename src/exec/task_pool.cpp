@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -73,18 +72,12 @@ TaskPool::TaskPool(std::size_t threads)
   submitted_ = &registry.counter("roomnet_exec_tasks_submitted_total");
   completed_ = &registry.counter("roomnet_exec_tasks_completed_total");
   queue_high_water_ = &registry.gauge("roomnet_exec_queue_depth_high_water");
-  latency_us_ = &registry.histogram("roomnet_exec_task_latency_us");
   task_heap_allocs_ =
       &registry.counter("roomnet_exec_task_heap_allocs_total");
   task_heap_bytes_ = &registry.counter("roomnet_exec_task_heap_bytes_total");
   workers_.reserve(threads_ - 1);
-  worker_busy_us_.reserve(threads_ - 1);
   for (std::size_t i = 0; i + 1 < threads_; ++i)
-    worker_busy_us_.push_back(
-        &registry.counter("roomnet_exec_worker_busy_us_total",
-                          {{"worker", std::to_string(i + 1)}}));
-  for (std::size_t i = 0; i + 1 < threads_; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 TaskPool::~TaskPool() {
@@ -111,25 +104,13 @@ void TaskPool::submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-void TaskPool::run_task(std::function<void()>& task,
-                        telemetry::Counter* busy_us) {
+void TaskPool::run_task(std::function<void()>& task) {
   // Task-body allocation attribution: the executing thread's prof counters
   // move only while the task runs, so the delta is this task's own cost.
   // (Counts stay zero unless the build armed the ROOMNET_PROFILE hooks.)
   const std::uint64_t heap_allocs_start = prof::t_alloc_counters.heap_allocs;
   const std::uint64_t heap_bytes_start = prof::t_alloc_counters.heap_bytes;
-  if (telemetry::enabled()) {
-    const auto start = std::chrono::steady_clock::now();
-    task();
-    const auto us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    latency_us_->observe(us);
-    if (busy_us != nullptr) busy_us->inc(us);
-  } else {
-    task();
-  }
+  task();
   const std::uint64_t heap_allocs =
       prof::t_alloc_counters.heap_allocs - heap_allocs_start;
   const std::uint64_t heap_bytes =
@@ -141,7 +122,7 @@ void TaskPool::run_task(std::function<void()>& task,
   completed_->inc();
 }
 
-void TaskPool::worker_loop(std::size_t index) {
+void TaskPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -151,7 +132,7 @@ void TaskPool::worker_loop(std::size_t index) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    run_task(task, worker_busy_us_[index]);
+    run_task(task);
   }
 }
 

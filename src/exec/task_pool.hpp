@@ -18,12 +18,6 @@
 //   roomnet_exec_tasks_submitted_total   tasks handed to the worker queue
 //   roomnet_exec_tasks_completed_total   tasks finished by workers
 //   roomnet_exec_queue_depth_high_water  max queue depth ever observed
-//   roomnet_exec_task_latency_us         per-task run time (workers only;
-//                                        recorded when telemetry::enabled())
-//   roomnet_exec_worker_busy_us_total{worker=N}
-//                                        per-worker utilization: µs spent
-//                                        inside tasks (telemetry::enabled()
-//                                        runs only — wall reads cost)
 //   roomnet_exec_task_heap_allocs_total / roomnet_exec_task_heap_bytes_total
 //                                        heap allocations attributed to task
 //                                        bodies via the prof thread counters
@@ -44,7 +38,6 @@
 namespace roomnet::telemetry {
 class Counter;
 class Gauge;
-class Histogram;
 }  // namespace roomnet::telemetry
 
 namespace roomnet::exec {
@@ -82,11 +75,8 @@ class TaskPool {
   static std::size_t default_threads();
 
  private:
-  void worker_loop(std::size_t index);
-  /// `busy_us` is the executing worker's utilization counter (null when the
-  /// task runs inline on the calling thread).
-  void run_task(std::function<void()>& task,
-                telemetry::Counter* busy_us = nullptr);
+  void worker_loop();
+  void run_task(std::function<void()>& task);
 
   std::size_t threads_;
   std::vector<std::thread> workers_;
@@ -99,10 +89,8 @@ class TaskPool {
   telemetry::Counter* submitted_;
   telemetry::Counter* completed_;
   telemetry::Gauge* queue_high_water_;
-  telemetry::Histogram* latency_us_;
   telemetry::Counter* task_heap_allocs_;
   telemetry::Counter* task_heap_bytes_;
-  std::vector<telemetry::Counter*> worker_busy_us_;  // one per worker
 };
 
 }  // namespace roomnet::exec

@@ -1,6 +1,5 @@
 #include "faults/churn.hpp"
 
-#include "obs/log.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet::faults {
@@ -44,15 +43,12 @@ void ChurnDriver::tick() {
     offline_counter().inc();
     log_.push_back({loop_->now(), host->mac(), host->label(), false});
     if (observer_) observer_(log_.back());
-    ROOMNET_LOG(kInfo, "churn", "device_offline", kv("device", host->label()),
-                kv("downtime_s", plan_->config().churn_downtime_s));
     loop_->schedule_in(downtime, [this, host] {
       host->set_online(true);
       online_counter().inc();
       log_.push_back(
           {host->loop().now(), host->mac(), host->label(), true});
       if (observer_) observer_(log_.back());
-      ROOMNET_LOG(kInfo, "churn", "device_online", kv("device", host->label()));
     });
   }
 }

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "obs/log.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet::faults {
@@ -43,15 +42,11 @@ Switch::FrameFate FaultPlan::next_frame_fate(std::size_t frame_size) {
   if (config_.loss > 0 && rng_.chance(config_.loss)) {
     fate.drop = true;
     dropped_->inc();
-    ROOMNET_LOG(kDebug, "faults", "frame_dropped",
-                kv("size", static_cast<std::uint64_t>(frame_size)));
     return fate;
   }
   if (config_.duplicate > 0 && rng_.chance(config_.duplicate)) {
     fate.copies = 2;
     duplicated_->inc();
-    ROOMNET_LOG(kDebug, "faults", "frame_duplicated",
-                kv("size", static_cast<std::uint64_t>(frame_size)));
   }
   if (config_.jitter_max_us > 0) {
     const auto us =
@@ -59,7 +54,6 @@ Switch::FrameFate FaultPlan::next_frame_fate(std::size_t frame_size) {
     if (us > 0) {
       fate.extra_delay = SimTime::from_us(static_cast<std::int64_t>(us));
       jittered_->inc();
-      ROOMNET_LOG(kDebug, "faults", "frame_jittered", kv("delay_us", us));
     }
   }
   if (config_.reorder > 0 && rng_.chance(config_.reorder)) {
@@ -67,8 +61,6 @@ Switch::FrameFate FaultPlan::next_frame_fate(std::size_t frame_size) {
     // successors without stalling whole protocol exchanges.
     fate.extra_delay += SimTime::from_us(900);
     reordered_->inc();
-    ROOMNET_LOG(kDebug, "faults", "frame_reordered",
-                kv("delay_us", std::uint64_t{900}));
   }
   // Mutations keep the 14-byte Ethernet header intact: real-world cut-off
   // captures and bit errors hit payloads; headerless runts are dropped by
@@ -78,10 +70,6 @@ Switch::FrameFate FaultPlan::next_frame_fate(std::size_t frame_size) {
     fate.truncate_to =
         15 + static_cast<std::size_t>(rng_.below(frame_size - 15));
     truncated_->inc();
-    ROOMNET_LOG(kDebug, "faults", "frame_truncated",
-                kv("size", static_cast<std::uint64_t>(frame_size)),
-                kv("truncate_to",
-                   static_cast<std::uint64_t>(fate.truncate_to)));
   }
   if (config_.corrupt > 0 && frame_size > 14 && rng_.chance(config_.corrupt)) {
     fate.corrupt_at =
@@ -89,9 +77,6 @@ Switch::FrameFate FaultPlan::next_frame_fate(std::size_t frame_size) {
     fate.corrupt_mask =
         static_cast<std::uint8_t>(1u << rng_.below(8));
     corrupted_->inc();
-    ROOMNET_LOG(kDebug, "faults", "frame_corrupted",
-                kv("at", static_cast<std::uint64_t>(fate.corrupt_at)),
-                kv("mask", static_cast<unsigned>(fate.corrupt_mask)));
   }
   return fate;
 }

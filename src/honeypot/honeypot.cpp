@@ -1,6 +1,5 @@
 #include "honeypot/honeypot.hpp"
 
-#include "obs/log.hpp"
 #include "proto/http.hpp"
 
 namespace roomnet {
@@ -31,10 +30,6 @@ std::string Honeypot::make_token(const std::string& field) {
 
 void Honeypot::record(MacAddress from, ProtocolLabel protocol,
                       std::string detail) {
-  ROOMNET_LOG(kInfo, "honeypot", "interaction", kv("persona", host_.label()),
-              kv("from", from.to_string()),
-              kv("protocol", static_cast<int>(protocol)),
-              kv("detail", detail));
   interactions_.push_back(
       {host_.loop().now(), from, protocol, std::move(detail)});
 }
@@ -48,8 +43,6 @@ std::vector<HoneypotInteraction> Honeypot::interactions_from(
 }
 
 void Honeypot::start() {
-  ROOMNET_LOG(kInfo, "honeypot", "start", kv("persona", host_.label()),
-              kv("mac", host_.mac().to_string()));
   host_.on_ip_acquired = [this](Host&) {
     switch (persona_) {
       case HoneypotPersona::kMediaRenderer: setup_media_renderer(); break;

@@ -3,7 +3,7 @@
 // compiler identity, sim seed, resolved fault seed, a canonical digest of
 // the result-determining config — plus a per-stage SHA-256 content hash of
 // each stage's canonically-serialized outputs. Two runs that should agree
-// (same seed, different thread counts; telemetry or logging on vs off) must
+// (same seed, different thread counts; with or without a run directory) must
 // produce byte-identical manifest.json files, so a determinism violation is
 // localized by diff_manifests() to the *first divergent stage* instead of
 // surfacing as "final results differ".

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/log.hpp"
 #include "telemetry/metrics.hpp"
 
 #include "proto/coap.hpp"
@@ -206,20 +205,11 @@ void PortScanner::send_probe(Probe probe) {
       config_.probe_timeout_s * static_cast<double>(1 << probe.attempt);
   scanner_->loop().schedule_in(SimTime::from_seconds(wait), [this, probe] {
     if (answered(probe.index, probe.udp, probe.port)) return;
-    const char* proto = probe.udp ? "udp" : "tcp";
     if (probe.attempt >= config_.max_retries) {
       probe_timeout_counter().inc();
-      ROOMNET_LOG(kDebug, "scan", "probe_timeout",
-                  kv("target", reports_[probe.index].target.label),
-                  kv("port", probe.port), kv("proto", proto),
-                  kv("attempts", probe.attempt + 1));
       return;
     }
     probe_retry_counter().inc();
-    ROOMNET_LOG(kDebug, "scan", "probe_retry",
-                kv("target", reports_[probe.index].target.label),
-                kv("port", probe.port), kv("proto", proto),
-                kv("attempt", probe.attempt + 1));
     Probe retry = probe;
     ++retry.attempt;
     send_probe(retry);
@@ -233,13 +223,6 @@ void PortScanner::start(const std::vector<ScanTarget>& targets) {
   by_ip_.clear();
   answered_.clear();
   scan_metrics().targets.inc(targets.size());
-  ROOMNET_LOG(kInfo, "scan", "scan_start",
-              kv("targets", static_cast<std::uint64_t>(targets.size())),
-              kv("tcp_ports",
-                 static_cast<std::uint64_t>(config_.tcp_ports.size())),
-              kv("udp_ports",
-                 static_cast<std::uint64_t>(config_.udp_ports.size())),
-              kv("max_retries", config_.max_retries));
   for (const auto& target : targets) {
     by_ip_[target.ip] = reports_.size();
     reports_.push_back(PortScanReport{.target = target});

@@ -85,14 +85,4 @@ Registry& Registry::global() {
   return *instance;
 }
 
-namespace {
-std::atomic<bool> g_enabled{false};
-}  // namespace
-
-void enable() { g_enabled.store(true, std::memory_order_relaxed); }
-
-void disable() { g_enabled.store(false, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 }  // namespace roomnet::telemetry

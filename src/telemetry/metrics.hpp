@@ -154,12 +154,4 @@ class Registry {
   std::map<Key, Entry> metrics_;
 };
 
-/// Master switch for the costly instrumentation: per-callback and per-task
-/// wall-clock latency histograms. Off by default; the cheap counters above
-/// stay on unconditionally. Enabling it never perturbs results — the sim
-/// never reads the wall clock.
-void enable();
-void disable();
-[[nodiscard]] bool enabled();
-
 }  // namespace roomnet::telemetry

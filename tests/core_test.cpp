@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/roomnet.hpp"
-#include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -309,36 +308,6 @@ TEST(PipelineDeterminism, AuditNamesFirstDivergentStageAcrossFaultSeeds) {
   EXPECT_FALSE(diff.stage.empty());
 }
 
-TEST(PipelineDeterminism, StructuredLoggingDoesNotPerturbResults) {
-  PipelineConfig config;
-  config.idle_duration = SimTime::from_minutes(10);
-  config.interactions = 20;
-  config.app_sample = 5;
-  config.run_scan = false;
-  config.run_crowd = false;
-  config.faults.loss = 0.02;  // exercise the fault-path kDebug log sites
-
-  obs::Ledger& ledger = obs::Ledger::global();
-  const obs::LogLevel saved = ledger.level();
-  ledger.set_level(obs::LogLevel::kOff);
-  Pipeline quiet(config);
-  const PipelineResults r_quiet = quiet.run();
-
-  ledger.set_level(obs::LogLevel::kDebug);
-  Pipeline verbose(config);
-  const PipelineResults r_verbose = verbose.run();
-  const std::uint64_t recorded = ledger.recorded();
-  ledger.set_level(saved);
-
-  // Logging observed plenty...
-  EXPECT_GT(recorded, 0u);
-  // ...and changed nothing: bit-for-bit identical manifests.
-  EXPECT_EQ(obs::to_json(r_quiet.manifest), obs::to_json(r_verbose.manifest));
-  EXPECT_TRUE(obs::diff_manifests(r_quiet.manifest, r_verbose.manifest).equal);
-  EXPECT_EQ(r_quiet.local_packets, r_verbose.local_packets);
-  EXPECT_EQ(r_quiet.flows, r_verbose.flows);
-}
-
 TEST(PipelineTelemetry, PopulatesStageMetricsWithoutChangingResults) {
   PipelineConfig config;
   config.idle_duration = SimTime::from_minutes(10);
@@ -420,32 +389,6 @@ TEST(PipelineTelemetry, UnwritableRunDirectoryThrowsNamingThePath) {
               std::string::npos)
         << e.what();
   }
-  std::filesystem::remove(blocker);
-}
-
-TEST(PipelineTelemetry, RunRestoresTheTelemetryFlag) {
-  // A telemetry run times event callbacks only while it runs: the flag it
-  // turned on is off again whether the run returns or throws.
-  ASSERT_FALSE(telemetry::enabled());
-  PipelineConfig config;
-  config.idle_duration = SimTime::from_minutes(1);
-  config.interactions = 1;
-  config.app_sample = 0;
-  config.run_scan = false;
-  config.run_crowd = false;
-  const std::filesystem::path out_dir = "core_test_flag_run";
-  config.telemetry_out = out_dir.string();
-  Pipeline returns(config);
-  (void)returns.run();
-  EXPECT_FALSE(telemetry::enabled());
-  std::filesystem::remove_all(out_dir);
-
-  const std::filesystem::path blocker = "core_test_flag_blocker";
-  std::ofstream(blocker) << "x";
-  config.telemetry_out = (blocker / "run").string();
-  Pipeline throws(config);
-  EXPECT_THROW((void)throws.run(), std::runtime_error);
-  EXPECT_FALSE(telemetry::enabled());
   std::filesystem::remove(blocker);
 }
 

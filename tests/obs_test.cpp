@@ -1,156 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
-#include "netcore/text_file.hpp"
-#include "obs/log.hpp"
 #include "obs/manifest.hpp"
 
 namespace roomnet::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Ledger: leveled, ring-buffered structured logging.
-// ---------------------------------------------------------------------------
-
-TEST(Ledger, OffByDefaultAndRecordsNothing) {
-  Ledger ledger;
-  EXPECT_EQ(ledger.level(), LogLevel::kOff);
-  EXPECT_FALSE(ledger.should_log(LogLevel::kError));
-  ledger.log(LogLevel::kError, "pipeline", "boom");
-  EXPECT_EQ(ledger.recorded(), 0u);
-  EXPECT_TRUE(ledger.records().empty());
-}
-
-TEST(Ledger, LevelGatesBySeverity) {
-  Ledger ledger;
-  ledger.set_level(LogLevel::kWarn);
-  EXPECT_TRUE(ledger.should_log(LogLevel::kError));
-  EXPECT_TRUE(ledger.should_log(LogLevel::kWarn));
-  EXPECT_FALSE(ledger.should_log(LogLevel::kInfo));
-  EXPECT_FALSE(ledger.should_log(LogLevel::kDebug));
-  // kOff is never loggable, even at the most permissive level.
-  ledger.set_level(LogLevel::kDebug);
-  EXPECT_FALSE(ledger.should_log(LogLevel::kOff));
-
-  ledger.set_level(LogLevel::kWarn);
-  ledger.log(LogLevel::kError, "scan", "kept-error");
-  ledger.log(LogLevel::kInfo, "scan", "dropped-info");
-  ledger.log(LogLevel::kWarn, "scan", "kept-warn");
-  const auto records = ledger.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].event, "kept-error");
-  EXPECT_EQ(records[1].event, "kept-warn");
-}
-
-TEST(Ledger, RingKeepsNewestInEmissionOrder) {
-  Ledger ledger;
-  ledger.set_level(LogLevel::kDebug);
-  ledger.reset(/*capacity=*/3);
-  for (int i = 0; i < 8; ++i)
-    ledger.log(LogLevel::kInfo, "t", "ev" + std::to_string(i));
-  EXPECT_EQ(ledger.recorded(), 8u);
-  const auto records = ledger.records();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].event, "ev5");
-  EXPECT_EQ(records[1].event, "ev6");
-  EXPECT_EQ(records[2].event, "ev7");
-  EXPECT_EQ(records[0].seq, 5u);
-  EXPECT_EQ(records[2].seq, 7u);
-}
-
-TEST(Ledger, SimClockStampsRecords) {
-  Ledger ledger;
-  ledger.set_level(LogLevel::kInfo);
-  ledger.set_sim_clock([] { return SimTime::from_us(1234); });
-  ledger.log(LogLevel::kInfo, "pipeline", "stamped");
-  ledger.set_sim_clock(nullptr);
-  ledger.log(LogLevel::kInfo, "pipeline", "unstamped");
-  const auto records = ledger.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].sim_us, 1234);
-  EXPECT_EQ(records[1].sim_us, 0);
-}
-
-TEST(Ledger, KvOverloadsRenderDeterministically) {
-  EXPECT_EQ(kv("s", "text").value, "text");
-  EXPECT_EQ(kv("i", std::int64_t{-7}).value, "-7");
-  EXPECT_EQ(kv("u", std::uint64_t{18446744073709551615ull}).value,
-            "18446744073709551615");
-  EXPECT_EQ(kv("n", 42).value, "42");
-  EXPECT_EQ(kv("b", true).value, "true");
-  EXPECT_EQ(kv("b", false).value, "false");
-  EXPECT_EQ(kv("d", 0.5).value, "0.5");
-}
-
-TEST(Ledger, ParseLogLevelAcceptsNamesAndNumbers) {
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("warning"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("trace"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("3"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("bogus"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level(""), LogLevel::kOff);
-}
-
-TEST(Ledger, JsonlOneObjectPerLineWithEscaping) {
-  Ledger ledger;
-  ledger.set_level(LogLevel::kInfo);
-  ledger.log(LogLevel::kInfo, "scan", "probe",
-             {kv("target", "cam\"1\""), kv("note", "line1\nline2")});
-  const std::string jsonl = to_jsonl(ledger.records());
-  EXPECT_NE(jsonl.find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"stage\":\"scan\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"event\":\"probe\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"target\":\"cam\\\"1\\\"\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"note\":\"line1\\nline2\""), std::string::npos);
-  // Exactly one line, terminated: a raw newline from the field value must
-  // not split the record.
-  ASSERT_FALSE(jsonl.empty());
-  EXPECT_EQ(jsonl.back(), '\n');
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 1);
-}
-
-TEST(Ledger, WriteJsonlRoundTripsThroughDisk) {
-  Ledger ledger;
-  ledger.set_level(LogLevel::kInfo);
-  ledger.log(LogLevel::kInfo, "pipeline", "run_start", {kv("seed", 42)});
-  const std::string path = "obs_test_logs.jsonl";
-  ASSERT_TRUE(write_text_file(path, to_jsonl(ledger.records())));
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), to_jsonl(ledger.records()));
-  std::filesystem::remove(path);
-}
-
-TEST(Ledger, MacroEvaluatesFieldsLazily) {
-  // ROOMNET_LOG targets the global ledger; force it off so the field
-  // expression must not run.
-  Ledger& global = Ledger::global();
-  const LogLevel saved = global.level();
-  global.set_level(LogLevel::kOff);
-  int evaluations = 0;
-  const auto count = [&evaluations] {
-    ++evaluations;
-    return std::int64_t{1};
-  };
-  ROOMNET_LOG(kInfo, "test", "gated", kv("n", count()));
-  EXPECT_EQ(evaluations, 0);
-  global.set_level(LogLevel::kInfo);
-  const std::uint64_t before = global.recorded();
-  ROOMNET_LOG(kInfo, "test", "emitted", kv("n", count()));
-  EXPECT_EQ(evaluations, 1);
-  EXPECT_EQ(global.recorded(), before + 1);
-  global.set_level(saved);
-}
 
 // ---------------------------------------------------------------------------
 // CanonicalHasher: order-sensitive, length-prefixed canonical serialization.

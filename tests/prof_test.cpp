@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
-#include "obs/log.hpp"
 #include "obs/schema.hpp"
 #include "prof/counters.hpp"
 #include "prof/folded.hpp"
@@ -346,20 +345,13 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
 
   config.threads = 1;
   config.telemetry_out = dir1.string();
-  obs::Ledger& ledger = obs::Ledger::global();
-  const obs::LogLevel saved = ledger.level();
-  ledger.set_level(obs::LogLevel::kOff);
   Pipeline p1(config);
   const PipelineResults r1 = p1.run();
 
-  // The second run also logs: logging never moves perf.json's
-  // deterministic core, and it adds logs.jsonl to the run directory.
-  ledger.set_level(obs::LogLevel::kInfo);
   config.threads = 2;
   config.telemetry_out = dir2.string();
   Pipeline p2(config);
   const PipelineResults r2 = p2.run();
-  ledger.set_level(saved);
 
   // The deterministic core (stage set + arena counters) must be
   // byte-identical across thread counts — the perf twin of the manifest's
@@ -387,8 +379,7 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
   ASSERT_TRUE(on_disk.has_value());
   EXPECT_EQ(prof::to_json(*on_disk), prof::to_json(r1.profile));
 
-  // The run directory holds exactly the run record, no artifact empty, and
-  // logs.jsonl only for the run that logged.
+  // Each run directory holds exactly the run record, no artifact empty.
   const auto run_directory = [](const std::filesystem::path& dir) {
     std::set<std::string> names;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -397,10 +388,10 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
     }
     return names;
   };
-  std::set<std::string> record = {"events.jsonl", "manifest.json",
-                                  "metrics.prom", "perf.json", "trace.folded"};
+  const std::set<std::string> record = {"events.jsonl", "manifest.json",
+                                        "metrics.prom", "perf.json",
+                                        "trace.folded"};
   EXPECT_EQ(run_directory(dir1), record);
-  record.insert("logs.jsonl");
   EXPECT_EQ(run_directory(dir2), record);
 
   // trace.folded is perf.json's stage list, rendered.

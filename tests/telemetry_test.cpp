@@ -268,15 +268,5 @@ TEST(Exporters, PrometheusEmitsQuantileGaugeFamilies) {
             out.find("roomnet_test_q_us_p50"));
 }
 
-// --------------------------------------------------------------- enable()
-
-TEST(Telemetry, EnableIsAnOffByDefaultFlag) {
-  EXPECT_FALSE(enabled());
-  enable();
-  EXPECT_TRUE(enabled());
-  disable();
-  EXPECT_FALSE(enabled());
-}
-
 }  // namespace
 }  // namespace roomnet::telemetry

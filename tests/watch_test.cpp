@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -341,6 +342,21 @@ TEST(WatchRing, BrokenRuleConfigIsReportedNotFatal) {
   EXPECT_NE(watcher.rule_error().find("line 1"), std::string::npos);
   const WatchReport report = watcher.finish();
   EXPECT_TRUE(report.alerts.empty());  // engine runs with no rules
+}
+
+TEST(WatchRing, BrokenRuleConfigFailsThePipelineBeforeAnyStage) {
+  // A Watcher salvages what parses; a pipeline run must not, or a broken
+  // rule file would look like a quiet network.
+  PipelineConfig config;
+  config.watch.rules =
+      "alert broken: rate(event:warp_core, 5s) > 1 severity info\n";
+  try {
+    Pipeline pipeline(config);
+    ADD_FAILURE() << "a broken rule set was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------- WatchDeterminism

@@ -4,8 +4,9 @@
 //                                          directory: manifest.json,
 //                                          perf.json, trace.folded (rendered
 //                                          from perf.json), events.jsonl,
-//                                          metrics.prom, and logs.jsonl when
-//                                          the run logged (ROOMNET_LOG_LEVEL)
+//                                          metrics.prom; print one
+//                                          `degraded:` line per input a
+//                                          faulty run lost
 //   roomnet audit diff <manifest_a> <manifest_b>
 //                                          name the first divergent stage
 //   roomnet prof show|diff ...             the perf.json ledger (prof.cpp)
@@ -195,6 +196,9 @@ int run_main(int argc, char** argv) {
               static_cast<unsigned long long>(watch.devices_tracked),
               static_cast<unsigned long long>(watch.packets_seen));
   std::printf("timeline hash: %s\n", watch::hash_events(watch.events).c_str());
+  for (const faults::DegradedResult& entry : results.degraded)
+    std::printf("degraded: [%s] %s: %s\n", entry.stage.c_str(),
+                entry.subject.c_str(), entry.reason.c_str());
   return 0;
 }
 
