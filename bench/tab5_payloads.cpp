@@ -3,6 +3,7 @@
 // hostname with MAC tail, the NetBIOS CKAAA... wildcard probe, TPLINK-SHP
 // sysinfo with deviceId/hwId/oemId and plaintext geolocation).
 #include "bench_util.hpp"
+#include "proto/app.hpp"
 #include "proto/netbios.hpp"
 #include "proto/tplink.hpp"
 
@@ -19,12 +20,12 @@ int main() {
                                      BytesView) {
         if (hue || !filter.matches(packet)) return;
         if (!packet.udp || value(packet.udp->dst_port) != 5353) return;
-        auto msg = decode_dns(packet.app_payload());
-        if (!msg || !msg->is_response) return;
+        const DnsMessage* msg = dns_of(packet);
+        if (msg == nullptr || !msg->is_response) return;
         bool is_hue = false;
         for (const auto& rec : msg->answers)
           is_hue |= rec.name.to_string().find("_hue") != std::string::npos;
-        if (is_hue) hue = std::move(msg);
+        if (is_hue) hue = *msg;  // the memo dies with the delivery: copy
       });
   lab.start_all();
   lab.run_idle(SimTime::from_minutes(30));

@@ -2,9 +2,7 @@
 
 #include "analysis/identifiers.hpp"
 #include "classify/classifier.hpp"
-#include "proto/dhcp.hpp"
-#include "proto/dns.hpp"
-#include "proto/ssdp.hpp"
+#include "proto/app.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
 
@@ -133,14 +131,15 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   }
 
   if (!packet.udp) return;
+  const AppScope app(packet);
   const BytesView payload = packet.app_payload();
   const std::uint16_t dport = value(*packet.dst_port());
   const std::uint16_t sport = value(*packet.src_port());
 
   // ----- DHCP
   if (dport == kDhcpServerPort || dport == kDhcpClientPort) {
-    const auto msg = decode_dhcp(payload);
-    if (!msg || !msg->is_request) return;
+    const DhcpMessage* msg = dhcp_of(packet);
+    if (msg == nullptr || !msg->is_request) return;
     mark(ProtocolLabel::kDhcp, ExposedData::kMac, src);  // chaddr on wire
     if (const auto hostname = msg->hostname()) {
       if (looks_like_model_name(*hostname))
@@ -159,8 +158,8 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- mDNS
   if (dport == kMdnsPort || sport == kMdnsPort) {
-    const auto msg = decode_dns(payload);
-    if (!msg || !msg->is_response) return;
+    const DnsMessage* msg = dns_of(packet);
+    if (msg == nullptr || !msg->is_response) return;
     const std::string text = response_text(*msg);
     if (contains_mac_like(text))
       mark(ProtocolLabel::kMdns, ExposedData::kMac, src);
@@ -176,8 +175,8 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- SSDP (and the UPnP description it links to)
   if (dport == kSsdpPort || sport == kSsdpPort) {
-    const auto msg = decode_ssdp(payload);
-    if (!msg) return;
+    const SsdpMessage* msg = ssdp_of(packet);
+    if (msg == nullptr) return;
     if (!extract_uuids(response_text(*msg)).empty())
       mark(ProtocolLabel::kSsdp, ExposedData::kUuid, src);
     if (!msg->server.empty()) {

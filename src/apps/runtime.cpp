@@ -5,7 +5,9 @@
 
 #include "telemetry/metrics.hpp"
 
+#include "analysis/exposure.hpp"
 #include "analysis/identifiers.hpp"
+#include "proto/app.hpp"
 #include "proto/dns.hpp"
 #include "proto/http.hpp"
 #include "proto/json.hpp"
@@ -61,20 +63,12 @@ void AppRunner::do_mdns_scan(Harvest& harvest) {
   // NsdManager-equivalent: PTR query, harvest every response payload.
   const std::uint16_t sport = kMdnsPort;
   harvest.opened_ports.push_back(sport);
-  phone.open_udp(sport, [this, &harvest](Host&, const PacketView& packet,
-                                         const UdpDatagram& udp) {
-    const auto msg = decode_dns(udp.payload);
-    if (!msg || !msg->is_response) return;
+  phone.open_udp(sport, [&harvest](Host&, const PacketView& packet,
+                                   const UdpDatagram&) {
+    const DnsMessage* msg = dns_of(packet);
+    if (msg == nullptr || !msg->is_response) return;
     harvest.discovered_devices.insert(packet.eth.src);
-    std::string text;
-    for (const auto& rec : msg->answers) {
-      text += rec.name.to_string() + " ";
-      for (const auto& txt : rec.txt()) text += txt + " ";
-      if (const auto ptr = rec.ptr()) text += ptr->to_string() + " ";
-      if (const auto srv = rec.srv()) text += srv->target.to_string() + " ";
-    }
-    for (const auto& rec : msg->additional) text += rec.name.to_string() + " ";
-    for (const auto& id : extract_identifiers(text)) {
+    for (const auto& id : extract_identifiers(response_text(*msg))) {
       switch (id.type) {
         case IdentifierType::kMacAddress: harvest.device_macs.insert(id.value); break;
         case IdentifierType::kUuid: harvest.uuids.insert(id.value); break;
@@ -108,9 +102,10 @@ void AppRunner::do_ssdp_scan(Harvest& harvest, bool igd_target) {
   const std::uint16_t sport = phone.ephemeral_port();
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [this, &harvest](Host&, const PacketView& packet,
-                                         const UdpDatagram& udp) {
-    const auto msg = decode_ssdp(udp.payload);
-    if (!msg || msg->kind != SsdpKind::kResponse || !packet.ipv4) return;
+                                         const UdpDatagram&) {
+    const SsdpMessage* msg = ssdp_of(packet);
+    if (msg == nullptr || msg->kind != SsdpKind::kResponse || !packet.ipv4)
+      return;
     harvest.discovered_devices.insert(packet.eth.src);
     harvest.device_macs.insert(packet.eth.src.to_string());
     for (const auto& uuid : extract_uuids(msg->usn))

@@ -1,5 +1,6 @@
 #include "classify/classifier.hpp"
 
+#include "proto/app.hpp"
 #include "proto/coap.hpp"
 #include "proto/dhcp.hpp"
 #include "proto/dhcpv6.hpp"
@@ -40,12 +41,13 @@ bool payload_is_coap(BytesView payload) {
   return !payload.empty() && (payload[0] >> 6) == 1 && payload.size() >= 4;
 }
 
-bool payload_is_dns(BytesView payload) {
-  const auto msg = decode_dns(payload);
+/// `msg` is a decoded DNS message (pointer or optional), empty if none.
+template <class Message>
+bool dns_signature(const Message& msg) {
   // A bare header with zero counts parses "successfully" but is not a DNS
   // signature match (randomish payloads hit it).
-  return msg.has_value() && (!msg->questions.empty() || !msg->answers.empty() ||
-                             !msg->authority.empty() || !msg->additional.empty());
+  return msg && (!msg->questions.empty() || !msg->answers.empty() ||
+                 !msg->authority.empty() || !msg->additional.empty());
 }
 
 bool in_google_sync_range(std::uint16_t port) {
@@ -166,14 +168,32 @@ ProtocolLabel SpecClassifier::classify_flow(const Flow& flow) const {
 
 namespace {
 
+/// A packet's app-layer decodes come from its frame's shared memo.
+struct FrameDecodes {
+  const PacketView& packet;
+  const DnsMessage* dns() const { return dns_of(packet); }
+  const SsdpMessage* ssdp() const { return ssdp_of(packet); }
+  const DhcpMessage* dhcp() const { return dhcp_of(packet); }
+};
+
+/// A flow's stored payload is not a frame: decode its bytes directly.
+struct PayloadDecodes {
+  BytesView payload;
+  std::optional<DnsMessage> dns() const { return decode_dns(payload); }
+  std::optional<SsdpMessage> ssdp() const { return decode_ssdp(payload); }
+  std::optional<DhcpMessage> dhcp() const { return decode_dhcp(payload); }
+};
+
+template <class Decodes>
 ProtocolLabel deep_classify_payload(BytesView payload, std::uint16_t sport,
-                                    std::uint16_t dport, bool udp) {
+                                    std::uint16_t dport, bool udp,
+                                    const Decodes& app) {
   if (payload.empty())
     return udp ? ProtocolLabel::kGenericUdp : ProtocolLabel::kGenericTcp;
 
   // SSDP before generic HTTP: shares the HTTP framing.
   if (looks_like_http(payload)) {
-    const auto ssdp = decode_ssdp(payload);
+    const auto ssdp = app.ssdp();
     if (ssdp) {
       // Documented nDPI error: IGD-targeted discovery matches the CiscoVPN
       // signature.
@@ -184,11 +204,11 @@ ProtocolLabel deep_classify_payload(BytesView payload, std::uint16_t sport,
     return ProtocolLabel::kHttp;
   }
   if (looks_like_tls(payload)) return ProtocolLabel::kTls;
-  if (udp && payload_is_dns(payload)) {
+  if (udp && dns_signature(app.dns())) {
     if (sport == kMdnsPort || dport == kMdnsPort) return ProtocolLabel::kMdns;
     return ProtocolLabel::kDns;
   }
-  if (udp && decode_dhcp(payload)) return ProtocolLabel::kDhcp;
+  if (udp && app.dhcp()) return ProtocolLabel::kDhcp;
   if (udp && (sport == kDhcpv6ClientPort || dport == kDhcpv6ServerPort ||
               dport == kDhcpv6ClientPort) &&
       decode_dhcpv6(payload))
@@ -240,9 +260,10 @@ ProtocolLabel DeepClassifier::classify_packet(const PacketView& packet) const {
   }
   if (const auto l2 = classify_l2_l3(packet)) return *l2;
   if (!packet.has_transport()) return ProtocolLabel::kUnknown;
+  const AppScope scope(packet);
   return deep_classify_payload(packet.app_payload(), value(*packet.src_port()),
                                value(*packet.dst_port()),
-                               packet.udp.has_value());
+                               packet.udp.has_value(), FrameDecodes{packet});
 }
 
 ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
@@ -251,7 +272,8 @@ ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
   const BytesView client = flow.first_client_payload();
   const ProtocolLabel from_client =
       deep_classify_payload(client, value(flow.key.client_port),
-                            value(flow.key.server_port), udp);
+                            value(flow.key.server_port), udp,
+                            PayloadDecodes{client});
   if (from_client != ProtocolLabel::kUnknown &&
       from_client != ProtocolLabel::kGenericUdp &&
       from_client != ProtocolLabel::kGenericTcp)
@@ -260,7 +282,8 @@ ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
   if (!server.empty()) {
     const ProtocolLabel from_server =
         deep_classify_payload(server, value(flow.key.server_port),
-                              value(flow.key.client_port), udp);
+                              value(flow.key.client_port), udp,
+                              PayloadDecodes{server});
     if (from_server != ProtocolLabel::kUnknown &&
         from_server != ProtocolLabel::kGenericUdp &&
         from_server != ProtocolLabel::kGenericTcp)

@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
@@ -21,6 +22,24 @@ namespace {
 telemetry::Counter& degraded_counter(const char* stage) {
   return telemetry::Registry::global().counter("roomnet_faults_degraded_total",
                                                {{"stage", stage}});
+}
+
+/// Whether `host` answers `config`'s scan on a lossless network: its stack
+/// answers closed ports and IP protocols, or a service listens on a probed
+/// port. The DHCP client socket is no service (it reads server replies
+/// only). A device that answers no scan is silent by design, so its silence
+/// under faults is not degradation.
+bool answers_scan(const Host& host, const PortScanConfig& config) {
+  if (host.rst_on_closed_tcp) return true;
+  const auto probed = [](const std::vector<std::uint16_t>& ports,
+                         std::uint16_t port) {
+    return std::find(ports.begin(), ports.end(), port) != ports.end();
+  };
+  for (const std::uint16_t port : host.open_tcp_ports())
+    if (probed(config.tcp_ports, port)) return true;
+  for (const std::uint16_t port : host.open_udp_ports())
+    if (port != kDhcpClientPort && probed(config.udp_ports, port)) return true;
+  return false;
 }
 
 }  // namespace
@@ -216,6 +235,7 @@ PipelineResults Pipeline::run() {
                     "scanbox");
       scan_box.set_static_ip(Ipv4Address(192, 168, 10, 251));
       std::vector<ScanTarget> targets;
+      std::vector<const Host*> target_hosts;
       for (const auto& device : lab_->devices()) {
         if (!device->host().has_ip()) {
           // Lost to faults (dropped DHCP past the retry budget, or offline
@@ -231,6 +251,7 @@ PipelineResults Pipeline::run() {
         }
         targets.push_back({device->mac(), device->host().ip(),
                            device->spec().vendor + " " + device->spec().model});
+        target_hosts.push_back(&device->host());
       }
       PortScanConfig scan_config;
       if (fault_plan_->enabled()) scan_config.max_retries = 2;
@@ -239,9 +260,11 @@ PipelineResults Pipeline::run() {
       lab_->run_for(scanner.estimated_duration());
       results.scan_reports = scanner.reports();
       if (fault_plan_->enabled()) {
-        for (const auto& report : results.scan_reports) {
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+          const PortScanReport& report = results.scan_reports[i];
           if (report.responded_tcp || report.responded_udp ||
-              report.responded_ip)
+              report.responded_ip ||
+              !answers_scan(*target_hosts[i], scan_config))
             continue;
           results.degraded.push_back({stages::kScan, report.target.label,
                                       "silent under scan despite retries"});

@@ -12,8 +12,7 @@
 #include "crowd/entropy.hpp"
 #include "fleet/context.hpp"
 #include "obs/manifest.hpp"
-#include "proto/dns.hpp"
-#include "proto/ssdp.hpp"
+#include "proto/app.hpp"
 #include "testbed/lab.hpp"
 
 namespace roomnet::fleet {
@@ -154,8 +153,9 @@ HouseholdResult run_household(const HouseholdConfig& config,
       return;
     std::optional<std::string> text;
     if (!mdns) {
-      if (const auto msg = decode_ssdp(payload)) text = response_text(*msg);
-    } else if (const auto msg = decode_dns(payload); msg && msg->is_response) {
+      if (const SsdpMessage* msg = ssdp_of(packet)) text = response_text(*msg);
+    } else if (const DnsMessage* msg = dns_of(packet);
+               msg != nullptr && msg->is_response) {
       text = response_text(*msg);
     }
     if (text) harvest_identifiers(*text, src.oui(), ids[src]);

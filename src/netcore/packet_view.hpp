@@ -13,6 +13,10 @@
 
 namespace roomnet {
 
+/// The memo of a frame's app-layer decodes. Defined by proto/app.hpp, which
+/// also owns its lifetime (AppScope) and reads it (dns_of, ssdp_of, dhcp_of).
+struct AppLayers;
+
 /// One Ethernet frame decoded down to the transport layer. At most one of
 /// arp/llc/eapol/ipv4/ipv6 and at most one of udp/tcp/icmp/icmpv6/igmp is
 /// present. Copying a PacketView is cheap (a few hundred bytes of POD, zero
@@ -29,6 +33,10 @@ struct PacketView {
   std::optional<IcmpMessage> icmp;
   std::optional<Icmpv6Message> icmpv6;
   std::optional<IgmpMessage> igmp;
+  /// App-layer memo shared by every consumer of this frame, or nullptr.
+  /// Attached and detached by proto's AppScope; a copy shares it, so it
+  /// dies with the delivery like the slices do (see proto/app.hpp).
+  mutable AppLayers* app = nullptr;
 
   [[nodiscard]] bool has_ip() const { return ipv4.has_value() || ipv6.has_value(); }
   [[nodiscard]] bool has_transport() const { return udp.has_value() || tcp.has_value(); }

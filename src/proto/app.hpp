@@ -1,0 +1,78 @@
+// App-layer decodes of one frame, shared by everyone who reads the frame.
+//
+// The switch decodes a transmitted frame into one PacketView and hands it to
+// every receiver and packet tap; a pcap reader hands its view to every
+// stream builder. The accessors below decode that view's transport payload
+// as DNS/mDNS, SSDP or DHCP at most once each, on first ask, and give every
+// later caller the same decoded object. A payload that does not decode is
+// remembered too, so the deep classifier's speculative probes of arbitrary
+// UDP payloads cost one decode per protocol, not one per consumer.
+//
+// Ownership and lifetime: an AppScope owns the memo (AppLayers) and attaches
+// it to a PacketView for the scope's lifetime, unless the view already
+// carries one. The memo lives exactly as long as the frame bytes it was
+// decoded from need to (one delivery, one on_packet call): a returned
+// pointer, like the view's slices, must not outlive the call that received
+// the view; copy what you keep.
+//
+// Threads: the memo fills lazily and without locking. A view with a memo
+// attached, and every copy of it, belongs to one thread until the scope
+// that attached the memo ends.
+//
+// decode_dns/decode_ssdp/decode_dhcp stay the codecs for bytes that are not
+// a frame's own payload (TCP stream data, flow payloads, tests).
+#pragma once
+
+#include <optional>
+
+#include "netcore/packet_view.hpp"
+#include "proto/dhcp.hpp"
+#include "proto/dns.hpp"
+#include "proto/ssdp.hpp"
+
+namespace roomnet {
+
+/// One frame's memoized app-layer decodes. A slot is filled on first ask;
+/// `value` is empty when the payload did not decode as that protocol.
+struct AppLayers {
+  template <class T>
+  struct Slot {
+    bool decoded = false;
+    std::optional<T> value;
+  };
+  Slot<DnsMessage> dns;
+  Slot<SsdpMessage> ssdp;
+  Slot<DhcpMessage> dhcp;
+};
+
+/// Attaches a fresh memo to `packet` for this scope's lifetime when it has
+/// none; otherwise does nothing, so nested consumers share the outer memo.
+/// Every entry point that reads app layers off a caller's view opens one.
+class AppScope {
+ public:
+  explicit AppScope(const PacketView& packet) {
+    if (packet.app == nullptr) {
+      packet.app = &memo_;
+      owner_ = &packet;
+    }
+  }
+  ~AppScope() {
+    if (owner_ != nullptr) owner_->app = nullptr;
+  }
+  AppScope(const AppScope&) = delete;
+  AppScope& operator=(const AppScope&) = delete;
+
+ private:
+  AppLayers memo_;
+  const PacketView* owner_ = nullptr;
+};
+
+/// The frame's payload decoded as DNS/mDNS, SSDP or DHCP, whatever its
+/// ports; nullptr when it does not decode (or the frame has no transport
+/// payload). Throws std::logic_error on a view with a transport payload but
+/// no memo attached (no AppScope open).
+[[nodiscard]] const DnsMessage* dns_of(const PacketView& packet);
+[[nodiscard]] const SsdpMessage* ssdp_of(const PacketView& packet);
+[[nodiscard]] const DhcpMessage* dhcp_of(const PacketView& packet);
+
+}  // namespace roomnet

@@ -1,5 +1,7 @@
 #include "proto/dhcp.hpp"
 
+#include "telemetry/metrics.hpp"
+
 namespace roomnet {
 
 namespace {
@@ -93,6 +95,9 @@ Bytes encode_dhcp(const DhcpMessage& msg) {
 }
 
 std::optional<DhcpMessage> decode_dhcp(BytesView raw) {
+  static telemetry::Counter& decodes = telemetry::Registry::global().counter(
+      "roomnet_proto_decodes_total", {{"proto", "dhcp"}});
+  decodes.inc();
   ByteReader r(raw);
   DhcpMessage m;
   const auto op = r.u8();

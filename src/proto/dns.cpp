@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "telemetry/metrics.hpp"
+
 namespace roomnet {
 
 std::string DnsName::to_string() const {
@@ -245,6 +247,9 @@ Bytes encode_dns(const DnsMessage& msg) {
 }
 
 std::optional<DnsMessage> decode_dns(BytesView raw) {
+  static telemetry::Counter& decodes = telemetry::Registry::global().counter(
+      "roomnet_proto_decodes_total", {{"proto", "dns"}});
+  decodes.inc();
   ByteReader r(raw);
   DnsMessage m;
   m.id = r.u16().value_or(0);

@@ -1,5 +1,7 @@
 #include "proto/ssdp.hpp"
 
+#include "telemetry/metrics.hpp"
+
 namespace roomnet {
 
 Bytes encode_ssdp(const SsdpMessage& msg) {
@@ -47,6 +49,9 @@ Bytes encode_ssdp(const SsdpMessage& msg) {
 }
 
 std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
+  static telemetry::Counter& decodes = telemetry::Registry::global().counter(
+      "roomnet_proto_decodes_total", {{"proto", "ssdp"}});
+  decodes.inc();
   SsdpMessage msg;
   if (auto req = decode_http_request(raw)) {
     const HttpHeaders& h = req->headers;

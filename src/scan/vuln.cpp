@@ -2,7 +2,7 @@
 
 #include "exec/parallel.hpp"
 #include "exec/task_pool.hpp"
-#include "proto/dns.hpp"
+#include "proto/app.hpp"
 #include "proto/http.hpp"
 
 namespace roomnet {
@@ -155,12 +155,10 @@ void ServiceProber::probe_udp(DeviceAudit& audit, std::size_t service_index,
   // version.bind, then a cache-snoop test (recursive name, low TTL reply).
   scanner_->loop().schedule_in(SimTime::from_seconds(at_s), [this, ip, obs] {
     const std::uint16_t sport = scanner_->ephemeral_port();
-    scanner_->open_udp(sport, [obs](Host& self, const PacketView& packet,
-                                    const UdpDatagram& udp) {
-      (void)self;
-      (void)packet;
-      const auto msg = decode_dns(udp.payload);
-      if (!msg || !msg->is_response) return;
+    scanner_->open_udp(sport, [obs](Host&, const PacketView& packet,
+                                    const UdpDatagram&) {
+      const DnsMessage* msg = dns_of(packet);
+      if (msg == nullptr || !msg->is_response) return;
       for (const auto& answer : msg->answers) {
         if (answer.type == DnsType::kTxt) {
           const auto txt = answer.txt();

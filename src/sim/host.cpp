@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "netcore/checksum.hpp"
+#include "proto/app.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -380,9 +381,10 @@ void Host::start_dhcp(std::string hostname, std::string vendor_class,
   dhcp_params_ = std::move(param_request_list);
   dhcp_xid_ = static_cast<std::uint32_t>(mac_.to_u64() ^ 0x5a5a5a5a);
   open_udp(kDhcpClientPort,
-           [this](Host&, const PacketView&, const UdpDatagram& udp) {
-             const auto reply = decode_dhcp(udp.payload);
-             if (reply && !reply->is_request) handle_dhcp_reply(*reply);
+           [this](Host&, const PacketView& packet, const UdpDatagram&) {
+             const DhcpMessage* reply = dhcp_of(packet);
+             if (reply != nullptr && !reply->is_request)
+               handle_dhcp_reply(*reply);
            });
 
   send_dhcp_discover();
@@ -655,8 +657,8 @@ Router::Router(Switch& net, MacAddress mac, Ipv4Address ip, int prefix_len)
   (void)prefix_len;  // /24 pools only; parameter reserved for future use
   set_static_ip(ip);
   open_udp(kDhcpServerPort,
-           [this](Host&, const PacketView& packet, const UdpDatagram& udp) {
-             handle_dhcp(packet, udp);
+           [this](Host&, const PacketView& packet, const UdpDatagram&) {
+             handle_dhcp(packet);
            });
 }
 
@@ -668,10 +670,9 @@ Ipv4Address Router::lease_for(const MacAddress& mac) {
   return assigned;
 }
 
-void Router::handle_dhcp(const PacketView& packet, const UdpDatagram& udp) {
-  (void)packet;
-  const auto msg = decode_dhcp(udp.payload);
-  if (!msg || !msg->is_request) return;
+void Router::handle_dhcp(const PacketView& packet) {
+  const DhcpMessage* msg = dhcp_of(packet);
+  if (msg == nullptr || !msg->is_request) return;
   const auto type = msg->message_type();
   if (type != DhcpMessageType::kDiscover && type != DhcpMessageType::kRequest)
     return;

@@ -258,7 +258,7 @@ class Router : public Host {
   }
 
  private:
-  void handle_dhcp(const PacketView& packet, const UdpDatagram& udp);
+  void handle_dhcp(const PacketView& packet);
   Ipv4Address lease_for(const MacAddress& mac);
 
   Ipv4Address subnet_;

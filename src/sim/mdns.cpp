@@ -1,12 +1,14 @@
 #include "sim/mdns.hpp"
 
+#include "proto/app.hpp"
+
 namespace roomnet {
 
 MdnsEndpoint::MdnsEndpoint(Host& host) : host_(&host) {
   host_->open_udp(
       kMdnsPort,
-      [this](Host&, const PacketView& packet, const UdpDatagram& udp) {
-        handle(packet, udp);
+      [this](Host&, const PacketView& packet, const UdpDatagram&) {
+        handle(packet);
       });
   host_->join_multicast_group(kMdnsGroupV4);
 }
@@ -63,9 +65,9 @@ void MdnsEndpoint::send_message(const DnsMessage& msg, bool unicast,
   }
 }
 
-void MdnsEndpoint::handle(const PacketView& packet, const UdpDatagram& udp) {
-  const auto msg = decode_dns(udp.payload);
-  if (!msg) return;
+void MdnsEndpoint::handle(const PacketView& packet) {
+  const DnsMessage* msg = dns_of(packet);
+  if (msg == nullptr) return;
   if (on_message) on_message(packet, *msg);
   if (msg->is_response || !packet.ipv4) return;
 

@@ -45,7 +45,7 @@ class MdnsEndpoint {
   std::function<void(const PacketView&, const DnsMessage&)> on_message;
 
  private:
-  void handle(const PacketView& packet, const UdpDatagram& udp);
+  void handle(const PacketView& packet);
   [[nodiscard]] DnsMessage build_answer(const MdnsService& service) const;
   void send_message(const DnsMessage& msg, bool unicast, Ipv4Address to);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "proto/app.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -104,6 +105,9 @@ void Switch::transmit(BytesView frame, const NetworkNode* sender) {
 void Switch::deliver(BytesView frame, const NetworkNode* sender) {
   const auto packet = decode_frame_view(frame);
   if (!packet) return;
+  // One app-layer memo per delivery: every tap and receiver below shares
+  // the payload's DNS/SSDP/DHCP decode.
+  const AppScope app(*packet);
   switch_metrics()
       .per_proto[static_cast<std::size_t>(wire_proto(*packet))]
       ->inc();

@@ -7,7 +7,10 @@
 // exactly once at ingress; taps, duplicate deliveries, and deliver() all
 // alias that buffer. At delivery time the frame is view-decoded exactly once
 // (zero further allocations) and the PacketView is shared by every receiver
-// and packet tap; a flooded frame costs one decode + N handler calls.
+// and packet tap. So is its app-layer memo (proto/app.hpp): the payload is
+// decoded as DNS, SSDP or DHCP at most once each, on first ask. A flooded
+// multicast announcement costs one view decode, one app-layer decode and
+// N handler calls.
 #pragma once
 
 #include <functional>

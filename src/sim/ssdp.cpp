@@ -1,5 +1,6 @@
 #include "sim/ssdp.hpp"
 
+#include "proto/app.hpp"
 #include "proto/http.hpp"
 
 namespace roomnet {
@@ -81,8 +82,8 @@ void SsdpEndpoint::notify_alive() {
 }
 
 void SsdpEndpoint::handle(const PacketView& packet, const UdpDatagram& udp) {
-  const auto msg = decode_ssdp(udp.payload);
-  if (!msg) return;
+  const SsdpMessage* msg = ssdp_of(packet);
+  if (msg == nullptr) return;
   if (on_message) on_message(packet, *msg);
   if (msg->kind != SsdpKind::kMSearch || !respond_to_msearch || !packet.ipv4)
     return;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "proto/app.hpp"
+
 namespace roomnet::stream {
 
 StreamAnalyzer::StreamAnalyzer(const StreamConfig& config,
@@ -17,6 +19,8 @@ void StreamAnalyzer::on_packet(SimTime at, const PacketView& packet) {
   if (finished_)
     throw std::logic_error("StreamAnalyzer::on_packet() after finish()");
   ++packets_;
+  // One app-layer memo across the builders, for views that bring none.
+  const AppScope app(packet);
   usage_.on_packet(packet);
   graph_.on_packet(packet);
   exposure_.on_packet(packet);

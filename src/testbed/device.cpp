@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "proto/app.hpp"
 #include "proto/coap.hpp"
 #include "proto/dhcpv6.hpp"
 #include "proto/dns.hpp"
@@ -329,8 +330,9 @@ void TestbedDevice::setup_services() {
     host_.open_udp(53, [this](Host&, const PacketView& packet,
                               const UdpDatagram& udp) {
       if (!packet.ipv4) return;
-      const auto query = decode_dns(udp.payload);
-      if (!query || query->is_response || query->questions.empty()) return;
+      const DnsMessage* query = dns_of(packet);
+      if (query == nullptr || query->is_response || query->questions.empty())
+        return;
       DnsMessage response;
       response.id = query->id;
       response.is_response = true;

@@ -4,9 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "proto/dhcp.hpp"
-#include "proto/dns.hpp"
-#include "proto/ssdp.hpp"
+#include "proto/app.hpp"
 #include "proto/tls.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -39,8 +37,8 @@ std::string packet_flow_ref(const PacketView& packet) {
                   value(*packet.dst_port()));
 }
 
-/// Cheap mDNS-query peek: QR bit clear in the DNS header flags. Avoids a
-/// full decode_dns on every multicast datagram of the run.
+/// Cheap mDNS-query peek: QR bit clear in the DNS header flags. Avoids
+/// asking for the DNS decode of every multicast datagram of the run.
 bool looks_like_dns_query(BytesView payload) {
   return payload.size() >= 12 && (payload[2] & 0x80) == 0;
 }
@@ -167,10 +165,11 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
     *dev.activity_slot = at;
   }
 
+  const AppScope app(packet);
   // --- dhcp_lease: a DHCP ACK binds client MAC -> IP --------------------
   if (packet.udp && value(packet.udp->dst_port) == kDhcpClientPort) {
-    if (const auto msg = decode_dhcp(packet.udp->payload);
-        msg && msg->message_type() == DhcpMessageType::kAck) {
+    if (const DhcpMessage* msg = dhcp_of(packet);
+        msg != nullptr && msg->message_type() == DhcpMessageType::kAck) {
       NetEvent event;
       event.at = at;
       event.type = NetEventType::kDhcpLease;
@@ -188,8 +187,8 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
   // --- dns_query: unicast DNS to a resolver -----------------------------
   if (packet.udp && packet.ipv4 && value(packet.udp->dst_port) == 53 &&
       !packet.ipv4->dst.is_multicast()) {
-    if (const auto msg = decode_dns(packet.udp->payload);
-        msg && !msg->is_response && !msg->questions.empty()) {
+    if (const DnsMessage* msg = dns_of(packet);
+        msg != nullptr && !msg->is_response && !msg->questions.empty()) {
       NetEvent event;
       event.at = at;
       event.type = NetEventType::kDnsQuery;
@@ -213,8 +212,8 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
     const BytesView payload = packet.udp->payload;
     if (payload.size() >= 8 &&
         std::memcmp(payload.data(), "M-SEARCH", 8) == 0) {
-      const auto ssdp = decode_ssdp(payload);
-      is_discovery = ssdp && ssdp->kind == SsdpKind::kMSearch;
+      const SsdpMessage* ssdp = ssdp_of(packet);
+      is_discovery = ssdp != nullptr && ssdp->kind == SsdpKind::kMSearch;
     }
   }
   if (is_discovery) {

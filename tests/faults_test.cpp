@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "faults/churn.hpp"
@@ -283,6 +285,43 @@ TEST(FaultsChurn, ChurnedPipelineStillProducesResults) {
     if (entry.stage == "churn") churn_entries = true;
   }
   EXPECT_TRUE(churn_entries);
+}
+
+// Every ledger entry is caused by a fault: a near-lossless run records
+// nothing, in any stage. Devices that answer no scan even without faults
+// (no open service, a stack that drops closed-port probes) are silent by
+// design and stay out of the scan part of the ledger.
+TEST(FaultsLedger, NearLosslessRunRecordsNoDegradation) {
+  PipelineConfig config = small_config();
+  config.faults.loss = 1e-6;
+  Pipeline pipeline(config);
+  const PipelineResults results = pipeline.run();
+  EXPECT_FALSE(results.scan_reports.empty());
+  for (const auto& entry : results.degraded)
+    ADD_FAILURE() << entry.stage << " " << entry.subject << ": "
+                  << entry.reason;
+}
+
+// With every frame dropped only the statically addressed devices hold an
+// IPv4 address at scan time. The ones whose profile answers a scan (an
+// open service, or a stack that answers closed ports) are recorded silent;
+// the ones silent by design are not.
+TEST(FaultsLedger, AnsweringDeviceWithAllProbesDroppedIsRecorded) {
+  PipelineConfig config = small_config();  // idle long enough for every boot
+  config.interactions = 0;
+  config.app_sample = 0;
+  config.faults.loss = 1.0;
+  Pipeline pipeline(config);
+  const PipelineResults results = pipeline.run();
+
+  std::set<std::string> silent;
+  for (const auto& entry : results.degraded)
+    if (entry.reason == "silent under scan despite retries")
+      silent.insert(entry.subject);
+  EXPECT_EQ(silent.count("Arlo Base Station"), 1u);     // HTTP on TCP 80
+  EXPECT_EQ(silent.count("IKEA Tradfri Gateway"), 1u);  // DNS on UDP 53
+  EXPECT_EQ(silent.count("Keyco Air Sensor"), 0u);      // answers no scan
+  EXPECT_EQ(silent.count("Xiaomi Rice Cooker"), 0u);    // answers no scan
 }
 
 }  // namespace

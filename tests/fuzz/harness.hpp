@@ -50,8 +50,9 @@ int fuzz_stream(BytesView data);
 /// The frame decode contract: nullptr when decode_frame_view(raw) keeps
 /// every view inside the input and each layer inside its parent, has at most
 /// one layer per level, matches the standalone decode of each layer's parent
-/// payload, and buckets wire_proto by the present layers; otherwise the
-/// clause that failed.
+/// payload, buckets wire_proto by the present layers, and has app-layer
+/// accessors (proto/app.hpp) that agree with a direct decode of the payload
+/// and memoize it; otherwise the clause that failed.
 const char* frame_contract_violation(BytesView raw);
 
 // -- registry ---------------------------------------------------------------

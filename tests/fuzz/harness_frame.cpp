@@ -1,13 +1,16 @@
 // Contract fuzz of the frame decode. On every input, decode_frame_view must
 // produce a PacketView whose views all lie inside the input, each inside its
 // parent layer; at most one layer per level; every present layer exactly
-// what its standalone decoder makes of the parent's payload; and a
-// wire_proto bucket that agrees with the present layers. DESIGN.md §13
+// what its standalone decoder makes of the parent's payload; a wire_proto
+// bucket that agrees with the present layers; and app-layer accessors
+// (dns_of, ssdp_of, dhcp_of) that agree with a direct decode of the
+// payload and return the same object when asked again. DESIGN.md §13
 // states the contract; the capture hot path relies on it.
 #include <functional>
 
 #include "harness.hpp"
 #include "netcore/packet_view.hpp"
+#include "proto/app.hpp"
 
 namespace roomnet::fuzz {
 
@@ -106,6 +109,20 @@ WireProto deepest_proto(const PacketView& p) {
   return WireProto::kOther;
 }
 
+/// The memoized accessor agrees with a direct decode of the payload: same
+/// presence, same re-encoded bytes; and a second ask returns the same object.
+template <typename Message>
+bool memo_agrees(const PacketView& p,
+                 const Message* (*memoized)(const PacketView&),
+                 std::optional<Message> (*decode)(BytesView),
+                 Bytes (*encode)(const Message&)) {
+  const Message* first = memoized(p);
+  const auto direct = decode(p.app_payload());
+  if ((first != nullptr) != direct.has_value()) return false;
+  if (memoized(p) != first) return false;
+  return first == nullptr || encode(*first) == encode(*direct);
+}
+
 }  // namespace
 
 const char* frame_contract_violation(BytesView raw) {
@@ -157,6 +174,14 @@ const char* frame_contract_violation(BytesView raw) {
 
   if (wire_proto(*p) != deepest_proto(*p))
     return "wire_proto disagrees with the present layers";
+
+  const AppScope app(*p);
+  if (!memo_agrees(*p, dns_of, decode_dns, encode_dns))
+    return "dns_of disagrees with decode_dns";
+  if (!memo_agrees(*p, ssdp_of, decode_ssdp, encode_ssdp))
+    return "ssdp_of disagrees with decode_ssdp";
+  if (!memo_agrees(*p, dhcp_of, decode_dhcp, encode_dhcp))
+    return "dhcp_of disagrees with decode_dhcp";
   return nullptr;
 }
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "netcore/packet_view.hpp"
+#include "proto/app.hpp"
 
 namespace roomnet::fuzz {
 namespace {
@@ -106,6 +108,24 @@ TEST(FuzzRegressions, RegistryIsComplete) {
 }
 
 TEST(FuzzRegressions, Frame) { replay_all("frame"); }
+
+// The frame contract's app-layer clause is vacuous on frames whose payload
+// decodes as nothing; this corpus frame carries a real mDNS response, so
+// the memoized DNS decode is compared with the direct one.
+TEST(FuzzRegressions, FrameAppLayerMemoAgreesOnMdnsResponse) {
+  const auto data = load_corpus_file(fs::path(ROOMNET_FUZZ_CORPUS_DIR) /
+                                     "frame/mdns-response-compressed.hex");
+  ASSERT_TRUE(data.has_value());
+  const auto view = decode_frame_view(BytesView(*data));
+  ASSERT_TRUE(view.has_value());
+  const AppScope app(*view);
+  const DnsMessage* msg = dns_of(*view);
+  ASSERT_NE(msg, nullptr);
+  ASSERT_EQ(msg->answers.size(), 1u);
+  EXPECT_EQ(msg->answers[0].ptr()->to_string(),
+            "Philips Hue - 685F61._hue._tcp.local");
+  EXPECT_EQ(frame_contract_violation(BytesView(*data)), nullptr);
+}
 TEST(FuzzRegressions, Roundtrip) { replay_all("roundtrip"); }
 TEST(FuzzRegressions, Dns) { replay_all("dns"); }
 TEST(FuzzRegressions, Dhcp) { replay_all("dhcp"); }

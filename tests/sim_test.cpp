@@ -2,13 +2,18 @@
 // (ARP, DHCP, UDP, TCP), mDNS and SSDP endpoints.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
+#include "proto/app.hpp"
 #include "sim/engine.hpp"
 #include "sim/host.hpp"
 #include "sim/mdns.hpp"
 #include "sim/network.hpp"
 #include "sim/ssdp.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace roomnet {
 namespace {
@@ -627,6 +632,120 @@ TEST(Ssdp, NotifyAliveCarriesUsnAndLocation) {
   ASSERT_TRUE(seen.has_value());
   EXPECT_EQ(seen->nts, "ssdp:alive");
   EXPECT_NE(seen->usn.find(desc.udn), std::string::npos);
+}
+
+// ------------------------------------------------------- app-layer memo
+
+/// Process-wide app-layer decode counts: {dns, ssdp, dhcp}.
+std::array<std::uint64_t, 3> decode_counts() {
+  std::array<std::uint64_t, 3> counts{};
+  const char* protos[] = {"dns", "ssdp", "dhcp"};
+  auto& registry = telemetry::Registry::global();
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    counts[i] = registry
+                    .counter("roomnet_proto_decodes_total",
+                             {{"proto", protos[i]}})
+                    .value();
+  return counts;
+}
+
+/// Three hosts on the LAN, each with an mDNS endpoint.
+struct MdnsListeners {
+  explicit MdnsListeners(Lan& lan) {
+    for (std::uint64_t n = 3; n < 6; ++n) {
+      hosts.push_back(std::make_unique<Host>(lan.net, mac_n(n), "listener"));
+      hosts.back()->set_static_ip(Ipv4Address(192, 168, 10, 50 + n));
+      endpoints.push_back(std::make_unique<MdnsEndpoint>(*hosts.back()));
+    }
+  }
+  std::vector<std::unique_ptr<Host>> hosts;
+  std::vector<std::unique_ptr<MdnsEndpoint>> endpoints;
+};
+
+TEST(AppLayerMemo, MulticastAnnounceDecodedOnceForEveryReceiver) {
+  Lan lan;
+  Host hue(lan.net, mac_n(2), "hue");
+  hue.set_static_ip(Ipv4Address(192, 168, 10, 12));
+  MdnsEndpoint hue_mdns(hue);
+  hue_mdns.add_service({.instance = "Hue", .service_type = "_hue._tcp.local"});
+  MdnsListeners listeners(lan);
+  std::vector<const DnsMessage*> seen;
+  for (auto& endpoint : listeners.endpoints)
+    endpoint->on_message = [&](const PacketView&, const DnsMessage& m) {
+      seen.push_back(&m);
+    };
+  const DnsMessage* tapped = nullptr;
+  lan.net.add_packet_tap([&](SimTime, const PacketView& packet, BytesView) {
+    if (packet.udp && value(packet.udp->dst_port) == kMdnsPort)
+      tapped = dns_of(packet);
+  });
+
+  const auto before = decode_counts();
+  hue_mdns.announce();
+  lan.settle(1);
+  EXPECT_EQ(decode_counts()[0] - before[0], 1u);
+  ASSERT_EQ(seen.size(), 3u);
+  // One decoded object, shared by the tap and every receiver.
+  EXPECT_NE(tapped, nullptr);
+  for (const DnsMessage* m : seen) EXPECT_EQ(m, tapped);
+}
+
+TEST(AppLayerMemo, UndecodablePayloadDecodedOnceHoweverManyConsumersAsk) {
+  Lan lan;
+  Host sender(lan.net, mac_n(2), "sender");
+  sender.set_static_ip(Ipv4Address(192, 168, 10, 12));
+  const MdnsListeners listeners(lan);
+  int asked = 0;
+  const auto ask_all = [&](SimTime, const PacketView& packet, BytesView) {
+    if (!packet.udp) return;  // address announcements, group joins
+    EXPECT_EQ(dns_of(packet), nullptr);
+    EXPECT_EQ(ssdp_of(packet), nullptr);
+    EXPECT_EQ(dhcp_of(packet), nullptr);
+    ++asked;
+  };
+  lan.net.add_packet_tap(ask_all);
+  lan.net.add_packet_tap(ask_all);
+
+  const auto before = decode_counts();
+  // Not DNS, SSDP or DHCP, sent where three mDNS endpoints listen.
+  sender.send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, bytes_of("not dns"));
+  lan.settle(1);
+  EXPECT_EQ(asked, 2);
+  const auto after = decode_counts();
+  for (std::size_t i = 0; i < after.size(); ++i)
+    EXPECT_EQ(after[i] - before[i], 1u) << i;
+}
+
+TEST(AppLayerMemo, ArpTrafficMovesNoDecodeCounter) {
+  Lan lan;
+  Host a(lan.net, mac_n(2), "a");
+  Host b(lan.net, mac_n(3), "b");
+  a.set_static_ip(Ipv4Address(192, 168, 10, 12));
+  b.set_static_ip(Ipv4Address(192, 168, 10, 13));
+  int frames = 0;
+  lan.net.add_packet_tap([&](SimTime, const PacketView& packet, BytesView) {
+    EXPECT_TRUE(packet.arp.has_value());
+    EXPECT_EQ(dns_of(packet), nullptr);
+    EXPECT_EQ(ssdp_of(packet), nullptr);
+    EXPECT_EQ(dhcp_of(packet), nullptr);
+    ++frames;
+  });
+
+  const auto before = decode_counts();
+  ArpPacket request;
+  request.sender_mac = a.mac();
+  request.sender_ip = a.ip();
+  request.target_ip = b.ip();
+  const Bytes body = encode_arp(request);
+  EthernetFrame eth;
+  eth.src = a.mac();
+  eth.dst = MacAddress::kBroadcast;
+  eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
+  eth.payload = body;
+  a.send_frame(encode_ethernet(eth));
+  lan.settle(1);
+  EXPECT_GE(frames, 2);  // the request and b's reply
+  EXPECT_EQ(decode_counts(), before);
 }
 
 }  // namespace

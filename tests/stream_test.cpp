@@ -15,6 +15,7 @@
 #include "core/pipeline.hpp"
 #include "core/provenance.hpp"
 #include "netcore/packet_view.hpp"
+#include "proto/dns.hpp"
 #include "stream/stream.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -422,6 +423,32 @@ TEST(StreamContract, SecondFinishThrows) {
   stream::StreamAnalyzer analyzer({}, {});
   (void)analyzer.finish();
   EXPECT_THROW((void)analyzer.finish(), std::logic_error);
+}
+
+TEST(StreamContract, BareViewDecodesItsMdnsPayloadOnceAcrossBuilders) {
+  // A view straight from decode_frame_view (the pcap/replay path) carries
+  // no app-layer memo: on_packet attaches one for the call, so usage,
+  // graph, exposure, crossval and responses share one DNS decode.
+  DnsMessage response;
+  response.is_response = true;
+  response.answers.push_back(DnsRecord::make_ptr(
+      DnsName::from_string("_hue._tcp.local"),
+      DnsName::from_string("Philips Hue - 685F61._hue._tcp.local")));
+  const Bytes payload = encode_dns(response);
+  const WireFrame frame =
+      udp_frame(mac_n(1), MacAddress::from_u64(0x01005e0000fbull),
+                Ipv4Address(192, 168, 10, 5), kMdnsPort, kMdnsGroupV4,
+                kMdnsPort, payload);
+  stream::StreamAnalyzer analyzer({}, {mac_n(1)});
+  telemetry::Counter& dns = telemetry::Registry::global().counter(
+      "roomnet_proto_decodes_total", {{"proto", "dns"}});
+  const std::uint64_t before = dns.value();
+  analyzer.on_packet(SimTime::from_ms(0), frame.view);
+  EXPECT_EQ(dns.value() - before, 1u);
+  EXPECT_EQ(frame.view.app, nullptr);  // the memo lived for the call only
+  const stream::StreamResults results = analyzer.finish();
+  EXPECT_EQ(results.usage.by_device.at(mac_n(1)).count(ProtocolLabel::kMdns),
+            1u);
 }
 
 // ---------------------------------------------------------------- StreamScope
