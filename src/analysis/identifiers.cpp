@@ -17,8 +17,11 @@ namespace {
 bool is_word_char(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0;
 }
+// The "C" locale's isxdigit set as a plain range test: nothing in the
+// program calls setlocale, and this avoids a library call per character.
 bool is_hex_char(char c) {
-  return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
 }
 }  // namespace
 

@@ -1,6 +1,8 @@
 #include "netcore/pcap.hpp"
 
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 namespace roomnet {
 
@@ -121,7 +123,23 @@ bool write_pcap_file(const std::string& path,
 std::optional<std::vector<PcapRecord>> read_pcap_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  Bytes data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // The whole file into one buffer with large reads. The buffer is sized
+  // from the file's length, one byte over so the first read also meets EOF;
+  // what has no length (a pipe) or grew meanwhile is read on in 1 MiB steps.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  std::error_code no_size;
+  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+  Bytes data(no_size ? kChunk : static_cast<std::size_t>(size) + 1);
+  std::size_t used = 0;
+  while (true) {
+    in.read(reinterpret_cast<char*>(data.data() + used),
+            static_cast<std::streamsize>(data.size() - used));
+    used += static_cast<std::size_t>(in.gcount());
+    if (!in) break;
+    data.resize(data.size() + kChunk);
+  }
+  if (in.bad()) return std::nullopt;
+  data.resize(used);
   return decode_pcap(BytesView(data));
 }
 

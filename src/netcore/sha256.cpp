@@ -2,6 +2,16 @@
 
 #include <algorithm>
 
+#include "netcore/sha256_kernels.hpp"
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define ROOMNET_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define ROOMNET_SHA256_X86 0
+#endif
+
 namespace roomnet {
 
 namespace {
@@ -23,71 +33,188 @@ std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); 
 
 }  // namespace
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           block[4 * i + 3];
+namespace sha256_kernels {
+
+void blocks_scalar(std::uint32_t h[8], const std::uint8_t* data,
+                   std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             data[4 * i + 3];
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    std::uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = hh + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      hh = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+    h[5] += f;
+    h[6] += g;
+    h[7] += hh;
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], hh = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = hh + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    hh = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += hh;
 }
+
+#if ROOMNET_SHA256_X86
+namespace {
+
+#define ROOMNET_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+/// Four message words, big-endian at `p`.
+ROOMNET_SHA_TARGET inline __m128i load_be(const std::uint8_t* p,
+                                          __m128i bswap) {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
+}
+
+/// Four rounds: `w` holds message words W[t..t+3], `k` points at K[t].
+ROOMNET_SHA_TARGET inline void rounds4(__m128i& abef, __m128i& cdgh,
+                                       __m128i w, const std::uint32_t* k) {
+  __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  wk = _mm_shuffle_epi32(wk, 0x0e);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+}
+
+/// W[t..t+3] from W[t-16..t-1], held four words each in w0..w3.
+ROOMNET_SHA_TARGET inline __m128i schedule(__m128i w0, __m128i w1, __m128i w2,
+                                           __m128i w3) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+
+ROOMNET_SHA_TARGET void blocks_shani(std::uint32_t h[8],
+                                     const std::uint8_t* data,
+                                     std::size_t blocks) {
+  // Big-endian message words, and the state in the lane order the SHA
+  // instructions take: {A,B,E,F} and {C,D,G,H}.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h)), 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 4)), 0x1b);
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = load_be(data, bswap), w1 = load_be(data + 16, bswap);
+    __m128i w2 = load_be(data + 32, bswap), w3 = load_be(data + 48, bswap);
+    for (int q = 0; q < 4; ++q) {
+      const std::uint32_t* k = kRoundConstants + 16 * q;
+      rounds4(abef, cdgh, w0, k);
+      rounds4(abef, cdgh, w1, k + 4);
+      rounds4(abef, cdgh, w2, k + 8);
+      rounds4(abef, cdgh, w3, k + 12);
+      if (q == 3) break;
+      w0 = schedule(w0, w1, w2, w3);
+      w1 = schedule(w1, w2, w3, w0);
+      w2 = schedule(w2, w3, w0, w1);
+      w3 = schedule(w3, w0, w1, w2);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef ROOMNET_SHA_TARGET
+
+bool cpu_has_shani() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+  const bool ssse3 = (c & bit_SSSE3) != 0;
+  const bool sse41 = (c & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return ssse3 && sse41 && (b & bit_SHA) != 0;
+}
+
+}  // namespace
+
+BlockFn shani() {
+  static const bool supported = cpu_has_shani();
+  return supported ? blocks_shani : nullptr;
+}
+#else
+BlockFn shani() { return nullptr; }
+#endif
+
+namespace {
+// Constant-initialized to the reference kernel, then switched once during
+// static initialization; a hash taken before that point is still correct.
+BlockFn g_active = blocks_scalar;
+[[maybe_unused]] const bool g_selected = [] {
+  if (const BlockFn fast = shani()) g_active = fast;
+  return true;
+}();
+}  // namespace
+
+BlockFn active() { return g_active; }
+
+const char* active_name() {
+  return g_active == blocks_scalar ? "scalar" : "sha-ni";
+}
+
+}  // namespace sha256_kernels
 
 void Sha256::update(BytesView data) {
   total_bytes_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
   if (buffered_ > 0) {
-    const std::size_t take = std::min<std::size_t>(64 - buffered_, data.size());
-    std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(take),
-              buffer_ + buffered_);
+    const std::size_t take = std::min<std::size_t>(64 - buffered_, left);
+    std::copy(p, p + take, buffer_ + buffered_);
     buffered_ += take;
-    offset = take;
+    p += take;
+    left -= take;
     if (buffered_ < 64) return;
-    process_block(buffer_);
+    sha256_kernels::active()(h_, buffer_, 1);
     buffered_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block in one kernel call.
+  if (const std::size_t blocks = left / 64; blocks > 0) {
+    sha256_kernels::active()(h_, p, blocks);
+    p += blocks * 64;
+    left -= blocks * 64;
   }
-  if (offset < data.size()) {
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(offset), data.end(),
-              buffer_);
-    buffered_ = data.size() - offset;
-  }
+  std::copy(p, p + left, buffer_);
+  buffered_ = left;
 }
 
 Sha256Digest Sha256::digest() const {
@@ -102,8 +229,7 @@ Sha256Digest Sha256::digest() const {
   for (int i = 0; i < 8; ++i)
     tail[tail_len - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  state.process_block(tail);
-  if (tail_len == 128) state.process_block(tail + 64);
+  sha256_kernels::active()(state.h_, tail, tail_len / 64);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -131,24 +257,25 @@ Sha256Digest sha256(BytesView data) {
 }
 
 Sha256Digest hmac_sha256(BytesView key, BytesView message) {
-  std::array<std::uint8_t, 64> key_block{};
+  std::array<std::uint8_t, 64> pad{};
   if (key.size() > 64) {
     const Sha256Digest hashed = sha256(key);
-    std::copy(hashed.begin(), hashed.end(), key_block.begin());
+    std::copy(hashed.begin(), hashed.end(), pad.begin());
   } else {
-    std::copy(key.begin(), key.end(), key_block.begin());
+    std::copy(key.begin(), key.end(), pad.begin());
   }
-  Bytes inner;
-  inner.reserve(64 + message.size());
-  for (const std::uint8_t b : key_block) inner.push_back(b ^ 0x36);
-  inner.insert(inner.end(), message.begin(), message.end());
-  const Sha256Digest inner_hash = sha256(BytesView(inner));
+  for (std::uint8_t& b : pad) b ^= 0x36;
+  Sha256 inner;
+  inner.update(BytesView(pad));
+  inner.update(message);
+  const Sha256Digest inner_hash = inner.digest();
 
-  Bytes outer;
-  outer.reserve(64 + 32);
-  for (const std::uint8_t b : key_block) outer.push_back(b ^ 0x5c);
-  outer.insert(outer.end(), inner_hash.begin(), inner_hash.end());
-  return sha256(BytesView(outer));
+  // key ^ opad == (key ^ ipad) ^ (ipad ^ opad)
+  for (std::uint8_t& b : pad) b ^= 0x36 ^ 0x5c;
+  Sha256 outer;
+  outer.update(BytesView(pad));
+  outer.update(BytesView(inner_hash));
+  return outer.digest();
 }
 
 std::string sha256_hex(BytesView data) {

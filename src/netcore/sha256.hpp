@@ -6,7 +6,8 @@
 // manifest. The streaming `Sha256` class exists for the latter: stage
 // hashes fold in data incrementally (e.g. every captured frame as it
 // arrives) and `digest()` finalizes a copy, so a running hash can be
-// snapshotted at each stage boundary without rehashing the prefix.
+// snapshotted at each stage boundary without rehashing the prefix. Blocks
+// are compressed by the kernel sha256_kernels.hpp picks for this CPU.
 #pragma once
 
 #include <array>
@@ -31,8 +32,6 @@ class Sha256 {
   [[nodiscard]] std::string hex() const;
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t h_[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   std::uint8_t buffer_[64] = {};

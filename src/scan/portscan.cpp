@@ -188,6 +188,9 @@ bool PortScanner::answered(std::size_t index, bool udp,
 
 void PortScanner::mark_answered(std::size_t index, bool udp,
                                 std::uint16_t port) {
+  // Only the retry closure reads answered_: without a retry budget the set
+  // would be write-only and grow by one node per response.
+  if (config_.max_retries <= 0) return;
   answered_.insert(probe_key(index, udp, port));
 }
 

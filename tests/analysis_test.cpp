@@ -2,6 +2,10 @@
 // communication graph, and the exposure matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <optional>
+
 #include "analysis/exposure.hpp"
 #include "analysis/identifiers.hpp"
 #include "analysis/overview.hpp"
@@ -65,6 +69,104 @@ TEST(Identifiers, BareMacRequiresOuiMatch) {
   EXPECT_EQ(macs[0], "de:ad:be:ef:ca:fe");
   // Mismatched OUI filters it out.
   EXPECT_TRUE(extract_macs("id=deadbeefcafe", 0x02a000).empty());
+}
+
+// The scanners' hex test is a plain ASCII range check. These copies keep
+// the std::isxdigit form it replaced, as the reference to compare against.
+std::vector<std::string> isxdigit_uuids(std::string_view text) {
+  const auto hex = [](char c) {
+    return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+  };
+  std::vector<std::string> out;
+  static constexpr int kGroups[] = {8, 4, 4, 4, 12};
+  for (std::size_t i = 0; i + 36 <= text.size(); ++i) {
+    std::size_t pos = i;
+    bool ok = true;
+    for (int g = 0; g < 5 && ok; ++g) {
+      for (int k = 0; k < kGroups[g] && ok; ++k) ok = hex(text[pos++]);
+      if (ok && g < 4) ok = text[pos++] == '-';
+    }
+    if (ok && i > 0 && hex(text[i - 1])) ok = false;
+    if (ok && pos < text.size() && hex(text[pos])) ok = false;
+    if (ok) {
+      std::string uuid(text.substr(i, 36));
+      for (auto& c : uuid) c = static_cast<char>(std::tolower(c));
+      out.push_back(std::move(uuid));
+      i += 35;
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> isxdigit_macs(std::string_view text,
+                                       std::optional<std::uint32_t> oui) {
+  const auto hex = [](char c) {
+    return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+  };
+  const auto canonical =
+      [&](std::string_view candidate) -> std::optional<std::string> {
+    const auto mac = MacAddress::parse(candidate);
+    if (!mac || (oui && mac->oui() != *oui)) return std::nullopt;
+    return mac->to_string();
+  };
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i + 17 <= text.size(); ++i) {
+    const std::string_view candidate = text.substr(i, 17);
+    bool shape = true;
+    for (int k = 0; k < 17 && shape; ++k)
+      shape = k % 3 == 2 ? candidate[k] == ':' || candidate[k] == '-'
+                         : hex(candidate[k]);
+    if (!shape) continue;
+    if (const auto mac = canonical(candidate)) {
+      out.push_back(*mac);
+      i += 16;
+    }
+  }
+  if (oui) {
+    for (std::size_t i = 0; i + 12 <= text.size(); ++i) {
+      if (i > 0 && hex(text[i - 1])) continue;
+      const std::string_view candidate = text.substr(i, 12);
+      if (!std::all_of(candidate.begin(), candidate.end(), hex)) continue;
+      if (i + 12 < text.size() && hex(text[i + 12])) continue;
+      if (const auto mac = canonical(candidate)) {
+        out.push_back(*mac);
+        i += 11;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Identifiers, AsciiHexScannersMatchIsxdigitReference) {
+  // Hex-heavy text with separators, near-hex letters, and bytes outside
+  // ASCII, plus planted MACs and UUIDs so both scanners find matches.
+  static constexpr char kAlphabet[] =
+      "0123456789abcdefABCDEF0123456789abcdef::--gGzZ \x80\xaa\xe9\xff";
+  const std::vector<std::string> planted = {
+      "9c:8e:cd:0a:33:1b", "9C-8E-CD-0A-33-1B", "9c8ecd0a331b",
+      "296F0ED3-af44-4f44-8a7f-02a000000002"};
+  Rng rng(4122);
+  std::size_t macs_found = 0, uuids_found = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string text;
+    const std::size_t length = rng.below(160);
+    while (text.size() < length) {
+      if (rng.chance(0.03))
+        text += rng.pick(planted);
+      else
+        text += kAlphabet[rng.below(sizeof(kAlphabet) - 1)];
+    }
+    const std::optional<std::uint32_t> oui =
+        rng.chance(0.5) ? std::optional<std::uint32_t>(0x9c8ecd) : std::nullopt;
+    const auto uuids = extract_uuids(text);
+    const auto macs = extract_macs(text, oui);
+    ASSERT_EQ(uuids, isxdigit_uuids(text)) << text;
+    ASSERT_EQ(macs, isxdigit_macs(text, oui)) << text;
+    uuids_found += uuids.size();
+    macs_found += macs.size();
+  }
+  EXPECT_GT(uuids_found, 0u);
+  EXPECT_GT(macs_found, 0u);
 }
 
 TEST(Identifiers, CombinedExtraction) {

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 
 #include "crowd/entropy.hpp"
 #include "crowd/inference.hpp"
 #include "crowd/geocode.hpp"
 #include "crowd/inspector.hpp"
 #include "netcore/sha256.hpp"
+#include "netcore/sha256_kernels.hpp"
 
 namespace roomnet {
 namespace {
@@ -41,6 +43,95 @@ TEST(Sha256, PaddingBoundaries) {
     digests.insert(sha256_hex(BytesView(Bytes(n, 'x'))));
   }
   EXPECT_EQ(digests.size(), 5u);
+}
+
+// Both block kernels are checked on every host: the scalar one against the
+// FIPS vectors and `Sha256`, the SHA-NI one (where the CPU has it) against
+// the scalar one.
+
+/// One-shot SHA-256 on a given kernel, padding done here rather than by
+/// `Sha256`, so the stream's buffering is checked against it too.
+Sha256Digest digest_on(sha256_kernels::BlockFn blocks, BytesView data) {
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  blocks(h, padded.data(), padded.size() / 64);
+  Sha256Digest out;
+  for (std::size_t i = 0; i < 32; ++i)
+    out[i] = static_cast<std::uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+TEST(Sha256Kernels, ReportsTheActiveKernel) {
+  const sha256_kernels::BlockFn shani = sha256_kernels::shani();
+  EXPECT_EQ(sha256_kernels::active(),
+            shani ? shani : sha256_kernels::blocks_scalar);
+  EXPECT_STREQ(sha256_kernels::active_name(), shani ? "sha-ni" : "scalar");
+  std::cout << "sha256 kernel: " << sha256_kernels::active_name() << "\n";
+}
+
+TEST(Sha256Kernels, FipsMillionAOnEachKernel) {
+  const Bytes input(1000000, 'a');
+  const std::string want =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  EXPECT_EQ(to_hex(BytesView(digest_on(sha256_kernels::blocks_scalar,
+                                       BytesView(input)))),
+            want);
+  // Through the stream in uneven pieces, so runs of whole blocks start at
+  // every buffer offset.
+  Sha256 stream;
+  for (std::size_t at = 0, step = 1; at < input.size(); at += step, ++step)
+    stream.update(BytesView(input).subspan(
+        at, std::min(step, input.size() - at)));
+  EXPECT_EQ(stream.hex(), want);
+  const sha256_kernels::BlockFn shani = sha256_kernels::shani();
+  if (!shani) GTEST_SKIP() << "CPU lacks SHA-NI; only the scalar kernel ran";
+  EXPECT_EQ(to_hex(BytesView(digest_on(shani, BytesView(input)))), want);
+}
+
+TEST(Sha256Kernels, StreamMatchesScalarReferenceAtEveryLength) {
+  Rng rng(180);
+  const Bytes data = rng.bytes(1100);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const BytesView input = BytesView(data).first(n);
+    const Sha256Digest want =
+        digest_on(sha256_kernels::blocks_scalar, input);
+    ASSERT_EQ(sha256(input), want) << "length " << n;
+    // The same input fed at random split points.
+    Sha256 stream;
+    std::size_t at = 0;
+    while (at < n) {
+      const std::size_t take = std::min<std::size_t>(rng.below(150), n - at);
+      stream.update(input.subspan(at, take));
+      at += take;
+    }
+    ASSERT_EQ(stream.digest(), want) << "length " << n;
+  }
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarOnRandomBlocks) {
+  const sha256_kernels::BlockFn shani = sha256_kernels::shani();
+  if (!shani) GTEST_SKIP() << "CPU lacks SHA-NI; only the scalar kernel ran";
+  Rng rng(256);
+  const Bytes data = rng.bytes(64 * 20);
+  for (std::size_t blocks = 0; blocks <= 20; ++blocks) {
+    std::uint32_t a[8], b[8];
+    for (int i = 0; i < 8; ++i) a[i] = b[i] = rng.next_u32();
+    sha256_kernels::blocks_scalar(a, data.data(), blocks);
+    shani(b, data.data(), blocks);
+    ASSERT_TRUE(std::equal(a, a + 8, b)) << blocks << " blocks";
+  }
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    const BytesView input = BytesView(data).first(n);
+    ASSERT_EQ(digest_on(shani, input),
+              digest_on(sha256_kernels::blocks_scalar, input))
+        << "length " << n;
+  }
 }
 
 TEST(HmacSha256, Rfc4231Vectors) {

@@ -2,6 +2,8 @@
 // packet codecs, pcap, UUIDs, RNG determinism.
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "netcore/address.hpp"
 #include "netcore/bytes.hpp"
 #include "netcore/checksum.hpp"
@@ -562,6 +564,48 @@ TEST(Pcap, FileIo) {
   ASSERT_EQ(back->size(), 1u);
   EXPECT_EQ((*back)[0].frame, rec.frame);
   EXPECT_EQ((*back)[0].timestamp.us(), 1500000);
+
+  // A file of a few MB comes back record for record.
+  Rng rng(7);
+  std::vector<PcapRecord> records;
+  for (int i = 0; i < 3000; ++i) {
+    PcapRecord r;
+    r.timestamp = SimTime::from_us(1000 * i + static_cast<int>(rng.below(999)));
+    r.frame = rng.bytes(14 + rng.below(1500));
+    records.push_back(std::move(r));
+  }
+  ASSERT_TRUE(write_pcap_file(path, records));
+  const auto many = read_pcap_file(path);
+  ASSERT_TRUE(many.has_value());
+  ASSERT_EQ(many->size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ((*many)[i].timestamp, records[i].timestamp);
+    EXPECT_EQ((*many)[i].frame, records[i].frame);
+  }
+}
+
+TEST(Pcap, ReadFileIsNulloptUnlessWholeAndWellFormed) {
+  const std::string dir = testing::TempDir();
+  EXPECT_EQ(read_pcap_file(dir + "/roomnet_no_such.pcap"), std::nullopt);
+  EXPECT_EQ(read_pcap_file(dir), std::nullopt);  // a directory
+
+  const auto write = [](const std::string& path, const Bytes& data) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+  };
+  const std::string empty = dir + "/roomnet_empty.pcap";
+  write(empty, {});
+  EXPECT_EQ(read_pcap_file(empty), std::nullopt);
+
+  // A truncated last record fails the whole read: no partial record list.
+  PcapRecord rec;
+  rec.frame = Bytes(64, 0xaa);
+  Bytes file = encode_pcap({rec, rec});
+  file.resize(file.size() - 10);
+  const std::string truncated = dir + "/roomnet_truncated.pcap";
+  write(truncated, file);
+  EXPECT_EQ(read_pcap_file(truncated), std::nullopt);
 }
 
 // -------------------------------------------------------------------- uuid

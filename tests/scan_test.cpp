@@ -274,6 +274,57 @@ TEST(PortScanSweepTest, KeepsOneProbePendingAndSendsEveryProbe) {
   EXPECT_THROW(scanner.start(targets), std::logic_error);
 }
 
+/// Boots a seed-11 lab for five minutes and scans every addressed device
+/// with a trimmed port list and the given retry budget.
+std::vector<PortScanReport> scan_lossless_lab(int max_retries) {
+  Lab lab(LabConfig{.seed = 11, .record_frames = false});
+  lab.start_all();
+  lab.run_for(SimTime::from_minutes(5));
+  Host scan_box(lab.network(), MacAddress::from_u64(0x02a0fc000001ull),
+                "scanbox");
+  scan_box.set_static_ip(Ipv4Address(192, 168, 10, 250));
+  std::vector<ScanTarget> targets;
+  for (const auto& device : lab.devices()) {
+    if (!device->host().has_ip()) continue;
+    targets.push_back({device->mac(), device->host().ip(),
+                       device->spec().vendor + " " + device->spec().model});
+  }
+  PortScanConfig config;
+  config.tcp_ports = {22, 80, 443, 554, 8008, 8009, 8443, 49152, 55443};
+  config.udp_ports = {53, 123, 1900, 5353, 6666};
+  config.max_retries = max_retries;
+  PortScanner scanner(scan_box, config);
+  scanner.start(targets);
+  lab.run_for(scanner.estimated_duration());
+  return scanner.reports();
+}
+
+TEST(PortScanRetryTest, LosslessRetriesFindWhatTheDefaultScanFinds) {
+  // A retry budget only resends unanswered probes, so on a lossless lab it
+  // must not change what the scan reports.
+  const telemetry::Counter& retries = telemetry::Registry::global().counter(
+      "roomnet_faults_probe_retries_total");
+  const std::vector<PortScanReport> plain = scan_lossless_lab(0);
+  const std::uint64_t retries_before = retries.value();
+  const std::vector<PortScanReport> retried = scan_lossless_lab(1);
+  EXPECT_GT(retries.value(), retries_before);  // silent probes were resent
+  ASSERT_EQ(plain.size(), retried.size());
+  ASSERT_TRUE(std::any_of(plain.begin(), plain.end(), [](const auto& r) {
+    return !r.open_tcp.empty() && r.responded_udp;
+  }));
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    SCOPED_TRACE(plain[i].target.label);
+    EXPECT_EQ(plain[i].target.ip, retried[i].target.ip);
+    EXPECT_EQ(plain[i].open_tcp, retried[i].open_tcp);
+    EXPECT_EQ(plain[i].open_udp, retried[i].open_udp);
+    EXPECT_EQ(plain[i].closed_udp, retried[i].closed_udp);
+    EXPECT_EQ(plain[i].ip_protocols, retried[i].ip_protocols);
+    EXPECT_EQ(plain[i].responded_tcp, retried[i].responded_tcp);
+    EXPECT_EQ(plain[i].responded_udp, retried[i].responded_udp);
+    EXPECT_EQ(plain[i].responded_ip, retried[i].responded_ip);
+  }
+}
+
 TEST(PortScanSweepTest, RejectsNegativeSpacing) {
   EventLoop loop;
   Switch net{loop};
