@@ -4,6 +4,7 @@
 // reserve). Packet fixtures are real encoded frames (tests/wire_frame.hpp).
 #include <benchmark/benchmark.h>
 
+#include "analysis/exposure.hpp"
 #include "analysis/identifiers.hpp"
 #include "capture/flow_cache.hpp"
 #include "classify/classifier.hpp"
@@ -196,6 +197,39 @@ void BM_IdentifierExtraction(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_IdentifierExtraction);
+
+// The §6.3 harvest the fleet runs per distinct payload, over a Chromecast-
+// style mDNS response's text (325 bytes): instance and host names, PTR/SRV
+// targets and TXT strings carrying a display name, a UUID and a MAC.
+void BM_HarvestIdentifiers(benchmark::State& state) {
+  DnsMessage msg;
+  msg.is_response = true;
+  const auto instance =
+      DnsName::from_string("Jane's TV._googlecast._tcp.local");
+  const auto host =
+      DnsName::from_string("296f0ed3-af44-4f44-8a7f-02a000000002.local");
+  msg.answers.push_back(DnsRecord::make_ptr(
+      DnsName::from_string("_googlecast._tcp.local"), instance));
+  SrvData srv;
+  srv.port = 8009;
+  srv.target = host;
+  msg.answers.push_back(DnsRecord::make_srv(instance, srv));
+  msg.answers.push_back(DnsRecord::make_txt(
+      instance, {"id=296f0ed3af444f448a7f02a000000002", "cd=5B1C7E6A0F2D",
+                 "md=Chromecast", "fn=Jane's TV", "bs=FA8FCA3C8A2B",
+                 "mac=9c:8e:cd:0a:33:1b"}));
+  msg.additional.push_back(
+      DnsRecord::make_a(host, Ipv4Address(192, 168, 10, 12)));
+  const std::string text = response_text(msg);
+  for (auto _ : state) {
+    std::set<ExtractedIdentifier> ids;
+    harvest_identifiers(text, 0x9c8ecd, ids);
+    benchmark::DoNotOptimize(ids);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_HarvestIdentifiers);
 
 void BM_Sha256(benchmark::State& state) {
   const Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);

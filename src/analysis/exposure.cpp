@@ -5,6 +5,7 @@
 #include "proto/app.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace roomnet {
 
@@ -62,7 +63,7 @@ bool contains_mac_like(const std::string& text) {
   // chars directly appended to a name.
   int run = 0;
   for (char c : text) {
-    if (std::isxdigit(static_cast<unsigned char>(c))) {
+    if (is_hex_char(c)) {
       if (++run >= 6) return true;
     } else {
       run = 0;
@@ -84,14 +85,23 @@ bool old_dhcp_client(const std::string& vendor_class) {
 
 std::string response_text(const DnsMessage& response) {
   std::string text;
+  const auto append = [&](const DnsName& name) {
+    for (std::size_t i = 0; i < name.labels.size(); ++i) {
+      if (i != 0) text += '.';
+      text += name.labels[i];
+    }
+    text += ' ';
+  };
   for (const auto& record : response.answers) {
-    text += record.name.to_string() + " ";
-    for (const auto& txt : record.txt()) text += txt + " ";
-    if (const auto ptr = record.ptr()) text += ptr->to_string() + " ";
-    if (const auto srv = record.srv()) text += srv->target.to_string() + " ";
+    append(record.name);
+    for (const auto& txt : record.txt()) {
+      text += txt;
+      text += ' ';
+    }
+    if (const auto ptr = record.ptr()) append(*ptr);
+    if (const auto srv = record.srv()) append(srv->target);
   }
-  for (const auto& record : response.additional)
-    text += record.name.to_string() + " ";
+  for (const auto& record : response.additional) append(record.name);
   return text;
 }
 
@@ -105,6 +115,13 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
                         MacAddress device) {
     matrix_.cells[{protocol, data}].insert(device);
   };
+  // Whether the cell already holds this packet's source: a test whose only
+  // effect would be that insert is skipped (looking up never creates a
+  // cell, since `exposed` reads a cell's presence).
+  const auto settled = [&](ProtocolLabel protocol, ExposedData data) {
+    const auto it = matrix_.cells.find({protocol, data});
+    return it != matrix_.cells.end() && it->second.count(src) != 0;
+  };
 
   // ----- ARP: every request/reply broadcasts sender MAC/IP bindings.
   if (packet.arp) {
@@ -117,11 +134,13 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   // over the capture; TCP and the UDP extractions below are disjoint per
   // packet, so one pass marks the same cells.
   if (packet.tcp) {
-    const std::string text = string_of(packet.app_payload());
-    if (text.find("<serialNumber>") == std::string::npos) return;
+    const BytesView payload = packet.app_payload();
+    const std::string_view text(reinterpret_cast<const char*>(payload.data()),
+                                payload.size());
+    if (text.find("<serialNumber>") == std::string_view::npos) return;
     const auto desc_start = text.find("<?xml");
     const auto desc = UpnpDeviceDescription::from_xml(
-        desc_start == std::string::npos ? text : text.substr(desc_start));
+        desc_start == std::string_view::npos ? text : text.substr(desc_start));
     if (!desc) return;
     if (!extract_macs(desc->serial_number).empty())
       mark(ProtocolLabel::kSsdp, ExposedData::kMac, src);
@@ -158,17 +177,28 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- mDNS
   if (dport == kMdnsPort || sport == kMdnsPort) {
+    // Decoded before the settle check: the decode is shared with every
+    // other consumer of the frame either way.
     const DnsMessage* msg = dns_of(packet);
     if (msg == nullptr || !msg->is_response) return;
+    const bool mac = !settled(ProtocolLabel::kMdns, ExposedData::kMac);
+    const bool uuid = !settled(ProtocolLabel::kMdns, ExposedData::kUuid);
+    const bool name = !settled(ProtocolLabel::kMdns, ExposedData::kDisplayName);
+    const bool model =
+        !settled(ProtocolLabel::kMdns, ExposedData::kDeviceModel);
+    if (!mac && !uuid && !name && !model) return;
+    static telemetry::Counter& scans = telemetry::Registry::global().counter(
+        "roomnet_exposure_scans_total", {{"proto", "mdns"}});
+    scans.inc();
     const std::string text = response_text(*msg);
-    if (contains_mac_like(text))
+    if (mac && contains_mac_like(text))
       mark(ProtocolLabel::kMdns, ExposedData::kMac, src);
-    if (!extract_uuids(text).empty())
+    if (uuid && !extract_uuids(text).empty())
       mark(ProtocolLabel::kMdns, ExposedData::kUuid, src);
-    if (!extract_possessive_names(text).empty() ||
-        text.find("Jane") != std::string::npos)
+    if (name && (!extract_possessive_names(text).empty() ||
+                 text.find("Jane") != std::string::npos))
       mark(ProtocolLabel::kMdns, ExposedData::kDisplayName, src);
-    if (looks_like_model_name(text))
+    if (model && looks_like_model_name(text))
       mark(ProtocolLabel::kMdns, ExposedData::kDeviceModel, src);
     return;
   }
@@ -177,8 +207,13 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   if (dport == kSsdpPort || sport == kSsdpPort) {
     const SsdpMessage* msg = ssdp_of(packet);
     if (msg == nullptr) return;
-    if (!extract_uuids(response_text(*msg)).empty())
-      mark(ProtocolLabel::kSsdp, ExposedData::kUuid, src);
+    if (!settled(ProtocolLabel::kSsdp, ExposedData::kUuid)) {
+      static telemetry::Counter& scans = telemetry::Registry::global().counter(
+          "roomnet_exposure_scans_total", {{"proto", "ssdp"}});
+      scans.inc();
+      if (!extract_uuids(response_text(*msg)).empty())
+        mark(ProtocolLabel::kSsdp, ExposedData::kUuid, src);
+    }
     if (!msg->server.empty()) {
       mark(ProtocolLabel::kSsdp, ExposedData::kOsVersion, src);
       if (msg->server.find("UPnP/1.0") != std::string::npos)

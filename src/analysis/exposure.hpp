@@ -53,7 +53,10 @@ struct ExposureMatrix {
 /// a map of sets, so the matrix is independent of packet order. The
 /// UDP-discovery and TCP-serialNumber extractions are disjoint per packet;
 /// the builder applies both in one pass. Detection is payload-based:
-/// nothing is taken from simulator ground truth.
+/// nothing is taken from simulator ground truth. A cell that already holds
+/// the packet's source is settled: its payload test is skipped, and an
+/// mDNS/SSDP payload whose tests are all settled is not scanned at all
+/// (`roomnet_exposure_scans_total{proto}` counts the scans).
 class ExposureBuilder {
  public:
   void on_packet(const PacketView& packet);

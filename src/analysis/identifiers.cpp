@@ -1,5 +1,6 @@
 #include "analysis/identifiers.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace roomnet {
@@ -17,29 +18,28 @@ namespace {
 bool is_word_char(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0;
 }
-// The "C" locale's isxdigit set as a plain range test: nothing in the
-// program calls setlocale, and this avoids a library call per character.
-bool is_hex_char(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-         (c >= 'A' && c <= 'F');
+/// The end of the hex run through `text[i]`, or `i` when it is not hex.
+std::size_t hex_run_end(std::string_view text, std::size_t i) {
+  while (i < text.size() && is_hex_char(text[i])) ++i;
+  return i;
 }
 }  // namespace
 
 std::vector<std::string> extract_possessive_names(std::string_view text) {
   std::vector<std::string> out;
-  for (std::size_t i = 0; i + 3 < text.size(); ++i) {
-    if (text[i] != '\'') continue;
-    if (i + 2 >= text.size() || text[i + 1] != 's' || text[i + 2] != ' ')
-      continue;
+  // Every match turns on an apostrophe: jump from one to the next.
+  for (std::size_t i = text.find('\'');
+       i != std::string_view::npos && i + 3 < text.size();
+       i = text.find('\'', i + 1)) {
+    if (text[i + 1] != 's' || text[i + 2] != ' ') continue;
     // Word before the apostrophe.
     std::size_t start = i;
     while (start > 0 && is_word_char(text[start - 1])) --start;
     if (start == i) continue;  // no word
     // Word after "'s ".
-    std::size_t end = i + 3;
-    std::size_t word_end = end;
+    std::size_t word_end = i + 3;
     while (word_end < text.size() && is_word_char(text[word_end])) ++word_end;
-    if (word_end == end) continue;
+    if (word_end == i + 3) continue;
     out.emplace_back(text.substr(start, word_end - start));
   }
   return out;
@@ -48,28 +48,30 @@ std::vector<std::string> extract_possessive_names(std::string_view text) {
 std::vector<std::string> extract_uuids(std::string_view text) {
   std::vector<std::string> out;
   static constexpr int kGroups[] = {8, 4, 4, 4, 12};
-  for (std::size_t i = 0; i + 36 <= text.size(); ++i) {
+  // A UUID may not sit inside a longer hex run, so it can start only where
+  // a hex run starts: one attempt per run, and after a failed one the rest
+  // of the run is skipped. At the loop head `i` is 0 or follows a non-hex
+  // character.
+  std::size_t i = 0;
+  while (i + 36 <= text.size()) {
+    if (!is_hex_char(text[i])) {
+      ++i;
+      continue;
+    }
     std::size_t pos = i;
     bool ok = true;
     for (int g = 0; g < 5 && ok; ++g) {
-      for (int k = 0; k < kGroups[g]; ++k) {
-        if (!is_hex_char(text[pos++])) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok && g < 4) {
-        if (text[pos++] != '-') ok = false;
-      }
+      for (int k = 0; k < kGroups[g] && ok; ++k) ok = is_hex_char(text[pos++]);
+      if (ok && g < 4) ok = text[pos++] == '-';
     }
-    // Avoid matching the middle of a longer hex run.
-    if (ok && i > 0 && is_hex_char(text[i - 1])) ok = false;
     if (ok && pos < text.size() && is_hex_char(text[pos])) ok = false;
     if (ok) {
       std::string uuid(text.substr(i, 36));
       for (auto& c : uuid) c = static_cast<char>(std::tolower(c));
       out.push_back(std::move(uuid));
-      i += 35;
+      i = pos;  // a non-hex character, or the end
+    } else {
+      i = hex_run_end(text, i);
     }
   }
   return out;
@@ -88,8 +90,11 @@ std::optional<std::string> canonical_mac(std::string_view candidate,
 std::vector<std::string> extract_macs(std::string_view text,
                                       std::optional<std::uint32_t> expected_oui) {
   std::vector<std::string> out;
-  // Separated forms: xx:xx:xx:xx:xx:xx or dashes (17 chars).
+  // Separated forms: xx:xx:xx:xx:xx:xx or dashes (17 chars). The first
+  // separator, the third character, rejects most positions before the
+  // shape walk.
   for (std::size_t i = 0; i + 17 <= text.size(); ++i) {
+    if (text[i + 2] != ':' && text[i + 2] != '-') continue;
     const std::string_view candidate = text.substr(i, 17);
     bool shape = true;
     for (int k = 0; k < 17 && shape; ++k) {
@@ -105,21 +110,17 @@ std::vector<std::string> extract_macs(std::string_view text,
       i += 16;
     }
   }
-  // Bare 12-hex form, only with an OUI filter (otherwise the false-positive
-  // rate on arbitrary hex is unacceptable — the paper's motivation for the
-  // OUI check).
+  // Bare 12-hex form — exactly a 12-character hex run — only with an OUI
+  // filter (otherwise the false-positive rate on arbitrary hex is
+  // unacceptable — the paper's motivation for the OUI check).
   if (expected_oui) {
-    for (std::size_t i = 0; i + 12 <= text.size(); ++i) {
-      if (i > 0 && is_hex_char(text[i - 1])) continue;
-      const std::string_view candidate = text.substr(i, 12);
-      bool all_hex = true;
-      for (char c : candidate) all_hex = all_hex && is_hex_char(c);
-      if (!all_hex) continue;
-      if (i + 12 < text.size() && is_hex_char(text[i + 12])) continue;
-      if (const auto mac = canonical_mac(candidate, expected_oui)) {
-        out.push_back(*mac);
-        i += 11;
+    for (std::size_t i = 0; i < text.size();) {
+      const std::size_t end = hex_run_end(text, i);
+      if (end - i == 12) {
+        if (const auto mac = canonical_mac(text.substr(i, 12), expected_oui))
+          out.push_back(*mac);
       }
+      i = std::max(end, i + 1);
     }
   }
   return out;

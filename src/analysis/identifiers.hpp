@@ -17,6 +17,14 @@
 
 namespace roomnet {
 
+/// The "C" locale's isxdigit set as a plain range test: nothing in the
+/// program calls setlocale, and this avoids a library call per character.
+/// The one hex test of every identifier scan.
+constexpr bool is_hex_char(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
+}
+
 enum class IdentifierType { kName, kUuid, kMacAddress };
 
 std::string to_string(IdentifierType type);

@@ -5,16 +5,20 @@
 #include <algorithm>
 #include <cctype>
 #include <optional>
+#include <set>
 
 #include "analysis/exposure.hpp"
 #include "analysis/identifiers.hpp"
 #include "analysis/overview.hpp"
+#include "capture/filter.hpp"
+#include "netcore/pcap.hpp"
 #include "proto/dhcp.hpp"
 #include "proto/dns.hpp"
 #include "proto/ssdp.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
 #include "sim/host.hpp"
+#include "telemetry/metrics.hpp"
 #include "wire_frame.hpp"
 
 namespace roomnet {
@@ -71,8 +75,9 @@ TEST(Identifiers, BareMacRequiresOuiMatch) {
   EXPECT_TRUE(extract_macs("id=deadbeefcafe", 0x02a000).empty());
 }
 
-// The scanners' hex test is a plain ASCII range check. These copies keep
-// the std::isxdigit form it replaced, as the reference to compare against.
+// The scanners jump over text they have ruled out and test hex digits with
+// a plain ASCII range. These copies keep the per-position walks (with
+// std::isxdigit) they replaced, as the references to compare against.
 std::vector<std::string> isxdigit_uuids(std::string_view text) {
   const auto hex = [](char c) {
     return std::isxdigit(static_cast<unsigned char>(c)) != 0;
@@ -137,16 +142,55 @@ std::vector<std::string> isxdigit_macs(std::string_view text,
   return out;
 }
 
+std::vector<std::string> isalpha_possessive_names(std::string_view text) {
+  const auto word = [](char c) {
+    return std::isalpha(static_cast<unsigned char>(c)) != 0;
+  };
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i + 3 < text.size(); ++i) {
+    if (text[i] != '\'' || text[i + 1] != 's' || text[i + 2] != ' ') continue;
+    std::size_t start = i;
+    while (start > 0 && word(text[start - 1])) --start;
+    std::size_t end = i + 3;
+    while (end < text.size() && word(text[end])) ++end;
+    if (start != i && end != i + 3)
+      out.emplace_back(text.substr(start, end - start));
+  }
+  return out;
+}
+
 TEST(Identifiers, AsciiHexScannersMatchIsxdigitReference) {
-  // Hex-heavy text with separators, near-hex letters, and bytes outside
-  // ASCII, plus planted MACs and UUIDs so both scanners find matches.
+  // The cases the jumps must not change: overlapping separated MACs, where
+  // the unfiltered scan takes the first and the OUI-filtered one rejects it
+  // and finds the second; bare hex runs one short of, at and one past a
+  // MAC; a possessive at the very end of the text.
+  const std::string overlap = "00:11:22:9c:8e:cd:0a:33:1b";
+  EXPECT_EQ(extract_macs(overlap),
+            std::vector<std::string>{"00:11:22:9c:8e:cd"});
+  EXPECT_EQ(extract_macs(overlap, 0x9c8ecd),
+            std::vector<std::string>{"9c:8e:cd:0a:33:1b"});
+  EXPECT_TRUE(extract_macs("id 9c8ecd0a331 x", 0x9c8ecd).empty());
+  EXPECT_EQ(extract_macs("id 9c8ecd0a331b x", 0x9c8ecd),
+            std::vector<std::string>{"9c:8e:cd:0a:33:1b"});
+  EXPECT_TRUE(extract_macs("id 9c8ecd0a331bf x", 0x9c8ecd).empty());
+  EXPECT_TRUE(extract_possessive_names("speaker in Jane's").empty());
+
+  // Hex-heavy text with separators, near-hex letters, apostrophes and bytes
+  // outside ASCII, plus planted MACs, UUIDs (one inside a longer hex run),
+  // 11-, 12- and 13-character hex runs and names (one whose apostrophes
+  // are two apart), so every scanner finds matches; some texts end in a
+  // possessive.
   static constexpr char kAlphabet[] =
-      "0123456789abcdefABCDEF0123456789abcdef::--gGzZ \x80\xaa\xe9\xff";
+      "0123456789abcdefABCDEF0123456789abcdef::--gGzZ's \x80\xaa\xe9\xff";
   const std::vector<std::string> planted = {
       "9c:8e:cd:0a:33:1b", "9C-8E-CD-0A-33-1B", "9c8ecd0a331b",
-      "296F0ED3-af44-4f44-8a7f-02a000000002"};
+      "296F0ED3-af44-4f44-8a7f-02a000000002", "00:11:22:9c:8e:cd:0a:33:1b",
+      " 9c8ecd0a331 ", " 9c8ecd0a331b ", " 9c8ecd0a331bf ",
+      "0ab296f0ed3-af44-4f44-8a7f-02a000000002cd", "Jane's Room",
+      "Bob's Kitchen TV", "Rock'n's Den"};
+  const std::vector<std::string> endings = {"", "Jane's", "Jane's A"};
   Rng rng(4122);
-  std::size_t macs_found = 0, uuids_found = 0;
+  std::size_t macs_found = 0, uuids_found = 0, names_found = 0;
   for (int round = 0; round < 3000; ++round) {
     std::string text;
     const std::size_t length = rng.below(160);
@@ -156,17 +200,36 @@ TEST(Identifiers, AsciiHexScannersMatchIsxdigitReference) {
       else
         text += kAlphabet[rng.below(sizeof(kAlphabet) - 1)];
     }
+    text += rng.pick(endings);
     const std::optional<std::uint32_t> oui =
         rng.chance(0.5) ? std::optional<std::uint32_t>(0x9c8ecd) : std::nullopt;
     const auto uuids = extract_uuids(text);
     const auto macs = extract_macs(text, oui);
+    const auto names = extract_possessive_names(text);
     ASSERT_EQ(uuids, isxdigit_uuids(text)) << text;
     ASSERT_EQ(macs, isxdigit_macs(text, oui)) << text;
+    ASSERT_EQ(names, isalpha_possessive_names(text)) << text;
     uuids_found += uuids.size();
     macs_found += macs.size();
+    names_found += names.size();
+
+    // The harvest is the OUI-checked extraction plus every separated MAC.
+    const std::uint32_t device_oui = rng.chance(0.5) ? 0x9c8ecd : 0x001122;
+    std::set<ExtractedIdentifier> harvested, reference;
+    harvest_identifiers(text, device_oui, harvested);
+    for (auto& name : isalpha_possessive_names(text))
+      reference.insert({IdentifierType::kName, std::move(name)});
+    for (auto& uuid : isxdigit_uuids(text))
+      reference.insert({IdentifierType::kUuid, std::move(uuid)});
+    for (auto& mac : isxdigit_macs(text, device_oui))
+      reference.insert({IdentifierType::kMacAddress, std::move(mac)});
+    for (auto& mac : isxdigit_macs(text, std::nullopt))
+      reference.insert({IdentifierType::kMacAddress, std::move(mac)});
+    ASSERT_EQ(harvested, reference) << text;
   }
   EXPECT_GT(uuids_found, 0u);
   EXPECT_GT(macs_found, 0u);
+  EXPECT_GT(names_found, 0u);
 }
 
 TEST(Identifiers, CombinedExtraction) {
@@ -343,6 +406,107 @@ TEST(ExposureTest, TableShapeHelpers) {
   EXPECT_EQ(exposure_protocols().size(), 6u);
   EXPECT_EQ(exposure_data_types().size(), 10u);
   EXPECT_EQ(to_string(ExposedData::kProductKey), "Prod.Key");
+}
+
+// ------------------------------------------------------------ exposure settle
+
+std::uint64_t exposure_scans(const char* proto) {
+  return telemetry::Registry::global()
+      .counter("roomnet_exposure_scans_total", {{"proto", proto}})
+      .value();
+}
+
+WireFrame mdns_response(MacAddress src, DnsRecord answer) {
+  DnsMessage msg;
+  msg.is_response = true;
+  msg.answers.push_back(std::move(answer));
+  return udp_between(src, multicast_mac_v4(kMdnsGroupV4),
+                     Ipv4Address(192, 168, 10, 5), kMdnsGroupV4, 5353, 5353,
+                     encode_dns(msg));
+}
+
+TEST(ExposureSettle, RepeatedAnnouncementScansOnce) {
+  // Device 1 exposes a MAC, a UUID, a display name and a model in one
+  // response, so after it every mDNS cell holds the device. Device 2 never
+  // carries a display name (nor a UUID): those cells never settle.
+  const WireFrame full = mdns_response(
+      mac_n(1), DnsRecord::make_txt(
+                    DnsName::from_string("Jane's Kitchen._airplay._tcp.local"),
+                    {"deviceid=aa:bb:cc:dd:ee:ff",
+                     "id=296f0ed3-af44-4f44-8a7f-02a000000002",
+                     "model=HomePod"}));
+  const WireFrame nameless = mdns_response(
+      mac_n(2),
+      DnsRecord::make_ptr(
+          DnsName::from_string("_hue._tcp.local"),
+          DnsName::from_string("Philips Hue - 685F61._hue._tcp.local")));
+  SsdpMessage notify;
+  notify.kind = SsdpKind::kNotify;
+  notify.search_target = "upnp:rootdevice";
+  notify.usn = "uuid:296f0ed3-af44-4f44-8a7f-02a000000006::upnp:rootdevice";
+  notify.server = "Linux, UPnP/1.0, Private UPnP SDK";
+  const WireFrame ssdp = udp_between(
+      mac_n(6), multicast_mac_v4(kSsdpGroupV4), Ipv4Address(192, 168, 10, 6),
+      kSsdpGroupV4, 50000, 1900, encode_ssdp(notify));
+
+  ExposureBuilder builder;
+  const std::uint64_t mdns0 = exposure_scans("mdns");
+  const std::uint64_t ssdp0 = exposure_scans("ssdp");
+  builder.on_packet(full.view);
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 1u);
+  builder.on_packet(full.view);
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 1u);  // every cell settled
+  builder.on_packet(nameless.view);
+  builder.on_packet(nameless.view);
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 3u);  // rescans for the name
+  builder.on_packet(ssdp.view);
+  builder.on_packet(ssdp.view);
+  EXPECT_EQ(exposure_scans("ssdp") - ssdp0, 1u);
+
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_EQ(matrix.device_count(ProtocolLabel::kMdns, ExposedData::kMac), 2u);
+  EXPECT_EQ(matrix.device_count(ProtocolLabel::kMdns, ExposedData::kUuid), 1u);
+  EXPECT_EQ(
+      matrix.device_count(ProtocolLabel::kMdns, ExposedData::kDisplayName),
+      1u);
+  EXPECT_EQ(
+      matrix.device_count(ProtocolLabel::kMdns, ExposedData::kDeviceModel),
+      2u);
+  EXPECT_EQ(matrix.device_count(ProtocolLabel::kSsdp, ExposedData::kUuid), 1u);
+  EXPECT_TRUE(
+      matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware));
+}
+
+TEST(ExposureSettle, MatrixIndependentOfOrderAndRepeats) {
+  // Skipping a settled cell never changes a set, in any order: the
+  // committed capture's local frames in order, in reverse, and each fed
+  // twice give one matrix.
+  const auto records = read_pcap_file(ROOMNET_QUICKSTART_PCAP);
+  ASSERT_TRUE(records.has_value());
+  const LocalFilter filter;
+  std::vector<PacketView> local;
+  for (const PcapRecord& record : *records) {
+    const auto view = decode_frame_view(record.frame);
+    if (view && filter.matches(*view)) local.push_back(*view);
+  }
+  ASSERT_FALSE(local.empty());
+  const auto scans = [] {
+    return exposure_scans("mdns") + exposure_scans("ssdp");
+  };
+  const auto fold_views = [](auto first, auto last, int times) {
+    ExposureBuilder builder;
+    for (auto it = first; it != last; ++it)
+      for (int k = 0; k < times; ++k) builder.on_packet(*it);
+    return builder.finish().cells;
+  };
+  const std::uint64_t start = scans();
+  const auto forward = fold_views(local.begin(), local.end(), 1);
+  const std::uint64_t once = scans() - start;
+  EXPECT_EQ(fold_views(local.rbegin(), local.rend(), 1), forward);
+  const std::uint64_t mid = scans();
+  EXPECT_EQ(fold_views(local.begin(), local.end(), 2), forward);
+  EXPECT_LT(scans() - mid, 2 * once);  // a repeat of a settled frame is free
+  EXPECT_GE(forward.size(), 10u);
 }
 
 }  // namespace
