@@ -40,13 +40,7 @@ void ArpSpoofer::poison_once() {
       lie.sender_ip = b.ip;
       lie.target_mac = a.mac;
       lie.target_ip = a.ip;
-      const Bytes arp_bytes = encode_arp(lie);
-      EthernetFrame eth;
-      eth.dst = a.mac;
-      eth.src = host_->mac();
-      eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-      eth.payload = arp_bytes;
-      host_->send_frame(encode_ethernet(eth));
+      host_->send_arp(lie, a.mac);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace roomnet {
@@ -122,6 +123,9 @@ class ByteReader {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Writes into `buffer` from its start. Its capacity is kept, so a
+  /// recycled buffer takes no allocation for writes that fit.
+  explicit ByteWriter(Bytes buffer) : out_(std::move(buffer)) { out_.clear(); }
 
   /// Pre-sizes the output buffer. Encoders that know the final wire length
   /// (header + payload) call this once up front so the hot path does a

@@ -1,35 +1,45 @@
 #include "netcore/packet.hpp"
 
+#include <cstring>
+
 #include "netcore/checksum.hpp"
 
 namespace roomnet {
 
 namespace {
+// A short read yields an all-zero address and fails the reader; every
+// decoder checks r.ok() before it returns a value.
 MacAddress read_mac(ByteReader& r) {
   std::array<std::uint8_t, 6> o{};
-  for (auto& b : o) b = r.u8().value_or(0);
+  if (const auto v = r.view(o.size())) std::memcpy(o.data(), v->data(), o.size());
   return MacAddress(o);
 }
 Ipv4Address read_ipv4(ByteReader& r) { return Ipv4Address(r.u32().value_or(0)); }
 Ipv6Address read_ipv6(ByteReader& r) {
   std::array<std::uint8_t, 16> b{};
-  for (auto& x : b) x = r.u8().value_or(0);
+  if (const auto v = r.view(b.size())) std::memcpy(b.data(), v->data(), b.size());
   return Ipv6Address(b);
 }
 void write_mac(ByteWriter& w, const MacAddress& m) { w.raw(BytesView(m.octets())); }
 void write_ipv6(ByteWriter& w, const Ipv6Address& a) { w.raw(BytesView(a.bytes())); }
+/// The bytes written since offset `at`.
+BytesView written_since(const ByteWriter& w, std::size_t at) {
+  return BytesView(w.data()).subspan(at);
+}
 }  // namespace
 
 // ----------------------------------------------------------------- Ethernet
 
-Bytes encode_ethernet(const EthernetFrame& frame) {
-  ByteWriter w;
-  w.reserve(14 + frame.payload.size());
+void append_ethernet_header(ByteWriter& w, const EthernetFrame& frame) {
   write_mac(w, frame.dst);
   write_mac(w, frame.src);
   w.u16(frame.ethertype);
-  w.raw(frame.payload);
-  return w.take();
+}
+
+Bytes encode_ethernet(const EthernetFrame& frame) {
+  ByteWriter w;
+  append_ethernet_header(w.reserve(14 + frame.payload.size()), frame);
+  return w.raw(frame.payload).take();
 }
 
 std::optional<EthernetFrame> decode_ethernet(BytesView raw) {
@@ -45,9 +55,7 @@ std::optional<EthernetFrame> decode_ethernet(BytesView raw) {
 
 // ---------------------------------------------------------------------- ARP
 
-Bytes encode_arp(const ArpPacket& arp) {
-  ByteWriter w;
-  w.reserve(28);
+void append_arp(ByteWriter& w, const ArpPacket& arp) {
   w.u16(1);       // hardware type: Ethernet
   w.u16(0x0800);  // protocol type: IPv4
   w.u8(6).u8(4);  // address lengths
@@ -56,6 +64,11 @@ Bytes encode_arp(const ArpPacket& arp) {
   w.u32(arp.sender_ip.value());
   write_mac(w, arp.target_mac);
   w.u32(arp.target_ip.value());
+}
+
+Bytes encode_arp(const ArpPacket& arp) {
+  ByteWriter w;
+  append_arp(w.reserve(28), arp);
   return w.take();
 }
 
@@ -81,13 +94,16 @@ std::optional<ArpPacket> decode_arp(BytesView raw) {
 
 // ------------------------------------------------------------------ LLC/XID
 
-Bytes encode_llc_xid(const LlcXidFrame& frame) {
-  ByteWriter w;
-  w.reserve(3 + frame.info.size());
+void append_llc_xid(ByteWriter& w, const LlcXidFrame& frame) {
   w.u8(frame.dsap);
   w.u8(frame.ssap);
   w.u8(frame.is_xid ? 0xaf : 0x03);  // XID command vs UI
   w.raw(frame.info);
+}
+
+Bytes encode_llc_xid(const LlcXidFrame& frame) {
+  ByteWriter w;
+  append_llc_xid(w.reserve(3 + frame.info.size()), frame);
   return w.take();
 }
 
@@ -105,13 +121,16 @@ std::optional<LlcXidFrame> decode_llc(BytesView raw) {
 
 // -------------------------------------------------------------------- EAPOL
 
-Bytes encode_eapol(const EapolFrame& frame) {
-  ByteWriter w;
-  w.reserve(4 + frame.body.size());
+void append_eapol(ByteWriter& w, const EapolFrame& frame) {
   w.u8(frame.version);
   w.u8(static_cast<std::uint8_t>(frame.type));
   w.u16(static_cast<std::uint16_t>(frame.body.size()));
   w.raw(frame.body);
+}
+
+Bytes encode_eapol(const EapolFrame& frame) {
+  ByteWriter w;
+  append_eapol(w.reserve(4 + frame.body.size()), frame);
   return w.take();
 }
 
@@ -131,16 +150,12 @@ std::optional<EapolFrame> decode_eapol(BytesView raw) {
 
 // --------------------------------------------------------------------- IPv4
 
-Bytes encode_ipv4(const Ipv4Packet& packet) {
-  ByteWriter w;
-  const std::uint16_t total_len =
-      static_cast<std::uint16_t>(20 + packet.payload.size());
-  // Reserve for header + payload: the payload is appended to the same
-  // vector after the header checksum is patched in.
-  w.reserve(total_len);
+void append_ipv4_header(ByteWriter& w, const Ipv4Packet& packet,
+                        std::size_t payload_len) {
+  const std::size_t at = w.size();
   w.u8(0x45);  // version 4, IHL 5
   w.u8(0);     // DSCP/ECN
-  w.u16(total_len);
+  w.u16(static_cast<std::uint16_t>(20 + payload_len));
   w.u16(packet.identification);
   w.u16(0x4000);  // flags: DF
   w.u8(packet.ttl);
@@ -148,12 +163,14 @@ Bytes encode_ipv4(const Ipv4Packet& packet) {
   w.u16(0);  // checksum placeholder
   w.u32(packet.src.value());
   w.u32(packet.dst.value());
-  Bytes out = w.take();
-  const std::uint16_t csum = internet_checksum(BytesView(out).first(20));
-  out[10] = static_cast<std::uint8_t>(csum >> 8);
-  out[11] = static_cast<std::uint8_t>(csum);
-  out.insert(out.end(), packet.payload.begin(), packet.payload.end());
-  return out;
+  w.patch_u16(at + 10, internet_checksum(written_since(w, at)));
+}
+
+Bytes encode_ipv4(const Ipv4Packet& packet) {
+  ByteWriter w;
+  append_ipv4_header(w.reserve(20 + packet.payload.size()), packet,
+                     packet.payload.size());
+  return w.raw(packet.payload).take();
 }
 
 std::optional<Ipv4Packet> decode_ipv4(BytesView raw) {
@@ -182,17 +199,21 @@ std::optional<Ipv4Packet> decode_ipv4(BytesView raw) {
 
 // --------------------------------------------------------------------- IPv6
 
-Bytes encode_ipv6(const Ipv6Packet& packet) {
-  ByteWriter w;
-  w.reserve(40 + packet.payload.size());
+void append_ipv6_header(ByteWriter& w, const Ipv6Packet& packet,
+                        std::size_t payload_len) {
   w.u32(0x60000000);  // version 6, no traffic class/flow label
-  w.u16(static_cast<std::uint16_t>(packet.payload.size()));
+  w.u16(static_cast<std::uint16_t>(payload_len));
   w.u8(packet.next_header);
   w.u8(packet.hop_limit);
   write_ipv6(w, packet.src);
   write_ipv6(w, packet.dst);
-  w.raw(packet.payload);
-  return w.take();
+}
+
+Bytes encode_ipv6(const Ipv6Packet& packet) {
+  ByteWriter w;
+  append_ipv6_header(w.reserve(40 + packet.payload.size()), packet,
+                     packet.payload.size());
+  return w.raw(packet.payload).take();
 }
 
 std::optional<Ipv6Packet> decode_ipv6(BytesView raw) {
@@ -215,35 +236,45 @@ std::optional<Ipv6Packet> decode_ipv6(BytesView raw) {
 // ---------------------------------------------------------------------- UDP
 
 namespace {
-Bytes encode_udp_common(const UdpDatagram& udp) {
-  ByteWriter w;
-  w.reserve(8 + udp.payload.size());
+/// Appends the datagram with a zero checksum; returns where it starts.
+std::size_t append_udp_unsummed(ByteWriter& w, const UdpDatagram& udp) {
+  const std::size_t at = w.size();
   w.u16(value(udp.src_port));
   w.u16(value(udp.dst_port));
   w.u16(static_cast<std::uint16_t>(8 + udp.payload.size()));
   w.u16(0);  // checksum placeholder
   w.raw(udp.payload);
-  return w.take();
+  return at;
 }
 }  // namespace
 
-Bytes encode_udp_v4(const UdpDatagram& udp, Ipv4Address src, Ipv4Address dst) {
-  Bytes out = encode_udp_common(udp);
+void append_udp_v4(ByteWriter& w, const UdpDatagram& udp, Ipv4Address src,
+                   Ipv4Address dst) {
+  const std::size_t at = append_udp_unsummed(w, udp);
   const std::uint16_t csum = transport_checksum_v4(
-      src, dst, static_cast<std::uint8_t>(IpProto::kUdp), BytesView(out));
-  out[6] = static_cast<std::uint8_t>(csum >> 8);
-  out[7] = static_cast<std::uint8_t>(csum);
-  return out;
+      src, dst, static_cast<std::uint8_t>(IpProto::kUdp), written_since(w, at));
+  w.patch_u16(at + 6, csum);
+}
+
+void append_udp_v6(ByteWriter& w, const UdpDatagram& udp,
+                   const Ipv6Address& src, const Ipv6Address& dst) {
+  const std::size_t at = append_udp_unsummed(w, udp);
+  const std::uint16_t csum = transport_checksum_v6(
+      src, dst, static_cast<std::uint8_t>(IpProto::kUdp), written_since(w, at));
+  w.patch_u16(at + 6, csum);
+}
+
+Bytes encode_udp_v4(const UdpDatagram& udp, Ipv4Address src, Ipv4Address dst) {
+  ByteWriter w;
+  append_udp_v4(w.reserve(8 + udp.payload.size()), udp, src, dst);
+  return w.take();
 }
 
 Bytes encode_udp_v6(const UdpDatagram& udp, const Ipv6Address& src,
                     const Ipv6Address& dst) {
-  Bytes out = encode_udp_common(udp);
-  const std::uint16_t csum = transport_checksum_v6(
-      src, dst, static_cast<std::uint8_t>(IpProto::kUdp), BytesView(out));
-  out[6] = static_cast<std::uint8_t>(csum >> 8);
-  out[7] = static_cast<std::uint8_t>(csum);
-  return out;
+  ByteWriter w;
+  append_udp_v6(w.reserve(8 + udp.payload.size()), udp, src, dst);
+  return w.take();
 }
 
 std::optional<UdpDatagram> decode_udp(BytesView raw) {
@@ -262,9 +293,9 @@ std::optional<UdpDatagram> decode_udp(BytesView raw) {
 
 // ---------------------------------------------------------------------- TCP
 
-Bytes encode_tcp_v4(const TcpSegment& tcp, Ipv4Address src, Ipv4Address dst) {
-  ByteWriter w;
-  w.reserve(20 + tcp.payload.size());
+void append_tcp_v4(ByteWriter& w, const TcpSegment& tcp, Ipv4Address src,
+                   Ipv4Address dst) {
+  const std::size_t at = w.size();
   w.u16(value(tcp.src_port));
   w.u16(value(tcp.dst_port));
   w.u32(tcp.seq);
@@ -275,12 +306,15 @@ Bytes encode_tcp_v4(const TcpSegment& tcp, Ipv4Address src, Ipv4Address dst) {
   w.u16(0);  // checksum placeholder
   w.u16(0);  // urgent pointer
   w.raw(tcp.payload);
-  Bytes out = w.take();
   const std::uint16_t csum = transport_checksum_v4(
-      src, dst, static_cast<std::uint8_t>(IpProto::kTcp), BytesView(out));
-  out[16] = static_cast<std::uint8_t>(csum >> 8);
-  out[17] = static_cast<std::uint8_t>(csum);
-  return out;
+      src, dst, static_cast<std::uint8_t>(IpProto::kTcp), written_since(w, at));
+  w.patch_u16(at + 16, csum);
+}
+
+Bytes encode_tcp_v4(const TcpSegment& tcp, Ipv4Address src, Ipv4Address dst) {
+  ByteWriter w;
+  append_tcp_v4(w.reserve(20 + tcp.payload.size()), tcp, src, dst);
+  return w.take();
 }
 
 std::optional<TcpSegment> decode_tcp(BytesView raw) {
@@ -305,18 +339,19 @@ std::optional<TcpSegment> decode_tcp(BytesView raw) {
 
 // --------------------------------------------------------------------- ICMP
 
-Bytes encode_icmp(const IcmpMessage& icmp) {
-  ByteWriter w;
-  w.reserve(4 + icmp.body.size());
+void append_icmp(ByteWriter& w, const IcmpMessage& icmp) {
+  const std::size_t at = w.size();
   w.u8(icmp.type);
   w.u8(icmp.code);
   w.u16(0);
   w.raw(icmp.body);
-  Bytes out = w.take();
-  const std::uint16_t csum = internet_checksum(BytesView(out));
-  out[2] = static_cast<std::uint8_t>(csum >> 8);
-  out[3] = static_cast<std::uint8_t>(csum);
-  return out;
+  w.patch_u16(at + 2, internet_checksum(written_since(w, at)));
+}
+
+Bytes encode_icmp(const IcmpMessage& icmp) {
+  ByteWriter w;
+  append_icmp(w.reserve(4 + icmp.body.size()), icmp);
+  return w.take();
 }
 
 std::optional<IcmpMessage> decode_icmp(BytesView raw) {
@@ -332,13 +367,11 @@ std::optional<IcmpMessage> decode_icmp(BytesView raw) {
 
 // ------------------------------------------------------------------- ICMPv6
 
-Bytes encode_icmpv6(const Icmpv6Message& msg, const Ipv6Address& src,
-                    const Ipv6Address& dst) {
-  ByteWriter w;
+void append_icmpv6(ByteWriter& w, const Icmpv6Message& msg,
+                   const Ipv6Address& src, const Ipv6Address& dst) {
+  const std::size_t at = w.size();
   const bool ndp = msg.type == Icmpv6Type::kNeighborSolicitation ||
                    msg.type == Icmpv6Type::kNeighborAdvertisement;
-  w.reserve(4 + (ndp ? 20 : 0) + (msg.link_layer_option ? 8 : 0) +
-            msg.extra.size());
   w.u8(static_cast<std::uint8_t>(msg.type));
   w.u8(msg.code);
   w.u16(0);  // checksum placeholder
@@ -353,12 +386,16 @@ Bytes encode_icmpv6(const Icmpv6Message& msg, const Ipv6Address& src,
     write_mac(w, *msg.link_layer_option);
   }
   w.raw(msg.extra);
-  Bytes out = w.take();
   const std::uint16_t csum = transport_checksum_v6(
-      src, dst, static_cast<std::uint8_t>(IpProto::kIcmpv6), BytesView(out));
-  out[2] = static_cast<std::uint8_t>(csum >> 8);
-  out[3] = static_cast<std::uint8_t>(csum);
-  return out;
+      src, dst, static_cast<std::uint8_t>(IpProto::kIcmpv6), written_since(w, at));
+  w.patch_u16(at + 2, csum);
+}
+
+Bytes encode_icmpv6(const Icmpv6Message& msg, const Ipv6Address& src,
+                    const Ipv6Address& dst) {
+  ByteWriter w;
+  append_icmpv6(w, msg, src, dst);
+  return w.take();
 }
 
 std::optional<Icmpv6Message> decode_icmpv6(BytesView raw) {
@@ -398,18 +435,19 @@ std::optional<Icmpv6Message> decode_icmpv6(BytesView raw) {
 
 // --------------------------------------------------------------------- IGMP
 
-Bytes encode_igmp(const IgmpMessage& msg) {
-  ByteWriter w;
-  w.reserve(8);
+void append_igmp(ByteWriter& w, const IgmpMessage& msg) {
+  const std::size_t at = w.size();
   w.u8(msg.type);
   w.u8(0);
   w.u16(0);
   w.u32(msg.group.value());
-  Bytes out = w.take();
-  const std::uint16_t csum = internet_checksum(BytesView(out));
-  out[2] = static_cast<std::uint8_t>(csum >> 8);
-  out[3] = static_cast<std::uint8_t>(csum);
-  return out;
+  w.patch_u16(at + 2, internet_checksum(written_since(w, at)));
+}
+
+Bytes encode_igmp(const IgmpMessage& msg) {
+  ByteWriter w;
+  append_igmp(w.reserve(8), msg);
+  return w.take();
 }
 
 std::optional<IgmpMessage> decode_igmp(BytesView raw) {

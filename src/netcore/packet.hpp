@@ -6,6 +6,14 @@
 // every decoder is safe on arbitrary untrusted input and returns nullopt on
 // malformed data.
 //
+// Each encoder has two forms. `append_*` writes the layer at the end of a
+// ByteWriter and patches its checksum in place, so a sender can build a
+// whole frame in one buffer: the header of an enclosing layer (Ethernet,
+// IPv4, IPv6) is written first for a payload length the caller then fills
+// (`append_*_header`), and an inner layer appends its header and payload.
+// `encode_*` returns one layer as its own Bytes; each is a thin wrapper over
+// the append form, for tests, fuzzers and callers not building a frame.
+//
 // Lifetime rule: a layer struct owns no bytes. Its variable-length field
 // (`payload`, `info`, `body`, `extra`) is a BytesView, so
 //   * a decoded struct borrows from the buffer it was decoded from and must
@@ -44,6 +52,8 @@ struct EthernetFrame {
   [[nodiscard]] bool is_llc() const { return ethertype < 1536; }
 };
 
+/// Appends the 14-byte header; `frame.payload` is not read.
+void append_ethernet_header(ByteWriter& w, const EthernetFrame& frame);
 Bytes encode_ethernet(const EthernetFrame& frame);
 std::optional<EthernetFrame> decode_ethernet(BytesView raw);
 
@@ -61,6 +71,7 @@ struct ArpPacket {
   Ipv4Address target_ip;
 };
 
+void append_arp(ByteWriter& w, const ArpPacket& arp);
 Bytes encode_arp(const ArpPacket& arp);
 std::optional<ArpPacket> decode_arp(BytesView raw);
 
@@ -76,6 +87,7 @@ struct LlcXidFrame {
 };
 
 /// Encodes the LLC payload (placed in an Ethernet frame with length field).
+void append_llc_xid(ByteWriter& w, const LlcXidFrame& frame);
 Bytes encode_llc_xid(const LlcXidFrame& frame);
 std::optional<LlcXidFrame> decode_llc(BytesView raw);
 
@@ -91,6 +103,7 @@ struct EapolFrame {
   BytesView body;
 };
 
+void append_eapol(ByteWriter& w, const EapolFrame& frame);
 Bytes encode_eapol(const EapolFrame& frame);
 std::optional<EapolFrame> decode_eapol(BytesView raw);
 
@@ -119,6 +132,10 @@ struct Ipv4Packet {
   BytesView payload;
 };
 
+/// Appends the 20-byte header, checksum final, for a `payload_len`-byte
+/// payload the caller appends next; `packet.payload` is not read.
+void append_ipv4_header(ByteWriter& w, const Ipv4Packet& packet,
+                        std::size_t payload_len);
 Bytes encode_ipv4(const Ipv4Packet& packet);
 std::optional<Ipv4Packet> decode_ipv4(BytesView raw);
 
@@ -134,6 +151,10 @@ struct Ipv6Packet {
   BytesView payload;
 };
 
+/// Appends the 40-byte header for a `payload_len`-byte payload the caller
+/// appends next; `packet.payload` is not read.
+void append_ipv6_header(ByteWriter& w, const Ipv6Packet& packet,
+                        std::size_t payload_len);
 Bytes encode_ipv6(const Ipv6Packet& packet);
 std::optional<Ipv6Packet> decode_ipv6(BytesView raw);
 
@@ -148,6 +169,10 @@ struct UdpDatagram {
 };
 
 /// Checksum requires the enclosing IP addresses.
+void append_udp_v4(ByteWriter& w, const UdpDatagram& udp, Ipv4Address src,
+                   Ipv4Address dst);
+void append_udp_v6(ByteWriter& w, const UdpDatagram& udp,
+                   const Ipv6Address& src, const Ipv6Address& dst);
 Bytes encode_udp_v4(const UdpDatagram& udp, Ipv4Address src, Ipv4Address dst);
 Bytes encode_udp_v6(const UdpDatagram& udp, const Ipv6Address& src,
                     const Ipv6Address& dst);
@@ -188,6 +213,8 @@ struct TcpSegment {
   BytesView payload;
 };
 
+void append_tcp_v4(ByteWriter& w, const TcpSegment& tcp, Ipv4Address src,
+                   Ipv4Address dst);
 Bytes encode_tcp_v4(const TcpSegment& tcp, Ipv4Address src, Ipv4Address dst);
 std::optional<TcpSegment> decode_tcp(BytesView raw);
 
@@ -201,6 +228,7 @@ struct IcmpMessage {
   BytesView body;
 };
 
+void append_icmp(ByteWriter& w, const IcmpMessage& icmp);
 Bytes encode_icmp(const IcmpMessage& icmp);
 std::optional<IcmpMessage> decode_icmp(BytesView raw);
 
@@ -225,6 +253,8 @@ struct Icmpv6Message {
   BytesView extra;
 };
 
+void append_icmpv6(ByteWriter& w, const Icmpv6Message& msg,
+                   const Ipv6Address& src, const Ipv6Address& dst);
 Bytes encode_icmpv6(const Icmpv6Message& msg, const Ipv6Address& src,
                     const Ipv6Address& dst);
 std::optional<Icmpv6Message> decode_icmpv6(BytesView raw);
@@ -234,6 +264,7 @@ struct IgmpMessage {
   Ipv4Address group;
 };
 
+void append_igmp(ByteWriter& w, const IgmpMessage& msg);
 Bytes encode_igmp(const IgmpMessage& msg);
 std::optional<IgmpMessage> decode_igmp(BytesView raw);
 

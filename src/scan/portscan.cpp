@@ -1,7 +1,9 @@
 #include "scan/portscan.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/metrics.hpp"
 
@@ -97,59 +99,6 @@ std::string infer_service_from_port(std::uint16_t port, bool udp) {
   }
 }
 
-PortScanner::PortScanner(Host& scanner, PortScanConfig config)
-    : scanner_(&scanner), config_(std::move(config)) {
-  // A negative spacing would clamp probes to "now" differently at start()
-  // and at firing time, and has no meaning anyway.
-  if (!(config_.probe_spacing_s >= 0))
-    throw std::invalid_argument("PortScanConfig: negative probe_spacing_s");
-  scanner_->packet_monitor = [this](Host&, const PacketView& packet) {
-    on_packet(packet);
-  };
-  scanner_->rst_on_closed_tcp = false;  // do not answer the answers
-}
-
-Bytes PortScanner::udp_probe_payload(std::uint16_t port) {
-  switch (port) {
-    case 53: {
-      DnsMessage q;
-      q.questions.push_back(
-          {DnsName::from_string("version.bind"), DnsType::kTxt, false});
-      return encode_dns(q);
-    }
-    case 5353: {
-      DnsMessage q;
-      q.questions.push_back({DnsName::from_string("_services._dns-sd._udp.local"),
-                             DnsType::kPtr, true});
-      return encode_dns(q);
-    }
-    case 1900: {
-      SsdpMessage m;
-      m.kind = SsdpKind::kMSearch;
-      m.search_target = "ssdp:all";
-      return encode_ssdp(m);
-    }
-    case 9999:
-      return encode_tplink_udp(tplink_get_sysinfo_request());
-    case 137: {
-      NetbiosPacket p;
-      p.op = NetbiosOp::kNodeStatusQuery;
-      p.name = "*";
-      return encode_netbios(p);
-    }
-    case 5683: {
-      CoapMessage m;
-      m.type = CoapType::kConfirmable;
-      m.code = kCoapGet;
-      m.message_id = 1;
-      m.set_uri_path("oic/res");
-      return encode_coap(m);
-    }
-    default:
-      return bytes_of("probe");
-  }
-}
-
 namespace {
 struct ScanMetrics {
   telemetry::Counter& targets =
@@ -179,7 +128,107 @@ constexpr std::uint64_t probe_key(std::size_t index, bool udp,
   return (static_cast<std::uint64_t>(index) << 17) |
          (static_cast<std::uint64_t>(udp ? 1 : 0) << 16) | port;
 }
+
+std::vector<std::pair<std::uint16_t, std::uint32_t>> sorted_positions(
+    const std::vector<std::uint16_t>& ports) {
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> out;
+  out.reserve(ports.size());
+  for (std::size_t i = 0; i < ports.size(); ++i)
+    out.emplace_back(ports[i], static_cast<std::uint32_t>(i));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The position of `port`'s first appearance in the probe list, if any.
+std::optional<std::uint32_t> position_of(
+    const std::vector<std::pair<std::uint16_t, std::uint32_t>>& positions,
+    std::uint16_t port) {
+  const auto it = std::lower_bound(
+      positions.begin(), positions.end(), std::make_pair(port, std::uint32_t{0}));
+  if (it == positions.end() || it->first != port) return std::nullopt;
+  return it->second;
+}
 }  // namespace
+
+PortScanner::ProbePayloads::ProbePayloads()
+    : tplink(encode_tplink_udp(tplink_get_sysinfo_request())),
+      other(bytes_of("probe")),
+      ip_protocol(bytes_of("ipproto-probe")) {
+  DnsMessage version;
+  version.questions.push_back(
+      {DnsName::from_string("version.bind"), DnsType::kTxt, false});
+  dns = encode_dns(version);
+  DnsMessage services;
+  services.questions.push_back({DnsName::from_string("_services._dns-sd._udp.local"),
+                                DnsType::kPtr, true});
+  mdns = encode_dns(services);
+  SsdpMessage search;
+  search.kind = SsdpKind::kMSearch;
+  search.search_target = "ssdp:all";
+  ssdp = encode_ssdp(search);
+  NetbiosPacket status;
+  status.op = NetbiosOp::kNodeStatusQuery;
+  status.name = "*";
+  netbios = encode_netbios(status);
+  CoapMessage get;
+  get.type = CoapType::kConfirmable;
+  get.code = kCoapGet;
+  get.message_id = 1;
+  get.set_uri_path("oic/res");
+  coap = encode_coap(get);
+}
+
+BytesView PortScanner::udp_probe_payload(std::uint16_t port) const {
+  switch (port) {
+    case 53: return payloads_.dns;
+    case 5353: return payloads_.mdns;
+    case 1900: return payloads_.ssdp;
+    case 9999: return payloads_.tplink;
+    case 137: return payloads_.netbios;
+    case 5683: return payloads_.coap;
+    default: return payloads_.other;
+  }
+}
+
+PortScanner::PortScanner(Host& scanner, PortScanConfig config)
+    : scanner_(&scanner), config_(std::move(config)) {
+  // A negative spacing would clamp probes to "now" differently at start()
+  // and at firing time, and has no meaning anyway.
+  if (!(config_.probe_spacing_s >= 0))
+    throw std::invalid_argument("PortScanConfig: negative probe_spacing_s");
+  scanner_->packet_monitor = [this](Host&, const PacketView& packet) {
+    on_packet(packet);
+  };
+  scanner_->rst_on_closed_tcp = false;  // do not answer the answers
+  tcp_positions_ = sorted_positions(config_.tcp_ports);
+  udp_positions_ = sorted_positions(config_.udp_ports);
+}
+
+void PortScanner::record(std::size_t index, Finding finding,
+                         std::uint16_t port) {
+  const std::size_t tcp = config_.tcp_ports.size();
+  const std::size_t udp = config_.udp_ports.size();
+  PortScanReport& report = reports_[index];
+  // Indexed by Finding: the report's list, and where the finding's bits
+  // start among the target's.
+  std::vector<std::uint16_t>* const lists[] = {
+      &report.open_tcp, &report.open_udp, &report.closed_udp};
+  const std::size_t offsets[] = {0, tcp, tcp + udp};
+  std::vector<std::uint16_t>* const ports = lists[static_cast<int>(finding)];
+  const std::size_t offset = offsets[static_cast<int>(finding)];
+  const auto pos = position_of(
+      finding == Finding::kOpenTcp ? tcp_positions_ : udp_positions_, port);
+  if (!pos) {
+    if (std::find(ports->begin(), ports->end(), port) == ports->end())
+      ports->push_back(port);
+    return;
+  }
+  const std::size_t bit = index * (tcp + 2 * udp) + offset + *pos;
+  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+  if ((seen_[bit / 64] & mask) != 0) return;
+  seen_[bit / 64] |= mask;
+  ports->push_back(port);
+}
 
 bool PortScanner::answered(std::size_t index, bool udp,
                            std::uint16_t port) const {
@@ -225,6 +274,9 @@ void PortScanner::start(const std::vector<ScanTarget>& targets) {
   reports_.clear();
   by_ip_.clear();
   answered_.clear();
+  const std::size_t bits = targets.size() * (config_.tcp_ports.size() +
+                                             2 * config_.udp_ports.size());
+  seen_.assign((bits + 63) / 64, 0);
   scan_metrics().targets.inc(targets.size());
   for (const auto& target : targets) {
     by_ip_[target.ip] = reports_.size();
@@ -291,7 +343,7 @@ void PortScanner::fire_probe() {
     scan_metrics().probes.inc();
     scanner_->send_raw_ip(reports_[index].target.ip,
                           config_.ip_protocols[step - tcp - udp],
-                          bytes_of("ipproto-probe"));
+                          payloads_.ip_protocol);
   }
 }
 
@@ -313,9 +365,7 @@ void PortScanner::on_packet(const PacketView& packet) {
     mark_answered(it->second, false, value(packet.tcp->src_port));
     if (packet.tcp->flags.syn && packet.tcp->flags.ack) {
       const std::uint16_t port = value(packet.tcp->src_port);
-      if (std::find(report.open_tcp.begin(), report.open_tcp.end(), port) ==
-          report.open_tcp.end())
-        report.open_tcp.push_back(port);
+      record(it->second, Finding::kOpenTcp, port);
       // Polite scanner: tear the half-open connection down.
       scanner_->send_raw_tcp(report.target.ip, value(packet.tcp->dst_port),
                              port, TcpFlags{.rst = true}, packet.tcp->ack, 0);
@@ -324,9 +374,7 @@ void PortScanner::on_packet(const PacketView& packet) {
     report.responded_udp = true;
     const std::uint16_t port = value(packet.udp->src_port);
     mark_answered(it->second, true, port);
-    if (std::find(report.open_udp.begin(), report.open_udp.end(), port) ==
-        report.open_udp.end())
-      report.open_udp.push_back(port);
+    record(it->second, Finding::kOpenUdp, port);
   } else if (packet.icmp) {
     if (packet.icmp->type == 3 && packet.icmp->code == 3) {
       // Port unreachable: parse the embedded original datagram for the
@@ -335,9 +383,7 @@ void PortScanner::on_packet(const PacketView& packet) {
       if (body.size() >= 24) {
         const std::uint16_t dport =
             static_cast<std::uint16_t>((body[22] << 8) | body[23]);
-        if (std::find(report.closed_udp.begin(), report.closed_udp.end(),
-                      dport) == report.closed_udp.end())
-          report.closed_udp.push_back(dport);
+        record(it->second, Finding::kClosedUdp, dport);
         // Provably closed is still an answer: no point retransmitting.
         mark_answered(it->second, true, dport);
       }

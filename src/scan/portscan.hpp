@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/host.hpp"
@@ -87,7 +88,21 @@ class PortScanner {
 
  private:
   void on_packet(const PacketView& packet);
-  [[nodiscard]] Bytes udp_probe_payload(std::uint16_t port);
+  /// Every probe payload, encoded once per scanner: probes send views of
+  /// these bytes.
+  struct ProbePayloads {
+    ProbePayloads();
+    Bytes dns;
+    Bytes mdns;
+    Bytes ssdp;
+    Bytes tplink;
+    Bytes netbios;
+    Bytes coap;
+    Bytes other;  // every port without a protocol-aware probe
+    Bytes ip_protocol;
+  };
+  /// The protocol-aware UDP probe for `port` (nmap's payload table).
+  [[nodiscard]] BytesView udp_probe_payload(std::uint16_t port) const;
   /// One TCP/UDP probe attempt. Eight bytes, so a retry's `[this, probe]`
   /// closure fits std::function's two-pointer inline buffer: a pending
   /// retry costs no heap block.
@@ -121,11 +136,26 @@ class PortScanner {
                               std::uint16_t port) const;
   void mark_answered(std::size_t index, bool udp, std::uint16_t port);
 
+  /// The per-target port lists a response can add to.
+  enum class Finding : std::uint8_t { kOpenTcp, kOpenUdp, kClosedUdp };
+  /// Appends `port` to target `index`'s `finding` list unless it is there
+  /// already. A port in the probe list is looked up in `seen_` by its
+  /// position; any other falls back to a search of the list.
+  void record(std::size_t index, Finding finding, std::uint16_t port);
+
   Host* scanner_;
   PortScanConfig config_;
+  ProbePayloads payloads_;
   std::vector<PortScanReport> reports_;
   std::map<Ipv4Address, std::size_t> by_ip_;
   std::set<std::uint64_t> answered_;
+  /// (port, position) of each probed TCP / UDP port, sorted by port.
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> tcp_positions_;
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> udp_positions_;
+  /// One bit per (target, finding, probe-list position): the findings
+  /// recorded so far. Per target, open TCP bits are followed by open UDP
+  /// and closed UDP bits.
+  std::vector<std::uint64_t> seen_;
   Sweep sweep_;
   SimTime duration_;
 };

@@ -1,12 +1,18 @@
 #include "sim/host.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
-#include "netcore/checksum.hpp"
 #include "proto/app.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
+
+namespace {
+/// NS/NA with a target and a link-layer option: 4 + 4 + 16 + 8 bytes.
+constexpr std::size_t kNdpMessageSize = 32;
+}  // namespace
 
 MacAddress multicast_mac_v4(Ipv4Address group) {
   std::array<std::uint8_t, 6> o{0x01, 0x00, 0x5e, 0, 0, 0};
@@ -29,9 +35,9 @@ MacAddress multicast_mac_v6(const Ipv6Address& group) {
 
 // ----------------------------------------------------------- TcpConnection
 
-void TcpConnection::send(Bytes data) {
+void TcpConnection::send(BytesView data) {
   if (state_ != State::kEstablished || host_ == nullptr) return;
-  host_->tcp_emit(*this, TcpFlags{.psh = true, .ack = true}, std::move(data));
+  host_->tcp_emit(*this, TcpFlags{.psh = true, .ack = true}, data);
 }
 
 void TcpConnection::close() {
@@ -56,7 +62,43 @@ Host::Host(Switch& net, MacAddress mac, std::string label)
 
 Host::~Host() { net_->detach(*this); }
 
-void Host::send_frame(Bytes frame) { net_->transmit(BytesView(frame), this); }
+void Host::send_frame(Bytes frame) { net_->transmit(std::move(frame), this); }
+
+// -- frame builder -------------------------------------------------------
+
+ByteWriter Host::begin_frame(MacAddress dst, std::uint16_t ethertype,
+                             std::size_t payload_len) {
+  ByteWriter w(net_->frame_buffer());
+  w.reserve(14 + payload_len);
+  append_ethernet_header(
+      w, EthernetFrame{.dst = dst, .src = mac_, .ethertype = ethertype});
+  return w;
+}
+
+ByteWriter Host::begin_ipv4(Ipv4Address dst, IpProto protocol,
+                            std::size_t payload_len, std::uint8_t ttl) {
+  Ipv4Packet ip;
+  ip.src = ip_;
+  ip.dst = dst;
+  ip.protocol = static_cast<std::uint8_t>(protocol);
+  ip.ttl = ttl;
+  ByteWriter w = begin_frame(
+      MacAddress{}, static_cast<std::uint16_t>(EtherType::kIpv4), 20 + payload_len);
+  append_ipv4_header(w, ip, payload_len);
+  return w;
+}
+
+ByteWriter Host::begin_ipv6(MacAddress eth_dst, const Ipv6Address& dst,
+                            IpProto next_header, std::size_t payload_len) {
+  Ipv6Packet ip;
+  ip.src = link_local_;
+  ip.dst = dst;
+  ip.next_header = static_cast<std::uint8_t>(next_header);
+  ByteWriter w = begin_frame(
+      eth_dst, static_cast<std::uint16_t>(EtherType::kIpv6), 40 + payload_len);
+  append_ipv6_header(w, ip, payload_len);
+  return w;
+}
 
 std::uint16_t Host::ephemeral_port() {
   if (next_ephemeral_ < 49152) next_ephemeral_ = 49152;
@@ -65,19 +107,20 @@ std::uint16_t Host::ephemeral_port() {
 
 // -- ARP ---------------------------------------------------------------
 
+void Host::send_arp(const ArpPacket& arp, MacAddress eth_dst) {
+  ByteWriter w =
+      begin_frame(eth_dst, static_cast<std::uint16_t>(EtherType::kArp), 28);
+  append_arp(w, arp);
+  send_frame(w.take());
+}
+
 void Host::arp_request(Ipv4Address target) {
   ArpPacket arp;
   arp.op = ArpOp::kRequest;
   arp.sender_mac = mac_;
   arp.sender_ip = ip_;
   arp.target_ip = target;
-  const Bytes arp_bytes = encode_arp(arp);
-  EthernetFrame eth;
-  eth.dst = MacAddress::kBroadcast;
-  eth.src = mac_;
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-  eth.payload = arp_bytes;
-  send_frame(encode_ethernet(eth));
+  send_arp(arp, MacAddress::kBroadcast);
 }
 
 void Host::arp_scan_subnet() {
@@ -113,13 +156,7 @@ void Host::handle_arp(const ArpPacket& arp) {
     reply.sender_ip = ip_;
     reply.target_mac = arp.sender_mac;
     reply.target_ip = arp.sender_ip;
-    const Bytes arp_bytes = encode_arp(reply);
-    EthernetFrame eth;
-    eth.dst = arp.sender_mac;
-    eth.src = mac_;
-    eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-    eth.payload = arp_bytes;
-    send_frame(encode_ethernet(eth));
+    send_arp(reply, arp.sender_mac);
   }
   if (arp.op == ArpOp::kReply) {
     // Flush sends queued on this resolution.
@@ -127,132 +164,85 @@ void Host::handle_arp(const ArpPacket& arp) {
     if (it != arp_pending_.end()) {
       auto pending = std::move(it->second);
       arp_pending_.erase(it);
-      for (auto& p : pending) deliver_ipv4(std::move(p.ip_payload), arp.sender_ip);
+      for (Bytes& frame : pending) deliver_ipv4(std::move(frame), arp.sender_ip);
     }
   }
 }
 
 // -- send paths ----------------------------------------------------------
 
-void Host::deliver_ipv4(Bytes ip_packet, Ipv4Address dst) {
-  EthernetFrame eth;
-  eth.src = mac_;
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv4);
-  eth.payload = ip_packet;
-
+void Host::deliver_ipv4(Bytes frame, Ipv4Address dst) {
+  MacAddress eth_dst;
   if (dst.is_broadcast() || dst.is_subnet_broadcast24()) {
-    eth.dst = MacAddress::kBroadcast;
+    eth_dst = MacAddress::kBroadcast;
   } else if (dst.is_multicast()) {
-    eth.dst = multicast_mac_v4(dst);
+    eth_dst = multicast_mac_v4(dst);
   } else {
     const auto mac = arp_lookup(dst);
     if (!mac) {
-      arp_pending_[dst].push_back({std::move(ip_packet)});
+      arp_pending_[dst].push_back(std::move(frame));
       arp_request(dst);
       return;
     }
-    eth.dst = *mac;
+    eth_dst = *mac;
   }
-  send_frame(encode_ethernet(eth));
+  std::memcpy(frame.data(), eth_dst.octets().data(), eth_dst.octets().size());
+  send_frame(std::move(frame));
 }
 
 void Host::send_udp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
-                    Bytes payload) {
-  UdpDatagram udp;
-  udp.src_port = port(sport);
-  udp.dst_port = port(dport);
-  udp.payload = payload;
-  const Bytes segment = encode_udp_v4(udp, ip_, dst);
-  Ipv4Packet ip;
-  ip.src = ip_;
-  ip.dst = dst;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = segment;
-  deliver_ipv4(encode_ipv4(ip), dst);
+                    BytesView payload) {
+  ByteWriter w = begin_ipv4(dst, IpProto::kUdp, 8 + payload.size());
+  append_udp_v4(w, UdpDatagram{port(sport), port(dport), payload}, ip_, dst);
+  deliver_ipv4(w.take(), dst);
 }
 
 void Host::send_udp_v6(const Ipv6Address& dst, std::uint16_t sport,
-                       std::uint16_t dport, Bytes payload) {
+                       std::uint16_t dport, BytesView payload) {
   if (!ipv6_enabled_) return;
-  UdpDatagram udp;
-  udp.src_port = port(sport);
-  udp.dst_port = port(dport);
-  udp.payload = payload;
-  const Bytes segment = encode_udp_v6(udp, link_local_, dst);
-  Ipv6Packet ip;
-  ip.src = link_local_;
-  ip.dst = dst;
-  ip.next_header = static_cast<std::uint8_t>(IpProto::kUdp);
-  ip.payload = segment;
-  const Bytes datagram = encode_ipv6(ip);
-  EthernetFrame eth;
-  eth.src = mac_;
-  eth.dst = dst.is_multicast() ? multicast_mac_v6(dst)
-                               : MacAddress::kBroadcast;  // no NDP table: flood
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv6);
-  eth.payload = datagram;
-  send_frame(encode_ethernet(eth));
+  // No NDP table: unicast floods.
+  const MacAddress eth_dst =
+      dst.is_multicast() ? multicast_mac_v6(dst) : MacAddress::kBroadcast;
+  ByteWriter w = begin_ipv6(eth_dst, dst, IpProto::kUdp, 8 + payload.size());
+  append_udp_v6(w, UdpDatagram{port(sport), port(dport), payload}, link_local_,
+                dst);
+  send_frame(w.take());
 }
 
 void Host::send_icmp_echo(Ipv4Address dst) {
-  IcmpMessage icmp;
-  icmp.type = 8;
-  ByteWriter body;
-  body.u16(static_cast<std::uint16_t>(mac_.to_u64()));  // identifier
-  body.u16(1);                                          // sequence
-  const Bytes echo = body.take();
-  icmp.body = echo;
-  const Bytes message = encode_icmp(icmp);
-  Ipv4Packet ip;
-  ip.src = ip_;
-  ip.dst = dst;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-  ip.payload = message;
-  deliver_ipv4(encode_ipv4(ip), dst);
+  // Identifier (the MAC's low 16 bits), then sequence number 1.
+  const auto id = static_cast<std::uint16_t>(mac_.to_u64());
+  const std::array<std::uint8_t, 4> echo{static_cast<std::uint8_t>(id >> 8),
+                                         static_cast<std::uint8_t>(id), 0, 1};
+  ByteWriter w = begin_ipv4(dst, IpProto::kIcmp, 4 + echo.size());
+  append_icmp(w, IcmpMessage{.type = 8, .body = echo});
+  deliver_ipv4(w.take(), dst);
 }
 
 void Host::join_multicast_group(Ipv4Address group) {
-  IgmpMessage igmp;
-  igmp.type = 0x16;  // v2 membership report
-  igmp.group = group;
-  const Bytes report = encode_igmp(igmp);
-  Ipv4Packet ip;
-  ip.src = ip_;
-  ip.dst = group;
-  ip.ttl = 1;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kIgmp);
-  ip.payload = report;
-  deliver_ipv4(encode_ipv4(ip), group);
+  ByteWriter w = begin_ipv4(group, IpProto::kIgmp, 8, /*ttl=*/1);
+  append_igmp(w, IgmpMessage{.type = 0x16, .group = group});  // v2 report
+  deliver_ipv4(w.take(), group);
 }
 
 void Host::send_eapol_key(Rng& rng) {
   const Bytes key = rng.bytes(95);  // typical WPA2 key frame size
-  EapolFrame eapol;
-  eapol.type = EapolType::kKey;
-  eapol.body = key;
-  const Bytes eapol_bytes = encode_eapol(eapol);
-  EthernetFrame eth;
-  eth.src = mac_;
-  eth.dst = MacAddress::kBroadcast;
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kEapol);
-  eth.payload = eapol_bytes;
-  send_frame(encode_ethernet(eth));
+  ByteWriter w = begin_frame(MacAddress::kBroadcast,
+                             static_cast<std::uint16_t>(EtherType::kEapol),
+                             4 + key.size());
+  append_eapol(w, EapolFrame{.type = EapolType::kKey, .body = key});
+  send_frame(w.take());
 }
 
 void Host::send_llc_xid_broadcast() {
   static constexpr std::uint8_t kXidInfo[] = {0x81, 0x01, 0x00};
-  LlcXidFrame llc;
-  llc.dsap = 0;
-  llc.ssap = 1;
-  llc.is_xid = true;
-  llc.info = kXidInfo;
-  const Bytes llc_bytes = encode_llc_xid(llc);
-  EthernetFrame eth;
-  eth.src = mac_;
-  eth.dst = MacAddress::kBroadcast;
-  eth.payload = llc_bytes;
-  eth.ethertype = static_cast<std::uint16_t>(eth.payload.size());
-  send_frame(encode_ethernet(eth));
+  const LlcXidFrame llc{.dsap = 0, .ssap = 1, .is_xid = true, .info = kXidInfo};
+  // LLC framing: the EtherType field carries the payload length.
+  const std::size_t length = 3 + llc.info.size();
+  ByteWriter w = begin_frame(MacAddress::kBroadcast,
+                             static_cast<std::uint16_t>(length), length);
+  append_llc_xid(w, llc);
+  send_frame(w.take());
 }
 
 void Host::send_neighbor_solicitation(const Ipv6Address& target) {
@@ -262,19 +252,10 @@ void Host::send_neighbor_solicitation(const Ipv6Address& target) {
   msg.target = target;
   msg.link_layer_option = mac_;  // the MAC exposure §5.1 flags
   const Ipv6Address dst = Ipv6Address::solicited_node(target);
-  const Bytes message = encode_icmpv6(msg, link_local_, dst);
-  Ipv6Packet ip;
-  ip.src = link_local_;
-  ip.dst = dst;
-  ip.next_header = static_cast<std::uint8_t>(IpProto::kIcmpv6);
-  ip.payload = message;
-  const Bytes datagram = encode_ipv6(ip);
-  EthernetFrame eth;
-  eth.src = mac_;
-  eth.dst = multicast_mac_v6(dst);
-  eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv6);
-  eth.payload = datagram;
-  send_frame(encode_ethernet(eth));
+  ByteWriter w =
+      begin_ipv6(multicast_mac_v6(dst), dst, IpProto::kIcmpv6, kNdpMessageSize);
+  append_icmpv6(w, msg, link_local_, dst);
+  send_frame(w.take());
 }
 
 // -- UDP handlers ---------------------------------------------------------
@@ -329,47 +310,35 @@ TcpConnection& Host::connect_tcp(Ipv4Address dst, std::uint16_t dport) {
 void Host::send_raw_tcp(Ipv4Address dst, std::uint16_t sport,
                         std::uint16_t dport, TcpFlags flags, std::uint32_t seq,
                         std::uint32_t ack) {
-  TcpSegment seg;
-  seg.src_port = port(sport);
-  seg.dst_port = port(dport);
-  seg.seq = seq;
-  seg.ack = ack;
-  seg.flags = flags;
-  const Bytes segment = encode_tcp_v4(seg, ip_, dst);
-  Ipv4Packet ip;
-  ip.src = ip_;
-  ip.dst = dst;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  ip.payload = segment;
-  deliver_ipv4(encode_ipv4(ip), dst);
+  const TcpSegment seg{.src_port = port(sport),
+                       .dst_port = port(dport),
+                       .seq = seq,
+                       .ack = ack,
+                       .flags = flags};
+  ByteWriter w = begin_ipv4(dst, IpProto::kTcp, 20);
+  append_tcp_v4(w, seg, ip_, dst);
+  deliver_ipv4(w.take(), dst);
 }
 
-void Host::send_raw_ip(Ipv4Address dst, std::uint8_t protocol, Bytes payload) {
-  Ipv4Packet ip;
-  ip.src = ip_;
-  ip.dst = dst;
-  ip.protocol = protocol;
-  ip.payload = payload;
-  deliver_ipv4(encode_ipv4(ip), dst);
+void Host::send_raw_ip(Ipv4Address dst, std::uint8_t protocol,
+                       BytesView payload) {
+  ByteWriter w = begin_ipv4(dst, static_cast<IpProto>(protocol), payload.size());
+  w.raw(payload);
+  deliver_ipv4(w.take(), dst);
 }
 
-void Host::tcp_emit(TcpConnection& conn, TcpFlags flags, Bytes payload) {
-  TcpSegment seg;
-  seg.src_port = conn.local_port_;
-  seg.dst_port = conn.remote_port_;
-  seg.seq = conn.snd_next_;
-  seg.ack = conn.rcv_next_;
-  seg.flags = flags;
-  seg.payload = payload;
-  conn.snd_next_ += static_cast<std::uint32_t>(seg.payload.size());
+void Host::tcp_emit(TcpConnection& conn, TcpFlags flags, BytesView payload) {
+  const TcpSegment seg{.src_port = conn.local_port_,
+                       .dst_port = conn.remote_port_,
+                       .seq = conn.snd_next_,
+                       .ack = conn.rcv_next_,
+                       .flags = flags,
+                       .payload = payload};
+  conn.snd_next_ += static_cast<std::uint32_t>(payload.size());
   if (flags.syn || flags.fin) conn.snd_next_ += 1;
-  const Bytes segment = encode_tcp_v4(seg, ip_, conn.remote_ip_);
-  Ipv4Packet ip;
-  ip.src = ip_;
-  ip.dst = conn.remote_ip_;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  ip.payload = segment;
-  deliver_ipv4(encode_ipv4(ip), conn.remote_ip_);
+  ByteWriter w = begin_ipv4(conn.remote_ip_, IpProto::kTcp, 20 + payload.size());
+  append_tcp_v4(w, seg, ip_, conn.remote_ip_);
+  deliver_ipv4(w.take(), conn.remote_ip_);
 }
 
 // -- DHCP client ------------------------------------------------------------
@@ -464,17 +433,11 @@ void Host::handle_ipv4(const PacketView& packet) {
     handle_tcp(packet);
   } else if (packet.icmp && ip.dst == ip_) {
     if (packet.icmp->type == 8 && responds_to_ping) {
-      IcmpMessage reply;
-      reply.type = 0;
       // The echo body borrows the delivery buffer, alive for this call.
-      reply.body = packet.icmp->body;
-      const Bytes message = encode_icmp(reply);
-      Ipv4Packet out;
-      out.src = ip_;
-      out.dst = ip.src;
-      out.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-      out.payload = message;
-      deliver_ipv4(encode_ipv4(out), ip.src);
+      const BytesView body = packet.icmp->body;
+      ByteWriter w = begin_ipv4(ip.src, IpProto::kIcmp, 4 + body.size());
+      append_icmp(w, IcmpMessage{.type = 0, .body = body});
+      deliver_ipv4(w.take(), ip.src);
     }
   } else if (!packet.udp && !packet.tcp && !packet.icmp && !packet.igmp &&
              ip.dst == ip_) {
@@ -489,13 +452,9 @@ void Host::handle_ipv4(const PacketView& packet) {
     IcmpMessage reply;
     reply.type = supported ? 0 : 3;  // echo-reply-ish marker vs unreachable
     reply.code = supported ? 0 : 2;  // protocol unreachable
-    const Bytes message = encode_icmp(reply);
-    Ipv4Packet out;
-    out.src = ip_;
-    out.dst = ip.src;
-    out.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-    out.payload = message;
-    deliver_ipv4(encode_ipv4(out), ip.src);
+    ByteWriter w = begin_ipv4(ip.src, IpProto::kIcmp, 4);
+    append_icmp(w, reply);
+    deliver_ipv4(w.take(), ip.src);
   }
 }
 
@@ -508,19 +467,11 @@ void Host::handle_ipv6(const PacketView& packet) {
     adv.type = Icmpv6Type::kNeighborAdvertisement;
     adv.target = link_local_;
     adv.link_layer_option = mac_;
-    const Bytes message = encode_icmpv6(adv, link_local_, packet.ipv6->src);
-    Ipv6Packet out;
-    out.src = link_local_;
-    out.dst = packet.ipv6->src;
-    out.next_header = static_cast<std::uint8_t>(IpProto::kIcmpv6);
-    out.payload = message;
-    const Bytes datagram = encode_ipv6(out);
-    EthernetFrame eth;
-    eth.src = mac_;
-    eth.dst = packet.eth.src;
-    eth.ethertype = static_cast<std::uint16_t>(EtherType::kIpv6);
-    eth.payload = datagram;
-    send_frame(encode_ethernet(eth));
+    const Ipv6Address dst = packet.ipv6->src;
+    ByteWriter w =
+        begin_ipv6(packet.eth.src, dst, IpProto::kIcmpv6, kNdpMessageSize);
+    append_icmpv6(w, adv, link_local_, dst);
+    send_frame(w.take());
   }
   if (packet.udp) handle_udp(packet);
 }
@@ -537,25 +488,22 @@ void Host::handle_udp(const PacketView& packet) {
   // from "open|filtered").
   if (it == udp_handlers_.end() && !any_udp_ && rst_on_closed_tcp &&
       packet.ipv4 && packet.ipv4->dst == ip_) {
-    IcmpMessage unreachable;
-    unreachable.type = 3;
-    unreachable.code = 3;  // port unreachable
-    // Body: original IP header (20) + first 8 bytes of the datagram.
-    Ipv4Packet original;
-    original.src = packet.ipv4->src;
-    original.dst = packet.ipv4->dst;
-    original.protocol = packet.ipv4->protocol;
-    original.payload = packet.ipv4->payload;
-    const Bytes original_bytes = encode_ipv4(original);
-    const std::size_t quoted = std::min<std::size_t>(original_bytes.size(), 28);
-    unreachable.body = BytesView(original_bytes).first(quoted);
-    const Bytes message = encode_icmp(unreachable);
-    Ipv4Packet out;
-    out.src = ip_;
-    out.dst = packet.ipv4->src;
-    out.protocol = static_cast<std::uint8_t>(IpProto::kIcmp);
-    out.payload = message;
-    deliver_ipv4(encode_ipv4(out), packet.ipv4->src);
+    // Body: the original IP header (20, rebuilt from its fields) + the
+    // first 8 bytes of the datagram.
+    const Ipv4Packet& original = *packet.ipv4;
+    ByteWriter quote(std::move(quote_));
+    append_ipv4_header(quote,
+                       Ipv4Packet{.src = original.src,
+                                  .dst = original.dst,
+                                  .protocol = original.protocol},
+                       original.payload.size());
+    quote.raw(original.payload.first(
+        std::min<std::size_t>(original.payload.size(), 8)));
+    quote_ = quote.take();
+    ByteWriter w =
+        begin_ipv4(original.src, IpProto::kIcmp, 4 + quote_.size());
+    append_icmp(w, IcmpMessage{.type = 3, .code = 3, .body = quote_});  // port unreachable
+    deliver_ipv4(w.take(), original.src);
   }
 }
 

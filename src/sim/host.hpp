@@ -36,7 +36,7 @@ class Host;
 /// callbacks; valid until closed.
 class TcpConnection {
  public:
-  void send(Bytes data);
+  void send(BytesView data);
   void close();
 
   [[nodiscard]] Ipv4Address remote_ip() const { return remote_ip_; }
@@ -131,7 +131,10 @@ class Host : public NetworkNode {
   }
 
   // -- L2 / misc emitters ------------------------------------------------
+  /// Hands a whole Ethernet frame to the switch, which takes it over.
   void send_frame(Bytes frame);
+  /// `arp` in an Ethernet frame to `eth_dst`, sent from this host's MAC.
+  void send_arp(const ArpPacket& arp, MacAddress eth_dst);
   void send_eapol_key(Rng& rng);
   void send_llc_xid_broadcast();
   void send_icmp_echo(Ipv4Address dst);
@@ -160,9 +163,9 @@ class Host : public NetworkNode {
   }
 
   void send_udp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
-                Bytes payload);
+                BytesView payload);
   void send_udp_v6(const Ipv6Address& dst, std::uint16_t sport,
-                   std::uint16_t dport, Bytes payload);
+                   std::uint16_t dport, BytesView payload);
   /// Source port chosen ephemerally (deterministic per host).
   std::uint16_t ephemeral_port();
 
@@ -185,7 +188,7 @@ class Host : public NetworkNode {
   void send_raw_tcp(Ipv4Address dst, std::uint16_t sport, std::uint16_t dport,
                     TcpFlags flags, std::uint32_t seq = 0, std::uint32_t ack = 0);
   /// Raw IP-protocol probe (IP protocol scan support).
-  void send_raw_ip(Ipv4Address dst, std::uint8_t protocol, Bytes payload);
+  void send_raw_ip(Ipv4Address dst, std::uint8_t protocol, BytesView payload);
 
   /// Observers of every packet addressed to (or flooded past) this host,
   /// after stack processing. Used by monitors and SDK models.
@@ -198,11 +201,22 @@ class Host : public NetworkNode {
   void receive(const PacketView& packet, BytesView raw) override;
 
  private:
-  struct PendingSend {
-    Bytes ip_payload;  // fully encoded IPv4 packet minus Ethernet
-  };
-
-  void deliver_ipv4(Bytes ip_packet, Ipv4Address dst);
+  // Frame builder: every send path writes its whole frame (Ethernet, IP,
+  // transport header, payload) into one buffer from the switch's pool.
+  /// A frame started with its Ethernet header, its buffer reserved for a
+  /// `payload_len`-byte payload so writing it takes at most one allocation.
+  ByteWriter begin_frame(MacAddress dst, std::uint16_t ethertype,
+                         std::size_t payload_len);
+  /// An IPv4 frame started up to its `payload_len`-byte payload. The
+  /// Ethernet destination is left zero for deliver_ipv4 to fill in.
+  ByteWriter begin_ipv4(Ipv4Address dst, IpProto protocol,
+                        std::size_t payload_len, std::uint8_t ttl = 64);
+  /// An IPv6 frame from the link-local address, started up to its payload.
+  ByteWriter begin_ipv6(MacAddress eth_dst, const Ipv6Address& dst,
+                        IpProto next_header, std::size_t payload_len);
+  /// Resolves `dst` to a MAC, patches it into the frame's Ethernet header
+  /// and sends; an unresolved unicast frame waits whole for the ARP reply.
+  void deliver_ipv4(Bytes frame, Ipv4Address dst);
   void send_dhcp_discover();
   void schedule_dhcp_retry(int attempt);
   void handle_arp(const ArpPacket& arp);
@@ -216,7 +230,7 @@ class Host : public NetworkNode {
 
   using TcpKey = std::uint64_t;  // remote ip (32) | remote port (16) | local port (16)
   static TcpKey tcp_key(Ipv4Address remote, Port remote_port, Port local_port);
-  void tcp_emit(TcpConnection& conn, TcpFlags flags, Bytes payload);
+  void tcp_emit(TcpConnection& conn, TcpFlags flags, BytesView payload);
 
   Switch* net_;
   MacAddress mac_;
@@ -227,7 +241,10 @@ class Host : public NetworkNode {
   bool online_ = true;
 
   std::unordered_map<Ipv4Address, MacAddress> arp_cache_;
-  std::unordered_map<Ipv4Address, std::vector<PendingSend>> arp_pending_;
+  /// Whole IPv4 frames waiting for their destination's ARP reply.
+  std::unordered_map<Ipv4Address, std::vector<Bytes>> arp_pending_;
+  /// The port-unreachable quote, rebuilt in place for each answer.
+  Bytes quote_;
 
   std::map<std::uint16_t, UdpHandler> udp_handlers_;
   UdpHandler any_udp_;

@@ -3,18 +3,21 @@
 // port; multicast/broadcast (and unknown unicast) frames flood. Taps see
 // every frame — that is the paper's tcpdump-on-the-AP vantage point.
 //
-// Performance note: a transmitted frame is copied into a shared buffer
-// exactly once at ingress; taps, duplicate deliveries, and deliver() all
-// alias that buffer. At delivery time the frame is view-decoded exactly once
-// (zero further allocations) and the PacketView is shared by every receiver
-// and packet tap. So is its app-layer memo (proto/app.hpp): the payload is
-// decoded as DNS, SSDP or DHCP at most once each, on first ask. A flooded
-// multicast announcement costs one view decode, one app-layer decode and
-// N handler calls.
+// Performance note: a sender writes each frame once, into a buffer from the
+// switch's pool (frame_buffer()), and transmit() takes that buffer over; no
+// byte is copied on the way to the receivers. While in flight the frame sits
+// in a slot of a recycled slab, and each delivery event captures only
+// `{this, slot}`, which fits std::function's inline storage. After the last
+// delivery (a duplicated frame has two) the buffer, capacity kept, returns
+// to the pool, so in steady state a frame costs no heap block. At delivery
+// time the frame is view-decoded exactly once and the PacketView is shared
+// by every receiver and packet tap. So is its app-layer memo
+// (proto/app.hpp): the payload is decoded as DNS, SSDP or DHCP at most once
+// each, on first ask. A flooded multicast announcement costs one view
+// decode, one app-layer decode and N handler calls.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -33,8 +36,10 @@ class NetworkNode {
   [[nodiscard]] virtual MacAddress mac() const = 0;
   /// `packet` is the shared zero-copy decode of `raw`: its slices point into
   /// the switch's frame buffer, which only lives for the duration of the
-  /// delivery event. Implementations must not retain views past the call —
-  /// anything kept must be copied (see DESIGN.md §10).
+  /// delivery event: afterwards the buffer is recycled for the next frame
+  /// (and, under AddressSanitizer, poisoned until then). Implementations
+  /// must not retain views past the call — anything kept must be copied
+  /// (see DESIGN.md §10).
   virtual void receive(const PacketView& packet, BytesView raw) = 0;
   /// Whether the node's radio is up. Offline nodes (device churn, §faults)
   /// neither transmit nor receive; the switch consults this per frame.
@@ -44,10 +49,12 @@ class NetworkNode {
 class Switch {
  public:
   /// Raw tap: invoked at transmit time for every frame (the capture sink).
+  /// The view dies with the call; copy what you keep.
   using Tap = std::function<void(SimTime, BytesView)>;
   /// Decoded tap: invoked once per frame at delivery time, sharing the
   /// receivers' decode. Preferred for streaming analysis. The same lifetime
-  /// rule as NetworkNode::receive applies: copy what you keep.
+  /// rule as NetworkNode::receive applies: the buffer is recycled after the
+  /// delivery, so copy what you keep.
   using PacketTap = std::function<void(SimTime, const PacketView&, BytesView)>;
 
   /// Per-frame verdict of the fault-injection hook (roomnet::faults). The
@@ -82,6 +89,9 @@ class Switch {
                                      const FrameFate&, std::size_t frame_size)>;
 
   explicit Switch(EventLoop& loop) : loop_(&loop) {}
+  ~Switch();
+  Switch(const Switch&) = delete;
+  Switch& operator=(const Switch&) = delete;
 
   void attach(NetworkNode& node);
   void detach(const NetworkNode& node);
@@ -92,18 +102,35 @@ class Switch {
   /// Without a hook the switch is the historical lossless network.
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
-  /// Queues a frame for delivery after the propagation delay. The sender
-  /// never receives its own frame back.
-  void transmit(BytesView frame, const NetworkNode* sender);
+  /// Takes `frame` over and queues it for delivery after the propagation
+  /// delay. The sender never receives its own frame back. Once its last
+  /// delivery is done (or it is dropped), the buffer returns to the pool.
+  void transmit(Bytes frame, const NetworkNode* sender);
+  /// An empty buffer to write the next frame into: a recycled one, capacity
+  /// kept, when the pool has one, else a new one (counted in
+  /// roomnet_switch_frame_buffers_total).
+  [[nodiscard]] Bytes frame_buffer();
 
   [[nodiscard]] EventLoop& loop() { return *loop_; }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::uint64_t frames_transmitted() const { return frames_; }
 
  private:
+  /// A frame between transmit and its last delivery.
+  struct InFlight {
+    Bytes frame;
+    const NetworkNode* sender = nullptr;
+    int deliveries_left = 0;
+  };
+
+  void deliver_slot(std::uint32_t slot);
   void deliver(BytesView frame, const NetworkNode* sender);
+  void recycle(Bytes buffer);
 
   static constexpr SimTime kPropagationDelay = SimTime::from_us(300);
+  /// Pool bound: more frames than this are rarely in flight at once (a
+  /// burst of flooded answers), and a frame beyond it just frees its buffer.
+  static constexpr std::size_t kMaxFreeBuffers = 64;
 
   EventLoop* loop_;
   std::vector<NetworkNode*> nodes_;
@@ -112,6 +139,9 @@ class Switch {
   std::vector<PacketTap> packet_taps_;
   std::vector<FateTap> fate_taps_;
   FaultHook fault_hook_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Bytes> free_buffers_;
   std::uint64_t frames_ = 0;
 };
 

@@ -565,13 +565,7 @@ void TestbedDevice::arp_probe_known_peers() {
     probe.sender_ip = host_.ip();
     probe.target_mac = mac;
     probe.target_ip = ip;
-    const Bytes arp_bytes = encode_arp(probe);
-    EthernetFrame eth;
-    eth.dst = mac;
-    eth.src = host_.mac();
-    eth.ethertype = static_cast<std::uint16_t>(EtherType::kArp);
-    eth.payload = arp_bytes;
-    host_.send_frame(encode_ethernet(eth));
+    host_.send_arp(probe, mac);
   }
 }
 

@@ -2,7 +2,9 @@
 // packet codecs, pcap, UUIDs, RNG determinism.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
+#include <optional>
 
 #include "netcore/address.hpp"
 #include "netcore/bytes.hpp"
@@ -216,6 +218,199 @@ TEST(Checksum, OddLengthPadsWithZero) {
   const Bytes even = {0x12, 0x34, 0x56, 0x00};
   const Bytes odd = {0x12, 0x34, 0x56};
   EXPECT_EQ(internet_checksum(BytesView(even)), internet_checksum(BytesView(odd)));
+}
+
+/// The word-by-word sum the 8-byte kernel must reproduce: big-endian byte
+/// pairs onto a 32-bit accumulator, odd tail padded, folded and inverted.
+std::uint16_t reference_fold(std::uint32_t acc, BytesView data) {
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2)
+    acc += (static_cast<std::uint32_t>(data[i]) << 8) | data[i + 1];
+  if (i < data.size()) acc += static_cast<std::uint32_t>(data[i]) << 8;
+  while (acc >> 16) acc = (acc & 0xffff) + (acc >> 16);
+  return static_cast<std::uint16_t>(~acc & 0xffff);
+}
+
+TEST(Checksum, WideSumMatchesBytePairReferenceAtEveryLength) {
+  Rng rng(1071);
+  const Bytes data = rng.bytes(1600);
+  const Bytes zeros(1600, 0);
+  const Bytes ones(1600, 0xff);
+  const Ipv4Address src(192, 168, 10, 2), dst(239, 255, 255, 250);
+  const Ipv6Address src6 = Ipv6Address::link_local_from_mac(
+      MacAddress::from_u64(0x02a000aabbccull));
+  const Ipv6Address dst6 = Ipv6Address::mdns_group();
+  std::uint32_t pseudo6 = 0;
+  for (const auto* addr : {&src6.bytes(), &dst6.bytes()})
+    for (std::size_t i = 0; i < 16; i += 2)
+      pseudo6 += (static_cast<std::uint32_t>((*addr)[i]) << 8) | (*addr)[i + 1];
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    // Every start offset mod 8 over the random bytes, plus the all-zero
+    // and all-ones edge cases of one's-complement folding.
+    const BytesView view = BytesView(data).subspan(n % 8, n - n % 8);
+    for (const BytesView v : {BytesView(data).first(n), view,
+                              BytesView(zeros).first(n),
+                              BytesView(ones).first(n)}) {
+      ASSERT_EQ(internet_checksum(v), reference_fold(0, v)) << "n=" << n;
+      const std::uint32_t pseudo4 = (src.value() >> 16) + (src.value() & 0xffff) +
+                                    (dst.value() >> 16) + (dst.value() & 0xffff) +
+                                    17 + static_cast<std::uint32_t>(v.size());
+      ASSERT_EQ(transport_checksum_v4(src, dst, 17, v), reference_fold(pseudo4, v))
+          << "n=" << n;
+      ASSERT_EQ(transport_checksum_v6(src6, dst6, 58, v),
+                reference_fold(pseudo6 + 58 + static_cast<std::uint32_t>(v.size()), v))
+          << "n=" << n;
+    }
+  }
+}
+
+// ------------------------------------------------------- byte fast paths
+//
+// read_mac/read_ipv6 take one view of the whole address. The per-byte
+// readers they replaced are kept here: every decode must agree with them at
+// every truncation length of a valid frame.
+
+namespace per_byte {
+MacAddress read_mac(ByteReader& r) {
+  std::array<std::uint8_t, 6> o{};
+  for (auto& b : o) b = r.u8().value_or(0);
+  return MacAddress(o);
+}
+Ipv6Address read_ipv6(ByteReader& r) {
+  std::array<std::uint8_t, 16> b{};
+  for (auto& x : b) x = r.u8().value_or(0);
+  return Ipv6Address(b);
+}
+
+std::optional<EthernetFrame> decode_ethernet(BytesView raw) {
+  ByteReader r(raw);
+  EthernetFrame f;
+  f.dst = read_mac(r);
+  f.src = read_mac(r);
+  f.ethertype = r.u16().value_or(0);
+  if (!r.ok()) return std::nullopt;
+  f.payload = r.rest();
+  return f;
+}
+
+std::optional<ArpPacket> decode_arp(BytesView raw) {
+  ByteReader r(raw);
+  const auto htype = r.u16();
+  const auto ptype = r.u16();
+  const auto hlen = r.u8();
+  const auto plen = r.u8();
+  const auto op = r.u16();
+  if (!r.ok() || *htype != 1 || *ptype != 0x0800 || *hlen != 6 || *plen != 4)
+    return std::nullopt;
+  if (*op != 1 && *op != 2) return std::nullopt;
+  ArpPacket a;
+  a.op = static_cast<ArpOp>(*op);
+  a.sender_mac = read_mac(r);
+  a.sender_ip = Ipv4Address(r.u32().value_or(0));
+  a.target_mac = read_mac(r);
+  a.target_ip = Ipv4Address(r.u32().value_or(0));
+  if (!r.ok()) return std::nullopt;
+  return a;
+}
+
+std::optional<Icmpv6Message> decode_icmpv6(BytesView raw) {
+  ByteReader r(raw);
+  const auto type = r.u8();
+  const auto code = r.u8();
+  r.skip(2);
+  if (!r.ok()) return std::nullopt;
+  Icmpv6Message m;
+  m.type = static_cast<Icmpv6Type>(*type);
+  m.code = *code;
+  const bool ndp = m.type == Icmpv6Type::kNeighborSolicitation ||
+                   m.type == Icmpv6Type::kNeighborAdvertisement;
+  if (ndp) {
+    if (!r.skip(4)) return std::nullopt;
+    m.target = read_ipv6(r);
+    if (!r.ok()) return std::nullopt;
+    while (r.remaining() >= 8) {
+      const auto opt_type = r.u8().value_or(0);
+      const auto opt_len = r.u8().value_or(0);
+      if (opt_len == 0) break;
+      const std::size_t body_len = static_cast<std::size_t>(opt_len) * 8 - 2;
+      if ((opt_type == 1 || opt_type == 2) && body_len >= 6) {
+        m.link_layer_option = read_mac(r);
+        r.skip(body_len - 6);
+      } else {
+        r.skip(body_len);
+      }
+      if (!r.ok()) return std::nullopt;
+    }
+  } else {
+    m.extra = r.rest();
+  }
+  return m;
+}
+}  // namespace per_byte
+
+TEST(ByteFastPath, EthernetDecodeMatchesPerByteReaderAtEveryTruncation) {
+  const Bytes payload = bytes_of("frame payload");
+  const Bytes raw = encode_ethernet(EthernetFrame{
+      .dst = MacAddress::from_u64(0x3333000000fbull),
+      .src = MacAddress::from_u64(0x02a000aabbccull),
+      .ethertype = static_cast<std::uint16_t>(EtherType::kIpv6),
+      .payload = payload});
+  for (std::size_t n = 0; n <= raw.size(); ++n) {
+    const BytesView cut = BytesView(raw).first(n);
+    const auto fast = decode_ethernet(cut);
+    const auto slow = per_byte::decode_ethernet(cut);
+    ASSERT_EQ(fast.has_value(), slow.has_value()) << "n=" << n;
+    if (!fast) continue;
+    EXPECT_EQ(fast->dst, slow->dst);
+    EXPECT_EQ(fast->src, slow->src);
+    EXPECT_EQ(fast->ethertype, slow->ethertype);
+    EXPECT_EQ(fast->payload.data(), slow->payload.data());
+    EXPECT_EQ(fast->payload.size(), slow->payload.size());
+  }
+}
+
+TEST(ByteFastPath, ArpDecodeMatchesPerByteReaderAtEveryTruncation) {
+  const Bytes raw = encode_arp(ArpPacket{
+      .op = ArpOp::kReply,
+      .sender_mac = MacAddress::from_u64(0x02a000000001ull),
+      .sender_ip = Ipv4Address(192, 168, 1, 10),
+      .target_mac = MacAddress::from_u64(0x02a000000002ull),
+      .target_ip = Ipv4Address(192, 168, 1, 20)});
+  for (std::size_t n = 0; n <= raw.size(); ++n) {
+    const BytesView cut = BytesView(raw).first(n);
+    const auto fast = decode_arp(cut);
+    const auto slow = per_byte::decode_arp(cut);
+    ASSERT_EQ(fast.has_value(), slow.has_value()) << "n=" << n;
+    if (!fast) continue;
+    EXPECT_EQ(fast->op, slow->op);
+    EXPECT_EQ(fast->sender_mac, slow->sender_mac);
+    EXPECT_EQ(fast->sender_ip, slow->sender_ip);
+    EXPECT_EQ(fast->target_mac, slow->target_mac);
+    EXPECT_EQ(fast->target_ip, slow->target_ip);
+  }
+}
+
+TEST(ByteFastPath, Icmpv6DecodeMatchesPerByteReaderAtEveryTruncation) {
+  const auto mac = MacAddress::from_u64(0x02a000aabbccull);
+  const auto target = Ipv6Address::parse("fe80::42").value();
+  Icmpv6Message m;
+  m.type = Icmpv6Type::kNeighborAdvertisement;
+  m.target = target;
+  m.link_layer_option = mac;
+  const Bytes raw = encode_icmpv6(m, Ipv6Address::link_local_from_mac(mac),
+                                  Ipv6Address::solicited_node(target));
+  for (std::size_t n = 0; n <= raw.size(); ++n) {
+    const BytesView cut = BytesView(raw).first(n);
+    const auto fast = decode_icmpv6(cut);
+    const auto slow = per_byte::decode_icmpv6(cut);
+    ASSERT_EQ(fast.has_value(), slow.has_value()) << "n=" << n;
+    if (!fast) continue;
+    EXPECT_EQ(fast->type, slow->type);
+    EXPECT_EQ(fast->code, slow->code);
+    EXPECT_EQ(fast->target, slow->target);
+    EXPECT_EQ(fast->link_layer_option, slow->link_layer_option);
+    EXPECT_EQ(fast->extra.size(), slow->extra.size());
+  }
 }
 
 // ------------------------------------------------------------------ codecs

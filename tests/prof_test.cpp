@@ -1,8 +1,8 @@
 // roomnet::prof tests: counter substrate, rusage sampling, the per-stage
 // profiler, perf.json round-trips, the regression differ, folded-stack
 // export, the pipeline-level determinism contract (perf.json's
-// deterministic core is identical across thread counts), and the run
-// directory's artifact set.
+// deterministic core is identical across thread counts), the run
+// directory's artifact set, and the heap cost of the simulator's frame path.
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -18,6 +18,7 @@
 #include "prof/profiler.hpp"
 #include "prof/report.hpp"
 #include "prof/rusage.hpp"
+#include "sim/host.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -284,6 +285,43 @@ TEST(ProfilerTest, AttributesArenaAllocsToTheOpenStage) {
   const prof::ProfReport empty = profiler.finish();
   EXPECT_TRUE(empty.stages.empty());
   EXPECT_EQ(empty.threads, 2);
+}
+
+TEST(FramePathAllocTest, ClosedPortExchangesAllocateUnderOneBlockPer100Frames) {
+  // Senders write each frame into a buffer the switch recycles, and the
+  // delivery event fits std::function's inline storage: once the pool and
+  // the event slab are warm, a probe and its answer cost no heap block.
+  if (!prof::heap_hooks_active())
+    GTEST_SKIP() << "needs heap hooks (configure with -DROOMNET_PROFILE=ON)";
+  EventLoop loop;
+  Switch net{loop};
+  Host scanner(net, MacAddress::from_u64(0x02a0fc000001ull), "scanner");
+  Host target(net, MacAddress::from_u64(0x02a000000002ull), "target");
+  scanner.set_static_ip(Ipv4Address(192, 168, 10, 250));
+  target.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  scanner.add_arp_entry(target.ip(), target.mac());
+  target.add_arp_entry(scanner.ip(), scanner.mac());
+  scanner.rst_on_closed_tcp = false;  // like PortScanner: no answer to answers
+  const Bytes payload = bytes_of("probe");
+  // One TCP SYN and one UDP datagram to a closed port: a RST and an ICMP
+  // port-unreachable come back.
+  const auto exchanges = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto port = static_cast<std::uint16_t>(1 + i % 1024);
+      scanner.send_raw_tcp(target.ip(), 40000, port, TcpFlags{.syn = true}, 1, 0);
+      scanner.send_udp(target.ip(), 40001, port, payload);
+      loop.run_until(loop.now() + SimTime::from_ms(2));
+    }
+  };
+  exchanges(100);  // warm-up
+  const std::uint64_t frames_before = net.frames_transmitted();
+  const prof::AllocSnapshot before = prof::snapshot_alloc_counters();
+  exchanges(1000);
+  const prof::AllocSnapshot after = prof::snapshot_alloc_counters();
+  const std::uint64_t frames = net.frames_transmitted() - frames_before;
+  ASSERT_EQ(frames, 4000u);
+  EXPECT_LT((after.heap_allocs - before.heap_allocs) * 100, frames)
+      << after.heap_allocs - before.heap_allocs << " heap blocks";
 }
 
 TEST(FoldedTest, ReconstructsNestingAndSelfWeights) {

@@ -325,6 +325,40 @@ TEST(PortScanRetryTest, LosslessRetriesFindWhatTheDefaultScanFinds) {
   }
 }
 
+TEST(PortScanSweepTest, DuplicatedAnswersListEachPortOnceInProbeOrder) {
+  // Every frame is delivered twice, so each probe draws two answers and
+  // each answer arrives twice. The findings still list every port once, in
+  // the order the ports were probed; port 3 is probed twice.
+  EventLoop loop;
+  Switch net{loop};
+  net.set_fault_hook([](std::size_t) { return Switch::FrameFate{.copies = 2}; });
+  Host scan_box(net, MacAddress::from_u64(0x02a0fc0000aaull), "scanbox");
+  scan_box.set_static_ip(Ipv4Address(192, 168, 10, 251));
+  Host target(net, MacAddress::from_u64(0x02a000000001ull), "target");
+  target.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  // Port 11 answers from a port the scan never probed: that finding takes
+  // the search fallback and is still listed once.
+  target.open_udp(11, [](Host& host, const PacketView& packet,
+                         const UdpDatagram& udp) {
+    host.send_udp(packet.ipv4->src, 7777, value(udp.src_port),
+                  bytes_of("hi"));
+  });
+  PortScanConfig config;
+  config.tcp_ports = {80};
+  config.udp_ports = {7, 5353, 3, 1900, 11, 9, 53, 161, 3};
+  config.ip_protocols = {};
+  PortScanner scanner(scan_box, config);
+  scanner.start({{target.mac(), target.ip(), "target"}});
+  loop.run_until(loop.now() + scanner.estimated_duration());
+  ASSERT_EQ(scanner.reports().size(), 1u);
+  const PortScanReport& report = scanner.reports()[0];
+  EXPECT_EQ(report.closed_udp,
+            (std::vector<std::uint16_t>{7, 5353, 3, 1900, 9, 53, 161}));
+  EXPECT_EQ(report.open_udp, (std::vector<std::uint16_t>{7777}));
+  EXPECT_TRUE(report.open_tcp.empty());
+  EXPECT_TRUE(report.responded_tcp);  // port 80 answered RST
+}
+
 TEST(PortScanSweepTest, RejectsNegativeSpacing) {
   EventLoop loop;
   Switch net{loop};

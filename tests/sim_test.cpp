@@ -2,11 +2,26 @@
 // (ARP, DHCP, UDP, TCP), mDNS and SSDP endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define ROOMNET_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ROOMNET_TEST_ASAN 1
+#endif
+#endif
+#if ROOMNET_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include "netcore/rng.hpp"
 #include "proto/app.hpp"
 #include "sim/engine.hpp"
 #include "sim/host.hpp"
@@ -210,6 +225,362 @@ TEST(Switch, TapSeesEverything) {
   a.send_udp(Ipv4Address(255, 255, 255, 255), 1, 2, bytes_of("x"));
   lan.settle(1);
   EXPECT_EQ(tapped, 2);
+}
+
+// -------------------------------------------------------------- Frame path
+//
+// Every Host send path writes its whole frame into one switch buffer. The
+// frame on the wire must equal the layered encode_* composition byte for
+// byte.
+
+Bytes eth_frame(MacAddress dst, MacAddress src, std::uint16_t ethertype,
+                BytesView payload) {
+  return encode_ethernet(EthernetFrame{
+      .dst = dst, .src = src, .ethertype = ethertype, .payload = payload});
+}
+
+Bytes ipv4_frame(MacAddress dst_mac, MacAddress src_mac, Ipv4Address src,
+                 Ipv4Address dst, std::uint8_t protocol, BytesView payload,
+                 std::uint8_t ttl = 64) {
+  const Bytes datagram = encode_ipv4(Ipv4Packet{.src = src,
+                                                .dst = dst,
+                                                .protocol = protocol,
+                                                .ttl = ttl,
+                                                .payload = payload});
+  return eth_frame(dst_mac, src_mac,
+                   static_cast<std::uint16_t>(EtherType::kIpv4), datagram);
+}
+
+Bytes ipv6_frame(MacAddress dst_mac, MacAddress src_mac, const Ipv6Address& src,
+                 const Ipv6Address& dst, std::uint8_t next_header,
+                 BytesView payload) {
+  const Bytes datagram = encode_ipv6(Ipv6Packet{
+      .src = src, .dst = dst, .next_header = next_header, .payload = payload});
+  return eth_frame(dst_mac, src_mac,
+                   static_cast<std::uint16_t>(EtherType::kIpv6), datagram);
+}
+
+constexpr auto kUdp = static_cast<std::uint8_t>(IpProto::kUdp);
+constexpr auto kTcp = static_cast<std::uint8_t>(IpProto::kTcp);
+constexpr auto kIcmp = static_cast<std::uint8_t>(IpProto::kIcmp);
+
+/// Two hosts that know each other's MACs, and a copy of every frame the
+/// switch carries, in transmit order.
+struct WireLan : Lan {
+  Host a{net, mac_n(2), "a"};
+  Host b{net, mac_n(3), "b"};
+  std::vector<Bytes> wire;
+
+  WireLan() {
+    a.set_static_ip(Ipv4Address(192, 168, 10, 2));
+    b.set_static_ip(Ipv4Address(192, 168, 10, 3));
+    a.add_arp_entry(b.ip(), b.mac());
+    b.add_arp_entry(a.ip(), a.mac());
+    net.add_tap([this](SimTime, BytesView frame) {
+      wire.emplace_back(frame.begin(), frame.end());
+    });
+  }
+};
+
+TEST(FramePath, UdpAndPortUnreachableMatchLayeredEncoding) {
+  WireLan lan;
+  const Bytes payload = bytes_of("probe payload");
+  lan.a.send_udp(lan.b.ip(), 40000, 9, payload);
+  lan.settle(1);
+  ASSERT_EQ(lan.wire.size(), 2u);
+  const Bytes udp = encode_udp_v4(UdpDatagram{port(40000), port(9), payload},
+                                  lan.a.ip(), lan.b.ip());
+  EXPECT_EQ(lan.wire[0], ipv4_frame(lan.b.mac(), lan.a.mac(), lan.a.ip(),
+                                    lan.b.ip(), kUdp, udp));
+  // The quote: the datagram's IPv4 header and the first 8 bytes after it.
+  const Bytes original = encode_ipv4(Ipv4Packet{
+      .src = lan.a.ip(), .dst = lan.b.ip(), .protocol = kUdp, .payload = udp});
+  const Bytes unreachable = encode_icmp(IcmpMessage{
+      .type = 3, .code = 3, .body = BytesView(original).first(28)});
+  EXPECT_EQ(lan.wire[1], ipv4_frame(lan.a.mac(), lan.b.mac(), lan.b.ip(),
+                                    lan.a.ip(), kIcmp, unreachable));
+}
+
+TEST(FramePath, RawTcpAndResetMatchLayeredEncoding) {
+  WireLan lan;
+  lan.a.send_raw_tcp(lan.b.ip(), 40000, 81, TcpFlags{.syn = true}, 7, 0);
+  lan.settle(1);
+  ASSERT_EQ(lan.wire.size(), 2u);
+  const Bytes syn = encode_tcp_v4(TcpSegment{.src_port = port(40000),
+                                             .dst_port = port(81),
+                                             .seq = 7,
+                                             .flags = TcpFlags{.syn = true}},
+                                  lan.a.ip(), lan.b.ip());
+  EXPECT_EQ(lan.wire[0], ipv4_frame(lan.b.mac(), lan.a.mac(), lan.a.ip(),
+                                    lan.b.ip(), kTcp, syn));
+  const Bytes rst =
+      encode_tcp_v4(TcpSegment{.src_port = port(81),
+                               .dst_port = port(40000),
+                               .ack = 8,
+                               .flags = TcpFlags{.rst = true, .ack = true}},
+                    lan.b.ip(), lan.a.ip());
+  EXPECT_EQ(lan.wire[1], ipv4_frame(lan.a.mac(), lan.b.mac(), lan.b.ip(),
+                                    lan.a.ip(), kTcp, rst));
+}
+
+TEST(FramePath, ConnectionSegmentsMatchLayeredEncoding) {
+  WireLan lan;
+  lan.b.listen_tcp(80, [](Host&, TcpConnection& conn) {
+    conn.on_data = [](TcpConnection& c, BytesView) {
+      c.send(bytes_of("HTTP/1.1 200 OK\r\n\r\n"));
+      c.close();
+    };
+  });
+  TcpConnection& conn = lan.a.connect_tcp(lan.b.ip(), 80);
+  conn.on_established = [](TcpConnection& c) {
+    c.send(bytes_of("GET / HTTP/1.1\r\n\r\n"));
+  };
+  lan.settle(2);
+  // SYN, SYN-ACK, ACK, request, response, FIN, FIN, final ACK.
+  ASSERT_GE(lan.wire.size(), 6u);
+  std::size_t with_payload = 0;
+  for (const Bytes& frame : lan.wire) {
+    const auto view = decode_frame_view(frame);
+    ASSERT_TRUE(view && view->ipv4 && view->tcp);
+    const Bytes segment = encode_tcp_v4(*view->tcp, view->ipv4->src,
+                                        view->ipv4->dst);
+    EXPECT_EQ(frame, ipv4_frame(view->eth.dst, view->eth.src,
+                                view->ipv4->src, view->ipv4->dst, kTcp,
+                                segment));
+    with_payload += view->tcp->payload.empty() ? 0 : 1;
+  }
+  EXPECT_EQ(with_payload, 2u);
+}
+
+TEST(FramePath, IcmpFramesMatchLayeredEncoding) {
+  WireLan lan;
+  lan.b.extra_ip_protocols = {47};
+  lan.a.send_icmp_echo(lan.b.ip());
+  lan.a.send_raw_ip(lan.b.ip(), 132, bytes_of("sctp?"));
+  lan.a.send_raw_ip(lan.b.ip(), 47, bytes_of("gre?"));
+  lan.settle(1);
+  ASSERT_EQ(lan.wire.size(), 6u);
+  const auto id = static_cast<std::uint16_t>(lan.a.mac().to_u64());
+  const Bytes echo_body = {static_cast<std::uint8_t>(id >> 8),
+                           static_cast<std::uint8_t>(id), 0, 1};
+  const Bytes echo = encode_icmp(IcmpMessage{.type = 8, .body = echo_body});
+  const Bytes reply = encode_icmp(IcmpMessage{.type = 0, .body = echo_body});
+  const Bytes unreachable = encode_icmp(IcmpMessage{.type = 3, .code = 2});
+  const Bytes supported = encode_icmp(IcmpMessage{.type = 0});
+  const MacAddress am = lan.a.mac(), bm = lan.b.mac();
+  const Ipv4Address ai = lan.a.ip(), bi = lan.b.ip();
+  EXPECT_EQ(lan.wire[0], ipv4_frame(bm, am, ai, bi, kIcmp, echo));
+  EXPECT_EQ(lan.wire[1], ipv4_frame(bm, am, ai, bi, 132, bytes_of("sctp?")));
+  EXPECT_EQ(lan.wire[2], ipv4_frame(bm, am, ai, bi, 47, bytes_of("gre?")));
+  EXPECT_EQ(lan.wire[3], ipv4_frame(am, bm, bi, ai, kIcmp, reply));
+  EXPECT_EQ(lan.wire[4], ipv4_frame(am, bm, bi, ai, kIcmp, unreachable));
+  EXPECT_EQ(lan.wire[5], ipv4_frame(am, bm, bi, ai, kIcmp, supported));
+}
+
+TEST(FramePath, LinkLayerFramesMatchLayeredEncoding) {
+  WireLan lan;
+  const Ipv4Address group(239, 255, 255, 250);
+  Rng rng(7);
+  Rng replay(7);
+  lan.a.arp_request(lan.b.ip());
+  lan.a.join_multicast_group(group);
+  lan.a.send_eapol_key(rng);
+  lan.a.send_llc_xid_broadcast();
+  lan.settle(1);
+  ASSERT_EQ(lan.wire.size(), 5u);
+  const MacAddress am = lan.a.mac(), bm = lan.b.mac();
+  const auto arp = static_cast<std::uint16_t>(EtherType::kArp);
+  EXPECT_EQ(lan.wire[0],
+            eth_frame(MacAddress::kBroadcast, am, arp,
+                      encode_arp(ArpPacket{.op = ArpOp::kRequest,
+                                           .sender_mac = am,
+                                           .sender_ip = lan.a.ip(),
+                                           .target_ip = lan.b.ip()})));
+  const Bytes report = encode_igmp(IgmpMessage{.type = 0x16, .group = group});
+  EXPECT_EQ(lan.wire[1], ipv4_frame(multicast_mac_v4(group), am, lan.a.ip(),
+                                    group, 2, report, /*ttl=*/1));
+  const Bytes key = replay.bytes(95);
+  EXPECT_EQ(lan.wire[2],
+            eth_frame(MacAddress::kBroadcast, am,
+                      static_cast<std::uint16_t>(EtherType::kEapol),
+                      encode_eapol(EapolFrame{.type = EapolType::kKey,
+                                              .body = key})));
+  static constexpr std::uint8_t kXidInfo[] = {0x81, 0x01, 0x00};
+  const Bytes llc = encode_llc_xid(
+      LlcXidFrame{.dsap = 0, .ssap = 1, .is_xid = true, .info = kXidInfo});
+  EXPECT_EQ(lan.wire[3],
+            eth_frame(MacAddress::kBroadcast, am,
+                      static_cast<std::uint16_t>(llc.size()), llc));
+  EXPECT_EQ(lan.wire[4],
+            eth_frame(am, bm, arp,
+                      encode_arp(ArpPacket{.op = ArpOp::kReply,
+                                           .sender_mac = bm,
+                                           .sender_ip = lan.b.ip(),
+                                           .target_mac = am,
+                                           .target_ip = lan.a.ip()})));
+}
+
+TEST(FramePath, Ipv6FramesMatchLayeredEncoding) {
+  WireLan lan;
+  const Ipv6Address group = Ipv6Address::mdns_group();
+  const Ipv6Address al = lan.a.link_local(), bl = lan.b.link_local();
+  lan.a.send_udp_v6(group, kMdnsPort, kMdnsPort, bytes_of("q"));
+  lan.a.send_neighbor_solicitation(bl);
+  lan.settle(1);
+  ASSERT_EQ(lan.wire.size(), 3u);
+  const Bytes udp = encode_udp_v6(
+      UdpDatagram{port(kMdnsPort), port(kMdnsPort), bytes_of("q")}, al, group);
+  EXPECT_EQ(lan.wire[0], ipv6_frame(multicast_mac_v6(group), lan.a.mac(), al,
+                                    group, kUdp, udp));
+  const Ipv6Address solicited = Ipv6Address::solicited_node(bl);
+  Icmpv6Message ns;
+  ns.type = Icmpv6Type::kNeighborSolicitation;
+  ns.target = bl;
+  ns.link_layer_option = lan.a.mac();
+  const auto icmpv6 = static_cast<std::uint8_t>(IpProto::kIcmpv6);
+  EXPECT_EQ(lan.wire[1],
+            ipv6_frame(multicast_mac_v6(solicited), lan.a.mac(), al, solicited,
+                       icmpv6, encode_icmpv6(ns, al, solicited)));
+  Icmpv6Message na;
+  na.type = Icmpv6Type::kNeighborAdvertisement;
+  na.target = bl;
+  na.link_layer_option = lan.b.mac();
+  EXPECT_EQ(lan.wire[2], ipv6_frame(lan.a.mac(), lan.b.mac(), bl, al, icmpv6,
+                                    encode_icmpv6(na, bl, al)));
+}
+
+TEST(FramePath, ArpPendingFrameWaitsWholeAndLeavesAfterTheReply) {
+  WireLan lan;
+  Host c(lan.net, mac_n(4), "c");
+  c.set_static_ip(Ipv4Address(192, 168, 10, 4));
+  c.open_udp(7000, [](Host&, const PacketView&, const UdpDatagram&) {});
+  const Bytes payload = bytes_of("queued until resolved");
+  lan.a.send_udp(c.ip(), 6000, 7000, payload);
+  lan.settle(1);
+  // The request, c's reply, then the held frame with c's MAC patched in.
+  ASSERT_EQ(lan.wire.size(), 3u);
+  const auto arp = decode_frame_view(lan.wire[0]);
+  ASSERT_TRUE(arp && arp->arp);
+  EXPECT_EQ(arp->arp->op, ArpOp::kRequest);
+  const auto reply = decode_frame_view(lan.wire[1]);
+  ASSERT_TRUE(reply && reply->arp);
+  EXPECT_EQ(reply->arp->op, ArpOp::kReply);
+  const Bytes udp = encode_udp_v4(UdpDatagram{port(6000), port(7000), payload},
+                                  lan.a.ip(), c.ip());
+  EXPECT_EQ(lan.wire[2],
+            ipv4_frame(c.mac(), lan.a.mac(), lan.a.ip(), c.ip(), kUdp, udp));
+}
+
+/// A bare switch port that keeps a copy of every frame delivered to it and
+/// can run a hook inside the delivery.
+class Recorder : public NetworkNode {
+ public:
+  explicit Recorder(Switch& net, MacAddress mac) : mac_(mac) { net.attach(*this); }
+  [[nodiscard]] MacAddress mac() const override { return mac_; }
+  void receive(const PacketView&, BytesView raw) override {
+    frames.emplace_back(raw.begin(), raw.end());
+    views.push_back(raw);
+    if (on_receive) on_receive(raw);
+  }
+  std::vector<Bytes> frames;
+  std::vector<BytesView> views;  // kept past delivery on purpose
+  std::function<void(BytesView)> on_receive;
+
+ private:
+  MacAddress mac_;
+};
+
+TEST(FramePath, FaultedFramesReachTapsAndReceiversAsMutated) {
+  Lan lan;
+  Host a(lan.net, mac_n(2), "a");
+  a.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  Recorder rec(lan.net, mac_n(9));
+  const std::vector<Switch::FrameFate> fates = {
+      {.copies = 2}, {.truncate_to = 30}, {.corrupt_at = 20, .corrupt_mask = 0xff}};
+  std::size_t n = 0;
+  lan.net.set_fault_hook([&](std::size_t) {
+    return n < fates.size() ? fates[n++] : Switch::FrameFate{};
+  });
+  std::vector<Bytes> tapped;
+  std::vector<Bytes> delivered;
+  lan.net.add_tap([&](SimTime, BytesView f) { tapped.emplace_back(f.begin(), f.end()); });
+  lan.net.add_packet_tap([&](SimTime, const PacketView&, BytesView f) {
+    delivered.emplace_back(f.begin(), f.end());
+  });
+  const Ipv4Address bcast(255, 255, 255, 255);
+  std::vector<Bytes> sent;
+  for (const char* text : {"duplicated", "truncated", "corrupted"}) {
+    a.send_udp(bcast, 1000, 2000, bytes_of(text));
+    const Bytes udp = encode_udp_v4(
+        UdpDatagram{port(1000), port(2000), bytes_of(text)}, a.ip(), bcast);
+    sent.push_back(
+        ipv4_frame(MacAddress::kBroadcast, a.mac(), a.ip(), bcast, kUdp, udp));
+  }
+  lan.settle(1);
+  Bytes truncated(sent[1].begin(), sent[1].begin() + 30);
+  Bytes corrupted = sent[2];
+  corrupted[20] ^= 0xff;
+  const std::vector<Bytes> on_air = {sent[0], truncated, corrupted};
+  EXPECT_EQ(tapped, on_air);
+  const std::vector<Bytes> at_receivers = {sent[0], sent[0], truncated, corrupted};
+  EXPECT_EQ(delivered, at_receivers);
+  EXPECT_EQ(rec.frames, at_receivers);
+}
+
+TEST(FramePath, DuplicatedFrameBufferIsRecycledOnlyAfterItsSecondDelivery) {
+  Lan lan;
+  Host a(lan.net, mac_n(2), "a");
+  a.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  Recorder rec(lan.net, mac_n(9));
+  bool duplicate_next = true;
+  lan.net.set_fault_hook([&](std::size_t) {
+    Switch::FrameFate fate;
+    if (duplicate_next) fate.copies = 2;
+    duplicate_next = false;
+    return fate;
+  });
+  std::vector<const std::uint8_t*> buffers;
+  lan.net.add_tap([&](SimTime, BytesView f) { buffers.push_back(f.data()); });
+  // Inside the first delivery the receiver sends a frame of its own: its
+  // buffer must not be the one still waiting for the second delivery.
+  rec.on_receive = [&](BytesView) {
+    if (rec.frames.size() != 1) return;
+    Bytes frame = lan.net.frame_buffer();
+    frame.assign(64, 0);
+    std::fill(frame.begin(), frame.begin() + 6, 0xff);  // broadcast
+    lan.net.transmit(std::move(frame), &rec);
+  };
+  a.send_udp(Ipv4Address(255, 255, 255, 255), 1000, 2000, bytes_of("twice"));
+  lan.settle(1);
+  ASSERT_EQ(buffers.size(), 2u);
+  EXPECT_NE(buffers[1], buffers[0]);
+  ASSERT_EQ(rec.frames.size(), 2u);
+  EXPECT_EQ(rec.frames[1], rec.frames[0]);  // the second copy is intact
+  // Once both deliveries are done, both buffers are back in the pool.
+  const std::set<const std::uint8_t*> pooled = {buffers[0], buffers[1]};
+  Bytes first = lan.net.frame_buffer();
+  Bytes second = lan.net.frame_buffer();
+  EXPECT_EQ((std::set<const std::uint8_t*>{first.data(), second.data()}), pooled);
+}
+
+TEST(FramePath, ViewKeptPastDeliveryPointsAtARecycledBuffer) {
+  // The contract on NetworkNode::receive: a view dies with its delivery.
+  // The buffer behind it goes back to the pool; under AddressSanitizer it
+  // is poisoned there, so a receiver that reads a kept view fails the
+  // sanitizer run instead of reading the next frame.
+  Lan lan;
+  Host a(lan.net, mac_n(2), "a");
+  a.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  Recorder rec(lan.net, mac_n(9));
+  a.send_udp(Ipv4Address(255, 255, 255, 255), 1000, 2000, bytes_of("once"));
+  lan.settle(1);
+  ASSERT_EQ(rec.views.size(), 1u);
+  const std::uint8_t* kept = rec.views[0].data();
+#if ROOMNET_TEST_ASAN
+  EXPECT_TRUE(__asan_address_is_poisoned(kept));
+#endif
+  const Bytes next = lan.net.frame_buffer();
+  EXPECT_EQ(next.data(), kept);
 }
 
 // --------------------------------------------------------------------- ARP
