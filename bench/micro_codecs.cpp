@@ -152,6 +152,75 @@ void BM_DnsEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsEncode);
 
+/// A Chromecast-style mDNS answer: PTR + SRV + TXT + A, name-compressed.
+Bytes chromecast_answer() {
+  DnsMessage msg;
+  msg.is_response = true;
+  msg.authoritative = true;
+  const auto service = DnsName::from_string("_googlecast._tcp.local");
+  const auto instance = DnsName::from_string(
+      "Chromecast-9f3e1c0b8a7d6e5f4c3b2a1908f7e6d5._googlecast._tcp.local");
+  const auto host =
+      DnsName::from_string("9f3e1c0b-8a7d-6e5f-4c3b-2a1908f7e6d5.local");
+  msg.answers.push_back(DnsRecord::make_ptr(service, instance));
+  SrvData srv;
+  srv.port = 8009;
+  srv.target = host;
+  msg.additional.push_back(DnsRecord::make_srv(instance, srv));
+  msg.additional.push_back(DnsRecord::make_txt(
+      instance, {"id=9f3e1c0b8a7d6e5f4c3b2a1908f7e6d5", "md=Chromecast",
+                 "fn=Living Room TV", "ve=05", "ca=201221", "st=0"}));
+  msg.additional.push_back(
+      DnsRecord::make_a(host, Ipv4Address(192, 168, 10, 23)));
+  return encode_dns(msg);
+}
+
+void BM_DecodeMdnsResponse(benchmark::State& state) {
+  const Bytes raw = chromecast_answer();
+  for (auto _ : state) {
+    auto msg = decode_dns(BytesView(raw));
+    benchmark::DoNotOptimize(msg);
+  }
+}
+BENCHMARK(BM_DecodeMdnsResponse);
+
+Bytes ssdp_wire(SsdpKind kind) {
+  SsdpMessage msg;
+  msg.kind = kind;
+  msg.search_target = kind == SsdpKind::kMSearch
+                          ? "urn:dial-multiscreen-org:service:dial:1"
+                          : "urn:schemas-upnp-org:device:MediaRenderer:1";
+  msg.usn = "uuid:2fac1234-31f8-11b4-a222-08002b34c003::" + msg.search_target;
+  msg.server = "Linux/3.14 UPnP/1.0 Roku/9.4.0";
+  msg.location = "http://192.168.10.31:8060/dial/dd.xml";
+  msg.mx = 3;
+  msg.extra_headers = {{"BOOTID.UPNP.ORG", "1"}, {"CONFIGID.UPNP.ORG", "7"}};
+  return encode_ssdp(msg);
+}
+
+void decode_ssdp_loop(benchmark::State& state, SsdpKind kind) {
+  const Bytes raw = ssdp_wire(kind);
+  for (auto _ : state) {
+    auto msg = decode_ssdp(BytesView(raw));
+    benchmark::DoNotOptimize(msg);
+  }
+}
+
+void BM_DecodeSsdpResponse(benchmark::State& state) {
+  decode_ssdp_loop(state, SsdpKind::kResponse);
+}
+BENCHMARK(BM_DecodeSsdpResponse);
+
+void BM_DecodeSsdpNotify(benchmark::State& state) {
+  decode_ssdp_loop(state, SsdpKind::kNotify);
+}
+BENCHMARK(BM_DecodeSsdpNotify);
+
+void BM_DecodeSsdpMSearch(benchmark::State& state) {
+  decode_ssdp_loop(state, SsdpKind::kMSearch);
+}
+BENCHMARK(BM_DecodeSsdpMSearch);
+
 void BM_TplinkCipher(benchmark::State& state) {
   const Bytes plain =
       bytes_of(std::string(static_cast<std::size_t>(state.range(0)), 'x'));

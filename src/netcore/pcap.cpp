@@ -65,28 +65,38 @@ std::optional<std::vector<PcapRecord>> decode_pcap(BytesView data) {
   } else {
     return std::nullopt;
   }
-  const auto read_u32 = [&]() -> std::optional<std::uint32_t> {
-    return little_endian ? r.u32_le() : r.u32();
+  const auto read_u32 = [&](ByteReader& in) -> std::optional<std::uint32_t> {
+    return little_endian ? in.u32_le() : in.u32();
   };
-  const auto read_u16 = [&]() -> std::optional<std::uint16_t> {
-    return little_endian ? r.u16_le() : r.u16();
+  const auto read_u16 = [&](ByteReader& in) -> std::optional<std::uint16_t> {
+    return little_endian ? in.u16_le() : in.u16();
   };
 
-  const auto version_major = read_u16();
-  read_u16();  // minor
-  read_u32();  // thiszone
-  read_u32();  // sigfigs
-  read_u32();  // snaplen
-  const auto linktype = read_u32();
+  const auto version_major = read_u16(r);
+  read_u16(r);  // minor
+  read_u32(r);  // thiszone
+  read_u32(r);  // sigfigs
+  read_u32(r);  // snaplen
+  const auto linktype = read_u32(r);
   if (!r.ok() || *version_major != 2 || *linktype != kLinktypeEthernet)
     return std::nullopt;
 
+  // A walk over the record headers counts the records, so the vector is
+  // sized once and a truncated record fails before any frame is copied.
+  std::size_t count = 0;
+  for (ByteReader walk = r; !walk.at_end(); ++count) {
+    walk.skip(8);  // ts_sec, ts_usec
+    const auto incl_len = read_u32(walk);
+    walk.skip(4);  // orig_len
+    if (!incl_len || !walk.skip(*incl_len)) return std::nullopt;
+  }
   std::vector<PcapRecord> records;
+  records.reserve(count);
   while (!r.at_end()) {
-    const auto ts_sec = read_u32();
-    const auto ts_usec = read_u32();
-    const auto incl_len = read_u32();
-    read_u32();  // orig_len
+    const auto ts_sec = read_u32(r);
+    const auto ts_usec = read_u32(r);
+    const auto incl_len = read_u32(r);
+    read_u32(r);  // orig_len
     if (!r.ok()) return std::nullopt;
     auto frame = r.bytes(*incl_len);
     if (!frame) return std::nullopt;

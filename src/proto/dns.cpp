@@ -1,5 +1,7 @@
 #include "proto/dns.hpp"
 
+#include <algorithm>
+#include <array>
 #include <map>
 
 #include "telemetry/metrics.hpp"
@@ -63,35 +65,68 @@ class NameEncoder {
   std::map<std::string, std::size_t> offsets_;
 };
 
-/// Reads a possibly-compressed name. `r` must be positioned at the name; on
+/// The labels of one name as slices of the message they were read from.
+struct NameSlices {
+  static constexpr std::size_t kMaxLabels = 128;
+  struct Label {
+    const std::uint8_t* data;
+    std::uint8_t size;
+  };
+  std::array<Label, kMaxLabels> labels;  // the first `count` are set
+  std::size_t count = 0;
+};
+
+/// Walks a possibly-compressed name. `r` must be positioned at the name; on
 /// return it is positioned after the name (after the first pointer if any).
-std::optional<DnsName> read_name(ByteReader& r, BytesView whole) {
-  DnsName name;
+/// Fails on a truncated name, a label over 63 bytes, more than 128 labels or
+/// more than 32 pointer jumps.
+bool walk_name(ByteReader& r, BytesView whole, NameSlices& out) {
   int jumps = 0;
   std::optional<std::size_t> resume;  // offset to restore after pointer jumps
   for (;;) {
     const auto len = r.u8();
-    if (!len) return std::nullopt;
+    if (!len) return false;
     if ((*len & 0xc0) == 0xc0) {
       const auto lo = r.u8();
-      if (!lo) return std::nullopt;
-      if (++jumps > 32) return std::nullopt;  // pointer loop
+      if (!lo) return false;
+      if (++jumps > 32) return false;  // pointer loop
       if (!resume) resume = r.offset();
       const std::size_t target =
           (static_cast<std::size_t>(*len & 0x3f) << 8) | *lo;
-      if (target >= whole.size()) return std::nullopt;
-      if (!r.seek(target)) return std::nullopt;
+      if (target >= whole.size()) return false;
+      if (!r.seek(target)) return false;
       continue;
     }
     if (*len == 0) break;
-    if (*len > 63) return std::nullopt;
-    auto label = r.str(*len);
-    if (!label) return std::nullopt;
-    name.labels.push_back(std::move(*label));
-    if (name.labels.size() > 128) return std::nullopt;
+    if (*len > 63) return false;
+    const auto label = r.view(*len);
+    if (!label || out.count == NameSlices::kMaxLabels) return false;
+    out.labels[out.count++] = {label->data(), *len};
   }
-  if (resume && !r.seek(*resume)) return std::nullopt;
+  return !resume || r.seek(*resume);
+}
+
+std::optional<DnsName> read_name(ByteReader& r, BytesView whole) {
+  NameSlices slices;
+  if (!walk_name(r, whole, slices)) return std::nullopt;
+  DnsName name;
+  name.labels.reserve(slices.count);
+  for (std::size_t i = 0; i < slices.count; ++i) {
+    const auto& label = slices.labels[i];
+    name.labels.emplace_back(reinterpret_cast<const char*>(label.data),
+                             label.size);
+  }
   return name;
+}
+
+/// Appends the name in plain wire form: length-prefixed labels, a zero byte.
+void append_plain(const NameSlices& name, Bytes& out) {
+  for (std::size_t i = 0; i < name.count; ++i) {
+    const auto& label = name.labels[i];
+    out.push_back(label.size);
+    out.insert(out.end(), label.data, label.data + label.size);
+  }
+  out.push_back(0);
 }
 
 Bytes encode_name_plain(const DnsName& name) {
@@ -262,16 +297,21 @@ std::optional<DnsMessage> decode_dns(BytesView raw) {
   m.is_response = (*flags & 0x8000) != 0;
   m.authoritative = (*flags & 0x0400) != 0;
 
+  // Counts are untrusted: reserve no more entries than the remaining bytes
+  // could hold (a question takes at least 5 bytes, a record at least 11).
+  const auto reserve = [&](auto& v, std::size_t count, std::size_t min_size) {
+    v.reserve(std::min(count, r.remaining() / min_size));
+  };
+  reserve(m.questions, *qd, 5);
   for (std::uint16_t i = 0; i < *qd; ++i) {
     auto name = read_name(r, raw);
     const auto type = r.u16();
     const auto klass = r.u16();
     if (!name || !r.ok()) return std::nullopt;
-    DnsQuestion q;
+    DnsQuestion& q = m.questions.emplace_back();
     q.name = std::move(*name);
     q.type = static_cast<DnsType>(*type);
     q.unicast_response = (*klass & 0x8000) != 0;
-    m.questions.push_back(std::move(q));
   }
   const auto read_record = [&](std::vector<DnsRecord>& out) -> bool {
     auto name = read_name(r, raw);
@@ -280,45 +320,38 @@ std::optional<DnsMessage> decode_dns(BytesView raw) {
     const auto ttl = r.u32();
     const auto rdlen = r.u16();
     if (!name || !r.ok()) return false;
-    // A compressed PTR/SRV target inside rdata must be resolved against the
-    // whole message; decompress into plain form so typed accessors work on
-    // the extracted rdata alone.
     const std::size_t rdata_start = r.offset();
-    auto rdata = r.bytes(*rdlen);
+    const auto rdata = r.view(*rdlen);
     if (!rdata) return false;
-    DnsRecord rec;
+    DnsRecord& rec = out.emplace_back();
     rec.name = std::move(*name);
     rec.type = static_cast<DnsType>(*type);
     rec.cache_flush = (*klass & 0x8000) != 0;
     rec.ttl = *ttl;
-    if (rec.type == DnsType::kPtr || rec.type == DnsType::kSrv) {
-      ByteReader rr(raw);
-      if (!rr.seek(rdata_start)) return false;
-      if (rec.type == DnsType::kPtr) {
-        auto target = read_name(rr, raw);
-        if (!target) return false;
-        rec.rdata = encode_name_plain(*target);
-      } else {
-        const auto pri = rr.u16();
-        const auto weight = rr.u16();
-        const auto p = rr.u16();
-        auto target = read_name(rr, raw);
-        if (!rr.ok() || !target) return false;
-        ByteWriter w;
-        w.u16(*pri).u16(*weight).u16(*p);
-        w.raw(encode_name_plain(*target));
-        rec.rdata = w.take();
-      }
-    } else {
-      rec.rdata = std::move(*rdata);
+    if (rec.type != DnsType::kPtr && rec.type != DnsType::kSrv) {
+      rec.rdata.assign(rdata->begin(), rdata->end());
+      return true;
     }
-    out.push_back(std::move(rec));
+    // A compressed PTR/SRV target inside rdata must be resolved against the
+    // whole message; it is decompressed straight into rdata so the typed
+    // accessors work on the extracted rdata alone.
+    ByteReader rr(raw);
+    rr.seek(rdata_start);
+    // SRV: priority, weight and port precede the target.
+    const auto fixed = rr.view(rec.type == DnsType::kSrv ? 6 : 0);
+    NameSlices target;
+    if (!fixed || !walk_name(rr, raw, target)) return false;
+    rec.rdata.assign(fixed->begin(), fixed->end());
+    append_plain(target, rec.rdata);
     return true;
   };
+  reserve(m.answers, *an, 11);
   for (std::uint16_t i = 0; i < *an; ++i)
     if (!read_record(m.answers)) return std::nullopt;
+  reserve(m.authority, *ns, 11);
   for (std::uint16_t i = 0; i < *ns; ++i)
     if (!read_record(m.authority)) return std::nullopt;
+  reserve(m.additional, *ar, 11);
   for (std::uint16_t i = 0; i < *ar; ++i)
     if (!read_record(m.additional)) return std::nullopt;
   return m;

@@ -1,69 +1,18 @@
 #include "proto/http.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 
 namespace roomnet {
 
 namespace {
-bool iequals(std::string_view a, std::string_view b) {
-  return a.size() == b.size() &&
-         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
-           return std::tolower(static_cast<unsigned char>(x)) ==
-                  std::tolower(static_cast<unsigned char>(y));
-         });
-}
-
-struct HeadParse {
-  std::string start_line;
-  HttpHeaders headers;
-  std::size_t body_offset = 0;
-};
-
-std::optional<HeadParse> parse_head(std::string_view text) {
-  HeadParse out;
-  const auto line_end = text.find("\r\n");
-  if (line_end == std::string_view::npos) return std::nullopt;
-  out.start_line = std::string(text.substr(0, line_end));
-  std::size_t pos = line_end + 2;
-  for (;;) {
-    const auto eol = text.find("\r\n", pos);
-    if (eol == std::string_view::npos) return std::nullopt;
-    if (eol == pos) {
-      out.body_offset = pos + 2;
-      return out;
-    }
-    const std::string_view line = text.substr(pos, eol - pos);
-    const auto colon = line.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    std::string_view name = line.substr(0, colon);
-    std::string_view value = line.substr(colon + 1);
-    while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
-    out.headers.add(std::string(name), std::string(value));
-    pos = eol + 2;
-  }
-}
-
-std::vector<std::string> split_ws(std::string_view s, int max_parts) {
-  std::vector<std::string> parts;
-  std::size_t i = 0;
-  while (i < s.size() && static_cast<int>(parts.size()) < max_parts) {
-    while (i < s.size() && s[i] == ' ') ++i;
-    if (i >= s.size()) break;
-    if (static_cast<int>(parts.size()) == max_parts - 1) {
-      parts.emplace_back(s.substr(i));
-      break;
-    }
-    const auto sp = s.find(' ', i);
-    if (sp == std::string_view::npos) {
-      parts.emplace_back(s.substr(i));
-      break;
-    }
-    parts.emplace_back(s.substr(i, sp - i));
-    i = sp + 1;
-  }
-  return parts;
+/// Scans the head of `raw`, copying every header into `headers`.
+std::optional<HttpHead> scan_all_headers(BytesView raw, HttpHeaders& headers) {
+  return scan_http_head(
+      std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()),
+      [&](std::string_view name, std::string_view value) {
+        headers.add(std::string(name), std::string(value));
+      });
 }
 
 void write_head(ByteWriter& w, std::string_view start_line,
@@ -85,6 +34,24 @@ void write_head(ByteWriter& w, std::string_view start_line,
   w.str("\r\n");
 }
 }  // namespace
+
+std::size_t split_start_line(std::string_view line,
+                             std::array<std::string_view, 3>& out) {
+  std::size_t parts = 0;
+  std::size_t i = 0;
+  while (i < line.size() && parts < out.size()) {
+    while (i < line.size() && line[i] == ' ') ++i;
+    if (i >= line.size()) break;
+    const auto sp = line.find(' ', i);
+    if (parts == out.size() - 1 || sp == std::string_view::npos) {
+      out[parts++] = line.substr(i);
+      break;
+    }
+    out[parts++] = line.substr(i, sp - i);
+    i = sp + 1;
+  }
+  return parts;
+}
 
 std::optional<std::string> HttpHeaders::get(std::string_view name) const {
   for (const auto& [n, v] : entries_)
@@ -110,39 +77,39 @@ Bytes encode_http_response(const HttpResponse& res) {
 }
 
 std::optional<HttpRequest> decode_http_request(BytesView raw) {
-  const std::string_view text(reinterpret_cast<const char*>(raw.data()),
-                              raw.size());
-  auto head = parse_head(text);
-  if (!head) return std::nullopt;
-  auto parts = split_ws(head->start_line, 3);
-  if (parts.size() != 3 || !parts[2].starts_with("HTTP/")) return std::nullopt;
+  HttpHeaders headers;
+  const auto head = scan_all_headers(raw, headers);
+  if (!head || head->start_parts != 3 || !head->start[2].starts_with("HTTP/"))
+    return std::nullopt;
   HttpRequest req;
-  req.method = parts[0];
-  req.target = parts[1];
-  req.version = parts[2];
-  req.headers = std::move(head->headers);
+  req.method = head->start[0];
+  req.target = head->start[1];
+  req.version = head->start[2];
+  req.headers = std::move(headers);
   req.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(head->body_offset),
                   raw.end());
   return req;
 }
 
-std::optional<HttpResponse> decode_http_response(BytesView raw) {
-  const std::string_view text(reinterpret_cast<const char*>(raw.data()),
-                              raw.size());
-  auto head = parse_head(text);
-  if (!head) return std::nullopt;
-  auto parts = split_ws(head->start_line, 3);
-  if (parts.size() < 2 || !parts[0].starts_with("HTTP/")) return std::nullopt;
-  HttpResponse res;
-  res.version = parts[0];
+std::optional<int> parse_http_status(std::string_view s) {
   int status = 0;
-  const auto [p, ec] =
-      std::from_chars(parts[1].data(), parts[1].data() + parts[1].size(), status);
-  if (ec != std::errc{} || p != parts[1].data() + parts[1].size())
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), status);
+  if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
+  return status;
+}
+
+std::optional<HttpResponse> decode_http_response(BytesView raw) {
+  HttpHeaders headers;
+  const auto head = scan_all_headers(raw, headers);
+  if (!head || head->start_parts < 2 || !head->start[0].starts_with("HTTP/"))
     return std::nullopt;
-  res.status = status;
-  res.reason = parts.size() > 2 ? parts[2] : "";
-  res.headers = std::move(head->headers);
+  const auto status = parse_http_status(head->start[1]);
+  if (!status) return std::nullopt;
+  HttpResponse res;
+  res.version = head->start[0];
+  res.status = *status;
+  res.reason = head->start_parts > 2 ? head->start[2] : "";
+  res.headers = std::move(headers);
   res.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(head->body_offset),
                   raw.end());
   return res;

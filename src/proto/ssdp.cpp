@@ -1,5 +1,10 @@
 #include "proto/ssdp.hpp"
 
+#include <algorithm>
+#include <array>
+#include <climits>
+#include <cstdint>
+
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -48,40 +53,74 @@ Bytes encode_ssdp(const SsdpMessage& msg) {
   return {};
 }
 
+namespace {
+/// MX by atoi's rules (leading whitespace, a sign, digits up to the first
+/// non-digit, 0 without digits), saturating at the int range where atoi's
+/// result is undefined.
+int parse_mx(std::string_view s) {
+  constexpr std::int64_t kLimit = std::int64_t{INT_MAX} + 1;
+  std::size_t i = 0;
+  while (i < s.size() && (s[i] == ' ' || (s[i] >= '\t' && s[i] <= '\r'))) ++i;
+  bool negative = false;
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) negative = s[i++] == '-';
+  std::int64_t v = 0;
+  for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i)
+    v = std::min(v * 10 + (s[i] - '0'), kLimit);
+  return static_cast<int>(negative ? -v : std::min(v, kLimit - 1));
+}
+}  // namespace
+
 std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
   static telemetry::Counter& decodes = telemetry::Registry::global().counter(
       "roomnet_proto_decodes_total", {{"proto", "ssdp"}});
   decodes.inc();
+  // One scan of the head keeps the first value of each header SSDP reads, as
+  // slices of `raw`; only the ones the message kind keeps are copied.
+  enum Field { kSt, kNt, kNts, kUsn, kServer, kUserAgent, kLocation, kMx, kFields };
+  static constexpr std::string_view kNames[kFields] = {
+      "ST", "NT", "NTS", "USN", "SERVER", "USER-AGENT", "LOCATION", "MX"};
+  std::array<std::optional<std::string_view>, kFields> found;
+  const auto head = scan_http_head(
+      std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()),
+      [&](std::string_view name, std::string_view value) {
+        for (int f = 0; f < kFields; ++f) {
+          if (iequals(name, kNames[f])) {
+            if (!found[f]) found[f] = value;
+            return;
+          }
+        }
+      });
+  if (!head) return std::nullopt;
+  const auto field = [&](Field f) { return std::string(found[f].value_or("")); };
   SsdpMessage msg;
-  if (auto req = decode_http_request(raw)) {
-    const HttpHeaders& h = req->headers;
-    if (req->method == "M-SEARCH") {
+  if (head->start_parts == 3 && head->start[2].starts_with("HTTP/")) {
+    const std::string_view method = head->start[0];
+    if (method == "M-SEARCH") {
       msg.kind = SsdpKind::kMSearch;
-      msg.search_target = h.get("ST").value_or("");
-      msg.server = h.get("USER-AGENT").value_or("");
-      if (auto mx = h.get("MX")) msg.mx = std::atoi(mx->c_str());
-    } else if (req->method == "NOTIFY") {
+      msg.search_target = field(kSt);
+      msg.server = field(kUserAgent);
+      if (found[kMx]) msg.mx = parse_mx(*found[kMx]);
+    } else if (method == "NOTIFY") {
       msg.kind = SsdpKind::kNotify;
-      msg.search_target = h.get("NT").value_or("");
-      msg.nts = h.get("NTS").value_or("");
-      msg.usn = h.get("USN").value_or("");
-      msg.server = h.get("SERVER").value_or("");
-      msg.location = h.get("LOCATION").value_or("");
+      msg.search_target = field(kNt);
+      msg.nts = field(kNts);
+      msg.usn = field(kUsn);
+      msg.server = field(kServer);
+      msg.location = field(kLocation);
     } else {
       return std::nullopt;
     }
     return msg;
   }
-  if (auto res = decode_http_response(raw)) {
-    if (res->status != 200 || !res->headers.has("ST")) return std::nullopt;
-    msg.kind = SsdpKind::kResponse;
-    msg.search_target = res->headers.get("ST").value_or("");
-    msg.usn = res->headers.get("USN").value_or("");
-    msg.server = res->headers.get("SERVER").value_or("");
-    msg.location = res->headers.get("LOCATION").value_or("");
-    return msg;
-  }
-  return std::nullopt;
+  if (head->start_parts < 2 || !head->start[0].starts_with("HTTP/") ||
+      parse_http_status(head->start[1]) != 200 || !found[kSt])
+    return std::nullopt;
+  msg.kind = SsdpKind::kResponse;
+  msg.search_target = field(kSt);
+  msg.usn = field(kUsn);
+  msg.server = field(kServer);
+  msg.location = field(kLocation);
+  return msg;
 }
 
 namespace {

@@ -4,11 +4,14 @@
 // mutates it at field granularity — section counts, label length bytes,
 // compression pointers (including self-referential and forward loops),
 // rdlength, truncation — the exact adversarial classes the decoder's
-// pointer-loop and label caps exist for.
+// pointer-loop and label caps exist for. Both phases also decode with the
+// reference copy of the old decoder (reference_decoders.hpp) and require
+// the same fields, label strings and rdata bytes.
 #include "fuzz_input.hpp"
 #include "fuzz_mutate.hpp"
 #include "harness.hpp"
 #include "proto/dns.hpp"
+#include "reference_decoders.hpp"
 
 namespace roomnet::fuzz {
 
@@ -17,6 +20,11 @@ namespace {
 constexpr char kName[] = "dns";
 constexpr std::string_view kLabelChars =
     "abcdefghijklmnopqrstuvwxyz0123456789-_ ";
+
+void check_reference(BytesView data) {
+  ROOMNET_FUZZ_CHECK(reference::dns_differs(data) == nullptr, kName,
+                     "decode_dns differs from the reference decoder");
+}
 
 void check_idempotent(const DnsMessage& decoded) {
   const Bytes e2 = encode_dns(decoded);
@@ -65,6 +73,7 @@ int fuzz_dns(BytesView data) {
   if (data.size() > 65536) return 0;
 
   // Phase A: the input is the wire message.
+  check_reference(data);
   if (const auto decoded = decode_dns(data)) check_idempotent(*decoded);
 
   // Phase B: field-granularity mutations of a well-formed advertisement.
@@ -99,6 +108,7 @@ int fuzz_dns(BytesView data) {
   }
   // The mutated message must decode totally (accept or cleanly reject —
   // never crash, hang, or over-read), and an accept must still round-trip.
+  check_reference(BytesView(wire));
   if (const auto decoded = decode_dns(wire)) check_idempotent(*decoded);
   return 0;
 }

@@ -3,7 +3,8 @@
 // well-formed M-SEARCH/NOTIFY/response and mutate at header granularity —
 // duplicate/drop/splice header lines, break the colon separator, blow up
 // MX, damage the start line, truncate mid-CRLF — then require total
-// decodes.
+// decodes. Both phases also decode with the reference copy of the old
+// decoder (reference_decoders.hpp) and require the same fields.
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "fuzz_mutate.hpp"
 #include "harness.hpp"
 #include "proto/ssdp.hpp"
+#include "reference_decoders.hpp"
 
 namespace roomnet::fuzz {
 
@@ -19,6 +21,15 @@ namespace {
 constexpr char kName[] = "ssdp";
 constexpr std::string_view kTokenChars =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789:-._/";
+
+void check_reference(BytesView data) {
+  ROOMNET_FUZZ_CHECK(reference::ssdp_differs(data) == nullptr, kName,
+                     "decode_ssdp differs from the reference decoder");
+  ROOMNET_FUZZ_CHECK(reference::http_request_differs(data) == nullptr, kName,
+                     "decode_http_request differs from the reference decoder");
+  ROOMNET_FUZZ_CHECK(reference::http_response_differs(data) == nullptr, kName,
+                     "decode_http_response differs from the reference decoder");
+}
 
 void check_idempotent(const SsdpMessage& decoded) {
   const Bytes e2 = encode_ssdp(decoded);
@@ -77,6 +88,7 @@ int fuzz_ssdp(BytesView data) {
   if (data.size() > 65536) return 0;
 
   // Phase A: raw input through both parsers.
+  check_reference(data);
   if (const auto decoded = decode_ssdp(data)) check_idempotent(*decoded);
   const std::string_view as_text(reinterpret_cast<const char*>(data.data()),
                                  data.size());
@@ -135,6 +147,7 @@ int fuzz_ssdp(BytesView data) {
     wire = join_lines(lines);
     if (in.boolean()) truncate(wire, in);
   }
+  check_reference(BytesView(wire));
   if (const auto decoded = decode_ssdp(wire)) check_idempotent(*decoded);
   return 0;
 }

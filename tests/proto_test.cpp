@@ -1,6 +1,13 @@
 // Unit tests for the application-protocol codecs.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <climits>
+#include <map>
+#include <set>
+
+#include "netcore/packet_view.hpp"
+#include "netcore/pcap.hpp"
 #include "netcore/rng.hpp"
 #include "proto/coap.hpp"
 #include "proto/dhcp.hpp"
@@ -15,6 +22,7 @@
 #include "proto/tls.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
+#include "reference_decoders.hpp"
 
 namespace roomnet {
 namespace {
@@ -152,6 +160,153 @@ TEST(Dhcp, MissingOptionsReturnEmpty) {
   EXPECT_TRUE(back->parameter_request_list().empty());
 }
 
+// ------------------------------------------- differential decode corpus
+
+/// The distinct app payloads of the committed capture: every UDP payload,
+/// and every TCP or UDP payload that looks like HTTP.
+struct CorpusPayloads {
+  std::vector<Bytes> udp;
+  std::vector<Bytes> http;
+};
+
+const CorpusPayloads& corpus_payloads() {
+  static const CorpusPayloads corpus = [] {
+    std::set<Bytes> udp, http;
+    const auto records = read_pcap_file(ROOMNET_QUICKSTART_PCAP);
+    if (records) {
+      for (const PcapRecord& record : *records) {
+        const auto view = decode_frame_view(BytesView(record.frame));
+        if (!view || !view->has_transport()) continue;
+        const BytesView payload = view->app_payload();
+        if (view->udp) udp.emplace(payload.begin(), payload.end());
+        if (looks_like_http(payload)) http.emplace(payload.begin(), payload.end());
+      }
+    }
+    return CorpusPayloads{{udp.begin(), udp.end()}, {http.begin(), http.end()}};
+  }();
+  return corpus;
+}
+
+/// Offsets of every occurrence of any byte of `set` in `b`.
+std::vector<std::size_t> offsets_of(const Bytes& b, std::string_view set) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < b.size(); ++i)
+    if (set.find(static_cast<char>(b[i])) != std::string_view::npos)
+      out.push_back(i);
+  return out;
+}
+
+/// One seeded text-level damage: truncation, a damaged CRLF or colon, a bare
+/// \n, NUL bytes, a rewritten MX value (out of int range included), a case
+/// flip, a duplicated line or a stray delimiter.
+void mutate_http(Bytes& b, Rng& rng) {
+  const auto pick = [&](const std::vector<std::size_t>& at) {
+    return at.empty() ? std::optional<std::size_t>{}
+                      : std::optional<std::size_t>{at[rng.below(at.size())]};
+  };
+  const auto at = [&](std::size_t i) {
+    return b.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  switch (rng.below(9)) {
+    case 0:
+      b.resize(rng.below(b.size() + 1));
+      break;
+    case 1:
+      if (const auto i = pick(offsets_of(b, "\r\n"))) {
+        if (rng.below(2)) b.erase(at(*i));
+        else b[*i] = static_cast<std::uint8_t>(" x\r\n"[rng.below(4)]);
+      }
+      break;
+    case 2:
+      if (const auto i = pick(offsets_of(b, ":"))) {
+        if (rng.below(2)) b.erase(at(*i));
+        else b[*i] = ' ';
+      }
+      break;
+    case 3:
+      if (const auto i = pick(offsets_of(b, "\r")); i && *i + 1 < b.size())
+        b.erase(at(*i));
+      break;
+    case 4:
+      if (rng.below(2) || b.empty()) b.insert(at(rng.below(b.size() + 1)), 0);
+      else b[rng.below(b.size())] = 0;
+      break;
+    case 5: {
+      std::string text(b.begin(), b.end());
+      std::string upper = text;
+      for (char& c : upper) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      const auto mx = upper.find("\r\nMX:");
+      if (mx == std::string::npos) break;
+      const auto eol = text.find("\r\n", mx + 2);
+      std::string value = std::string(rng.below(3), " \t"[rng.below(2)]);
+      if (rng.below(2)) value += "+-"[rng.below(2)];
+      for (std::uint64_t n = rng.below(24); n > 0; --n)
+        value += static_cast<char>('0' + rng.below(10));
+      if (rng.below(2)) value += "x5";
+      text.replace(mx + 5, eol == std::string::npos ? std::string::npos
+                                                    : eol - (mx + 5),
+                   value);
+      b.assign(text.begin(), text.end());
+      break;
+    }
+    case 6:
+      if (const auto i = pick(offsets_of(
+              b, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")))
+        b[*i] ^= 0x20;
+      break;
+    case 7:
+      if (const auto i = pick(offsets_of(b, "\n")); i && *i + 1 < b.size()) {
+        const std::string text(b.begin(), b.end());
+        const auto eol = text.find("\r\n", *i + 1);
+        if (eol != std::string::npos)
+          b.insert(at(*i + 1), text.begin() + static_cast<std::ptrdiff_t>(*i + 1),
+                   text.begin() + static_cast<std::ptrdiff_t>(eol + 2));
+      }
+      break;
+    default: {
+      constexpr std::string_view kDelimiters = " :\r\n0123456789HTTP/";
+      if (!b.empty())
+        b[rng.below(b.size())] = static_cast<std::uint8_t>(
+            kDelimiters[rng.below(kDelimiters.size())]);
+      break;
+    }
+  }
+}
+
+/// One seeded wire-level damage: truncation, a compression pointer to any
+/// offset in or just past the message, a label-length byte (valid or over
+/// 63), a section count, a u16 in the record area, or a plain byte.
+void mutate_dns(Bytes& b, Rng& rng) {
+  if (b.empty()) return;
+  const auto put_u16 = [&](std::size_t i, std::uint16_t v) {
+    if (i + 2 > b.size()) return;
+    b[i] = static_cast<std::uint8_t>(v >> 8);
+    b[i + 1] = static_cast<std::uint8_t>(v);
+  };
+  switch (rng.below(6)) {
+    case 0:
+      b.resize(rng.below(b.size() + 1));
+      break;
+    case 1:
+      put_u16(12 + rng.below(b.size()),
+              static_cast<std::uint16_t>(0xc000 | rng.below(b.size() + 4)));
+      break;
+    case 2:
+      b[rng.below(b.size())] = static_cast<std::uint8_t>(
+          rng.below(2) ? rng.below(64) : 0x40 + rng.below(0xc0));
+      break;
+    case 3:
+      put_u16(4 + 2 * rng.below(4), static_cast<std::uint16_t>(rng.below(8)));
+      break;
+    case 4:
+      put_u16(12 + rng.below(b.size()), static_cast<std::uint16_t>(rng.below(0x10000)));
+      break;
+    default:
+      b[rng.below(b.size())] = static_cast<std::uint8_t>(rng.below(256));
+      break;
+  }
+}
+
 // --------------------------------------------------------------------- DNS
 
 TEST(DnsName, StringConversion) {
@@ -267,6 +422,87 @@ TEST(Dns, AaaaRoundTrip) {
   EXPECT_EQ(rec.a(), std::nullopt);
 }
 
+/// A response whose question name, answer name and PTR target each reach a
+/// one-label name through `jumps` compression pointers.
+Bytes pointer_chain_message(int jumps) {
+  constexpr std::uint16_t kChain = 32;  // offset of the first chain node
+  ByteWriter w;
+  w.u16(0).u16(0x8400).u16(1).u16(1).u16(0).u16(0);
+  w.u16(0xc000 | kChain).u16(12).u16(1);                    // question
+  w.u16(0xc000 | kChain).u16(12).u16(1).u32(120).u16(2);  // PTR answer
+  w.u16(0xc000 | kChain);                                   // its rdata
+  for (int i = 1; i < jumps; ++i)
+    w.u16(static_cast<std::uint16_t>(0xc000 | (kChain + 2 * i)));
+  w.u8(1).str("x").u8(0);
+  return w.take();
+}
+
+/// A response whose question name and PTR target are `labels` labels of
+/// `label_size` bytes each, uncompressed.
+Bytes long_name_message(int labels, int label_size) {
+  ByteWriter name;
+  for (int i = 0; i < labels; ++i)
+    name.u8(static_cast<std::uint8_t>(label_size))
+        .str(std::string(static_cast<std::size_t>(label_size), 'a'));
+  name.u8(0);
+  const Bytes n = name.take();
+  ByteWriter w;
+  w.u16(0).u16(0x8400).u16(1).u16(1).u16(0).u16(0);
+  w.raw(n).u16(12).u16(1);
+  w.u8(0).u16(12).u16(1).u32(120).u16(static_cast<std::uint16_t>(n.size()));
+  w.raw(n);
+  return w.take();
+}
+
+TEST(Dns, DirectRdataMatchesReadNameEncode) {
+  // The limits first, at and one past each bound, in names and PTR targets:
+  // 32 pointer jumps, 128 labels, 63-byte labels.
+  for (const auto& [raw, accepted] :
+       std::vector<std::pair<Bytes, bool>>{
+           {pointer_chain_message(32), true},
+           {pointer_chain_message(33), false},
+           {long_name_message(128, 1), true},
+           {long_name_message(129, 1), false},
+           {long_name_message(2, 63), true},
+           {long_name_message(2, 64), false}}) {
+    const auto got = decode_dns(BytesView(raw));
+    EXPECT_EQ(got.has_value(), accepted) << raw.size() << "-byte limit case";
+    EXPECT_EQ(reference::dns_mismatch(got, reference::decode_dns(BytesView(raw))),
+              nullptr);
+  }
+
+  // PTR/SRV targets are decompressed straight into rdata; the old decoder
+  // read them into a DnsName and re-encoded it. Every UDP payload of the
+  // committed capture, and seeded damage to each, decodes the same both
+  // ways: accept/reject, every label string and every rdata byte.
+  const auto& corpus = corpus_payloads().udp;
+  ASSERT_GT(corpus.size(), 100u);
+  Rng rng(42);
+  std::size_t inputs = 0, accepted = 0, targets = 0, mismatches = 0;
+  const auto check = [&](const Bytes& raw) {
+    ++inputs;
+    const auto got = decode_dns(BytesView(raw));
+    const char* diff = reference::dns_mismatch(got, reference::decode_dns(BytesView(raw)));
+    if (diff && ++mismatches <= 5)
+      ADD_FAILURE() << "dns " << diff << " differs on a " << raw.size() << "-byte input";
+    if (!got) return;
+    ++accepted;
+    for (const auto& rec : got->answers)
+      targets += rec.type == DnsType::kPtr || rec.type == DnsType::kSrv;
+  };
+  for (const Bytes& payload : corpus) {
+    check(payload);
+    for (int k = 0; k < 40; ++k) {
+      Bytes mutated = payload;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) mutate_dns(mutated, rng);
+      check(mutated);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs << " inputs";
+  EXPECT_GT(accepted, corpus.size() / 4);
+  EXPECT_GT(targets, 100u);  // the PTR/SRV path is exercised
+}
+
 // -------------------------------------------------------------------- HTTP
 
 TEST(Http, RequestRoundTrip) {
@@ -356,6 +592,70 @@ TEST(Ssdp, ResponseRoundTrip) {
 TEST(Ssdp, RejectsPlainHttp) {
   HttpRequest req;  // GET, not an SSDP verb
   EXPECT_EQ(decode_ssdp(BytesView(encode_http_request(req))), std::nullopt);
+}
+
+TEST(Ssdp, OnePassDecodeMatchesHttpComposition) {
+  // decode_ssdp scans the head once; the old decoder composed full HTTP
+  // request and response decodes. Every UDP payload and every HTTP-looking
+  // payload of the committed capture, and seeded text damage to each,
+  // decodes the same both ways, field for field. Only an out-of-range MX,
+  // where the old atoi was undefined, skips the `mx` comparison. The HTTP
+  // decoders, which now share the scanner, are compared the same way.
+  const auto& corpus = corpus_payloads();
+  std::vector<const Bytes*> inputs;
+  for (const Bytes& b : corpus.udp) inputs.push_back(&b);
+  for (const Bytes& b : corpus.http) inputs.push_back(&b);
+  ASSERT_GT(corpus.http.size(), 50u);
+  Rng rng(42);
+  std::size_t checked = 0, mismatches = 0;
+  std::map<SsdpKind, std::size_t> kinds;
+  const auto check = [&](const Bytes& raw) {
+    ++checked;
+    const BytesView view(raw);
+    for (const char* diff :
+         {reference::ssdp_differs(view), reference::http_request_differs(view),
+          reference::http_response_differs(view)}) {
+      if (diff && ++mismatches <= 5)
+        ADD_FAILURE() << diff << " differs on: "
+                      << std::string(raw.begin(), raw.end());
+    }
+    if (const auto m = decode_ssdp(view)) ++kinds[m->kind];
+  };
+  for (const Bytes* payload : inputs) {
+    check(*payload);
+    if (!looks_like_http(BytesView(*payload))) continue;
+    for (int k = 0; k < 500; ++k) {
+      Bytes mutated = *payload;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) mutate_http(mutated, rng);
+      check(mutated);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " inputs";
+  EXPECT_GT(kinds[SsdpKind::kMSearch], 0u);
+  EXPECT_GT(kinds[SsdpKind::kNotify], 0u);
+  EXPECT_GT(kinds[SsdpKind::kResponse], 0u);
+}
+
+TEST(Ssdp, OutOfRangeMxSaturates) {
+  // MX follows atoi's rules but saturates where atoi would be undefined.
+  const auto mx_of = [](const std::string& value) {
+    const std::string wire = "M-SEARCH * HTTP/1.1\r\nST: ssdp:all\r\nMX: " +
+                             value + "\r\n\r\n";
+    const auto m = decode_ssdp(BytesView(bytes_of(wire)));
+    EXPECT_TRUE(m.has_value()) << value;
+    return m ? m->mx : -1;
+  };
+  EXPECT_EQ(mx_of("3"), 3);
+  EXPECT_EQ(mx_of("\t+42 seconds"), 42);
+  EXPECT_EQ(mx_of("-7"), -7);
+  EXPECT_EQ(mx_of("soon"), 0);
+  EXPECT_EQ(mx_of(""), 0);
+  EXPECT_EQ(mx_of("2147483647"), INT_MAX);
+  EXPECT_EQ(mx_of("-2147483648"), INT_MIN);
+  EXPECT_EQ(mx_of("2147483648"), INT_MAX);
+  EXPECT_EQ(mx_of("-2147483649"), INT_MIN);
+  EXPECT_EQ(mx_of(std::string(64, '9')), INT_MAX);
+  EXPECT_EQ(mx_of("-" + std::string(64, '9')), INT_MIN);
 }
 
 TEST(UpnpDescription, XmlRoundTrip) {
