@@ -1,5 +1,9 @@
 #include "analysis/exposure.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <string_view>
+
 #include "analysis/identifiers.hpp"
 #include "classify/classifier.hpp"
 #include "proto/app.hpp"
@@ -109,6 +113,57 @@ std::string response_text(const SsdpMessage& message) {
   return message.usn + " " + message.server + " " + message.location;
 }
 
+bool PayloadMemo::holds(const Slot& slot, MacAddress src,
+                        BytesView payload) const {
+  const auto& octets = src.octets();
+  const auto* at = bytes_.data() + slot.offset;
+  return slot.size == octets.size() + payload.size() &&
+         std::equal(octets.begin(), octets.end(), at) &&
+         std::equal(payload.begin(), payload.end(), at + octets.size());
+}
+
+void PayloadMemo::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.size == 0) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].size != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+bool PayloadMemo::insert(MacAddress src, BytesView payload) {
+  const std::uint64_t hash =
+      std::hash<std::string_view>{}(std::string_view(
+          reinterpret_cast<const char*>(payload.data()), payload.size())) ^
+      (src.to_u64() * 0x9e3779b97f4a7c15ull);
+  std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; !slots_.empty() && slots_[i].size != 0; i = (i + 1) & mask) {
+    if (slots_[i].hash == hash && holds(slots_[i], src, payload)) return false;
+  }
+  if (2 * (used_ + 1) > slots_.size()) {
+    grow();
+    mask = slots_.size() - 1;
+    for (i = hash & mask; slots_[i].size != 0; i = (i + 1) & mask) {
+    }
+  }
+  const auto& octets = src.octets();
+  slots_[i] = Slot{hash, bytes_.size(), octets.size() + payload.size()};
+  bytes_.insert(bytes_.end(), octets.begin(), octets.end());
+  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  ++used_;
+  return true;
+}
+
+void PayloadMemo::clear() {
+  bytes_.clear();
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  used_ = 0;
+}
+
 void ExposureBuilder::on_packet(const PacketView& packet) {
   const MacAddress src = packet.eth.src;
   const auto mark = [&](ProtocolLabel protocol, ExposedData data,
@@ -187,6 +242,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
     const bool model =
         !settled(ProtocolLabel::kMdns, ExposedData::kDeviceModel);
     if (!mac && !uuid && !name && !model) return;
+    if (!mdns_scanned_.insert(src, payload)) return;
     static telemetry::Counter& scans = telemetry::Registry::global().counter(
         "roomnet_exposure_scans_total", {{"proto", "mdns"}});
     scans.inc();
@@ -207,7 +263,8 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   if (dport == kSsdpPort || sport == kSsdpPort) {
     const SsdpMessage* msg = ssdp_of(packet);
     if (msg == nullptr) return;
-    if (!settled(ProtocolLabel::kSsdp, ExposedData::kUuid)) {
+    if (!settled(ProtocolLabel::kSsdp, ExposedData::kUuid) &&
+        ssdp_scanned_.insert(src, payload)) {
       static telemetry::Counter& scans = telemetry::Registry::global().counter(
           "roomnet_exposure_scans_total", {{"proto", "ssdp"}});
       scans.inc();

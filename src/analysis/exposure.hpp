@@ -5,6 +5,7 @@
 // TuyaLP, OEM IDs and geolocation in TPLINK-SHP sysinfo.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -49,14 +50,47 @@ struct ExposureMatrix {
   }
 };
 
+/// The (source, payload) pairs a fold has already read, keyed on the payload
+/// bytes themselves: the payloads are untrusted input, so two distinct
+/// pairs must never share an entry, as they could under a hash. Memory is
+/// O(distinct pairs), bytes included. A repeat costs one hash and one
+/// comparison and allocates nothing; clear() keeps the allocations, so a
+/// recycled memo (a fleet household context) allocates only past its
+/// largest run.
+class PayloadMemo {
+ public:
+  /// True when (src, payload) is new (it is recorded), false on a repeat.
+  bool insert(MacAddress src, BytesView payload);
+  void clear();
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::size_t offset = 0;  // into bytes_
+    std::size_t size = 0;    // 0 marks an empty slot
+  };
+  [[nodiscard]] bool holds(const Slot& slot, MacAddress src,
+                           BytesView payload) const;
+  void grow();
+
+  /// Every recorded pair back to back: the source's octets, then the payload.
+  std::vector<std::uint8_t> bytes_;
+  /// Open addressing with linear probing; a power-of-two size, at most half
+  /// full.
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
 /// Per-packet fold: each packet marks (protocol, data type, device) cells in
 /// a map of sets, so the matrix is independent of packet order. The
 /// UDP-discovery and TCP-serialNumber extractions are disjoint per packet;
 /// the builder applies both in one pass. Detection is payload-based:
 /// nothing is taken from simulator ground truth. A cell that already holds
 /// the packet's source is settled: its payload test is skipped, and an
-/// mDNS/SSDP payload whose tests are all settled is not scanned at all
-/// (`roomnet_exposure_scans_total{proto}` counts the scans).
+/// mDNS/SSDP payload whose tests are all settled is not scanned at all. Nor
+/// is one its source has sent before: cells are only ever added, so after
+/// the first scan of a (source, payload) every cell it can mark holds that
+/// source. `roomnet_exposure_scans_total{proto}` counts the scans.
 class ExposureBuilder {
  public:
   void on_packet(const PacketView& packet);
@@ -64,6 +98,8 @@ class ExposureBuilder {
 
  private:
   ExposureMatrix matrix_;
+  PayloadMemo mdns_scanned_;
+  PayloadMemo ssdp_scanned_;
 };
 
 /// The §6.3 response text the exposure analysis scans and the fleet

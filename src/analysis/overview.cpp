@@ -37,7 +37,8 @@ const CommGraph::Edge* CommGraph::find(MacAddress a, MacAddress b) const {
   return nullptr;
 }
 
-void CommGraphBuilder::on_packet(const PacketView& packet) {
+void CommGraphBuilder::on_packet(const PacketView& packet,
+                                 const FrameLabels& labels) {
   if (packet.eth.dst.is_multicast()) return;  // Figure 1 excludes these
   if (!packet.has_transport()) return;
   if (population_.count(packet.eth.src) == 0 ||
@@ -46,7 +47,7 @@ void CommGraphBuilder::on_packet(const PacketView& packet) {
   // Figure 1 shows "neither multicast- and broadcast-discovery protocols"
   // — unicast discovery responses are part of those exchanges and are
   // excluded too.
-  if (is_discovery_protocol(classifier_.classify_packet(packet))) return;
+  if (is_discovery_protocol(labels.hybrid)) return;
   MacAddress a = packet.eth.src;
   MacAddress b = packet.eth.dst;
   if (b < a) std::swap(a, b);

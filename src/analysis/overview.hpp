@@ -26,17 +26,18 @@ struct ProtocolUsage {
 
 /// Per-packet fold: feed packets as they occur (the tap, a pcap read loop),
 /// then take the result with finish(). The fold is one order-independent
-/// set insertion per packet.
+/// set insertion per packet, of the packet's hybrid label.
 class ProtocolUsageBuilder {
  public:
   void on_packet(const PacketView& packet) {
-    usage_.by_device[packet.eth.src].insert(
-        classifier_.classify_packet(packet));
+    on_packet(packet, classify_frame(packet));
+  }
+  void on_packet(const PacketView& packet, const FrameLabels& labels) {
+    usage_.by_device[packet.eth.src].insert(labels.hybrid);
   }
   [[nodiscard]] ProtocolUsage finish() { return std::move(usage_); }
 
  private:
-  HybridClassifier classifier_;
   ProtocolUsage usage_;
 };
 
@@ -64,12 +65,14 @@ class CommGraphBuilder {
  public:
   explicit CommGraphBuilder(std::set<MacAddress> population)
       : population_(std::move(population)) {}
-  void on_packet(const PacketView& packet);
+  void on_packet(const PacketView& packet) {
+    on_packet(packet, classify_frame(packet));
+  }
+  void on_packet(const PacketView& packet, const FrameLabels& labels);
   [[nodiscard]] CommGraph finish();
 
  private:
   std::set<MacAddress> population_;
-  HybridClassifier classifier_;
   std::map<std::pair<MacAddress, MacAddress>, CommGraph::Edge> edges_;
 };
 

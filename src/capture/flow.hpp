@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "classify/label.hpp"  // the ProtocolLabel enum only: no link to classify
 #include "netcore/address.hpp"
 #include "netcore/packet.hpp"
 #include "netcore/time.hpp"
@@ -56,10 +57,20 @@ struct FlowPacket {
   TcpFlags tcp_flags;  // zero-initialized for UDP
 };
 
+/// A carried label slot that holds none: a value outside ProtocolLabel's
+/// enumerators, so a slot costs one byte.
+inline constexpr auto kNoCarriedLabel = static_cast<ProtocolLabel>(0xff);
+
 /// The classifier input for one flow: its key and packets in time order.
 struct Flow {
   FlowKey key;
   std::vector<FlowPacket> packets;
+  /// The deep labels the first client/server payloads got when their frames
+  /// were classified, carried by FlowRecord::to_flow();
+  /// DeepClassifier::classify_flow decodes a payload only when its slot is
+  /// kNoCarriedLabel.
+  ProtocolLabel first_client_label = kNoCarriedLabel;
+  ProtocolLabel first_server_label = kNoCarriedLabel;
 
   /// First non-empty payload in each direction (classifier inputs).
   [[nodiscard]] BytesView first_client_payload() const;

@@ -28,9 +28,12 @@ Flow FlowRecord::to_flow() const {
   // packets.empty(), first_client_payload(), first_server_payload(). Two
   // synthetic packets carrying the stored payload copies reproduce all four
   // exactly (a record exists only if at least one packet was folded, so
-  // packets is correctly non-empty even when both payloads are).
+  // packets is correctly non-empty even when both payloads are). The
+  // labels carried with the copies pass through as they are.
   Flow flow;
   flow.key = key;
+  flow.first_client_label = client_label;
+  flow.first_server_label = server_label;
   FlowPacket client;
   client.timestamp = first_seen;
   client.from_client = true;
@@ -228,7 +231,8 @@ void FlowCache::publish_gauges() {
   peak_flows_gauge_->record_max(static_cast<std::int64_t>(stats_.peak_flows));
 }
 
-void FlowCache::add(SimTime at, const PacketView& packet) {
+void FlowCache::add(SimTime at, const PacketView& packet,
+                    ProtocolLabel deep_label) {
   if (!packet.ipv4 || !packet.has_transport()) return;
   ++stats_.packets;
 
@@ -293,9 +297,11 @@ void FlowCache::add(SimTime at, const PacketView& packet) {
     // delivery event, the record does not.
     if (from_client && rec.client_payload.empty()) {
       rec.client_payload.assign(payload.begin(), payload.end());
+      rec.client_label = deep_label;
       recost(index);
     } else if (!from_client && rec.server_payload.empty()) {
       rec.server_payload.assign(payload.begin(), payload.end());
+      rec.server_label = deep_label;
       recost(index);
     }
   }

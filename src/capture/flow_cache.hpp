@@ -62,12 +62,18 @@ struct FlowRecord {
   Bytes server_payload;
   /// Union of every TCP flag observed (zero-initialized for UDP).
   TcpFlags tcp_flags_seen;
+  /// The deep label the frame of each payload copy got, as add() was given
+  /// it (kNoCarriedLabel when none was). One byte each: they sit in the
+  /// record's tail padding.
+  ProtocolLabel client_label = kNoCarriedLabel;
+  ProtocolLabel server_label = kNoCarriedLabel;
 
   /// Synthesizes a minimal Flow over this record's payload copies so
   /// the Classifier::classify_flow implementations apply unchanged: key,
   /// non-empty packet list, and first_client/server_payload() all agree
-  /// with the flow's full packet sequence. The returned Flow's payload
-  /// views alias this record — classify before dropping it.
+  /// with the flow's full packet sequence, and the carried labels come
+  /// along. The returned Flow's payload views alias this record — classify
+  /// before dropping it.
   [[nodiscard]] Flow to_flow() const;
 };
 
@@ -115,10 +121,13 @@ class FlowCache {
 
   explicit FlowCache(FlowCacheConfig config = {}, Sink sink = {});
 
-  /// Folds one decoded packet; ignores non-IPv4/non-TCP/UDP. May emit
-  /// evicted FlowRecords to the sink (timeouts first, then memcap/excess
-  /// victims) before returning.
-  void add(SimTime at, const PacketView& packet);
+  /// Folds one decoded packet; ignores non-IPv4/non-TCP/UDP. `deep_label`
+  /// is the packet's DeepClassifier label, if the caller has it: it is kept
+  /// with the payload copy it belongs to. May emit evicted FlowRecords to
+  /// the sink (timeouts first, then memcap/excess victims) before
+  /// returning.
+  void add(SimTime at, const PacketView& packet,
+           ProtocolLabel deep_label = kNoCarriedLabel);
 
   /// Emits every remaining flow (reason kFlush) in flow-creation order and
   /// empties the cache. Idempotent.

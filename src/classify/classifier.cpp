@@ -13,6 +13,7 @@
 #include "proto/tls.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace roomnet {
 
@@ -267,13 +268,23 @@ ProtocolLabel DeepClassifier::classify_packet(const PacketView& packet) const {
 }
 
 ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
+  static telemetry::Counter& uncarried = telemetry::Registry::global().counter(
+      "roomnet_classify_flow_uncarried_payloads_total");
   const bool udp = flow.key.protocol == static_cast<std::uint8_t>(IpProto::kUdp);
+  // A payload's carried label is what classify_packet said of its frame:
+  // deep_classify_payload over the same bytes, with the sending side's port
+  // first — exactly the call below.
+  const auto classify = [&](BytesView payload, ProtocolLabel carried,
+                            Port sport, Port dport) {
+    if (carried != kNoCarriedLabel) return carried;
+    if (!payload.empty()) uncarried.inc();
+    return deep_classify_payload(payload, value(sport), value(dport), udp,
+                                 PayloadDecodes{payload});
+  };
   // nDPI inspects the first payload-bearing packets in both directions.
-  const BytesView client = flow.first_client_payload();
   const ProtocolLabel from_client =
-      deep_classify_payload(client, value(flow.key.client_port),
-                            value(flow.key.server_port), udp,
-                            PayloadDecodes{client});
+      classify(flow.first_client_payload(), flow.first_client_label,
+               flow.key.client_port, flow.key.server_port);
   if (from_client != ProtocolLabel::kUnknown &&
       from_client != ProtocolLabel::kGenericUdp &&
       from_client != ProtocolLabel::kGenericTcp)
@@ -281,9 +292,8 @@ ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
   const BytesView server = flow.first_server_payload();
   if (!server.empty()) {
     const ProtocolLabel from_server =
-        deep_classify_payload(server, value(flow.key.server_port),
-                              value(flow.key.client_port), udp,
-                              PayloadDecodes{server});
+        classify(server, flow.first_server_label, flow.key.server_port,
+                 flow.key.client_port);
     if (from_server != ProtocolLabel::kUnknown &&
         from_server != ProtocolLabel::kGenericUdp &&
         from_server != ProtocolLabel::kGenericTcp)
@@ -294,22 +304,42 @@ ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
 
 // -------------------------------------------------------- HybridClassifier
 
-ProtocolLabel HybridClassifier::classify_packet(const PacketView& packet) const {
-  ProtocolLabel label = deep_.classify_packet(packet);
+namespace {
+
+/// The hybrid's packet rules over the packet's deep label. `spec_label()`
+/// gives the spec label and is asked only for the fallback.
+template <class SpecLabel>
+ProtocolLabel hybrid_packet_label(const PacketView& packet, ProtocolLabel deep,
+                                  SpecLabel spec_label) {
   // Manual rules (§3.5): correct the documented deep errors.
-  if (label == ProtocolLabel::kCiscoVpn) return ProtocolLabel::kSsdp;
-  if (label == ProtocolLabel::kAmazonAws) return ProtocolLabel::kEapol;
-  if (label == ProtocolLabel::kStun && packet.udp &&
+  if (deep == ProtocolLabel::kCiscoVpn) return ProtocolLabel::kSsdp;
+  if (deep == ProtocolLabel::kAmazonAws) return ProtocolLabel::kEapol;
+  if (deep == ProtocolLabel::kStun && packet.udp &&
       strict_rtp(packet.app_payload()) &&
       !looks_like_stun(packet.app_payload()))
     return ProtocolLabel::kRtp;
-  if (label == ProtocolLabel::kUnknown) {
-    const ProtocolLabel spec = spec_.classify_packet(packet);
+  if (deep == ProtocolLabel::kUnknown) {
+    const ProtocolLabel spec = spec_label();
     if (spec != ProtocolLabel::kGenericUdp && spec != ProtocolLabel::kGenericTcp)
       return spec;
-    return label;  // keep UNKNOWN: the paper reports unclassifiable traffic
   }
-  return label;
+  return deep;  // an UNKNOWN stays: the paper reports unclassifiable traffic
+}
+
+}  // namespace
+
+ProtocolLabel HybridClassifier::classify_packet(const PacketView& packet) const {
+  return hybrid_packet_label(packet, deep_.classify_packet(packet),
+                             [&] { return spec_.classify_packet(packet); });
+}
+
+FrameLabels classify_frame(const PacketView& packet) {
+  FrameLabels labels;
+  labels.spec = SpecClassifier{}.classify_packet(packet);
+  labels.deep = DeepClassifier{}.classify_packet(packet);
+  labels.hybrid =
+      hybrid_packet_label(packet, labels.deep, [&] { return labels.spec; });
+  return labels;
 }
 
 ProtocolLabel HybridClassifier::classify_flow(const Flow& flow) const {

@@ -67,4 +67,20 @@ class HybridClassifier final : public Classifier {
   DeepClassifier deep_;
 };
 
+/// The three views of one frame (§3.5): `spec` and `deep` are what
+/// SpecClassifier and DeepClassifier say of the packet, and `hybrid` is
+/// what HybridClassifier says — the deep label with the manual corrections,
+/// the spec label its fallback. Stage 3 classifies each local frame once
+/// into this record and every per-packet builder reads it.
+struct FrameLabels {
+  ProtocolLabel spec = ProtocolLabel::kUnknown;
+  ProtocolLabel deep = ProtocolLabel::kUnknown;
+  ProtocolLabel hybrid = ProtocolLabel::kUnknown;
+};
+
+/// All three labels of `packet`, each equal to its classifier's
+/// classify_packet: the hybrid applies the same rules function to the deep
+/// and spec labels computed here.
+[[nodiscard]] FrameLabels classify_frame(const PacketView& packet);
+
 }  // namespace roomnet

@@ -24,8 +24,8 @@ void record(CrossValidation& cv, ProtocolLabel s, ProtocolLabel d) {
 
 }  // namespace
 
-void CrossValidator::on_packet(const PacketView& packet) {
-  record(cv_, spec_.classify_packet(packet), deep_.classify_packet(packet));
+void CrossValidator::on_packet(const FrameLabels& labels) {
+  record(cv_, labels.spec, labels.deep);
 }
 
 void CrossValidator::on_flow(const Flow& flow) {

@@ -44,7 +44,9 @@ bool is_concrete_label(ProtocolLabel label);
 /// packets and flows interleave.
 class CrossValidator {
  public:
-  void on_packet(const PacketView& packet);
+  void on_packet(const PacketView& packet) { on_packet(classify_frame(packet)); }
+  /// Tabulates a packet's spec and deep labels.
+  void on_packet(const FrameLabels& labels);
   void on_flow(const Flow& flow);
   [[nodiscard]] CrossValidation finish() { return std::move(cv_); }
 

@@ -4,11 +4,14 @@
 // generic transport) so the disagreement analysis can be reproduced.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 namespace roomnet {
 
-enum class ProtocolLabel {
+/// One byte wide, so a flow record carries a label within its padding
+/// (capture/flow.hpp).
+enum class ProtocolLabel : std::uint8_t {
   // Link/network layer
   kArp,
   kEapol,

@@ -20,12 +20,13 @@ bool counts_for_table4(ProtocolLabel label) {
 }
 }  // namespace
 
-void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet) {
+void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet,
+                                   const FrameLabels& labels) {
   // Expire old discoveries.
   while (!recent_.empty() && at - recent_.front().at > window_)
     recent_.pop_front();
 
-  const ProtocolLabel label = classifier_.classify_packet(packet);
+  const ProtocolLabel label = labels.hybrid;
   const bool is_multicast_out = packet.eth.dst.is_multicast();
 
   if (is_multicast_out && counts_for_table4(label) && packet.has_transport()) {

@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "capture/flow_cache.hpp"
@@ -40,11 +39,11 @@ class HouseholdContext {
 
   // O(active flows) state behind the configured bounds.
   FlowCache cache;
-  /// (src MAC, payload) hashes already harvested for identifiers — periodic
+  /// (src MAC, payload) pairs already harvested for identifiers — periodic
   /// announcements repeat byte-identical payloads dozens of times per
   /// household; each is harvested once. (The memo saves the harvest, not
   /// the decode: each transmission is decoded once for all its consumers.)
-  std::unordered_set<std::uint64_t> payload_memo;
+  PayloadMemo payload_memo;
   std::uint64_t households_served = 0;
 };
 

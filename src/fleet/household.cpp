@@ -22,15 +22,6 @@ namespace {
 // The protocol bitmask is a uint32; every label must fit.
 static_assert(static_cast<int>(ProtocolLabel::kAmazonAws) < 32);
 
-/// FNV-1a over (src MAC, payload bytes): the parse-once memo key.
-std::uint64_t payload_memo_key(MacAddress src, BytesView payload) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::uint8_t b) { h = (h ^ b) * 1099511628211ull; };
-  for (const std::uint8_t b : src.octets()) fold(b);
-  for (const std::uint8_t b : payload) fold(b);
-  return h;
-}
-
 std::string row_hash(const HouseholdResult& result) {
   obs::CanonicalHasher hasher;
   hasher.u64(result.index);
@@ -149,8 +140,7 @@ HouseholdResult run_household(const HouseholdConfig& config,
     const BytesView payload = packet.app_payload();
     if (payload.size() == 0) return;
     const MacAddress src = packet.eth.src;
-    if (!ctx.payload_memo.insert(payload_memo_key(src, payload)).second)
-      return;
+    if (!ctx.payload_memo.insert(src, payload)) return;
     std::optional<std::string> text;
     if (!mdns) {
       if (const SsdpMessage* msg = ssdp_of(packet)) text = response_text(*msg);

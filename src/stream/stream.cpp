@@ -19,14 +19,16 @@ void StreamAnalyzer::on_packet(SimTime at, const PacketView& packet) {
   if (finished_)
     throw std::logic_error("StreamAnalyzer::on_packet() after finish()");
   ++packets_;
-  // One app-layer memo across the builders, for views that bring none.
+  // One app-layer memo across the builders, for views that bring none, and
+  // one classification of the frame for all of them.
   const AppScope app(packet);
-  usage_.on_packet(packet);
-  graph_.on_packet(packet);
+  const FrameLabels labels = classify_frame(packet);
+  usage_.on_packet(packet, labels);
+  graph_.on_packet(packet, labels);
   exposure_.on_packet(packet);
-  crossval_.on_packet(packet);
-  responses_.on_packet(at, packet);
-  cache_.add(at, packet);
+  crossval_.on_packet(labels);
+  responses_.on_packet(at, packet, labels);
+  cache_.add(at, packet, labels.deep);
 }
 
 void StreamAnalyzer::on_flow(const FlowRecord& record, PruneReason reason) {

@@ -2,10 +2,22 @@
 // the repo. A StreamAnalyzer folds each local packet into the five passive
 // analyses (protocol use, comm graph, exposure, cross-validation, response
 // correlation) the moment it is seen and keeps per-flow state behind a
-// bounded FlowCache — memory is O(active flows), independent of run length.
-// Every consumer feeds it the same way: the pipeline and the paper benches
-// from the packet tap, analyze_pcap and perfbench's replay from a pcap read
-// loop.
+// FlowCache. Every consumer feeds it the same way: the pipeline and the
+// paper benches from the packet tap, analyze_pcap and perfbench's replay
+// from a pcap read loop.
+//
+// Each frame's work is done once. on_packet classifies the frame once
+// (classify_frame: spec, deep and hybrid labels) and hands the labels to
+// every builder; the flow cache keeps each stored payload's deep label, so
+// flow-end classification reads it instead of decoding the payload again;
+// and the exposure fold scans each distinct mDNS/SSDP (source, payload) at
+// most once (ExposureBuilder's PayloadMemo).
+//
+// Memory: no frame is buffered. The cache holds one record per active flow
+// — with the default non-evicting StreamConfig that is every flow seen, so
+// it grows with run length until an eviction knob bounds it. The exposure
+// memo holds one copy of each distinct mDNS/SSDP (source, payload), and the
+// builders' tables grow with their distinct keys.
 //
 // Determinism: on_packet runs on the sim thread in event order (it is called
 // straight from the packet tap), every builder fold is order-canonical, and
@@ -74,9 +86,9 @@ class StreamAnalyzer {
  public:
   StreamAnalyzer(const StreamConfig& config, std::set<MacAddress> population);
 
-  /// Folds one local packet into every per-packet analysis and the flow
-  /// cache. The views in `packet` are only borrowed for the call. Throws
-  /// std::logic_error after finish().
+  /// Classifies one local packet once and folds it into every per-packet
+  /// analysis and the flow cache. The views in `packet` are only borrowed
+  /// for the call. Throws std::logic_error after finish().
   void on_packet(SimTime at, const PacketView& packet);
 
   /// Flushes the cache (remaining flows complete in creation order) and

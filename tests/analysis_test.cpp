@@ -458,7 +458,9 @@ TEST(ExposureSettle, RepeatedAnnouncementScansOnce) {
   EXPECT_EQ(exposure_scans("mdns") - mdns0, 1u);  // every cell settled
   builder.on_packet(nameless.view);
   builder.on_packet(nameless.view);
-  EXPECT_EQ(exposure_scans("mdns") - mdns0, 3u);  // rescans for the name
+  // The name cell never settles for device 2, but its repeat is the same
+  // (source, payload): the first scan already marked all it can.
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 2u);
   builder.on_packet(ssdp.view);
   builder.on_packet(ssdp.view);
   EXPECT_EQ(exposure_scans("ssdp") - ssdp0, 1u);
@@ -475,6 +477,115 @@ TEST(ExposureSettle, RepeatedAnnouncementScansOnce) {
   EXPECT_EQ(matrix.device_count(ProtocolLabel::kSsdp, ExposedData::kUuid), 1u);
   EXPECT_TRUE(
       matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware));
+}
+
+TEST(ExposureSettle, DifferentPayloadFromSameSourceIsScanned) {
+  // Device 2's first response settles nothing but its MAC-like tail and
+  // model; a second, different response from it still gets a scan, and
+  // marks the display name the first could not.
+  const WireFrame nameless = mdns_response(
+      mac_n(2),
+      DnsRecord::make_ptr(
+          DnsName::from_string("_hue._tcp.local"),
+          DnsName::from_string("Philips Hue - 685F61._hue._tcp.local")));
+  const WireFrame named = mdns_response(
+      mac_n(2), DnsRecord::make_txt(
+                    DnsName::from_string("Jane's Hue._hue._tcp.local"),
+                    {"bridgeid=001788fffe685f61"}));
+
+  ExposureBuilder builder;
+  const std::uint64_t mdns0 = exposure_scans("mdns");
+  builder.on_packet(nameless.view);
+  builder.on_packet(named.view);
+  builder.on_packet(nameless.view);
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 2u);
+
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_EQ(matrix.device_count(ProtocolLabel::kMdns, ExposedData::kMac), 1u);
+  EXPECT_EQ(
+      matrix.device_count(ProtocolLabel::kMdns, ExposedData::kDeviceModel),
+      1u);
+  EXPECT_EQ(
+      matrix.device_count(ProtocolLabel::kMdns, ExposedData::kDisplayName),
+      1u);
+  EXPECT_FALSE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kUuid));
+}
+
+TEST(ExposureSettle, SamePayloadFromDifferentSourceIsScanned) {
+  // The memo is per source: byte-identical responses from two devices are
+  // each scanned, and each device lands in every cell the payload marks.
+  const DnsRecord answer = DnsRecord::make_ptr(
+      DnsName::from_string("_hue._tcp.local"),
+      DnsName::from_string("Philips Hue - 685F61._hue._tcp.local"));
+  const WireFrame from2 = mdns_response(mac_n(2), answer);
+  const WireFrame from3 = mdns_response(mac_n(3), answer);
+  ASSERT_TRUE(std::equal(from2.view.app_payload().begin(),
+                         from2.view.app_payload().end(),
+                         from3.view.app_payload().begin(),
+                         from3.view.app_payload().end()));
+  SsdpMessage notify;
+  notify.kind = SsdpKind::kNotify;
+  notify.search_target = "upnp:rootdevice";
+  notify.usn = "uuid:296f0ed3-af44-4f44-8a7f-02a000000006::upnp:rootdevice";
+  notify.server = "Linux, UPnP/1.0, Private UPnP SDK";
+  const auto ssdp_from = [&](std::uint64_t n) {
+    return udp_between(mac_n(n), multicast_mac_v4(kSsdpGroupV4),
+                       Ipv4Address(192, 168, 10, static_cast<std::uint8_t>(n)),
+                       kSsdpGroupV4, 50000, 1900, encode_ssdp(notify));
+  };
+  const WireFrame ssdp2 = ssdp_from(2);
+  const WireFrame ssdp3 = ssdp_from(3);
+
+  ExposureBuilder builder;
+  const std::uint64_t mdns0 = exposure_scans("mdns");
+  const std::uint64_t ssdp0 = exposure_scans("ssdp");
+  for (const WireFrame* frame : {&from2, &from3, &from2, &from3})
+    builder.on_packet(frame->view);
+  for (const WireFrame* frame : {&ssdp2, &ssdp3, &ssdp2, &ssdp3})
+    builder.on_packet(frame->view);
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 2u);
+  EXPECT_EQ(exposure_scans("ssdp") - ssdp0, 2u);
+
+  const ExposureMatrix matrix = builder.finish();
+  const std::set<MacAddress> both = {mac_n(2), mac_n(3)};
+  for (const auto& cell :
+       {std::pair{ProtocolLabel::kMdns, ExposedData::kMac},
+        std::pair{ProtocolLabel::kMdns, ExposedData::kDeviceModel},
+        std::pair{ProtocolLabel::kSsdp, ExposedData::kUuid},
+        std::pair{ProtocolLabel::kSsdp, ExposedData::kOsVersion},
+        std::pair{ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware}}) {
+    const auto it = matrix.cells.find(cell);
+    ASSERT_NE(it, matrix.cells.end());
+    EXPECT_EQ(it->second, both);
+  }
+  EXPECT_EQ(matrix.cells.size(), 5u);
+}
+
+TEST(ExposureSettle, PayloadMemoIsExactPerSource) {
+  PayloadMemo memo;
+  const Bytes a = {'a', 'b', 'c'};
+  const Bytes b = {'a', 'b', 'd'};
+  EXPECT_TRUE(memo.insert(mac_n(1), a));
+  EXPECT_FALSE(memo.insert(mac_n(1), a));
+  EXPECT_TRUE(memo.insert(mac_n(1), b));
+  EXPECT_TRUE(memo.insert(mac_n(2), a));
+  EXPECT_TRUE(memo.insert(mac_n(1), BytesView(a).first(2)));
+  EXPECT_TRUE(memo.insert(mac_n(1), BytesView{}));
+  EXPECT_FALSE(memo.insert(mac_n(1), BytesView{}));
+  memo.clear();
+  EXPECT_TRUE(memo.insert(mac_n(1), a));
+
+  // Past many regrowths every pair is still told apart, and clear() forgets
+  // them all.
+  std::vector<Bytes> payloads;
+  for (std::uint32_t i = 0; i < 1000; ++i)
+    payloads.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
+  for (int round = 0; round < 2; ++round) {
+    memo.clear();
+    for (const Bytes& p : payloads) EXPECT_TRUE(memo.insert(mac_n(3), p));
+    for (const Bytes& p : payloads) EXPECT_FALSE(memo.insert(mac_n(3), p));
+    for (const Bytes& p : payloads) EXPECT_TRUE(memo.insert(mac_n(4), p));
+  }
 }
 
 TEST(ExposureSettle, MatrixIndependentOfOrderAndRepeats) {
