@@ -152,8 +152,8 @@ void BM_DnsEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsEncode);
 
-/// A Chromecast-style mDNS answer: PTR + SRV + TXT + A, name-compressed.
-Bytes chromecast_answer() {
+/// A Chromecast-style mDNS answer: PTR + SRV + TXT + A.
+DnsMessage chromecast_message() {
   DnsMessage msg;
   msg.is_response = true;
   msg.authoritative = true;
@@ -172,8 +172,11 @@ Bytes chromecast_answer() {
                  "fn=Living Room TV", "ve=05", "ca=201221", "st=0"}));
   msg.additional.push_back(
       DnsRecord::make_a(host, Ipv4Address(192, 168, 10, 23)));
-  return encode_dns(msg);
+  return msg;
 }
+
+/// chromecast_message() on the wire, name-compressed.
+Bytes chromecast_answer() { return encode_dns(chromecast_message()); }
 
 void BM_DecodeMdnsResponse(benchmark::State& state) {
   const Bytes raw = chromecast_answer();
@@ -183,6 +186,27 @@ void BM_DecodeMdnsResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecodeMdnsResponse);
+
+// The view the app-layer memo holds: the validating walk alone, no copy.
+void BM_ViewMdnsResponse(benchmark::State& state) {
+  const Bytes raw = chromecast_answer();
+  for (auto _ : state) {
+    auto msg = view_dns(BytesView(raw));
+    benchmark::DoNotOptimize(msg);
+  }
+}
+BENCHMARK(BM_ViewMdnsResponse);
+
+// An mDNS answer encoded whole: what MdnsEndpoint does once per service and
+// address state.
+void BM_EncodeMdnsAnswer(benchmark::State& state) {
+  const DnsMessage msg = chromecast_message();
+  for (auto _ : state) {
+    auto raw = encode_dns(msg);
+    benchmark::DoNotOptimize(raw);
+  }
+}
+BENCHMARK(BM_EncodeMdnsAnswer);
 
 Bytes ssdp_wire(SsdpKind kind) {
   SsdpMessage msg;
@@ -220,6 +244,48 @@ void BM_DecodeSsdpMSearch(benchmark::State& state) {
   decode_ssdp_loop(state, SsdpKind::kMSearch);
 }
 BENCHMARK(BM_DecodeSsdpMSearch);
+
+void view_ssdp_loop(benchmark::State& state, SsdpKind kind) {
+  const Bytes raw = ssdp_wire(kind);
+  for (auto _ : state) {
+    auto msg = view_ssdp(BytesView(raw));
+    benchmark::DoNotOptimize(msg);
+  }
+}
+
+void BM_ViewSsdpResponse(benchmark::State& state) {
+  view_ssdp_loop(state, SsdpKind::kResponse);
+}
+BENCHMARK(BM_ViewSsdpResponse);
+
+void BM_ViewSsdpNotify(benchmark::State& state) {
+  view_ssdp_loop(state, SsdpKind::kNotify);
+}
+BENCHMARK(BM_ViewSsdpNotify);
+
+// Encoding into a recycled buffer, as SsdpEndpoint sends its NOTIFYs and
+// M-SEARCH responses.
+void encode_ssdp_loop(benchmark::State& state, SsdpKind kind) {
+  const SsdpMessage msg = *decode_ssdp(BytesView(ssdp_wire(kind)));
+  Bytes buffer;
+  for (auto _ : state) {
+    ByteWriter w(std::move(buffer));
+    append_ssdp(msg, w);
+    buffer = w.take();
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_EncodeSsdpNotify(benchmark::State& state) {
+  encode_ssdp_loop(state, SsdpKind::kNotify);
+}
+BENCHMARK(BM_EncodeSsdpNotify);
+
+void BM_EncodeSsdpResponse(benchmark::State& state) {
+  encode_ssdp_loop(state, SsdpKind::kResponse);
+}
+BENCHMARK(BM_EncodeSsdpResponse);
 
 void BM_TplinkCipher(benchmark::State& state) {
   const Bytes plain =
@@ -289,7 +355,8 @@ void BM_HarvestIdentifiers(benchmark::State& state) {
                  "mac=9c:8e:cd:0a:33:1b"}));
   msg.additional.push_back(
       DnsRecord::make_a(host, Ipv4Address(192, 168, 10, 12)));
-  const std::string text = response_text(msg);
+  const Bytes raw = encode_dns(msg);
+  const std::string text = response_text(*view_dns(BytesView(raw)));
   for (auto _ : state) {
     std::set<ExtractedIdentifier> ids;
     harvest_identifiers(text, 0x9c8ecd, ids);

@@ -20,12 +20,13 @@ int main() {
                                      BytesView) {
         if (hue || !filter.matches(packet)) return;
         if (!packet.udp || value(packet.udp->dst_port) != 5353) return;
-        const DnsMessage* msg = dns_of(packet);
+        const DnsView* msg = dns_of(packet);
         if (msg == nullptr || !msg->is_response) return;
         bool is_hue = false;
-        for (const auto& rec : msg->answers)
+        for (const DnsRecordView& rec : msg->answers)
           is_hue |= rec.name.to_string().find("_hue") != std::string::npos;
-        if (is_hue) hue = *msg;  // the memo dies with the delivery: copy
+        // The view dies with the delivery: copy.
+        if (is_hue) hue = msg->to_message();
       });
   lab.start_all();
   lab.run_idle(SimTime::from_minutes(30));

@@ -87,30 +87,36 @@ bool old_dhcp_client(const std::string& vendor_class) {
 
 }  // namespace
 
-std::string response_text(const DnsMessage& response) {
+std::string response_text(const DnsView& response) {
   std::string text;
-  const auto append = [&](const DnsName& name) {
-    for (std::size_t i = 0; i < name.labels.size(); ++i) {
-      if (i != 0) text += '.';
-      text += name.labels[i];
-    }
+  const auto append = [&](const DnsNameView& name) {
+    bool first = true;
+    name.for_each_label([&](std::string_view label) {
+      if (!first) text += '.';
+      first = false;
+      text += label;
+    });
     text += ' ';
   };
-  for (const auto& record : response.answers) {
+  for (const DnsRecordView& record : response.answers) {
     append(record.name);
-    for (const auto& txt : record.txt()) {
+    record.for_each_txt([&](std::string_view txt) {
       text += txt;
       text += ' ';
-    }
+    });
     if (const auto ptr = record.ptr()) append(*ptr);
     if (const auto srv = record.srv()) append(srv->target);
   }
-  for (const auto& record : response.additional) append(record.name);
+  for (const DnsRecordView& record : response.additional) append(record.name);
   return text;
 }
 
-std::string response_text(const SsdpMessage& message) {
-  return message.usn + " " + message.server + " " + message.location;
+std::string response_text(const SsdpView& message) {
+  std::string text;
+  text.reserve(message.usn.size() + message.server.size() +
+               message.location.size() + 2);
+  text.append(message.usn).append(" ").append(message.server).append(" ");
+  return text.append(message.location);
 }
 
 bool PayloadMemo::holds(const Slot& slot, MacAddress src,
@@ -234,7 +240,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   if (dport == kMdnsPort || sport == kMdnsPort) {
     // Decoded before the settle check: the decode is shared with every
     // other consumer of the frame either way.
-    const DnsMessage* msg = dns_of(packet);
+    const DnsView* msg = dns_of(packet);
     if (msg == nullptr || !msg->is_response) return;
     const bool mac = !settled(ProtocolLabel::kMdns, ExposedData::kMac);
     const bool uuid = !settled(ProtocolLabel::kMdns, ExposedData::kUuid);
@@ -261,7 +267,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- SSDP (and the UPnP description it links to)
   if (dport == kSsdpPort || sport == kSsdpPort) {
-    const SsdpMessage* msg = ssdp_of(packet);
+    const SsdpView* msg = ssdp_of(packet);
     if (msg == nullptr) return;
     if (!settled(ProtocolLabel::kSsdp, ExposedData::kUuid) &&
         ssdp_scanned_.insert(src, payload)) {
@@ -273,7 +279,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
     }
     if (!msg->server.empty()) {
       mark(ProtocolLabel::kSsdp, ExposedData::kOsVersion, src);
-      if (msg->server.find("UPnP/1.0") != std::string::npos)
+      if (msg->server.find("UPnP/1.0") != std::string_view::npos)
         mark(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware, src);
     }
     return;

@@ -18,8 +18,8 @@
 
 namespace roomnet {
 
-struct DnsMessage;
-struct SsdpMessage;
+struct DnsView;
+struct SsdpView;
 
 enum class ExposedData {
   kMac,
@@ -105,8 +105,8 @@ class ExposureBuilder {
 /// The §6.3 response text the exposure analysis scans and the fleet
 /// harvests: an mDNS response's record names, TXT strings and PTR/SRV
 /// targets; an SSDP message's USN, SERVER and LOCATION.
-std::string response_text(const DnsMessage& response);
-std::string response_text(const SsdpMessage& message);
+std::string response_text(const DnsView& response);
+std::string response_text(const SsdpView& message);
 
 /// The protocols Table 1 rows cover, in paper order.
 const std::vector<ProtocolLabel>& exposure_protocols();

@@ -65,7 +65,7 @@ void AppRunner::do_mdns_scan(Harvest& harvest) {
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [&harvest](Host&, const PacketView& packet,
                                    const UdpDatagram&) {
-    const DnsMessage* msg = dns_of(packet);
+    const DnsView* msg = dns_of(packet);
     if (msg == nullptr || !msg->is_response) return;
     harvest.discovered_devices.insert(packet.eth.src);
     for (const auto& id : extract_identifiers(response_text(*msg))) {
@@ -103,7 +103,7 @@ void AppRunner::do_ssdp_scan(Harvest& harvest, bool igd_target) {
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [this, &harvest](Host&, const PacketView& packet,
                                          const UdpDatagram&) {
-    const SsdpMessage* msg = ssdp_of(packet);
+    const SsdpView* msg = ssdp_of(packet);
     if (msg == nullptr || msg->kind != SsdpKind::kResponse || !packet.ipv4)
       return;
     harvest.discovered_devices.insert(packet.eth.src);
@@ -111,11 +111,14 @@ void AppRunner::do_ssdp_scan(Harvest& harvest, bool igd_target) {
     for (const auto& uuid : extract_uuids(msg->usn))
       harvest.uuids.insert(uuid);
     // Fetch the description document the LOCATION points at.
-    const auto port_pos = msg->location.rfind(':');
-    const auto path_pos = msg->location.find('/', 7);
-    if (port_pos == std::string::npos || path_pos == std::string::npos) return;
+    const std::string_view location = msg->location;
+    const auto port_pos = location.rfind(':');
+    const auto path_pos = location.find('/', 7);
+    if (port_pos == std::string_view::npos || path_pos == std::string_view::npos)
+      return;
     const int port = std::atoi(
-        msg->location.substr(port_pos + 1, path_pos - port_pos - 1).c_str());
+        std::string(location.substr(port_pos + 1, path_pos - port_pos - 1))
+            .c_str());
     if (port <= 0 || port > 65535) return;
     Host& ph = lab_->pixel();
     auto& conn = ph.connect_tcp(packet.ipv4->src,

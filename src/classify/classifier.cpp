@@ -172,16 +172,16 @@ namespace {
 /// A packet's app-layer decodes come from its frame's shared memo.
 struct FrameDecodes {
   const PacketView& packet;
-  const DnsMessage* dns() const { return dns_of(packet); }
-  const SsdpMessage* ssdp() const { return ssdp_of(packet); }
+  const DnsView* dns() const { return dns_of(packet); }
+  const SsdpView* ssdp() const { return ssdp_of(packet); }
   const DhcpMessage* dhcp() const { return dhcp_of(packet); }
 };
 
-/// A flow's stored payload is not a frame: decode its bytes directly.
+/// A flow's stored payload is not a frame: read its bytes directly.
 struct PayloadDecodes {
   BytesView payload;
-  std::optional<DnsMessage> dns() const { return decode_dns(payload); }
-  std::optional<SsdpMessage> ssdp() const { return decode_ssdp(payload); }
+  std::optional<DnsView> dns() const { return view_dns(payload); }
+  std::optional<SsdpView> ssdp() const { return view_ssdp(payload); }
   std::optional<DhcpMessage> dhcp() const { return decode_dhcp(payload); }
 };
 
@@ -198,7 +198,8 @@ ProtocolLabel deep_classify_payload(BytesView payload, std::uint16_t sport,
     if (ssdp) {
       // Documented nDPI error: IGD-targeted discovery matches the CiscoVPN
       // signature.
-      if (ssdp->search_target.find("InternetGatewayDevice") != std::string::npos)
+      if (ssdp->search_target.find("InternetGatewayDevice") !=
+          std::string_view::npos)
         return ProtocolLabel::kCiscoVpn;
       return ProtocolLabel::kSsdp;
     }

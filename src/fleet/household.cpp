@@ -143,8 +143,8 @@ HouseholdResult run_household(const HouseholdConfig& config,
     if (!ctx.payload_memo.insert(src, payload)) return;
     std::optional<std::string> text;
     if (!mdns) {
-      if (const SsdpMessage* msg = ssdp_of(packet)) text = response_text(*msg);
-    } else if (const DnsMessage* msg = dns_of(packet);
+      if (const SsdpView* msg = ssdp_of(packet)) text = response_text(*msg);
+    } else if (const DnsView* msg = dns_of(packet);
                msg != nullptr && msg->is_response) {
       text = response_text(*msg);
     }

@@ -69,10 +69,10 @@ void Honeypot::setup_media_renderer() {
   ssdp_->set_description(std::move(desc));
   ssdp_->notification_types = {"upnp:rootdevice",
                                "urn:dial-multiscreen-org:service:dial:1"};
-  ssdp_->on_message = [this](const PacketView& packet, const SsdpMessage& msg) {
+  ssdp_->on_message = [this](const PacketView& packet, const SsdpView& msg) {
     if (msg.kind == SsdpKind::kMSearch)
       record(packet.eth.src, ProtocolLabel::kSsdp,
-             "M-SEARCH " + msg.search_target);
+             "M-SEARCH " + std::string(msg.search_target));
   };
   // Track description fetches via a wrapper HTTP endpoint on a second port.
   host_.listen_tcp(49160, [this](Host&, TcpConnection& conn) {
@@ -97,7 +97,7 @@ void Honeypot::setup_zeroconf_speaker() {
   service.txt = {"deviceid=" + make_token("txt.deviceid"),
                  "cpath=/zc/" + make_token("txt.cpath")};
   mdns_->add_service(std::move(service));
-  mdns_->on_message = [this](const PacketView& packet, const DnsMessage& msg) {
+  mdns_->on_message = [this](const PacketView& packet, const DnsView& msg) {
     if (!msg.is_response && !msg.questions.empty())
       record(packet.eth.src, ProtocolLabel::kMdns,
              "query " + msg.questions.front().name.to_string());

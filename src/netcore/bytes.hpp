@@ -167,7 +167,8 @@ class ByteWriter {
   }
   ByteWriter& raw(const Bytes& v) { return raw(BytesView(v)); }
   ByteWriter& str(std::string_view s) {
-    out_.insert(out_.end(), s.begin(), s.end());
+    const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
+    out_.insert(out_.end(), p, p + s.size());
     return *this;
   }
   ByteWriter& fill(std::uint8_t value, std::size_t n) {

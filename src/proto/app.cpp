@@ -23,12 +23,12 @@ const T* memoized(const PacketView& packet, AppLayers::Slot<T> AppLayers::*slot,
 
 }  // namespace
 
-const DnsMessage* dns_of(const PacketView& packet) {
-  return memoized(packet, &AppLayers::dns, decode_dns);
+const DnsView* dns_of(const PacketView& packet) {
+  return memoized(packet, &AppLayers::dns, view_dns);
 }
 
-const SsdpMessage* ssdp_of(const PacketView& packet) {
-  return memoized(packet, &AppLayers::ssdp, decode_ssdp);
+const SsdpView* ssdp_of(const PacketView& packet) {
+  return memoized(packet, &AppLayers::ssdp, view_ssdp);
 }
 
 const DhcpMessage* dhcp_of(const PacketView& packet) {

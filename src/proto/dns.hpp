@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netcore/address.hpp"
@@ -93,9 +95,154 @@ struct DnsMessage {
 inline constexpr std::uint16_t kMdnsPort = 5353;
 inline constexpr Ipv4Address kMdnsGroupV4 = Ipv4Address(224, 0, 0, 251);
 
-/// Encodes with name compression (full-name suffix sharing).
+// ------------------------------------------------------------------- views
+//
+// A DnsView reads a message in place: names, rdata and TXT strings are
+// slices of the bytes view_dns accepted, valid while those bytes are (for a
+// frame's payload, one delivery). Copy what you keep: to_string, to_name,
+// to_record and to_message make owning copies.
+
+struct DnsWire;  // the walker that builds views (dns.cpp)
+
+/// A name inside a message view_dns accepted: where it starts. Walking its
+/// labels follows the compression pointers the walk already checked.
+class DnsNameView {
+ public:
+  DnsNameView() = default;  // the empty name
+
+  /// Calls `f(std::string_view label)` for each label, in order.
+  template <class F>
+  void for_each_label(F&& f) const {
+    if (base_ == nullptr) return;
+    const std::uint8_t* p = base_ + offset_;
+    for (;;) {
+      if ((*p & 0xc0) == 0xc0) {
+        p = base_ + ((static_cast<std::size_t>(*p & 0x3f) << 8) | p[1]);
+        continue;
+      }
+      if (*p == 0) return;
+      f(std::string_view(reinterpret_cast<const char*>(p + 1), *p));
+      p += 1 + *p;
+    }
+  }
+  [[nodiscard]] std::string to_string() const;  // dot-joined
+  [[nodiscard]] DnsName to_name() const;
+  /// True when the dot-joined name equals `dotted` up to ASCII case, the
+  /// way mDNS compares names (RFC 6762 §16). Builds no string.
+  [[nodiscard]] bool iequals(std::string_view dotted) const;
+
+ private:
+  friend struct DnsWire;
+  DnsNameView(const std::uint8_t* base, std::size_t offset)
+      : base_(base), offset_(offset) {}
+  const std::uint8_t* base_ = nullptr;  // the whole message
+  std::size_t offset_ = 0;
+};
+
+struct DnsQuestionView {
+  DnsNameView name;
+  DnsType type = DnsType::kAny;
+  bool unicast_response = false;
+};
+
+struct SrvView {
+  std::uint16_t priority = 0;
+  std::uint16_t weight = 0;
+  std::uint16_t port = 0;
+  DnsNameView target;
+};
+
+struct DnsRecordView {
+  DnsNameView name;
+  DnsType type = DnsType::kA;
+  bool cache_flush = false;
+  std::uint32_t ttl = 0;
+  /// rdata as on the wire: a PTR/SRV target in it may point elsewhere in
+  /// the message (read it through ptr()/srv()).
+  BytesView rdata;
+
+  // Typed accessors (nullopt if the record is not of that type).
+  [[nodiscard]] std::optional<Ipv4Address> a() const;
+  [[nodiscard]] std::optional<Ipv6Address> aaaa() const;
+  [[nodiscard]] std::optional<DnsNameView> ptr() const;
+  [[nodiscard]] std::optional<SrvView> srv() const;
+  /// Calls `f(std::string_view)` for each TXT string of a TXT record, up to
+  /// the first one that runs past the rdata (DnsRecord::txt's rule).
+  template <class F>
+  void for_each_txt(F&& f) const {
+    if (type != DnsType::kTxt) return;
+    for (std::size_t at = 0; at < rdata.size();) {
+      const std::size_t len = rdata[at];
+      if (rdata.size() - at - 1 < len) return;
+      f(std::string_view(reinterpret_cast<const char*>(rdata.data() + at + 1),
+                         len));
+      at += 1 + len;
+    }
+  }
+  /// The owning record decode_dns returns: a PTR/SRV target decompressed.
+  [[nodiscard]] DnsRecord to_record() const;
+};
+
+/// One section of a DnsView: its entries, read in order on iteration.
+template <class Entry>
+class DnsSection {
+ public:
+  class Iterator {
+   public:
+    using value_type = Entry;
+    using difference_type = std::ptrdiff_t;
+    const Entry& operator*() const { return entry_; }
+    const Entry* operator->() const { return &entry_; }
+    Iterator& operator++();
+    bool operator==(std::default_sentinel_t) const { return left_ == 0; }
+
+   private:
+    friend class DnsSection;
+    const std::uint8_t* base_ = nullptr;
+    std::size_t next_ = 0;
+    std::uint16_t left_ = 0;
+    Entry entry_;
+  };
+
+  DnsSection() = default;
+  [[nodiscard]] Iterator begin() const;
+  [[nodiscard]] std::default_sentinel_t end() const { return {}; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] Entry front() const { return *begin(); }  // requires !empty()
+
+ private:
+  friend struct DnsWire;
+  DnsSection(const std::uint8_t* base, std::size_t offset, std::uint16_t count)
+      : base_(base), offset_(offset), count_(count) {}
+  const std::uint8_t* base_ = nullptr;
+  std::size_t offset_ = 0;
+  std::uint16_t count_ = 0;
+};
+
+/// A DNS/mDNS message read in place by view_dns.
+struct DnsView {
+  std::uint16_t id = 0;
+  bool is_response = false;
+  bool authoritative = false;
+  DnsSection<DnsQuestionView> questions;
+  DnsSection<DnsRecordView> answers;
+  DnsSection<DnsRecordView> authority;
+  DnsSection<DnsRecordView> additional;
+
+  [[nodiscard]] DnsMessage to_message() const;
+};
+
+/// Encodes with name compression: a name suffix already written is replaced
+/// by a pointer to its first occurrence. Empty labels are dropped (a zero
+/// length byte would end the name); labels over 63 bytes are cut to 63.
 Bytes encode_dns(const DnsMessage& msg);
-/// Decodes, following compression pointers with loop protection.
+/// The one validating walk: checks every name (compression pointers with
+/// loop protection, at most 128 labels of at most 63 bytes), every record
+/// and every PTR/SRV target, and returns the message as slices of `raw`.
+/// Counts one decode in roomnet_proto_decodes_total{proto="dns"}.
+std::optional<DnsView> view_dns(BytesView raw);
+/// view_dns, then an owning copy of the message.
 std::optional<DnsMessage> decode_dns(BytesView raw);
 
 }  // namespace roomnet

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <climits>
 #include <cstdint>
 
@@ -9,48 +10,62 @@
 
 namespace roomnet {
 
-Bytes encode_ssdp(const SsdpMessage& msg) {
+void append_ssdp(const SsdpMessage& msg, ByteWriter& w) {
+  static telemetry::Counter& encodes = telemetry::Registry::global().counter(
+      "roomnet_proto_encodes_total", {{"proto", "ssdp"}});
+  encodes.inc();
+  const auto header = [&w](std::string_view name, std::string_view value) {
+    w.str(name).str(": ").str(value).str("\r\n");
+  };
+  const auto header_if = [&](std::string_view name, std::string_view value) {
+    if (!value.empty()) header(name, value);
+  };
   switch (msg.kind) {
     case SsdpKind::kMSearch: {
-      HttpRequest req;
-      req.method = "M-SEARCH";
-      req.target = "*";
-      req.headers.add("HOST", "239.255.255.250:1900");
-      req.headers.add("MAN", "\"ssdp:discover\"");
-      req.headers.add("MX", std::to_string(msg.mx));
-      req.headers.add("ST", msg.search_target);
-      if (!msg.server.empty()) req.headers.add("USER-AGENT", msg.server);
-      for (const auto& [k, v] : msg.extra_headers) req.headers.add(k, v);
-      return encode_http_request(req);
+      w.str("M-SEARCH * HTTP/1.1\r\n");
+      header("HOST", "239.255.255.250:1900");
+      header("MAN", "\"ssdp:discover\"");
+      char mx[16];
+      const auto end = std::to_chars(mx, mx + sizeof mx, msg.mx).ptr;
+      header("MX", std::string_view(mx, static_cast<std::size_t>(end - mx)));
+      header("ST", msg.search_target);
+      header_if("USER-AGENT", msg.server);
+      break;
     }
-    case SsdpKind::kNotify: {
-      HttpRequest req;
-      req.method = "NOTIFY";
-      req.target = "*";
-      req.headers.add("HOST", "239.255.255.250:1900");
-      req.headers.add("NT", msg.search_target);
-      req.headers.add("NTS", msg.nts.empty() ? "ssdp:alive" : msg.nts);
-      if (!msg.usn.empty()) req.headers.add("USN", msg.usn);
-      if (!msg.server.empty()) req.headers.add("SERVER", msg.server);
-      if (!msg.location.empty()) req.headers.add("LOCATION", msg.location);
-      for (const auto& [k, v] : msg.extra_headers) req.headers.add(k, v);
-      return encode_http_request(req);
-    }
-    case SsdpKind::kResponse: {
-      HttpResponse res;
-      res.status = 200;
-      res.reason = "OK";
-      res.headers.add("CACHE-CONTROL", "max-age=1800");
-      res.headers.add("EXT", "");
-      if (!msg.location.empty()) res.headers.add("LOCATION", msg.location);
-      if (!msg.server.empty()) res.headers.add("SERVER", msg.server);
-      res.headers.add("ST", msg.search_target);
-      if (!msg.usn.empty()) res.headers.add("USN", msg.usn);
-      for (const auto& [k, v] : msg.extra_headers) res.headers.add(k, v);
-      return encode_http_response(res);
-    }
+    case SsdpKind::kNotify:
+      w.str("NOTIFY * HTTP/1.1\r\n");
+      header("HOST", "239.255.255.250:1900");
+      header("NT", msg.search_target);
+      header("NTS", msg.nts.empty() ? std::string_view("ssdp:alive")
+                                    : std::string_view(msg.nts));
+      header_if("USN", msg.usn);
+      header_if("SERVER", msg.server);
+      header_if("LOCATION", msg.location);
+      break;
+    case SsdpKind::kResponse:
+      w.str("HTTP/1.1 200 OK\r\n");
+      header("CACHE-CONTROL", "max-age=1800");
+      header("EXT", "");
+      header_if("LOCATION", msg.location);
+      header_if("SERVER", msg.server);
+      header("ST", msg.search_target);
+      header_if("USN", msg.usn);
+      break;
   }
-  return {};
+  for (const auto& [k, v] : msg.extra_headers) header(k, v);
+  w.str("\r\n");
+}
+
+Bytes encode_ssdp(const SsdpMessage& msg) {
+  // Fixed text is under 160 bytes; each header line adds its name, ": " and
+  // CRLF around the value.
+  std::size_t size = 160 + msg.search_target.size() + msg.usn.size() +
+                     msg.server.size() + msg.location.size() + msg.nts.size();
+  for (const auto& [k, v] : msg.extra_headers) size += k.size() + v.size() + 4;
+  ByteWriter w;
+  w.reserve(size);
+  append_ssdp(msg, w);
+  return w.take();
 }
 
 namespace {
@@ -70,12 +85,23 @@ int parse_mx(std::string_view s) {
 }
 }  // namespace
 
-std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
+SsdpMessage SsdpView::to_message() const {
+  SsdpMessage msg;
+  msg.kind = kind;
+  msg.search_target = search_target;
+  msg.usn = usn;
+  msg.server = server;
+  msg.location = location;
+  msg.nts = nts;
+  msg.mx = mx;
+  return msg;
+}
+
+std::optional<SsdpView> view_ssdp(BytesView raw) {
   static telemetry::Counter& decodes = telemetry::Registry::global().counter(
       "roomnet_proto_decodes_total", {{"proto", "ssdp"}});
   decodes.inc();
-  // One scan of the head keeps the first value of each header SSDP reads, as
-  // slices of `raw`; only the ones the message kind keeps are copied.
+  // One scan of the head keeps the first value of each header SSDP reads.
   enum Field { kSt, kNt, kNts, kUsn, kServer, kUserAgent, kLocation, kMx, kFields };
   static constexpr std::string_view kNames[kFields] = {
       "ST", "NT", "NTS", "USN", "SERVER", "USER-AGENT", "LOCATION", "MX"};
@@ -91,8 +117,8 @@ std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
         }
       });
   if (!head) return std::nullopt;
-  const auto field = [&](Field f) { return std::string(found[f].value_or("")); };
-  SsdpMessage msg;
+  const auto field = [&](Field f) { return found[f].value_or(""); };
+  SsdpView msg;
   if (head->start_parts == 3 && head->start[2].starts_with("HTTP/")) {
     const std::string_view method = head->start[0];
     if (method == "M-SEARCH") {
@@ -121,6 +147,12 @@ std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
   msg.server = field(kServer);
   msg.location = field(kLocation);
   return msg;
+}
+
+std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
+  const auto view = view_ssdp(raw);
+  if (!view) return std::nullopt;
+  return view->to_message();
 }
 
 namespace {

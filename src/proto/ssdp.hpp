@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netcore/address.hpp"
@@ -41,7 +42,29 @@ struct SsdpMessage {
   std::vector<std::pair<std::string, std::string>> extra_headers;
 };
 
+/// An SSDP message read in place by view_ssdp: each field is a slice of the
+/// payload, valid while those bytes are (for a frame's payload, one
+/// delivery). Copy what you keep; to_message makes the owning copy.
+struct SsdpView {
+  SsdpKind kind = SsdpKind::kMSearch;
+  std::string_view search_target;
+  std::string_view usn;
+  std::string_view server;
+  std::string_view location;
+  std::string_view nts;
+  int mx = 2;
+
+  [[nodiscard]] SsdpMessage to_message() const;
+};
+
+/// Writes the message's head straight into `w` (appending).
+void append_ssdp(const SsdpMessage& msg, ByteWriter& w);
 Bytes encode_ssdp(const SsdpMessage& msg);
+/// Reads the HTTP head once and keeps the first value of each header the
+/// message kind carries. Counts one decode in
+/// roomnet_proto_decodes_total{proto="ssdp"}. Vendor headers are not read.
+std::optional<SsdpView> view_ssdp(BytesView raw);
+/// view_ssdp, then an owning copy of the message.
 std::optional<SsdpMessage> decode_ssdp(BytesView raw);
 
 /// UPnP device description document (the XML at LOCATION). Field set mirrors

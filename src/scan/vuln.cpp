@@ -1,5 +1,7 @@
 #include "scan/vuln.hpp"
 
+#include <utility>
+
 #include "exec/parallel.hpp"
 #include "exec/task_pool.hpp"
 #include "proto/app.hpp"
@@ -157,22 +159,21 @@ void ServiceProber::probe_udp(DeviceAudit& audit, std::size_t service_index,
     const std::uint16_t sport = scanner_->ephemeral_port();
     scanner_->open_udp(sport, [obs](Host&, const PacketView& packet,
                                     const UdpDatagram&) {
-      const DnsMessage* msg = dns_of(packet);
+      const DnsView* msg = dns_of(packet);
       if (msg == nullptr || !msg->is_response) return;
-      for (const auto& answer : msg->answers) {
-        if (answer.type == DnsType::kTxt) {
-          const auto txt = answer.txt();
-          if (!txt.empty()) {
-            obs->banner = txt.front();
-            obs->corrected_service = "dns";
-          }
-        }
+      for (const DnsRecordView& answer : msg->answers) {
+        bool first = true;
+        answer.for_each_txt([&](std::string_view txt) {
+          if (!std::exchange(first, false)) return;
+          obs->banner = txt;
+          obs->corrected_service = "dns";
+        });
         if (answer.type == DnsType::kA && answer.ttl < 300) {
           obs->dns_cache_snoopable = true;
           obs->corrected_service = "dns";
         }
       }
-      for (const auto& extra : msg->additional) {
+      for (const DnsRecordView& extra : msg->additional) {
         if (extra.type == DnsType::kA) obs->dns_reveals_resolver = true;
       }
     });

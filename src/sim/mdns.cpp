@@ -20,15 +20,15 @@ void MdnsEndpoint::query(const std::string& service_type, bool unicast_response)
   q.type = DnsType::kPtr;
   q.unicast_response = unicast_response;
   msg.questions.push_back(std::move(q));
-  host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, encode_dns(msg));
+  const Bytes raw = encode_dns(msg);
+  host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, raw);
   if (host_->ipv6_enabled())
-    host_->send_udp_v6(Ipv6Address::mdns_group(), kMdnsPort, kMdnsPort,
-                       encode_dns(msg));
+    host_->send_udp_v6(Ipv6Address::mdns_group(), kMdnsPort, kMdnsPort, raw);
 }
 
 void MdnsEndpoint::announce() {
-  for (const auto& service : services_)
-    send_message(build_answer(service), /*unicast=*/false, kMdnsGroupV4);
+  for (std::size_t i = 0; i < services_.size(); ++i)
+    host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, answer(i));
 }
 
 DnsMessage MdnsEndpoint::build_answer(const MdnsService& service) const {
@@ -55,40 +55,40 @@ DnsMessage MdnsEndpoint::build_answer(const MdnsService& service) const {
   return msg;
 }
 
-void MdnsEndpoint::send_message(const DnsMessage& msg, bool unicast,
-                                Ipv4Address to) {
-  const Bytes raw = encode_dns(msg);
-  if (unicast) {
-    host_->send_udp(to, kMdnsPort, kMdnsPort, raw);
-  } else {
-    host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, raw);
+const Bytes& MdnsEndpoint::answer(std::size_t i) {
+  if (answers_ip_ != host_->ip() || answers_v6_ != host_->ipv6_enabled()) {
+    answers_.clear();
+    answers_ip_ = host_->ip();
+    answers_v6_ = host_->ipv6_enabled();
   }
+  if (answers_.size() < services_.size()) answers_.resize(services_.size());
+  if (answers_[i].empty()) answers_[i] = encode_dns(build_answer(services_[i]));
+  return answers_[i];
 }
 
 void MdnsEndpoint::handle(const PacketView& packet) {
-  const DnsMessage* msg = dns_of(packet);
+  const DnsView* msg = dns_of(packet);
   if (msg == nullptr) return;
   if (on_message) on_message(packet, *msg);
   if (msg->is_response || !packet.ipv4) return;
 
-  for (const auto& q : msg->questions) {
-    const std::string qname = q.name.to_string();
-    for (const auto& service : services_) {
-      // The DNS-SD meta-query is answered only by full Bonjour stacks (the
-      // same ones that honor QU unicast responses); many embedded mDNS
-      // responders only match their own service type.
+  for (const DnsQuestionView& q : msg->questions) {
+    if (q.type != DnsType::kPtr && q.type != DnsType::kAny) continue;
+    for (std::size_t i = 0; i < services_.size(); ++i) {
+      // Names compare case-insensitively (RFC 6762 §16). The DNS-SD
+      // meta-query is answered only by full Bonjour stacks (the same ones
+      // that honor QU unicast responses); many embedded mDNS responders
+      // only match their own service type.
       const bool match =
-          qname == service.service_type ||
-          (answer_unicast && qname == "_services._dns-sd._udp.local");
+          q.name.iequals(services_[i].service_type) ||
+          (answer_unicast && q.name.iequals("_services._dns-sd._udp.local"));
       if (!match) continue;
-      if (q.type != DnsType::kPtr && q.type != DnsType::kAny) continue;
-      const DnsMessage answer = build_answer(service);
       if (q.unicast_response && answer_unicast) {
-        send_message(answer, /*unicast=*/true, packet.ipv4->src);
+        host_->send_udp(packet.ipv4->src, kMdnsPort, kMdnsPort, answer(i));
       } else if (answer_multicast) {
-        send_message(answer, /*unicast=*/false, kMdnsGroupV4);
+        host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, answer(i));
       } else if (answer_unicast) {
-        send_message(answer, /*unicast=*/true, packet.ipv4->src);
+        host_->send_udp(packet.ipv4->src, kMdnsPort, kMdnsPort, answer(i));
       }
     }
   }

@@ -27,7 +27,10 @@ class MdnsEndpoint {
   explicit MdnsEndpoint(Host& host);
 
   /// The .local hostname of the A record ("Philips-hue.local").
-  void set_hostname(std::string hostname) { hostname_ = std::move(hostname); }
+  void set_hostname(std::string hostname) {
+    hostname_ = std::move(hostname);
+    answers_.clear();
+  }
   [[nodiscard]] const std::string& hostname() const { return hostname_; }
   void add_service(MdnsService service) { services_.push_back(std::move(service)); }
   [[nodiscard]] const std::vector<MdnsService>& services() const { return services_; }
@@ -41,17 +44,25 @@ class MdnsEndpoint {
   /// Unsolicited announcement of all services.
   void announce();
 
-  /// Observer of every mDNS message seen (for scanners/SDK models).
-  std::function<void(const PacketView&, const DnsMessage&)> on_message;
+  /// Observer of every mDNS message seen (for scanners/SDK models). The
+  /// view dies with the delivery.
+  std::function<void(const PacketView&, const DnsView&)> on_message;
 
  private:
   void handle(const PacketView& packet);
   [[nodiscard]] DnsMessage build_answer(const MdnsService& service) const;
-  void send_message(const DnsMessage& msg, bool unicast, Ipv4Address to);
+  /// services_[i]'s answer, encoded once for the host's current address
+  /// state (IPv4 address, IPv6 on or off) and hostname.
+  const Bytes& answer(std::size_t i);
 
   Host* host_;
   std::string hostname_;
   std::vector<MdnsService> services_;
+  // One encoded answer per service (empty until first sent), valid for the
+  // address state below; set_hostname clears it, add_service grows it.
+  std::vector<Bytes> answers_;
+  Ipv4Address answers_ip_;
+  bool answers_v6_ = false;
 };
 
 }  // namespace roomnet

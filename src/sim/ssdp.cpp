@@ -14,11 +14,6 @@ SsdpEndpoint::SsdpEndpoint(Host& host) : host_(&host) {
   host_->join_multicast_group(kSsdpGroupV4);
 }
 
-std::string SsdpEndpoint::location_url() const {
-  return "http://" + host_->ip().to_string() + ":" + std::to_string(http_port_) +
-         "/description.xml";
-}
-
 void SsdpEndpoint::set_description(UpnpDeviceDescription description,
                                    std::uint16_t http_port) {
   description_ = std::move(description);
@@ -42,17 +37,26 @@ void SsdpEndpoint::set_description(UpnpDeviceDescription description,
   });
 }
 
-SsdpMessage SsdpEndpoint::base_message(SsdpKind kind,
-                                       const std::string& nt) const {
-  SsdpMessage msg;
-  msg.kind = kind;
-  msg.search_target = nt;
-  msg.server = server_string;
+void SsdpEndpoint::send(SsdpKind kind, std::string_view nt, Ipv4Address to,
+                        std::uint16_t sport, std::uint16_t dport) {
+  out_.kind = kind;
+  out_.search_target.assign(nt);
+  out_.server.assign(server_string);
+  out_.nts.assign(kind == SsdpKind::kNotify ? "ssdp:alive" : "");
+  out_.usn.clear();
+  out_.location.clear();
   if (description_) {
-    msg.usn = description_->udn + "::" + nt;
-    msg.location = location_url();
+    out_.usn.append(description_->udn).append("::").append(nt);
+    out_.location.append("http://")
+        .append(host_->ip().to_string())
+        .append(":")
+        .append(std::to_string(http_port_))
+        .append("/description.xml");
   }
-  return msg;
+  ByteWriter w(std::move(wire_));
+  append_ssdp(out_, w);
+  wire_ = w.take();
+  host_->send_udp(to, sport, dport, wire_);
 }
 
 void SsdpEndpoint::msearch(const std::string& search_target, int mx) {
@@ -73,33 +77,29 @@ void SsdpEndpoint::msearch(const std::string& search_target, int mx) {
 }
 
 void SsdpEndpoint::notify_alive() {
-  for (const auto& nt : notification_types) {
-    SsdpMessage msg = base_message(SsdpKind::kNotify, nt);
-    msg.nts = "ssdp:alive";
-    host_->send_udp(kSsdpGroupV4, host_->ephemeral_port(), kSsdpPort,
-                    encode_ssdp(msg));
-  }
+  for (const auto& nt : notification_types)
+    send(SsdpKind::kNotify, nt, kSsdpGroupV4, host_->ephemeral_port(),
+         kSsdpPort);
 }
 
 void SsdpEndpoint::handle(const PacketView& packet, const UdpDatagram& udp) {
-  const SsdpMessage* msg = ssdp_of(packet);
+  const SsdpView* msg = ssdp_of(packet);
   if (msg == nullptr) return;
   if (on_message) on_message(packet, *msg);
   if (msg->kind != SsdpKind::kMSearch || !respond_to_msearch || !packet.ipv4)
     return;
 
-  const std::string& st = msg->search_target;
+  const std::string_view st = msg->search_target;
   bool match = st == "ssdp:all";
   for (const auto& nt : notification_types) match = match || st == nt;
   if (!match) return;
 
-  SsdpMessage response = base_message(SsdpKind::kResponse,
-                                      st == "ssdp:all" && !notification_types.empty()
-                                          ? notification_types.front()
-                                          : st);
   // Unicast back to the searcher's source port.
-  host_->send_udp(packet.ipv4->src, kSsdpPort, value(udp.src_port),
-                  encode_ssdp(response));
+  send(SsdpKind::kResponse,
+       st == "ssdp:all" && !notification_types.empty()
+           ? std::string_view(notification_types.front())
+           : st,
+       packet.ipv4->src, kSsdpPort, value(udp.src_port));
 }
 
 }  // namespace roomnet

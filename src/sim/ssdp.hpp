@@ -26,7 +26,6 @@ class SsdpEndpoint {
   [[nodiscard]] const std::optional<UpnpDeviceDescription>& description() const {
     return description_;
   }
-  [[nodiscard]] std::string location_url() const;
 
   /// SERVER / USER-AGENT string, e.g. "Linux/4.9 UPnP/1.0 product/1.0".
   /// UPnP version 1.0 here is the §5.1 deprecated-version finding.
@@ -39,16 +38,21 @@ class SsdpEndpoint {
   void msearch(const std::string& search_target, int mx = 2);
   void notify_alive();
 
-  std::function<void(const PacketView&, const SsdpMessage&)> on_message;
+  /// Observer of every SSDP message seen. The view dies with the delivery.
+  std::function<void(const PacketView&, const SsdpView&)> on_message;
 
  private:
   void handle(const PacketView& packet, const UdpDatagram& udp);
-  [[nodiscard]] SsdpMessage base_message(SsdpKind kind,
-                                         const std::string& nt) const;
+  /// Sends a NOTIFY or response for `nt`, built in out_ and encoded into
+  /// wire_: both keep their capacity, so a steady sender allocates nothing.
+  void send(SsdpKind kind, std::string_view nt, Ipv4Address to,
+            std::uint16_t sport, std::uint16_t dport);
 
   Host* host_;
   std::optional<UpnpDeviceDescription> description_;
   std::uint16_t http_port_ = 49152;
+  SsdpMessage out_;
+  Bytes wire_;
 };
 
 }  // namespace roomnet

@@ -330,14 +330,15 @@ void TestbedDevice::setup_services() {
     host_.open_udp(53, [this](Host&, const PacketView& packet,
                               const UdpDatagram& udp) {
       if (!packet.ipv4) return;
-      const DnsMessage* query = dns_of(packet);
+      const DnsView* query = dns_of(packet);
       if (query == nullptr || query->is_response || query->questions.empty())
         return;
       DnsMessage response;
       response.id = query->id;
       response.is_response = true;
-      const DnsQuestion& q = query->questions.front();
-      response.questions.push_back(q);
+      const DnsQuestionView asked = query->questions.front();
+      const DnsQuestion& q = response.questions.emplace_back(
+          asked.name.to_name(), asked.type, asked.unicast_response);
       if (q.name.to_string() == "version.bind") {
         response.answers.push_back(
             DnsRecord::make_txt(q.name, {behavior_.dns_banner}));

@@ -187,7 +187,7 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
   // --- dns_query: unicast DNS to a resolver -----------------------------
   if (packet.udp && packet.ipv4 && value(packet.udp->dst_port) == 53 &&
       !packet.ipv4->dst.is_multicast()) {
-    if (const DnsMessage* msg = dns_of(packet);
+    if (const DnsView* msg = dns_of(packet);
         msg != nullptr && !msg->is_response && !msg->questions.empty()) {
       NetEvent event;
       event.at = at;
@@ -196,7 +196,8 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
       event.severity = Severity::kInfo;
       event.device = src;
       event.flow = packet_flow_ref(packet);
-      event.fields.emplace_back("qname", msg->questions[0].name.to_string());
+      event.fields.emplace_back("qname",
+                                msg->questions.front().name.to_string());
       event.fields.emplace_back("resolver", packet.ipv4->dst.to_string());
       emit(std::move(event));
     }
@@ -212,7 +213,7 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
     const BytesView payload = packet.udp->payload;
     if (payload.size() >= 8 &&
         std::memcmp(payload.data(), "M-SEARCH", 8) == 0) {
-      const SsdpMessage* ssdp = ssdp_of(packet);
+      const SsdpView* ssdp = ssdp_of(packet);
       is_discovery = ssdp != nullptr && ssdp->kind == SsdpKind::kMSearch;
     }
   }

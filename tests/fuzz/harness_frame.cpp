@@ -109,18 +109,22 @@ WireProto deepest_proto(const PacketView& p) {
   return WireProto::kOther;
 }
 
+DnsMessage owned(const DnsView& view) { return view.to_message(); }
+SsdpMessage owned(const SsdpView& view) { return view.to_message(); }
+const DhcpMessage& owned(const DhcpMessage& message) { return message; }
+
 /// The memoized accessor agrees with a direct decode of the payload: same
 /// presence, same re-encoded bytes; and a second ask returns the same object.
-template <typename Message>
+template <typename Memo, typename Message>
 bool memo_agrees(const PacketView& p,
-                 const Message* (*memoized)(const PacketView&),
+                 const Memo* (*memoized)(const PacketView&),
                  std::optional<Message> (*decode)(BytesView),
                  Bytes (*encode)(const Message&)) {
-  const Message* first = memoized(p);
+  const Memo* first = memoized(p);
   const auto direct = decode(p.app_payload());
   if ((first != nullptr) != direct.has_value()) return false;
   if (memoized(p) != first) return false;
-  return first == nullptr || encode(*first) == encode(*direct);
+  return first == nullptr || encode(owned(*first)) == encode(*direct);
 }
 
 }  // namespace

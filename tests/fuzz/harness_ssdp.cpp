@@ -4,7 +4,9 @@
 // duplicate/drop/splice header lines, break the colon separator, blow up
 // MX, damage the start line, truncate mid-CRLF — then require total
 // decodes. Both phases also decode with the reference copy of the old
-// decoder (reference_decoders.hpp) and require the same fields.
+// decoder (reference_decoders.hpp) and require the same fields, from
+// view_ssdp as from decode_ssdp, and re-encode with the reference copy of
+// the old encoder (reference_encoders.hpp), requiring the same bytes.
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "harness.hpp"
 #include "proto/ssdp.hpp"
 #include "reference_decoders.hpp"
+#include "reference_encoders.hpp"
 
 namespace roomnet::fuzz {
 
@@ -33,6 +36,8 @@ void check_reference(BytesView data) {
 
 void check_idempotent(const SsdpMessage& decoded) {
   const Bytes e2 = encode_ssdp(decoded);
+  ROOMNET_FUZZ_CHECK(e2 == reference::encode_ssdp(decoded), kName,
+                     "encode_ssdp differs from the reference encoder");
   const auto d2 = decode_ssdp(BytesView(e2));
   ROOMNET_FUZZ_CHECK(d2.has_value(), kName,
                      "re-encoded message no longer decodes");

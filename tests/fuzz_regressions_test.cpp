@@ -119,10 +119,10 @@ TEST(FuzzRegressions, FrameAppLayerMemoAgreesOnMdnsResponse) {
   const auto view = decode_frame_view(BytesView(*data));
   ASSERT_TRUE(view.has_value());
   const AppScope app(*view);
-  const DnsMessage* msg = dns_of(*view);
+  const DnsView* msg = dns_of(*view);
   ASSERT_NE(msg, nullptr);
   ASSERT_EQ(msg->answers.size(), 1u);
-  EXPECT_EQ(msg->answers[0].ptr()->to_string(),
+  EXPECT_EQ(msg->answers.front().ptr()->to_string(),
             "Philips Hue - 685F61._hue._tcp.local");
   EXPECT_EQ(frame_contract_violation(BytesView(*data)), nullptr);
 }

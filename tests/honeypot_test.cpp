@@ -31,8 +31,8 @@ TEST(Honeypot, MediaRendererAnswersMsearchWithTokens) {
 
   SsdpEndpoint scanner_ssdp(scanner);
   std::optional<SsdpMessage> response;
-  scanner_ssdp.on_message = [&](const PacketView&, const SsdpMessage& m) {
-    if (m.kind == SsdpKind::kResponse) response = m;
+  scanner_ssdp.on_message = [&](const PacketView&, const SsdpView& m) {
+    if (m.kind == SsdpKind::kResponse) response = m.to_message();
   };
   scanner_ssdp.msearch("ssdp:all");
   lan.settle();
@@ -61,7 +61,7 @@ TEST(Honeypot, ZeroconfSpeakerRecordsQueriesAndEmitsTokens) {
   lan.settle();
   MdnsEndpoint phone_mdns(phone);
   std::string seen_instance;
-  phone_mdns.on_message = [&](const PacketView&, const DnsMessage& msg) {
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& msg) {
     for (const auto& rec : msg.answers)
       if (const auto ptr = rec.ptr()) seen_instance = ptr->to_string();
   };
@@ -151,7 +151,7 @@ TEST(HoneypotIntegration, AppHarvestsTokensAndTrackerCatchesExfiltration) {
   // A scanning "app": mDNS meta + specific query, harvest instance names.
   std::vector<std::string> harvested;
   MdnsEndpoint phone_mdns(phone);
-  phone_mdns.on_message = [&](const PacketView&, const DnsMessage& msg) {
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& msg) {
     for (const auto& rec : msg.answers)
       if (const auto ptr = rec.ptr()) harvested.push_back(ptr->to_string());
   };

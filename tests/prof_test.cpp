@@ -19,6 +19,8 @@
 #include "prof/report.hpp"
 #include "prof/rusage.hpp"
 #include "sim/host.hpp"
+#include "sim/mdns.hpp"
+#include "sim/ssdp.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -321,6 +323,67 @@ TEST(FramePathAllocTest, ClosedPortExchangesAllocateUnderOneBlockPer100Frames) {
   const std::uint64_t frames = net.frames_transmitted() - frames_before;
   ASSERT_EQ(frames, 4000u);
   EXPECT_LT((after.heap_allocs - before.heap_allocs) * 100, frames)
+      << after.heap_allocs - before.heap_allocs << " heap blocks";
+}
+
+TEST(DiscoveryAllocTest, AnsweredMdnsAndSsdpExchangesAllocateUnderOneBlockEach) {
+  // Receivers read DNS/SSDP views of the frame, the mDNS endpoint sends an
+  // answer it encoded once, and the SSDP endpoint writes its response into a
+  // recycled buffer: once warm, a discovery exchange costs no heap block.
+  if (!prof::heap_hooks_active())
+    GTEST_SKIP() << "needs heap hooks (configure with -DROOMNET_PROFILE=ON)";
+  EventLoop loop;
+  Switch net{loop};
+  Host phone(net, MacAddress::from_u64(0x02a0fc000001ull), "phone");
+  Host hue(net, MacAddress::from_u64(0x02a000000002ull), "hue");
+  Host tv(net, MacAddress::from_u64(0x02a000000003ull), "tv");
+  phone.set_static_ip(Ipv4Address(192, 168, 10, 50));
+  hue.set_static_ip(Ipv4Address(192, 168, 10, 2));
+  tv.set_static_ip(Ipv4Address(192, 168, 10, 3));
+  tv.add_arp_entry(phone.ip(), phone.mac());
+  MdnsEndpoint hue_mdns(hue);
+  hue_mdns.add_service({.instance = "Philips Hue - 685F61",
+                        .service_type = "_hue._tcp.local",
+                        .port = 443,
+                        .txt = {"bridgeid=001788fffe685f61"}});
+  SsdpEndpoint tv_ssdp(tv);
+  tv_ssdp.respond_to_msearch = true;
+  UpnpDeviceDescription desc;
+  desc.udn = "uuid:296f0ed3-af44-4f44-8a7f-02a000000002";
+  tv_ssdp.set_description(desc);
+  // The phone's mDNS endpoint reads every answer and ignores it; its M-SEARCH
+  // socket counts the SSDP responses.
+  MdnsEndpoint phone_mdns(phone);
+  int mdns_answers = 0, ssdp_answers = 0;
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& msg) {
+    mdns_answers += msg.is_response;
+  };
+  phone.open_udp(40000, [&](Host&, const PacketView&, const UdpDatagram&) {
+    ++ssdp_answers;
+  });
+  DnsMessage query;
+  query.questions.push_back(
+      {DnsName::from_string("_hue._tcp.local"), DnsType::kPtr, false});
+  const Bytes mdns_query = encode_dns(query);
+  SsdpMessage search;
+  search.search_target = "upnp:rootdevice";
+  const Bytes msearch = encode_ssdp(search);
+  const auto exchanges = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      phone.send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, mdns_query);
+      phone.send_udp(kSsdpGroupV4, 40000, kSsdpPort, msearch);
+      loop.run_until(loop.now() + SimTime::from_ms(2));
+    }
+  };
+  exchanges(100);  // warm-up
+  ASSERT_EQ(mdns_answers, 100);
+  ASSERT_EQ(ssdp_answers, 100);
+  const prof::AllocSnapshot before = prof::snapshot_alloc_counters();
+  exchanges(1000);
+  const prof::AllocSnapshot after = prof::snapshot_alloc_counters();
+  ASSERT_EQ(mdns_answers, 1100);
+  ASSERT_EQ(ssdp_answers, 1100);
+  EXPECT_LT(after.heap_allocs - before.heap_allocs, 2000u)
       << after.heap_allocs - before.heap_allocs << " heap blocks";
 }
 

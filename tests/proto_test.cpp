@@ -22,7 +22,9 @@
 #include "proto/tls.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
+#include "telemetry/metrics.hpp"
 #include "reference_decoders.hpp"
+#include "reference_encoders.hpp"
 
 namespace roomnet {
 namespace {
@@ -467,14 +469,15 @@ TEST(Dns, DirectRdataMatchesReadNameEncode) {
            {long_name_message(2, 64), false}}) {
     const auto got = decode_dns(BytesView(raw));
     EXPECT_EQ(got.has_value(), accepted) << raw.size() << "-byte limit case";
-    EXPECT_EQ(reference::dns_mismatch(got, reference::decode_dns(BytesView(raw))),
-              nullptr);
+    EXPECT_EQ(reference::dns_differs(BytesView(raw)), nullptr);
   }
 
   // PTR/SRV targets are decompressed straight into rdata; the old decoder
   // read them into a DnsName and re-encoded it. Every UDP payload of the
   // committed capture, and seeded damage to each, decodes the same both
-  // ways: accept/reject, every label string and every rdata byte.
+  // ways: accept/reject, every label string and every rdata byte. The view
+  // the owning decode is built from reads the same through its own
+  // accessors (names, PTR/SRV targets, TXT strings, A/AAAA).
   const auto& corpus = corpus_payloads().udp;
   ASSERT_GT(corpus.size(), 100u);
   Rng rng(42);
@@ -482,7 +485,7 @@ TEST(Dns, DirectRdataMatchesReadNameEncode) {
   const auto check = [&](const Bytes& raw) {
     ++inputs;
     const auto got = decode_dns(BytesView(raw));
-    const char* diff = reference::dns_mismatch(got, reference::decode_dns(BytesView(raw)));
+    const char* diff = reference::dns_differs(BytesView(raw));
     if (diff && ++mismatches <= 5)
       ADD_FAILURE() << "dns " << diff << " differs on a " << raw.size() << "-byte input";
     if (!got) return;
@@ -501,6 +504,182 @@ TEST(Dns, DirectRdataMatchesReadNameEncode) {
   EXPECT_EQ(mismatches, 0u) << "of " << inputs << " inputs";
   EXPECT_GT(accepted, corpus.size() / 4);
   EXPECT_GT(targets, 100u);  // the PTR/SRV path is exercised
+}
+
+/// Messages the encoder must write exactly as the map-keyed encoder did:
+/// compression across sections, PTR/SRV/TXT/A/AAAA records, the DNS-SD
+/// meta-query, labels at and over 63 bytes, and a name that is a suffix of
+/// an earlier one.
+std::vector<DnsMessage> encoder_cases() {
+  std::vector<DnsMessage> cases;
+  DnsMessage meta;
+  for (const char* type :
+       {"_services._dns-sd._udp.local", "_googlecast._tcp.local",
+        "_hue._tcp.local", "_airplay._tcp.local"})
+    meta.questions.push_back({DnsName::from_string(type), DnsType::kPtr, false});
+  meta.questions.push_back({DnsName::from_string("local"), DnsType::kAny, true});
+  cases.push_back(meta);
+
+  for (const bool v6 : {false, true}) {
+    reference::AnswerService service{"Philips Hue - 685F61", "_hue._tcp.local",
+                                     443, {"bridgeid=001788fffe685f61", "", "x"}};
+    cases.push_back(reference::build_answer(
+        service, "Philips-hue.local", Ipv4Address(192, 168, 10, 12),
+        v6 ? std::optional(Ipv6Address::link_local_from_mac(
+                 MacAddress::from_u64(0x02a005000001ull)))
+           : std::nullopt));
+    service.txt.clear();
+    cases.push_back(reference::build_answer(service, "hue.local",
+                                            Ipv4Address(10, 0, 0, 1),
+                                            std::nullopt));
+  }
+
+  DnsMessage mixed;
+  mixed.id = 0x7001;
+  mixed.is_response = true;
+  const auto long_label = std::string(63, 'a');
+  const auto over_long = std::string(70, 'b');
+  mixed.questions.push_back({DnsName::from_string("version.bind"), DnsType::kTxt, false});
+  mixed.answers.push_back(DnsRecord::make_txt(DnsName::from_string("version.bind"),
+                                              {"dnsmasq-2.80"}));
+  mixed.answers.push_back(DnsRecord::make_a(
+      DnsName::from_string(long_label + ".example.com"), Ipv4Address(1, 2, 3, 4)));
+  mixed.authority.push_back(DnsRecord::make_ptr(
+      DnsName::from_string("example.com"),
+      DnsName::from_string(over_long + ".example.com")));
+  mixed.authority.push_back(DnsRecord::make_aaaa(
+      DnsName::from_string(over_long + ".com"),
+      Ipv6Address::link_local_from_mac(MacAddress::from_u64(1))));
+  SrvData srv;
+  srv.priority = 1;
+  srv.weight = 2;
+  srv.port = 8009;
+  srv.target = DnsName::from_string("host.example.com");
+  mixed.additional.push_back(
+      DnsRecord::make_srv(DnsName::from_string("x._tcp.example.com"), srv));
+  mixed.additional.push_back(DnsRecord::make_a(DnsName::from_string("com"),
+                                               Ipv4Address(5, 6, 7, 8)));
+  mixed.additional.push_back(DnsRecord::make_a(DnsName{}, Ipv4Address(9, 9, 9, 9)));
+  cases.push_back(mixed);
+  return cases;
+}
+
+TEST(Dns, EncoderMatchesMapKeyedEncoderByteForByte) {
+  // Names are compressed against the bytes already written, not a map of
+  // joined suffixes; the output is the same. Beyond the cases above, every
+  // message the committed capture carries is re-encoded both ways.
+  std::size_t checked = 0;
+  for (const DnsMessage& msg : encoder_cases()) {
+    EXPECT_EQ(to_hex(encode_dns(msg)), to_hex(reference::encode_dns(msg)))
+        << "case " << checked;
+    ++checked;
+  }
+  for (const Bytes& payload : corpus_payloads().udp) {
+    const auto msg = decode_dns(BytesView(payload));
+    if (!msg) continue;
+    EXPECT_EQ(encode_dns(*msg), reference::encode_dns(*msg));
+    ++checked;
+  }
+  EXPECT_GT(checked, 100u);
+}
+
+TEST(Dns, EmptyLabelIsDroppedNotWrittenAsTerminator) {
+  // A zero length byte ends a name, so an empty label used to cut the name
+  // short and the rest of the message no longer parsed.
+  DnsMessage m;
+  m.is_response = true;
+  m.answers.push_back(DnsRecord::make_a(DnsName::from_string("printer..local"),
+                                        Ipv4Address(192, 168, 10, 7)));
+  m.answers.push_back(DnsRecord::make_a(DnsName::from_string("scanner.local"),
+                                        Ipv4Address(192, 168, 10, 8)));
+  m.additional.push_back(DnsRecord::make_ptr(
+      DnsName::from_string(".local"), DnsName::from_string("a..b.local.")));
+  const auto back = decode_dns(BytesView(encode_dns(m)));
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->answers.size(), 2u);
+  EXPECT_EQ(back->answers[0].name.to_string(), "printer.local");
+  EXPECT_EQ(back->answers[0].a(), Ipv4Address(192, 168, 10, 7));
+  EXPECT_EQ(back->answers[1].name.to_string(), "scanner.local");
+  EXPECT_EQ(back->answers[1].a(), Ipv4Address(192, 168, 10, 8));
+  ASSERT_EQ(back->additional.size(), 1u);
+  EXPECT_EQ(back->additional[0].name.to_string(), "local");
+  EXPECT_EQ(back->additional[0].ptr()->to_string(), "a.b.local");
+  // Re-encoding the decoded message is a fixpoint.
+  EXPECT_EQ(encode_dns(*back), encode_dns(m));
+}
+
+TEST(DnsNameView, ComparesDottedNamesCaseInsensitively) {
+  DnsMessage m;
+  m.questions.push_back({DnsName::from_string("_HUE._Tcp.LOCAL"), DnsType::kPtr, false});
+  m.questions.push_back({DnsName{{"a.b", "local"}}, DnsType::kPtr, false});
+  m.questions.push_back({DnsName{}, DnsType::kPtr, false});
+  const Bytes raw = encode_dns(m);
+  const auto view = view_dns(BytesView(raw));
+  ASSERT_TRUE(view.has_value());
+  std::vector<DnsNameView> names;
+  for (const DnsQuestionView& q : view->questions) names.push_back(q.name);
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_TRUE(names[0].iequals("_hue._tcp.local"));
+  EXPECT_TRUE(names[0].iequals("_HUE._TCP.LOCAL"));
+  EXPECT_FALSE(names[0].iequals("_hue._tcp.local."));
+  EXPECT_FALSE(names[0].iequals("_hue._tcp"));
+  EXPECT_FALSE(names[0].iequals("_hue._udp.local"));
+  EXPECT_FALSE(names[0].iequals("_hue.__tcp.local"));
+  EXPECT_EQ(names[0].to_string(), "_HUE._Tcp.LOCAL");
+  // The joined form is what is compared, as the string compare did.
+  EXPECT_TRUE(names[1].iequals("A.B.local"));
+  EXPECT_TRUE(names[2].iequals(""));
+  EXPECT_FALSE(names[2].iequals("local"));
+}
+
+TEST(Ssdp, EncoderMatchesHttpCompositionByteForByte) {
+  // The head is written straight into the writer instead of through
+  // HttpRequest/HttpResponse headers; every kind, with and without the
+  // optional headers and with vendor extras, comes out the same.
+  std::size_t checked = 0;
+  for (const SsdpKind kind :
+       {SsdpKind::kMSearch, SsdpKind::kNotify, SsdpKind::kResponse}) {
+    for (const bool full : {false, true}) {
+      SsdpMessage msg;
+      msg.kind = kind;
+      msg.search_target = "urn:schemas-upnp-org:device:MediaRenderer:1";
+      msg.mx = full ? -17 : 2;
+      if (full) {
+        msg.usn = "uuid:2fac1234-31f8-11b4-a222-08002b34c003::upnp:rootdevice";
+        msg.server = "Linux/3.14 UPnP/1.0 Roku/9.4.0";
+        msg.location = "http://192.168.10.31:8060/dial/dd.xml";
+        msg.nts = "ssdp:byebye";
+        msg.extra_headers = {{"BOOTID.UPNP.ORG", "1"}, {"X-EMPTY", ""}};
+      }
+      EXPECT_EQ(encode_ssdp(msg), reference::encode_ssdp(msg))
+          << static_cast<int>(kind) << full;
+      ByteWriter w(bytes_of("stale bytes"));
+      append_ssdp(msg, w);
+      EXPECT_EQ(w.data(), reference::encode_ssdp(msg));
+      ++checked;
+    }
+  }
+  for (const Bytes& payload : corpus_payloads().udp) {
+    const auto msg = decode_ssdp(BytesView(payload));
+    if (!msg) continue;
+    EXPECT_EQ(encode_ssdp(*msg), reference::encode_ssdp(*msg));
+    ++checked;
+  }
+  EXPECT_GT(checked, 40u);  // the capture has 38 distinct SSDP payloads
+}
+
+TEST(ProtoCounters, EncodesAreCountedPerCall) {
+  auto& registry = telemetry::Registry::global();
+  auto& dns = registry.counter("roomnet_proto_encodes_total", {{"proto", "dns"}});
+  auto& ssdp = registry.counter("roomnet_proto_encodes_total", {{"proto", "ssdp"}});
+  const std::uint64_t dns_before = dns.value();
+  const std::uint64_t ssdp_before = ssdp.value();
+  (void)encode_dns(DnsMessage{});
+  (void)encode_ssdp(SsdpMessage{});
+  ByteWriter w;
+  append_ssdp(SsdpMessage{}, w);
+  EXPECT_EQ(dns.value() - dns_before, 1u);
+  EXPECT_EQ(ssdp.value() - ssdp_before, 2u);
 }
 
 // -------------------------------------------------------------------- HTTP

@@ -3,7 +3,9 @@
 // (every header copied, the head parsed again for a response), DNS decoding
 // PTR/SRV targets into a DnsName and re-encoding it. The differential tests
 // (proto_test) and the fuzz harnesses decode the same bytes with both and
-// require equal results field for field. They bump no decode counter.
+// require equal results field for field, from the views (view_dns,
+// view_ssdp) as well as from the owning decoders built on them. The
+// reference decoders bump no decode counter.
 #pragma once
 
 #include <algorithm>
@@ -247,7 +249,21 @@ inline const char* ssdp_mismatch(const std::optional<SsdpMessage>& got,
 inline const char* ssdp_differs(BytesView raw) {
   bool mx_defined = true;
   const auto want = decode_ssdp(raw, mx_defined);
-  return ssdp_mismatch(roomnet::decode_ssdp(raw), want, mx_defined);
+  if (const char* m = ssdp_mismatch(roomnet::decode_ssdp(raw), want, mx_defined))
+    return m;
+  // The view, read field by field (to_message would hide a slice error
+  // that the owning copy repeats).
+  const auto view = view_ssdp(raw);
+  if (view.has_value() != want.has_value()) return "view accept/reject";
+  if (!view) return nullptr;
+  if (view->kind != want->kind) return "view kind";
+  if (view->search_target != want->search_target) return "view search_target";
+  if (view->usn != want->usn) return "view usn";
+  if (view->server != want->server) return "view server";
+  if (view->location != want->location) return "view location";
+  if (view->nts != want->nts) return "view nts";
+  if (mx_defined && view->mx != want->mx) return "view mx";
+  return nullptr;
 }
 
 // ------------------------------------------------------------------- DNS
@@ -400,10 +416,82 @@ inline const char* dns_mismatch(const std::optional<DnsMessage>& got,
   return dns_records_mismatch(got->additional, want->additional);
 }
 
-/// Decodes `raw` with roomnet::decode_dns and the reference; the first
-/// differing field or nullptr.
+inline std::vector<std::string> labels_of(const DnsNameView& name) {
+  std::vector<std::string> labels;
+  name.for_each_label([&](std::string_view l) { labels.emplace_back(l); });
+  return labels;
+}
+
+/// nullptr when every record of the view section reads, through the view's
+/// own accessors, as the reference record does.
+inline const char* dns_view_records_mismatch(
+    const DnsSection<DnsRecordView>& got, const std::vector<DnsRecord>& want) {
+  if (got.size() != want.size()) return "view record count";
+  std::size_t i = 0;
+  for (const DnsRecordView& rec : got) {
+    const DnsRecord& ref = want[i++];
+    if (labels_of(rec.name) != ref.name.labels) return "view record name";
+    if (rec.type != ref.type) return "view record type";
+    if (rec.cache_flush != ref.cache_flush) return "view cache_flush";
+    if (rec.ttl != ref.ttl) return "view ttl";
+    if (rec.a() != ref.a()) return "view a";
+    if (rec.aaaa() != ref.aaaa()) return "view aaaa";
+    std::vector<std::string> txt;
+    rec.for_each_txt([&](std::string_view t) { txt.emplace_back(t); });
+    if (txt != ref.txt()) return "view txt";
+    const auto ptr = rec.ptr();
+    const auto ref_ptr = ref.ptr();
+    if (ptr.has_value() != ref_ptr.has_value() ||
+        (ptr && labels_of(*ptr) != ref_ptr->labels))
+      return "view ptr";
+    const auto srv = rec.srv();
+    const auto ref_srv = ref.srv();
+    if (srv.has_value() != ref_srv.has_value() ||
+        (srv && (srv->priority != ref_srv->priority ||
+                 srv->weight != ref_srv->weight || srv->port != ref_srv->port ||
+                 labels_of(srv->target) != ref_srv->target.labels)))
+      return "view srv";
+    if (!ptr && !srv &&
+        !std::equal(rec.rdata.begin(), rec.rdata.end(), ref.rdata.begin(),
+                    ref.rdata.end()))
+      return "view rdata";
+  }
+  return nullptr;
+}
+
+/// nullptr when the view reads as the reference message field for field.
+inline const char* dns_view_mismatch(const std::optional<DnsView>& got,
+                                     const std::optional<DnsMessage>& want) {
+  if (got.has_value() != want.has_value()) return "view accept/reject";
+  if (!got) return nullptr;
+  if (got->id != want->id) return "view id";
+  if (got->is_response != want->is_response) return "view is_response";
+  if (got->authoritative != want->authoritative) return "view authoritative";
+  if (got->questions.size() != want->questions.size())
+    return "view question count";
+  std::size_t i = 0;
+  for (const DnsQuestionView& q : got->questions) {
+    const DnsQuestion& ref = want->questions[i++];
+    if (labels_of(q.name) != ref.name.labels) return "view question name";
+    if (q.name.to_string() != ref.name.to_string()) return "view to_string";
+    if (!q.name.iequals(ref.name.to_string())) return "view iequals";
+    if (q.type != ref.type) return "view question type";
+    if (q.unicast_response != ref.unicast_response)
+      return "view unicast_response";
+  }
+  if (const char* m = dns_view_records_mismatch(got->answers, want->answers))
+    return m;
+  if (const char* m = dns_view_records_mismatch(got->authority, want->authority))
+    return m;
+  return dns_view_records_mismatch(got->additional, want->additional);
+}
+
+/// Reads `raw` with roomnet::view_dns and roomnet::decode_dns, and decodes
+/// it with the reference; the first differing field or nullptr.
 inline const char* dns_differs(BytesView raw) {
-  return dns_mismatch(roomnet::decode_dns(raw), decode_dns(raw));
+  const auto want = decode_dns(raw);
+  if (const char* m = dns_mismatch(roomnet::decode_dns(raw), want)) return m;
+  return dns_view_mismatch(view_dns(raw), want);
 }
 
 }  // namespace roomnet::reference

@@ -28,6 +28,7 @@
 #include "sim/mdns.hpp"
 #include "sim/network.hpp"
 #include "sim/ssdp.hpp"
+#include "reference_encoders.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace roomnet {
@@ -845,8 +846,8 @@ TEST(Mdns, QueryGetsMulticastAnswerWithServiceRecords) {
 
   MdnsEndpoint phone_mdns(phone);
   std::optional<DnsMessage> answer;
-  phone_mdns.on_message = [&](const PacketView&, const DnsMessage& msg) {
-    if (msg.is_response) answer = msg;
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& msg) {
+    if (msg.is_response) answer = msg.to_message();
   };
   phone_mdns.query("_hue._tcp.local");
   lan.settle(3);
@@ -870,7 +871,7 @@ TEST(Mdns, NonMatchingServiceTypeIgnored) {
   hue_mdns.add_service({.instance = "X", .service_type = "_hue._tcp.local"});
   MdnsEndpoint phone_mdns(phone);
   int responses = 0;
-  phone_mdns.on_message = [&](const PacketView&, const DnsMessage& msg) {
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& msg) {
     responses += msg.is_response;
   };
   phone_mdns.query("_airplay._tcp.local");
@@ -895,16 +896,96 @@ TEST(Mdns, UnicastResponsePolicy) {
   MdnsEndpoint phone_mdns(phone);
   MdnsEndpoint bystander_mdns(bystander);
   int phone_responses = 0, bystander_responses = 0;
-  phone_mdns.on_message = [&](const PacketView&, const DnsMessage& m) {
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& m) {
     phone_responses += m.is_response;
   };
-  bystander_mdns.on_message = [&](const PacketView&, const DnsMessage& m) {
+  bystander_mdns.on_message = [&](const PacketView&, const DnsView& m) {
     bystander_responses += m.is_response;
   };
   phone_mdns.query("_x._tcp.local", /*unicast_response=*/true);
   lan.settle(3);
   EXPECT_EQ(phone_responses, 1);
   EXPECT_EQ(bystander_responses, 0);  // unicast reply bypassed the group
+}
+
+/// Copies into `out` every UDP payload `from` sends.
+void record_udp_payloads(Lan& lan, const Host& from, std::vector<Bytes>& out) {
+  lan.net.add_packet_tap(
+      [&out, &from](SimTime, const PacketView& packet, BytesView) {
+        if (!packet.udp || packet.eth.src != from.mac()) return;
+        const BytesView payload = packet.app_payload();
+        out.emplace_back(payload.begin(), payload.end());
+      });
+}
+
+TEST(Mdns, EncodedAnswersMatchPerQueryBuildAcrossAddressStates) {
+  // The endpoint encodes each service's answer once per address state and
+  // hostname; what it sends must be what building and encoding the answer
+  // for every query produced.
+  Lan lan;
+  Host hue(lan.net, mac_n(2), "hue");
+  Host phone(lan.net, mac_n(3), "phone");
+  hue.set_static_ip(Ipv4Address(192, 168, 10, 12));
+  phone.set_static_ip(Ipv4Address(192, 168, 10, 50));
+  MdnsEndpoint hue_mdns(hue);
+  hue_mdns.answer_unicast = true;  // a full stack: answers the meta-query too
+  const reference::AnswerService bridge{"Philips Hue - 685F61", "_hue._tcp.local",
+                                        443, {"bridgeid=001788fffe685f61"}};
+  const reference::AnswerService hap{"Hue Bridge", "_hap._tcp.local", 8080, {}};
+  for (const auto& s : {bridge, hap})
+    hue_mdns.add_service({s.instance, s.service_type, s.port, s.txt});
+  std::vector<Bytes> sent;
+  record_udp_payloads(lan, hue, sent);
+  const auto expected = [&](const reference::AnswerService& service,
+                            const std::string& hostname) {
+    return to_hex(reference::encode_dns(reference::build_answer(
+        service, hostname, hue.ip(),
+        hue.ipv6_enabled() ? std::optional(hue.link_local()) : std::nullopt)));
+  };
+  MdnsEndpoint phone_mdns(phone);
+  const auto ask = [&](const std::string& type) {
+    sent.clear();
+    phone_mdns.query(type);
+    lan.settle(3);
+    std::vector<std::string> hex;
+    for (const Bytes& b : sent) hex.push_back(to_hex(b));
+    return hex;
+  };
+
+  EXPECT_EQ(ask("_services._dns-sd._udp.local"),
+            (std::vector{expected(bridge, "hue.local"), expected(hap, "hue.local")}));
+  hue_mdns.set_hostname("Philips-hue.local");
+  EXPECT_EQ(ask("_hap._tcp.local"), std::vector{expected(hap, "Philips-hue.local")});
+  hue.enable_ipv6(false);
+  EXPECT_EQ(ask("_hue._tcp.local"), std::vector{expected(bridge, "Philips-hue.local")});
+  hue.set_static_ip(Ipv4Address(192, 168, 10, 99));
+  EXPECT_EQ(ask("_hue._tcp.local"), std::vector{expected(bridge, "Philips-hue.local")});
+  hue_mdns.add_service({"Late", "_late._tcp.local", 1, {"a=b"}});
+  EXPECT_EQ(ask("_late._tcp.local"),
+            std::vector{expected({"Late", "_late._tcp.local", 1, {"a=b"}},
+                                 "Philips-hue.local")});
+}
+
+TEST(Mdns, QueryNamesMatchCaseInsensitively) {
+  // RFC 6762 §16: mDNS names compare case-insensitively.
+  Lan lan;
+  Host hue(lan.net, mac_n(2), "hue");
+  Host phone(lan.net, mac_n(3), "phone");
+  hue.set_static_ip(Ipv4Address(192, 168, 10, 12));
+  phone.set_static_ip(Ipv4Address(192, 168, 10, 50));
+  MdnsEndpoint hue_mdns(hue);
+  hue_mdns.add_service({.instance = "Hue", .service_type = "_hue._tcp.local"});
+  MdnsEndpoint phone_mdns(phone);
+  int responses = 0;
+  phone_mdns.on_message = [&](const PacketView&, const DnsView& msg) {
+    responses += msg.is_response;
+  };
+  phone_mdns.query("_HUE._Tcp.LOCAL");
+  lan.settle(3);
+  EXPECT_EQ(responses, 1);
+  phone_mdns.query("_hue._tcp.local.x");
+  lan.settle(3);
+  EXPECT_EQ(responses, 1);
 }
 
 // -------------------------------------------------------------------- SSDP
@@ -925,8 +1006,8 @@ TEST(Ssdp, MSearchAnsweredWhenPolicyAllows) {
 
   SsdpEndpoint phone_ssdp(phone);
   std::optional<SsdpMessage> response;
-  phone_ssdp.on_message = [&](const PacketView&, const SsdpMessage& m) {
-    if (m.kind == SsdpKind::kResponse) response = m;
+  phone_ssdp.on_message = [&](const PacketView&, const SsdpView& m) {
+    if (m.kind == SsdpKind::kResponse) response = m.to_message();
   };
   phone_ssdp.msearch("ssdp:all");
   lan.settle(3);
@@ -944,7 +1025,7 @@ TEST(Ssdp, SilentWhenPolicyForbids) {
   SsdpEndpoint dev_ssdp(dev);  // respond_to_msearch defaults to false
   SsdpEndpoint phone_ssdp(phone);
   int responses = 0;
-  phone_ssdp.on_message = [&](const PacketView&, const SsdpMessage& m) {
+  phone_ssdp.on_message = [&](const PacketView&, const SsdpView& m) {
     responses += m.kind == SsdpKind::kResponse;
   };
   phone_ssdp.msearch("ssdp:all");
@@ -995,14 +1076,71 @@ TEST(Ssdp, NotifyAliveCarriesUsnAndLocation) {
   dev_ssdp.set_description(desc);
   SsdpEndpoint listener_ssdp(listener);
   std::optional<SsdpMessage> seen;
-  listener_ssdp.on_message = [&](const PacketView&, const SsdpMessage& m) {
-    if (m.kind == SsdpKind::kNotify) seen = m;
+  listener_ssdp.on_message = [&](const PacketView&, const SsdpView& m) {
+    if (m.kind == SsdpKind::kNotify) seen = m.to_message();
   };
   dev_ssdp.notify_alive();
   lan.settle(2);
   ASSERT_TRUE(seen.has_value());
   EXPECT_EQ(seen->nts, "ssdp:alive");
   EXPECT_NE(seen->usn.find(desc.udn), std::string::npos);
+}
+
+TEST(Ssdp, EndpointMessagesMatchHttpComposition) {
+  // NOTIFYs and M-SEARCH responses are built in recycled buffers; each must
+  // carry the bytes the per-message SsdpMessage + HTTP composition gave.
+  Lan lan;
+  Host tv(lan.net, mac_n(2), "tv");
+  Host phone(lan.net, mac_n(3), "phone");
+  tv.set_static_ip(Ipv4Address(192, 168, 10, 30));
+  phone.set_static_ip(Ipv4Address(192, 168, 10, 50));
+  SsdpEndpoint tv_ssdp(tv);
+  tv_ssdp.respond_to_msearch = true;
+  tv_ssdp.notification_types = {"upnp:rootdevice",
+                                "urn:dial-multiscreen-org:service:dial:1"};
+  UpnpDeviceDescription desc;
+  desc.udn = "uuid:296f0ed3-af44-4f44-8a7f-02a000000002";
+  tv_ssdp.set_description(desc, 49153);
+  SsdpEndpoint phone_ssdp(phone);
+  std::vector<Bytes> sent;
+  record_udp_payloads(lan, tv, sent);
+  const auto expected = [&](SsdpKind kind, const std::string& nt) {
+    SsdpMessage msg;
+    msg.kind = kind;
+    msg.search_target = nt;
+    msg.server = tv_ssdp.server_string;
+    msg.usn = desc.udn + "::" + nt;
+    msg.location = "http://" + tv.ip().to_string() + ":49153/description.xml";
+    if (kind == SsdpKind::kNotify) msg.nts = "ssdp:alive";
+    return string_of(BytesView(reference::encode_ssdp(msg)));
+  };
+  const auto strings = [&] {
+    std::vector<std::string> out;
+    for (const Bytes& b : sent) out.push_back(string_of(BytesView(b)));
+    sent.clear();
+    return out;
+  };
+
+  tv_ssdp.notify_alive();
+  lan.settle(1);
+  EXPECT_EQ(strings(),
+            (std::vector{expected(SsdpKind::kNotify, "upnp:rootdevice"),
+                         expected(SsdpKind::kNotify,
+                                  "urn:dial-multiscreen-org:service:dial:1")}));
+  phone_ssdp.msearch("ssdp:all");
+  lan.settle(1);
+  EXPECT_EQ(strings(), std::vector{expected(SsdpKind::kResponse, "upnp:rootdevice")});
+  // A shorter SERVER string and another address reuse the same buffers.
+  tv_ssdp.server_string = "Linux UPnP/1.0";
+  tv.set_static_ip(Ipv4Address(192, 168, 10, 7));
+  phone_ssdp.msearch("urn:dial-multiscreen-org:service:dial:1");
+  lan.settle(1);
+  EXPECT_EQ(strings(),
+            std::vector{expected(SsdpKind::kResponse,
+                                 "urn:dial-multiscreen-org:service:dial:1")});
+  tv_ssdp.notify_alive();
+  lan.settle(1);
+  EXPECT_EQ(strings().size(), 2u);
 }
 
 // ------------------------------------------------------- app-layer memo
@@ -1040,12 +1178,12 @@ TEST(AppLayerMemo, MulticastAnnounceDecodedOnceForEveryReceiver) {
   MdnsEndpoint hue_mdns(hue);
   hue_mdns.add_service({.instance = "Hue", .service_type = "_hue._tcp.local"});
   MdnsListeners listeners(lan);
-  std::vector<const DnsMessage*> seen;
+  std::vector<const DnsView*> seen;
   for (auto& endpoint : listeners.endpoints)
-    endpoint->on_message = [&](const PacketView&, const DnsMessage& m) {
+    endpoint->on_message = [&](const PacketView&, const DnsView& m) {
       seen.push_back(&m);
     };
-  const DnsMessage* tapped = nullptr;
+  const DnsView* tapped = nullptr;
   lan.net.add_packet_tap([&](SimTime, const PacketView& packet, BytesView) {
     if (packet.udp && value(packet.udp->dst_port) == kMdnsPort)
       tapped = dns_of(packet);
@@ -1058,7 +1196,7 @@ TEST(AppLayerMemo, MulticastAnnounceDecodedOnceForEveryReceiver) {
   ASSERT_EQ(seen.size(), 3u);
   // One decoded object, shared by the tap and every receiver.
   EXPECT_NE(tapped, nullptr);
-  for (const DnsMessage* m : seen) EXPECT_EQ(m, tapped);
+  for (const DnsView* m : seen) EXPECT_EQ(m, tapped);
 }
 
 TEST(AppLayerMemo, UndecodablePayloadDecodedOnceHoweverManyConsumersAsk) {
