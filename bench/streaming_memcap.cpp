@@ -51,7 +51,7 @@ std::uint64_t fold_checksum(const ProtocolUsage& usage, const CommGraph& graph,
     sum += mac.to_u64() % 1009 + labels.size();
   for (const CommGraph::Edge& edge : graph.edges) sum += edge.packets;
   sum += cv.total + cv.agreed * 3 + cv.disagreed * 5;
-  sum += responses.matches.size() * 7;
+  sum += responses.match_count * 7;
   for (const auto& [cell, macs] : exposure.cells) sum += macs.size();
   return sum;
 }

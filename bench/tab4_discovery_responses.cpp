@@ -81,7 +81,8 @@ int main() {
   }
   std::printf("\n(per-device averages; ARP/DHCP/ICMPx excluded as in the "
               "paper; 3 s response window)\n");
-  std::printf("total response matches observed: %zu\n", stats.matches.size());
-  scalar("response_matches", static_cast<double>(stats.matches.size()));
+  std::printf("total response matches observed: %llu\n",
+              static_cast<unsigned long long>(stats.match_count));
+  scalar("response_matches", static_cast<double>(stats.match_count));
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <functional>
 #include <string_view>
 
-#include "analysis/identifiers.hpp"
 #include "classify/classifier.hpp"
 #include "proto/app.hpp"
 #include "proto/tplink.hpp"
@@ -61,10 +60,10 @@ bool looks_like_model_name(const std::string& text) {
   return false;
 }
 
-bool contains_mac_like(const std::string& text) {
-  if (!extract_macs(text).empty()) return true;
-  // Bare-hex tails (e.g. "Tuya-BBCC12", "Philips Hue - 685F61"): 6+ hex
-  // chars directly appended to a name.
+/// Bare-hex tails (e.g. "Tuya-BBCC12", "Philips Hue - 685F61"): 6+ hex
+/// chars directly appended to a name. With a harvested MAC, the mDNS MAC
+/// cell's test.
+bool has_hex_tail(std::string_view text) {
   int run = 0;
   for (char c : text) {
     if (is_hex_char(c)) {
@@ -74,6 +73,17 @@ bool contains_mac_like(const std::string& text) {
     }
   }
   return false;
+}
+
+/// The §6.3 scan of one response text from `src`: its identifiers join the
+/// source's set in `matrix`, and the types found are returned for the cells.
+ExposureClass harvest(ExposureMatrix& matrix, MacAddress src,
+                      const std::string& text) {
+  std::set<ExtractedIdentifier> found;
+  harvest_identifiers(text, src.oui(), found);
+  const ExposureClass kinds = exposure_class(found);
+  if (!found.empty()) matrix.identifiers[src].merge(found);
+  return kinds;
 }
 
 bool old_dhcp_client(const std::string& vendor_class) {
@@ -164,24 +174,11 @@ bool PayloadMemo::insert(MacAddress src, BytesView payload) {
   return true;
 }
 
-void PayloadMemo::clear() {
-  bytes_.clear();
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  used_ = 0;
-}
-
 void ExposureBuilder::on_packet(const PacketView& packet) {
   const MacAddress src = packet.eth.src;
   const auto mark = [&](ProtocolLabel protocol, ExposedData data,
                         MacAddress device) {
     matrix_.cells[{protocol, data}].insert(device);
-  };
-  // Whether the cell already holds this packet's source: a test whose only
-  // effect would be that insert is skipped (looking up never creates a
-  // cell, since `exposed` reads a cell's presence).
-  const auto settled = [&](ProtocolLabel protocol, ExposedData data) {
-    const auto it = matrix_.cells.find({protocol, data});
-    return it != matrix_.cells.end() && it->second.count(src) != 0;
   };
 
   // ----- ARP: every request/reply broadcasts sender MAC/IP bindings.
@@ -238,29 +235,21 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- mDNS
   if (dport == kMdnsPort || sport == kMdnsPort) {
-    // Decoded before the settle check: the decode is shared with every
-    // other consumer of the frame either way.
     const DnsView* msg = dns_of(packet);
-    if (msg == nullptr || !msg->is_response) return;
-    const bool mac = !settled(ProtocolLabel::kMdns, ExposedData::kMac);
-    const bool uuid = !settled(ProtocolLabel::kMdns, ExposedData::kUuid);
-    const bool name = !settled(ProtocolLabel::kMdns, ExposedData::kDisplayName);
-    const bool model =
-        !settled(ProtocolLabel::kMdns, ExposedData::kDeviceModel);
-    if (!mac && !uuid && !name && !model) return;
-    if (!mdns_scanned_.insert(src, payload)) return;
+    if (msg == nullptr || !msg->is_response ||
+        !mdns_scanned_.insert(src, payload))
+      return;
     static telemetry::Counter& scans = telemetry::Registry::global().counter(
         "roomnet_exposure_scans_total", {{"proto", "mdns"}});
     scans.inc();
     const std::string text = response_text(*msg);
-    if (mac && contains_mac_like(text))
+    const ExposureClass found = harvest(matrix_, src, text);
+    if (found.mac || has_hex_tail(text))
       mark(ProtocolLabel::kMdns, ExposedData::kMac, src);
-    if (uuid && !extract_uuids(text).empty())
-      mark(ProtocolLabel::kMdns, ExposedData::kUuid, src);
-    if (name && (!extract_possessive_names(text).empty() ||
-                 text.find("Jane") != std::string::npos))
+    if (found.uuid) mark(ProtocolLabel::kMdns, ExposedData::kUuid, src);
+    if (found.name || text.find("Jane") != std::string::npos)
       mark(ProtocolLabel::kMdns, ExposedData::kDisplayName, src);
-    if (model && looks_like_model_name(text))
+    if (looks_like_model_name(text))
       mark(ProtocolLabel::kMdns, ExposedData::kDeviceModel, src);
     return;
   }
@@ -269,12 +258,11 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   if (dport == kSsdpPort || sport == kSsdpPort) {
     const SsdpView* msg = ssdp_of(packet);
     if (msg == nullptr) return;
-    if (!settled(ProtocolLabel::kSsdp, ExposedData::kUuid) &&
-        ssdp_scanned_.insert(src, payload)) {
+    if (ssdp_scanned_.insert(src, payload)) {
       static telemetry::Counter& scans = telemetry::Registry::global().counter(
           "roomnet_exposure_scans_total", {{"proto", "ssdp"}});
       scans.inc();
-      if (!extract_uuids(response_text(*msg)).empty())
+      if (harvest(matrix_, src, response_text(*msg)).uuid)
         mark(ProtocolLabel::kSsdp, ExposedData::kUuid, src);
     }
     if (!msg->server.empty()) {

@@ -2,7 +2,9 @@
 // discovery protocol leaks, extracted from the actual payload bytes of a
 // capture — MAC addresses in mDNS hostnames, models and display names in
 // DHCP hostnames, UUIDs and UPnP versions in SSDP, GWid/product keys in
-// TuyaLP, OEM IDs and geolocation in TPLINK-SHP sysinfo.
+// TuyaLP, OEM IDs and geolocation in TPLINK-SHP sysinfo. The same fold
+// harvests each device's §6.3 identifiers (Table 2) from its mDNS responses
+// and SSDP messages: one scan of each payload serves both.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/identifiers.hpp"
 #include "classify/label.hpp"
 #include "netcore/packet.hpp"
 #include "netcore/packet_view.hpp"
@@ -39,6 +42,9 @@ std::string to_string(ExposedData data);
 struct ExposureMatrix {
   /// (protocol, data type) -> devices (source MACs) observed exposing it.
   std::map<std::pair<ProtocolLabel, ExposedData>, std::set<MacAddress>> cells;
+  /// Source MAC -> the §6.3 identifiers (harvest_identifiers) found in its
+  /// mDNS responses and SSDP messages. Only sources with one are listed.
+  std::map<MacAddress, std::set<ExtractedIdentifier>> identifiers;
 
   [[nodiscard]] bool exposed(ProtocolLabel protocol, ExposedData data) const {
     return cells.count({protocol, data}) != 0;
@@ -54,14 +60,11 @@ struct ExposureMatrix {
 /// bytes themselves: the payloads are untrusted input, so two distinct
 /// pairs must never share an entry, as they could under a hash. Memory is
 /// O(distinct pairs), bytes included. A repeat costs one hash and one
-/// comparison and allocates nothing; clear() keeps the allocations, so a
-/// recycled memo (a fleet household context) allocates only past its
-/// largest run.
+/// comparison and allocates nothing.
 class PayloadMemo {
  public:
   /// True when (src, payload) is new (it is recorded), false on a repeat.
   bool insert(MacAddress src, BytesView payload);
-  void clear();
 
  private:
   struct Slot {
@@ -85,12 +88,13 @@ class PayloadMemo {
 /// a map of sets, so the matrix is independent of packet order. The
 /// UDP-discovery and TCP-serialNumber extractions are disjoint per packet;
 /// the builder applies both in one pass. Detection is payload-based:
-/// nothing is taken from simulator ground truth. A cell that already holds
-/// the packet's source is settled: its payload test is skipped, and an
-/// mDNS/SSDP payload whose tests are all settled is not scanned at all. Nor
-/// is one its source has sent before: cells are only ever added, so after
-/// the first scan of a (source, payload) every cell it can mark holds that
-/// source. `roomnet_exposure_scans_total{proto}` counts the scans.
+/// nothing is taken from simulator ground truth. Each distinct mDNS
+/// response or SSDP message (source, payload) is scanned once: its
+/// response_text is built and harvested for identifiers, and the UUID,
+/// display-name and MAC cells read that harvest. A repeat is not scanned:
+/// cells and identifier sets are only ever added to, so its first scan
+/// already marked all it can. `roomnet_exposure_scans_total{proto}` counts
+/// the scans.
 class ExposureBuilder {
  public:
   void on_packet(const PacketView& packet);
@@ -102,8 +106,8 @@ class ExposureBuilder {
   PayloadMemo ssdp_scanned_;
 };
 
-/// The §6.3 response text the exposure analysis scans and the fleet
-/// harvests: an mDNS response's record names, TXT strings and PTR/SRV
+/// The §6.3 response text the exposure analysis scans (and the app runtime
+/// reads): an mDNS response's record names, TXT strings and PTR/SRV
 /// targets; an SSDP message's USN, SERVER and LOCATION.
 std::string response_text(const DnsView& response);
 std::string response_text(const SsdpView& message);

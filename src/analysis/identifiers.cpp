@@ -138,6 +138,18 @@ std::vector<ExtractedIdentifier> extract_identifiers(
   return out;
 }
 
+ExposureClass exposure_class(const std::set<ExtractedIdentifier>& ids) {
+  ExposureClass types;
+  for (const auto& id : ids) {
+    switch (id.type) {
+      case IdentifierType::kName: types.name = true; break;
+      case IdentifierType::kUuid: types.uuid = true; break;
+      case IdentifierType::kMacAddress: types.mac = true; break;
+    }
+  }
+  return types;
+}
+
 void harvest_identifiers(std::string_view text, std::uint32_t oui,
                          std::set<ExtractedIdentifier>& out) {
   for (auto& id : extract_identifiers(text, oui)) out.insert(std::move(id));

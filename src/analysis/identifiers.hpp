@@ -58,6 +58,20 @@ std::vector<ExtractedIdentifier> extract_identifiers(
     std::string_view text,
     std::optional<std::uint32_t> expected_oui = std::nullopt);
 
+/// Which identifier types a set of payloads exposes: a device's, or a crowd
+/// product class's, Table 2 row.
+struct ExposureClass {
+  bool name = false;  // user first name in the friendly name
+  bool uuid = false;
+  bool mac = false;
+
+  [[nodiscard]] int count() const { return name + uuid + mac; }
+  friend auto operator<=>(const ExposureClass&, const ExposureClass&) = default;
+};
+
+/// The identifier-type combination `ids` exposes (a device's Table 2 row).
+ExposureClass exposure_class(const std::set<ExtractedIdentifier>& ids);
+
 /// The §6.3 harvest of one payload from a device with `oui` into `out`:
 /// OUI-checked identifiers plus every separated-form MAC, since degenerate
 /// constant MACs fail the OUI check yet still count as exposed values.

@@ -18,6 +18,24 @@ bool counts_for_table4(ProtocolLabel label) {
       return is_discovery_protocol(label);
   }
 }
+
+/// Folds one match into `hash` as fixed-width big-endian fields.
+void hash_match(Sha256& hash, const DiscoveryEvent& ev, MacAddress responder,
+                SimTime at) {
+  std::uint8_t buf[34];
+  std::size_t n = 0;
+  const auto put = [&](std::uint64_t v, int width) {
+    for (int i = width - 1; i >= 0; --i)
+      buf[n++] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put(static_cast<std::uint64_t>(ev.at.us()), 8);
+  put(ev.discoverer.to_u64(), 6);
+  put(static_cast<std::uint32_t>(ev.protocol), 4);
+  put(ev.port, 2);
+  put(responder.to_u64(), 6);
+  put(static_cast<std::uint64_t>(at.us()), 8);
+  hash.update(BytesView(buf, n));
+}
 }  // namespace
 
 void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet,
@@ -53,7 +71,8 @@ void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet,
         continue;
       stats_.answered_protocols[ev.discoverer].insert(ev.protocol);
       stats_.responders[ev.discoverer].insert(packet.eth.src);
-      stats_.matches.push_back({ev, packet.eth.src, at});
+      ++stats_.match_count;
+      hash_match(stats_.match_hash, ev, packet.eth.src, at);
       break;
     }
   }

@@ -7,11 +7,11 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <vector>
 
 #include "classify/classifier.hpp"
 #include "classify/label.hpp"
 #include "netcore/packet.hpp"
+#include "netcore/sha256.hpp"
 #include "netcore/time.hpp"
 
 namespace roomnet {
@@ -23,12 +23,6 @@ struct DiscoveryEvent {
   std::uint16_t port = 0;  // source port of the discovery message
 };
 
-struct ResponseMatch {
-  DiscoveryEvent discovery;
-  MacAddress responder;
-  SimTime response_at;
-};
-
 struct ResponseStats {
   /// Discovery protocols used per device (excluding ARP/DHCP/ICMPx as the
   /// paper's Table 4 does).
@@ -37,12 +31,16 @@ struct ResponseStats {
   std::map<MacAddress, std::set<ProtocolLabel>> answered_protocols;
   /// Distinct devices that responded to each discoverer.
   std::map<MacAddress, std::set<MacAddress>> responders;
-  std::vector<ResponseMatch> matches;
+  /// Discovery-response matches observed, and a running SHA-256 over each
+  /// one's (discovery time, discoverer, protocol, port, responder, response
+  /// time) in arrival order, so a window of any length keeps O(1) state.
+  std::uint64_t match_count = 0;
+  Sha256 match_hash;
 };
 
 /// Per-packet fold: a single time-ordered sweep with a sliding discovery
-/// window, fed packets as they occur. The order of the `matches` vector
-/// follows packet arrival order.
+/// window, fed packets as they occur. `match_hash` folds the matches in
+/// packet arrival order.
 class ResponseCorrelator {
  public:
   explicit ResponseCorrelator(SimTime window = SimTime::from_seconds(3))

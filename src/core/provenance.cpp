@@ -129,15 +129,8 @@ std::string hash_classify_stage(const PipelineResults& results) {
     h.u64(responders.size());
     for (const MacAddress responder : responders) hash_mac(h, responder);
   }
-  h.u64(rs.matches.size());
-  for (const ResponseMatch& match : rs.matches) {
-    h.i64(match.discovery.at.us());
-    hash_mac(h, match.discovery.discoverer);
-    h.u32(static_cast<std::uint32_t>(match.discovery.protocol));
-    h.u16(match.discovery.port);
-    hash_mac(h, match.responder);
-    h.i64(match.response_at.us());
-  }
+  h.u64(rs.match_count);
+  h.bytes(rs.match_hash.digest());
 
   h.u64(results.flows);
   h.u64(results.local_packets);

@@ -18,18 +18,6 @@ std::set<ExtractedIdentifier> device_identifiers(const InspectorDevice& device) 
   return out;
 }
 
-ExposureClass exposure_class(const std::set<ExtractedIdentifier>& ids) {
-  ExposureClass types;
-  for (const auto& id : ids) {
-    switch (id.type) {
-      case IdentifierType::kName: types.name = true; break;
-      case IdentifierType::kUuid: types.uuid = true; break;
-      case IdentifierType::kMacAddress: types.mac = true; break;
-    }
-  }
-  return types;
-}
-
 void FingerprintAccumulator::add(const DeviceFingerprintRow& row) {
   // Table 2's grouping: devices partition into rows by the identifier-type
   // combination THEIR OWN payloads expose; a household is counted in every

@@ -16,16 +16,6 @@
 
 namespace roomnet {
 
-/// What a product class exposes in its mDNS/SSDP responses (Table 2 rows).
-struct ExposureClass {
-  bool name = false;  // user first name in the friendly name
-  bool uuid = false;
-  bool mac = false;
-
-  [[nodiscard]] int count() const { return name + uuid + mac; }
-  friend auto operator<=>(const ExposureClass&, const ExposureClass&) = default;
-};
-
 struct ProductProfile {
   std::string vendor;
   std::string category;  // "camera", "tv", "plug", ...

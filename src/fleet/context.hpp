@@ -3,7 +3,9 @@
 // structures: begin_household() rewinds them without freeing, so after the
 // first few households a context runs an entire household without touching
 // the allocator for flow state — the RSS-per-household slope the fleet bench
-// proves to be ~0.
+// proves to be ~0. The flow cache is the only recycled state: the analysis
+// builders, the exposure fold's payload memos among them, live and die
+// with their household.
 //
 // ContextPool hands contexts to shard tasks through RAII leases. TaskPool's
 // run_chunks exposes no worker identity, so the pool is a mutex-guarded free
@@ -33,17 +35,11 @@ class HouseholdContext {
   /// Rewinds every recycled structure for the next household.
   void begin_household() {
     cache.reset();
-    payload_memo.clear();
     ++households_served;
   }
 
   // O(active flows) state behind the configured bounds.
   FlowCache cache;
-  /// (src MAC, payload) pairs already harvested for identifiers — periodic
-  /// announcements repeat byte-identical payloads dozens of times per
-  /// household; each is harvested once. (The memo saves the harvest, not
-  /// the decode: each transmission is decoded once for all its consumers.)
-  PayloadMemo payload_memo;
   std::uint64_t households_served = 0;
 };
 

@@ -8,6 +8,7 @@
 #include "core/stage_names.hpp"
 #include "exec/task_pool.hpp"
 #include "fleet/context.hpp"
+#include "netcore/text_file.hpp"
 #include "obs/manifest.hpp"
 #include "prof/profiler.hpp"
 #include "telemetry/metrics.hpp"
@@ -16,29 +17,6 @@
 namespace roomnet::fleet {
 
 namespace {
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_double(double v) {
   char buf[40];

@@ -1,18 +1,14 @@
 #include "fleet/household.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 
 #include "analysis/overview.hpp"
 #include "capture/filter.hpp"
-#include "crowd/entropy.hpp"
 #include "fleet/context.hpp"
 #include "obs/manifest.hpp"
-#include "proto/app.hpp"
 #include "testbed/lab.hpp"
 
 namespace roomnet::fleet {
@@ -127,29 +123,6 @@ HouseholdResult run_household(const HouseholdConfig& config,
   // ---- Analysis fold: one pass per local packet, at tap time.
   ProtocolUsageBuilder usage;
   ExposureBuilder exposure;
-  std::map<MacAddress, std::set<ExtractedIdentifier>> ids;
-  // Identifier harvest (§6.3) from mDNS/SSDP response payloads, parsed once
-  // per distinct (src, payload) pair.
-  const auto harvest = [&](const PacketView& packet) {
-    if (!packet.udp) return;
-    const std::uint16_t sport = value(*packet.src_port());
-    const std::uint16_t dport = value(*packet.dst_port());
-    const bool mdns = sport == kMdnsPort || dport == kMdnsPort;
-    const bool ssdp = sport == kSsdpPort || dport == kSsdpPort;
-    if (!mdns && !ssdp) return;
-    const BytesView payload = packet.app_payload();
-    if (payload.size() == 0) return;
-    const MacAddress src = packet.eth.src;
-    if (!ctx.payload_memo.insert(src, payload)) return;
-    std::optional<std::string> text;
-    if (!mdns) {
-      if (const SsdpView* msg = ssdp_of(packet)) text = response_text(*msg);
-    } else if (const DnsView* msg = dns_of(packet);
-               msg != nullptr && msg->is_response) {
-      text = response_text(*msg);
-    }
-    if (text) harvest_identifiers(*text, src.oui(), ids[src]);
-  };
 
   const LocalFilter filter;
   net.add_packet_tap(
@@ -160,7 +133,6 @@ HouseholdResult run_household(const HouseholdConfig& config,
         // The router is outside the device population: not worth a classify.
         if (packet.eth.src != kRouterMac) usage.on_packet(packet);
         exposure.on_packet(packet);
-        harvest(packet);
         ctx.cache.add(at, packet);
       });
 
@@ -180,7 +152,8 @@ HouseholdResult run_household(const HouseholdConfig& config,
       for (const ProtocolLabel label : it->second)
         device.protocols |= 1u << static_cast<int>(label);
     }
-    if (const auto it = ids.find(device.mac); it != ids.end()) {
+    if (const auto it = matrix.identifiers.find(device.mac);
+        it != matrix.identifiers.end()) {
       device.ids.assign(it->second.begin(), it->second.end());
       device.exposure = exposure_class(it->second);
     }

@@ -1,11 +1,12 @@
 // One sampled household: a catalog-driven device mix seeded from
 // (fleet seed, household index), built by the Lab's home construction and
 // simulated as a self-contained network, with the passive analyses folded
-// at tap time on the shared builders (ProtocolUsageBuilder, ExposureBuilder,
-// harvest_identifiers) and flows behind the context's FlowCache, into a
-// compact HouseholdResult row — the unit of work the fleet driver shards
-// across the exec TaskPool. Per-household memory is O(active flows), never
-// O(captured frames).
+// at tap time on the shared builders (ProtocolUsageBuilder, and
+// ExposureBuilder, whose one scan per distinct mDNS/SSDP payload gives both
+// the exposure cells and the §6.3 identifiers) and flows behind the
+// context's FlowCache, into a compact HouseholdResult row — the unit of
+// work the fleet driver shards across the exec TaskPool. Per-household
+// memory is O(active flows), never O(captured frames).
 //
 // Reproducibility contract: run_household() depends only on its arguments
 // and a fully reset HouseholdContext, never on which worker runs it or what
@@ -23,7 +24,6 @@
 #include "analysis/identifiers.hpp"
 #include "capture/flow_cache.hpp"
 #include "classify/label.hpp"
-#include "crowd/inspector.hpp"
 #include "netcore/address.hpp"
 #include "netcore/rng.hpp"
 #include "netcore/time.hpp"
@@ -62,7 +62,8 @@ struct HouseholdDevice {
   /// (protocol, data type) exposure-matrix cells this device contributed to
   /// (Table 1), in cell order.
   std::vector<std::pair<ProtocolLabel, ExposedData>> exposed;
-  /// Sorted unique identifiers extracted from its mDNS/SSDP responses.
+  /// Sorted unique identifiers extracted from its mDNS/SSDP responses
+  /// (its ExposureMatrix::identifiers entry).
   std::vector<ExtractedIdentifier> ids;
 };
 

@@ -1,5 +1,6 @@
 #include "netcore/text_file.hpp"
 
+#include <cstdio>
 #include <fstream>
 
 namespace roomnet {
@@ -10,6 +11,29 @@ bool write_text_file(const std::string& path, std::string_view text) {
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
   out.close();
   return !out.fail();
+}
+
+std::string escape_json(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace roomnet

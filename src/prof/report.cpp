@@ -6,33 +6,12 @@
 #include <optional>
 #include <sstream>
 
+#include "netcore/text_file.hpp"
 #include "proto/json.hpp"
 
 namespace roomnet::prof {
 
 namespace {
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void stage_fields_json(std::string& out, const StageProfile& s) {
   char buf[512];

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "netcore/text_file.hpp"
+
 namespace roomnet::json {
 
 bool operator==(const Value& a, const Value& b) { return a.v_ == b.v_; }
@@ -27,23 +29,7 @@ namespace {
 
 void dump_string(const std::string& s, std::string& out) {
   out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  out += escape_json(s);
   out += '"';
 }
 

@@ -66,8 +66,12 @@ void SsdpEndpoint::msearch(const std::string& search_target, int mx) {
   msg.mx = mx;
   msg.server = server_string;
   // Unicast 200 OK responses come back to the search's source port, so the
-  // searching socket must listen there too.
-  const std::uint16_t sport = host_->ephemeral_port();
+  // searching socket must listen there too. They arrive within milliseconds,
+  // long before a periodic searcher searches again, so the previous
+  // search's socket for this target is done with.
+  std::uint16_t& sport = search_ports_[search_target];
+  if (sport != 0) host_->close_udp(sport);
+  sport = host_->ephemeral_port();
   host_->open_udp(
       sport,
       [this](Host&, const PacketView& packet, const UdpDatagram& udp) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,6 +36,9 @@ class SsdpEndpoint {
   std::vector<std::string> notification_types{"upnp:rootdevice"};
   bool respond_to_msearch = false;
 
+  /// Multicasts an M-SEARCH from a fresh ephemeral port that listens for
+  /// the unicast responses; it closes the port of this target's previous
+  /// search, so a periodic searcher holds one socket per target.
   void msearch(const std::string& search_target, int mx = 2);
   void notify_alive();
 
@@ -53,6 +57,8 @@ class SsdpEndpoint {
   std::uint16_t http_port_ = 49152;
   SsdpMessage out_;
   Bytes wire_;
+  /// Search target -> the port its latest M-SEARCH listens on.
+  std::map<std::string, std::uint16_t, std::less<>> search_ports_;
 };
 
 }  // namespace roomnet

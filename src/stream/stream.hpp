@@ -10,8 +10,9 @@
 // (classify_frame: spec, deep and hybrid labels) and hands the labels to
 // every builder; the flow cache keeps each stored payload's deep label, so
 // flow-end classification reads it instead of decoding the payload again;
-// and the exposure fold scans each distinct mDNS/SSDP (source, payload) at
-// most once (ExposureBuilder's PayloadMemo).
+// and the exposure fold scans each distinct mDNS/SSDP (source, payload)
+// exactly once (ExposureBuilder's PayloadMemo), one scan giving both the
+// exposure cells and the §6.3 identifiers.
 //
 // Memory: no frame is buffered. The cache holds one record per active flow
 // — with the default non-evicting StreamConfig that is every flow seen, so

@@ -4,31 +4,11 @@
 #include <cstdio>
 #include <utility>
 
+#include "netcore/text_file.hpp"
+
 namespace roomnet::telemetry {
 
 namespace {
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Prometheus text format escapes exactly backslash, double-quote, and
 /// newline inside label values (exposition-format spec); every other byte

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "netcore/text_file.hpp"
 #include "obs/manifest.hpp"
 #include "proto/json.hpp"
 
@@ -18,28 +19,6 @@ constexpr const char* kTypeNames[kNetEventTypeCount] = {
 
 constexpr const char* kSeverityNames[4] = {"info", "notice", "warning",
                                            "critical"};
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

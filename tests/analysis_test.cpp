@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -408,7 +409,7 @@ TEST(ExposureTest, TableShapeHelpers) {
   EXPECT_EQ(to_string(ExposedData::kProductKey), "Prod.Key");
 }
 
-// ------------------------------------------------------------ exposure settle
+// ------------------------------------------------------- exposure scan once
 
 std::uint64_t exposure_scans(const char* proto) {
   return telemetry::Registry::global()
@@ -427,8 +428,8 @@ WireFrame mdns_response(MacAddress src, DnsRecord answer) {
 
 TEST(ExposureSettle, RepeatedAnnouncementScansOnce) {
   // Device 1 exposes a MAC, a UUID, a display name and a model in one
-  // response, so after it every mDNS cell holds the device. Device 2 never
-  // carries a display name (nor a UUID): those cells never settle.
+  // response. Device 2 never carries a display name, a UUID or a harvested
+  // identifier. A repeated (source, payload) is never scanned again.
   const WireFrame full = mdns_response(
       mac_n(1), DnsRecord::make_txt(
                     DnsName::from_string("Jane's Kitchen._airplay._tcp.local"),
@@ -455,11 +456,11 @@ TEST(ExposureSettle, RepeatedAnnouncementScansOnce) {
   builder.on_packet(full.view);
   EXPECT_EQ(exposure_scans("mdns") - mdns0, 1u);
   builder.on_packet(full.view);
-  EXPECT_EQ(exposure_scans("mdns") - mdns0, 1u);  // every cell settled
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 1u);
   builder.on_packet(nameless.view);
   builder.on_packet(nameless.view);
-  // The name cell never settles for device 2, but its repeat is the same
-  // (source, payload): the first scan already marked all it can.
+  // Device 2's name cell stays empty, but its repeat is the same (source,
+  // payload): the first scan already marked all it can.
   EXPECT_EQ(exposure_scans("mdns") - mdns0, 2u);
   builder.on_packet(ssdp.view);
   builder.on_packet(ssdp.view);
@@ -477,12 +478,26 @@ TEST(ExposureSettle, RepeatedAnnouncementScansOnce) {
   EXPECT_EQ(matrix.device_count(ProtocolLabel::kSsdp, ExposedData::kUuid), 1u);
   EXPECT_TRUE(
       matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware));
+
+  // The same scans harvested the §6.3 identifiers: the UUIDs' last groups
+  // are bare MACs under the devices' own OUI (02:a0:00).
+  using Ids = std::set<ExtractedIdentifier>;
+  const std::map<MacAddress, Ids> expected = {
+      {mac_n(1),
+       Ids{{IdentifierType::kName, "Jane's Kitchen"},
+           {IdentifierType::kUuid, "296f0ed3-af44-4f44-8a7f-02a000000002"},
+           {IdentifierType::kMacAddress, "02:a0:00:00:00:02"},
+           {IdentifierType::kMacAddress, "aa:bb:cc:dd:ee:ff"}}},
+      {mac_n(6),
+       Ids{{IdentifierType::kUuid, "296f0ed3-af44-4f44-8a7f-02a000000006"},
+           {IdentifierType::kMacAddress, "02:a0:00:00:00:06"}}}};
+  EXPECT_EQ(matrix.identifiers, expected);
 }
 
 TEST(ExposureSettle, DifferentPayloadFromSameSourceIsScanned) {
-  // Device 2's first response settles nothing but its MAC-like tail and
-  // model; a second, different response from it still gets a scan, and
-  // marks the display name the first could not.
+  // Device 2's first response marks only its MAC-like tail and model; a
+  // second, different response from it gets its own scan, and marks the
+  // display name the first could not.
   const WireFrame nameless = mdns_response(
       mac_n(2),
       DnsRecord::make_ptr(
@@ -509,6 +524,47 @@ TEST(ExposureSettle, DifferentPayloadFromSameSourceIsScanned) {
       matrix.device_count(ProtocolLabel::kMdns, ExposedData::kDisplayName),
       1u);
   EXPECT_FALSE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kUuid));
+  // A 16-hex bridge id is no MAC; the possessive name is the one identifier.
+  const std::map<MacAddress, std::set<ExtractedIdentifier>> expected = {
+      {mac_n(2), {{IdentifierType::kName, "Jane's Hue"}}}};
+  EXPECT_EQ(matrix.identifiers, expected);
+}
+
+TEST(ExposureSettle, SetCellsStillHarvestNewIdentifiers) {
+  // After its first response every mDNS cell holds device 1, yet a second
+  // response with a new UUID is still scanned, and the UUID joins the
+  // device's identifiers; the cells do not change.
+  const auto response = [](const char* uuid) {
+    return mdns_response(
+        mac_n(1),
+        DnsRecord::make_txt(
+            DnsName::from_string("Jane's Kitchen._airplay._tcp.local"),
+            {"deviceid=aa:bb:cc:dd:ee:ff", std::string("id=") + uuid,
+             "model=HomePod"}));
+  };
+  const WireFrame first = response("296f0ed3-af44-4f44-8a7f-000000000001");
+  const WireFrame second = response("9d1c2b3a-0000-4f44-8a7f-000000000002");
+
+  ExposureBuilder builder;
+  const std::uint64_t mdns0 = exposure_scans("mdns");
+  builder.on_packet(first.view);
+  builder.on_packet(second.view);
+  builder.on_packet(first.view);
+  EXPECT_EQ(exposure_scans("mdns") - mdns0, 2u);
+
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_EQ(matrix.cells.size(), 4u);
+  for (const auto& [cell, macs] : matrix.cells)
+    EXPECT_EQ(macs, std::set<MacAddress>{mac_n(1)});
+  ASSERT_EQ(matrix.identifiers.size(), 1u);
+  const auto& ids = matrix.identifiers.at(mac_n(1));
+  EXPECT_EQ(ids.count({IdentifierType::kUuid,
+                       "296f0ed3-af44-4f44-8a7f-000000000001"}),
+            1u);
+  EXPECT_EQ(ids.count({IdentifierType::kUuid,
+                       "9d1c2b3a-0000-4f44-8a7f-000000000002"}),
+            1u);
+  EXPECT_EQ(ids.size(), 4u);  // the name, the MAC and both UUIDs
 }
 
 TEST(ExposureSettle, SamePayloadFromDifferentSourceIsScanned) {
@@ -559,6 +615,16 @@ TEST(ExposureSettle, SamePayloadFromDifferentSourceIsScanned) {
     EXPECT_EQ(it->second, both);
   }
   EXPECT_EQ(matrix.cells.size(), 5u);
+  // Each source harvests the SSDP UUID and, under the shared OUI, its last
+  // group as a bare MAC; the mDNS payload carries no identifier.
+  for (const MacAddress mac : both) {
+    const auto it = matrix.identifiers.find(mac);
+    ASSERT_NE(it, matrix.identifiers.end());
+    EXPECT_EQ(it->second.count({IdentifierType::kUuid,
+                                "296f0ed3-af44-4f44-8a7f-02a000000006"}),
+              1u);
+  }
+  EXPECT_EQ(matrix.identifiers.size(), 2u);
 }
 
 TEST(ExposureSettle, PayloadMemoIsExactPerSource) {
@@ -572,26 +638,21 @@ TEST(ExposureSettle, PayloadMemoIsExactPerSource) {
   EXPECT_TRUE(memo.insert(mac_n(1), BytesView(a).first(2)));
   EXPECT_TRUE(memo.insert(mac_n(1), BytesView{}));
   EXPECT_FALSE(memo.insert(mac_n(1), BytesView{}));
-  memo.clear();
-  EXPECT_TRUE(memo.insert(mac_n(1), a));
 
-  // Past many regrowths every pair is still told apart, and clear() forgets
-  // them all.
+  // Past many regrowths every pair is still told apart.
   std::vector<Bytes> payloads;
   for (std::uint32_t i = 0; i < 1000; ++i)
     payloads.push_back({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
-  for (int round = 0; round < 2; ++round) {
-    memo.clear();
-    for (const Bytes& p : payloads) EXPECT_TRUE(memo.insert(mac_n(3), p));
-    for (const Bytes& p : payloads) EXPECT_FALSE(memo.insert(mac_n(3), p));
-    for (const Bytes& p : payloads) EXPECT_TRUE(memo.insert(mac_n(4), p));
-  }
+  PayloadMemo grown;
+  for (const Bytes& p : payloads) EXPECT_TRUE(grown.insert(mac_n(3), p));
+  for (const Bytes& p : payloads) EXPECT_FALSE(grown.insert(mac_n(3), p));
+  for (const Bytes& p : payloads) EXPECT_TRUE(grown.insert(mac_n(4), p));
 }
 
 TEST(ExposureSettle, MatrixIndependentOfOrderAndRepeats) {
-  // Skipping a settled cell never changes a set, in any order: the
-  // committed capture's local frames in order, in reverse, and each fed
-  // twice give one matrix.
+  // Scanning each distinct (source, payload) once gives one matrix, cells
+  // and identifiers, in any order: the committed capture's local frames in
+  // order, in reverse, and each fed twice.
   const auto records = read_pcap_file(ROOMNET_QUICKSTART_PCAP);
   ASSERT_TRUE(records.has_value());
   const LocalFilter filter;
@@ -608,16 +669,19 @@ TEST(ExposureSettle, MatrixIndependentOfOrderAndRepeats) {
     ExposureBuilder builder;
     for (auto it = first; it != last; ++it)
       for (int k = 0; k < times; ++k) builder.on_packet(*it);
-    return builder.finish().cells;
+    ExposureMatrix matrix = builder.finish();
+    return std::pair{std::move(matrix.cells), std::move(matrix.identifiers)};
   };
   const std::uint64_t start = scans();
   const auto forward = fold_views(local.begin(), local.end(), 1);
   const std::uint64_t once = scans() - start;
   EXPECT_EQ(fold_views(local.rbegin(), local.rend(), 1), forward);
+  EXPECT_EQ(scans() - start, 2 * once);
   const std::uint64_t mid = scans();
   EXPECT_EQ(fold_views(local.begin(), local.end(), 2), forward);
-  EXPECT_LT(scans() - mid, 2 * once);  // a repeat of a settled frame is free
-  EXPECT_GE(forward.size(), 10u);
+  EXPECT_EQ(scans() - mid, once);  // a repeated frame is never scanned
+  EXPECT_GE(forward.first.size(), 10u);
+  EXPECT_FALSE(forward.second.empty());
 }
 
 }  // namespace

@@ -335,11 +335,11 @@ TEST(ResponseCorrelation, PairsDiscoveryWithUnicastReply) {
                                   mac_n(10)));
 
   const auto stats = correlate(capture);
-  ASSERT_EQ(stats.matches.size(), 1u);
-  EXPECT_EQ(stats.matches[0].responder, mac_n(20));
-  EXPECT_EQ(stats.matches[0].discovery.protocol, ProtocolLabel::kSsdp);
+  EXPECT_EQ(stats.match_count, 1u);
+  EXPECT_NE(stats.match_hash.hex(), Sha256().hex());
   EXPECT_TRUE(stats.answered_protocols.at(mac_n(10)).count(ProtocolLabel::kSsdp));
-  EXPECT_EQ(stats.responders.at(mac_n(10)).size(), 1u);
+  EXPECT_EQ(stats.responders.at(mac_n(10)),
+            std::set<MacAddress>{mac_n(20)});
 }
 
 TEST(ResponseCorrelation, LateReplyOutsideWindowIgnored) {
@@ -359,7 +359,7 @@ TEST(ResponseCorrelation, LateReplyOutsideWindowIgnored) {
                                   mac_n(10)));
 
   const auto stats = correlate(capture);
-  EXPECT_TRUE(stats.matches.empty());
+  EXPECT_EQ(stats.match_count, 0u);
   // Discovery usage is still recorded.
   EXPECT_TRUE(stats.discovery_protocols.at(mac_n(10)).count(ProtocolLabel::kSsdp));
 }

@@ -161,10 +161,12 @@ TEST(PipelineDeterminism, ByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.crossval.deep_labeled, base.crossval.deep_labeled);
 
     EXPECT_EQ(r.exposure.cells, base.exposure.cells);
+    EXPECT_EQ(r.exposure.identifiers, base.exposure.identifiers);
     EXPECT_EQ(r.responses.discovery_protocols,
               base.responses.discovery_protocols);
     EXPECT_EQ(r.responses.answered_protocols, base.responses.answered_protocols);
-    EXPECT_EQ(r.responses.matches.size(), base.responses.matches.size());
+    EXPECT_EQ(r.responses.match_count, base.responses.match_count);
+    EXPECT_EQ(r.responses.match_hash.hex(), base.responses.match_hash.hex());
 
     EXPECT_EQ(r.scan_reports.size(), base.scan_reports.size());
     EXPECT_EQ(r.audits.size(), base.audits.size());
@@ -210,7 +212,9 @@ TEST(PipelineGolden, AuditDefaultsReproducePinnedStageHashes) {
   // stage's floating-point math is not pinned here. The sim-stage hashes
   // moved once, when encode_dns stopped writing an empty label as a zero
   // byte: the TiVo Stream 4K's mDNS answers (hostname ".local") used to end
-  // that name early and now decode; the watch timeline did not move.
+  // that name early and now decode; the watch timeline did not move. The
+  // classify hash moved once more when the discovery-response matches
+  // became a count and a running hash (8e2d09d3... before).
   PipelineConfig config;
   config.seed = 42;
   config.threads = 1;
@@ -230,7 +234,7 @@ TEST(PipelineGolden, AuditDefaultsReproducePinnedStageHashes) {
       {"interactions",
        "74c56c4ab27a577a5cb80576d3a744bfe39da012e1ec1bf9a3f7193d6d5d8910"},
       {"classify",
-       "8e2d09d3b9e15f07bcd11da398e05bce5d096171f79f33adf09774dbca8256ab"},
+       "39d3e26d6113546cfbed4f0a24da070582c83ac3268ac0999bce90d0e81965c6"},
       {"watch",
        "e3d2ca0f1dd22832f9a336c84bf2f9d91831a1afab26a6062df8ee16c8d3966d"},
   };

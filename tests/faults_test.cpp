@@ -200,7 +200,8 @@ void expect_identical(const PipelineResults& r, const PipelineResults& base) {
   EXPECT_EQ(r.crossval.agreed, base.crossval.agreed);
   EXPECT_EQ(r.crossval.disagreed, base.crossval.disagreed);
   EXPECT_EQ(r.exposure.cells, base.exposure.cells);
-  EXPECT_EQ(r.responses.matches.size(), base.responses.matches.size());
+  EXPECT_EQ(r.responses.match_count, base.responses.match_count);
+  EXPECT_EQ(r.responses.match_hash.hex(), base.responses.match_hash.hex());
   ASSERT_EQ(r.scan_reports.size(), base.scan_reports.size());
   for (std::size_t i = 0; i < r.scan_reports.size(); ++i) {
     EXPECT_EQ(r.scan_reports[i].open_tcp, base.scan_reports[i].open_tcp) << i;

@@ -13,6 +13,7 @@
 #include "netcore/packet_view.hpp"
 #include "netcore/pcap.hpp"
 #include "netcore/rng.hpp"
+#include "netcore/text_file.hpp"
 #include "netcore/uuid.hpp"
 #include "wire_frame.hpp"
 
@@ -103,6 +104,16 @@ TEST(Base64, RejectsGarbage) {
 }
 
 // --------------------------------------------------------------- addresses
+
+TEST(EscapeJson, ShortEscapesThenUnicodeForOtherControls) {
+  EXPECT_EQ(escape_json("plain Jane's Room"), "plain Jane's Room");
+  EXPECT_EQ(escape_json("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(escape_json("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(escape_json(std::string_view("\x00\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  // Bytes from 0x20 up, UTF-8 included, pass through.
+  EXPECT_EQ(escape_json("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
 
 TEST(MacAddress, ParseAndFormat) {
   const auto mac = MacAddress::parse("aa:bb:cc:dd:ee:ff");

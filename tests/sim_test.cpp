@@ -1033,6 +1033,36 @@ TEST(Ssdp, SilentWhenPolicyForbids) {
   EXPECT_EQ(responses, 0);
 }
 
+TEST(Ssdp, PeriodicSearcherHoldsOneSocketPerTarget) {
+  // Each M-SEARCH listens on a fresh ephemeral port for its responses. A
+  // searcher of two targets every 20 s for an hour closes each target's
+  // previous socket when it searches again, yet still hears every answer.
+  Lan lan;
+  Host tv(lan.net, mac_n(2), "tv");
+  Host phone(lan.net, mac_n(3), "phone");
+  tv.set_static_ip(Ipv4Address(192, 168, 10, 30));
+  phone.set_static_ip(Ipv4Address(192, 168, 10, 50));
+  SsdpEndpoint tv_ssdp(tv);
+  tv_ssdp.respond_to_msearch = true;
+  tv_ssdp.notification_types = {"upnp:rootdevice",
+                                "urn:dial-multiscreen-org:service:dial:1"};
+  SsdpEndpoint phone_ssdp(phone);
+  int responses = 0;
+  phone_ssdp.on_message = [&](const PacketView&, const SsdpView& m) {
+    responses += m.kind == SsdpKind::kResponse;
+  };
+  const std::size_t ports_before = phone.open_udp_ports().size();
+  lan.loop.schedule_periodic(SimTime::from_seconds(1), SimTime::from_seconds(20),
+                             [&] {
+                               phone_ssdp.msearch("ssdp:all");
+                               phone_ssdp.msearch(
+                                   "urn:dial-multiscreen-org:service:dial:1");
+                             });
+  lan.settle(3600);
+  EXPECT_EQ(responses, 2 * 180);
+  EXPECT_EQ(phone.open_udp_ports().size(), ports_before + 2);
+}
+
 TEST(Ssdp, DescriptionXmlServedOverHttp) {
   Lan lan;
   Host tv(lan.net, mac_n(2), "tv");
