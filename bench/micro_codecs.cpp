@@ -43,7 +43,7 @@ WireFrame sample_frame() {
 }
 
 void BM_DecodeFrameView(benchmark::State& state) {
-  // The allocation-free decode every capture consumer reads.
+  // The allocation-free decode every capture consumer reads (UDP/mDNS).
   const Bytes frame = sample_frame().bytes;
   for (auto _ : state) {
     auto packet = decode_frame_view(BytesView(frame));
@@ -53,6 +53,99 @@ void BM_DecodeFrameView(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 BENCHMARK(BM_DecodeFrameView);
+
+// Hot-cache decode of the header-only frames the scan and discovery paths
+// carry, one case per layer stack.
+void decode_frame_case(benchmark::State& state, const Bytes& frame) {
+  for (auto _ : state) {
+    auto packet = decode_frame_view(BytesView(frame));
+    benchmark::DoNotOptimize(packet);
+  }
+}
+
+void BM_DecodeFrameViewTcpSyn(benchmark::State& state) {
+  decode_frame_case(state,
+                    tcp_frame(MacAddress::from_u64(0x02a005000001ull),
+                              MacAddress::from_u64(0x02a005000002ull),
+                              Ipv4Address(192, 168, 10, 2), 40001,
+                              Ipv4Address(192, 168, 10, 3), 80, {.syn = true}, {})
+                        .bytes);
+}
+BENCHMARK(BM_DecodeFrameViewTcpSyn);
+
+void BM_DecodeFrameViewArp(benchmark::State& state) {
+  const ArpPacket arp{.op = ArpOp::kRequest,
+                      .sender_mac = MacAddress::from_u64(0x02a005000001ull),
+                      .sender_ip = Ipv4Address(192, 168, 10, 2),
+                      .target_ip = Ipv4Address(192, 168, 10, 3)};
+  decode_frame_case(
+      state, arp_frame(arp.sender_mac, MacAddress::kBroadcast, arp).bytes);
+}
+BENCHMARK(BM_DecodeFrameViewArp);
+
+void BM_DecodeFrameViewIcmpv6Ns(benchmark::State& state) {
+  const MacAddress mac = MacAddress::from_u64(0x02a005000001ull);
+  const Ipv6Address src = Ipv6Address::link_local_from_mac(mac);
+  const Ipv6Address target = Ipv6Address::parse("fe80::42").value();
+  const Ipv6Address dst = Ipv6Address::solicited_node(target);
+  Icmpv6Message ns;
+  ns.target = target;
+  ns.link_layer_option = mac;
+  const Bytes message = encode_icmpv6(ns, src, dst);
+  const Ipv6Packet ip{.src = src,
+                      .dst = dst,
+                      .next_header = static_cast<std::uint8_t>(IpProto::kIcmpv6),
+                      .payload = message};
+  const Bytes datagram = encode_ipv6(ip);
+  decode_frame_case(state, ethernet_frame(mac, MacAddress::from_u64(0x3333ff000042ull),
+                                          EtherType::kIpv6, datagram)
+                               .bytes);
+}
+BENCHMARK(BM_DecodeFrameViewIcmpv6Ns);
+
+// The probe path's frame build: Ethernet, IPv4 and TCP appended into a
+// recycled buffer, as Host::send_raw_tcp does.
+void BM_BuildTcpSynFrame(benchmark::State& state) {
+  const EthernetFrame eth{.dst = MacAddress::from_u64(0x02a005000002ull),
+                          .src = MacAddress::from_u64(0x02a005000001ull),
+                          .ethertype = static_cast<std::uint16_t>(EtherType::kIpv4)};
+  const Ipv4Packet ip{.src = Ipv4Address(192, 168, 10, 2),
+                      .dst = Ipv4Address(192, 168, 10, 3),
+                      .protocol = static_cast<std::uint8_t>(IpProto::kTcp)};
+  const TcpSegment syn{.src_port = port(40001), .dst_port = port(80),
+                       .seq = 12345, .flags = {.syn = true}};
+  Bytes recycled;
+  for (auto _ : state) {
+    ByteWriter w(std::move(recycled));
+    w.reserve(54);
+    append_ethernet_header(w, eth);
+    append_ipv4_header(w, ip, 20);
+    append_tcp_v4(w, syn, ip.src, ip.dst);
+    recycled = w.take();
+    benchmark::DoNotOptimize(recycled.data());
+  }
+}
+BENCHMARK(BM_BuildTcpSynFrame);
+
+void BM_BuildArpFrame(benchmark::State& state) {
+  const EthernetFrame eth{.dst = MacAddress::kBroadcast,
+                          .src = MacAddress::from_u64(0x02a005000001ull),
+                          .ethertype = static_cast<std::uint16_t>(EtherType::kArp)};
+  const ArpPacket arp{.op = ArpOp::kRequest,
+                      .sender_mac = eth.src,
+                      .sender_ip = Ipv4Address(192, 168, 10, 2),
+                      .target_ip = Ipv4Address(192, 168, 10, 3)};
+  Bytes recycled;
+  for (auto _ : state) {
+    ByteWriter w(std::move(recycled));
+    w.reserve(42);
+    append_ethernet_header(w, eth);
+    append_arp(w, arp);
+    recycled = w.take();
+    benchmark::DoNotOptimize(recycled.data());
+  }
+}
+BENCHMARK(BM_BuildArpFrame);
 
 void BM_FlowCacheLookup(benchmark::State& state) {
   // 64 distinct 5-tuples cycled over 1024 adds: past the first cycle every

@@ -141,6 +141,9 @@ InspectorDataset generate_inspector_dataset(Rng& rng, InspectorConfig config) {
     ++cursor;
   }
 
+  // One block for all `assigned` devices: grown by doubling, the vector
+  // would leave megabytes of freed blocks behind in the caller's heap.
+  dataset.devices.reserve(assigned);
   for (std::size_t household = 0; household < config.households; ++household) {
     const Bytes salt = gen.bytes(16);  // per-user HMAC salt (§3.3)
     const std::string owner = kFirstNames[gen.below(std::size(kFirstNames))];

@@ -1,8 +1,15 @@
-// Bounds-checked byte-stream reading and writing used by every codec in
-// roomnet. All multi-byte integers are big-endian (network order) unless the
-// _le variants are used (pcap headers are little-endian on disk).
+// Byte-level building blocks of every codec in roomnet. All multi-byte
+// integers are big-endian (network order) unless the _le variants are used
+// (pcap headers are little-endian on disk).
+//
+// Fixed-size wire headers (netcore/packet.hpp) are written through one
+// reservation — ByteWriter::grow() — and read after one length check, with
+// load_be*/store_be* on raw pointers. ByteReader serves the variable-length
+// walks of the app-layer decoders (DNS, DHCP, TLS, ...), where each field's
+// presence depends on the ones before it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -17,8 +24,46 @@ namespace roomnet {
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
 
-/// Sequentially reads integers/blobs from an immutable byte span.
-/// Reads past the end do not throw: they return std::nullopt and mark the
+/// Big-endian loads and stores at a raw pointer; the caller has checked the
+/// bounds. Each is one unaligned word access plus a byte swap.
+inline std::uint16_t load_be16(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof v);
+  return std::endian::native == std::endian::little ? __builtin_bswap16(v) : v;
+}
+inline std::uint32_t load_be32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return std::endian::native == std::endian::little ? __builtin_bswap32(v) : v;
+}
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return std::endian::native == std::endian::little ? __builtin_bswap64(v) : v;
+}
+inline void store_be16(std::uint8_t* p, std::uint16_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap16(v);
+  std::memcpy(p, &v, sizeof v);
+}
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof v);
+}
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
+}
+inline void store_le16(std::uint8_t* p, std::uint16_t v) {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap16(v);
+  std::memcpy(p, &v, sizeof v);
+}
+inline void store_le32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Sequentially reads integers/blobs from an immutable byte span: the walker
+/// of the variable-length app-layer formats. Reads past the end do not throw: they return std::nullopt and mark the
 /// reader as failed, so parsers can check once at the end (monadic style).
 class ByteReader {
  public:
@@ -135,30 +180,37 @@ class ByteWriter {
     return *this;
   }
 
+  /// Appends `n` zero bytes and returns where they start: a fixed header
+  /// takes one size-and-capacity step, then its fields are stored directly.
+  /// The pointer is valid until the next write.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
   ByteWriter& u8(std::uint8_t v) {
     out_.push_back(v);
     return *this;
   }
   ByteWriter& u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    store_be16(grow(2), v);
     return *this;
   }
   ByteWriter& u32(std::uint32_t v) {
-    for (int s = 24; s >= 0; s -= 8) out_.push_back(static_cast<std::uint8_t>(v >> s));
+    store_be32(grow(4), v);
     return *this;
   }
   ByteWriter& u64(std::uint64_t v) {
-    for (int s = 56; s >= 0; s -= 8) out_.push_back(static_cast<std::uint8_t>(v >> s));
+    store_be64(grow(8), v);
     return *this;
   }
   ByteWriter& u16_le(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
+    store_le16(grow(2), v);
     return *this;
   }
   ByteWriter& u32_le(std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) out_.push_back(static_cast<std::uint8_t>(v >> s));
+    store_le32(grow(4), v);
     return *this;
   }
   ByteWriter& raw(BytesView v) {
@@ -179,12 +231,12 @@ class ByteWriter {
   /// Overwrites previously written bytes (e.g. a length field patched after
   /// the body is known). `at + 2/4` must be within what was already written.
   void patch_u16(std::size_t at, std::uint16_t v) {
-    out_.at(at) = static_cast<std::uint8_t>(v >> 8);
-    out_.at(at + 1) = static_cast<std::uint8_t>(v);
+    (void)out_.at(at + 1);  // throws std::out_of_range past the end
+    store_be16(out_.data() + at, v);
   }
   void patch_u32(std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.at(at + static_cast<std::size_t>(i)) = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+    (void)out_.at(at + 3);
+    store_be32(out_.data() + at, v);
   }
 
   [[nodiscard]] std::size_t size() const { return out_.size(); }

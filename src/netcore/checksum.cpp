@@ -1,19 +1,8 @@
 #include "netcore/checksum.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace roomnet {
 
 namespace {
-std::uint64_t load_be64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof v);
-  if constexpr (std::endian::native == std::endian::little)
-    v = __builtin_bswap64(v);
-  return v;
-}
-
 /// One's-complement sum of `data` as big-endian 16-bit words (odd tail
 /// padded) onto `acc`. Eight bytes per step: a 64-bit one's-complement add
 /// with end-around carry is the sum of its four 16-bit words modulo 0xffff

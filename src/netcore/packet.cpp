@@ -1,39 +1,212 @@
 #include "netcore/packet.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 #include "netcore/checksum.hpp"
+#include "netcore/packet_view.hpp"
 
 namespace roomnet {
 
 namespace {
-// A short read yields an all-zero address and fails the reader; every
-// decoder checks r.ok() before it returns a value.
-MacAddress read_mac(ByteReader& r) {
-  std::array<std::uint8_t, 6> o{};
-  if (const auto v = r.view(o.size())) std::memcpy(o.data(), v->data(), o.size());
+MacAddress load_mac(const std::uint8_t* p) {
+  std::array<std::uint8_t, 6> o;
+  std::memcpy(o.data(), p, o.size());
   return MacAddress(o);
 }
-Ipv4Address read_ipv4(ByteReader& r) { return Ipv4Address(r.u32().value_or(0)); }
-Ipv6Address read_ipv6(ByteReader& r) {
-  std::array<std::uint8_t, 16> b{};
-  if (const auto v = r.view(b.size())) std::memcpy(b.data(), v->data(), b.size());
+Ipv6Address load_ipv6(const std::uint8_t* p) {
+  std::array<std::uint8_t, 16> b;
+  std::memcpy(b.data(), p, b.size());
   return Ipv6Address(b);
 }
-void write_mac(ByteWriter& w, const MacAddress& m) { w.raw(BytesView(m.octets())); }
-void write_ipv6(ByteWriter& w, const Ipv6Address& a) { w.raw(BytesView(a.bytes())); }
+void store_mac(std::uint8_t* p, const MacAddress& m) {
+  std::memcpy(p, m.octets().data(), m.octets().size());
+}
+void store_ipv6(std::uint8_t* p, const Ipv6Address& a) {
+  std::memcpy(p, a.bytes().data(), a.bytes().size());
+}
 /// The bytes written since offset `at`.
 BytesView written_since(const ByteWriter& w, std::size_t at) {
   return BytesView(w.data()).subspan(at);
+}
+/// Throws unless `n` fits the 16-bit length field of `layer`.
+void check_length(std::size_t n, std::size_t limit, const char* layer) {
+  if (n > limit)
+    throw std::length_error(std::string(layer) + " length " +
+                            std::to_string(n) + " exceeds its 16-bit field");
+}
+
+// Each parser checks the header length once, then loads the fields. On
+// failure it returns false and `out` is discarded by the caller.
+
+bool parse_ethernet(BytesView raw, EthernetFrame& out) {
+  if (raw.size() < 14) return false;
+  const std::uint8_t* p = raw.data();
+  out.dst = load_mac(p);
+  out.src = load_mac(p + 6);
+  out.ethertype = load_be16(p + 12);
+  out.payload = raw.subspan(14);
+  return true;
+}
+
+bool parse_arp(BytesView raw, ArpPacket& out) {
+  if (raw.size() < 28) return false;
+  const std::uint8_t* p = raw.data();
+  // Ethernet (1) / IPv4 (0x0800) with 6- and 4-byte addresses.
+  if (load_be32(p) != 0x00010800 || load_be16(p + 4) != 0x0604) return false;
+  const std::uint16_t op = load_be16(p + 6);
+  if (op != 1 && op != 2) return false;
+  out.op = static_cast<ArpOp>(op);
+  out.sender_mac = load_mac(p + 8);
+  out.sender_ip = Ipv4Address(load_be32(p + 14));
+  out.target_mac = load_mac(p + 18);
+  out.target_ip = Ipv4Address(load_be32(p + 24));
+  return true;
+}
+
+bool parse_llc(BytesView raw, LlcXidFrame& out) {
+  if (raw.size() < 3) return false;
+  out.dsap = raw[0];
+  out.ssap = raw[1];
+  out.is_xid = (raw[2] & 0xef) == 0xaf;
+  out.info = raw.subspan(3);
+  return true;
+}
+
+bool parse_eapol(BytesView raw, EapolFrame& out) {
+  if (raw.size() < 4 || raw[1] > 3) return false;
+  const std::size_t len = load_be16(raw.data() + 2);
+  if (raw.size() - 4 < len) return false;
+  out.version = raw[0];
+  out.type = static_cast<EapolType>(raw[1]);
+  out.body = raw.subspan(4, len);
+  return true;
+}
+
+bool parse_ipv4(BytesView raw, Ipv4Packet& out) {
+  if (raw.size() < 20 || (raw[0] >> 4) != 4) return false;
+  const std::uint8_t* p = raw.data();
+  const std::size_t ihl = static_cast<std::size_t>(p[0] & 0x0f) * 4;
+  const std::size_t total_len = load_be16(p + 2);
+  if (ihl < 20 || total_len < ihl || raw.size() < total_len) return false;
+  out.identification = load_be16(p + 4);
+  out.fragment_offset = load_be16(p + 6) & 0x1fff;  // drop the 3 flag bits
+  out.ttl = p[8];
+  out.protocol = p[9];
+  // p[10..11]: checksum (trusted; the simulator always writes valid ones)
+  out.src = Ipv4Address(load_be32(p + 12));
+  out.dst = Ipv4Address(load_be32(p + 16));
+  out.payload = raw.subspan(ihl, total_len - ihl);
+  return true;
+}
+
+bool parse_ipv6(BytesView raw, Ipv6Packet& out) {
+  if (raw.size() < 40 || (raw[0] >> 4) != 6) return false;
+  const std::uint8_t* p = raw.data();
+  const std::size_t payload_len = load_be16(p + 4);
+  if (raw.size() - 40 < payload_len) return false;
+  out.next_header = p[6];
+  out.hop_limit = p[7];
+  out.src = load_ipv6(p + 8);
+  out.dst = load_ipv6(p + 24);
+  out.payload = raw.subspan(40, payload_len);
+  return true;
+}
+
+bool parse_udp(BytesView raw, UdpDatagram& out) {
+  if (raw.size() < 8) return false;
+  const std::uint8_t* p = raw.data();
+  const std::size_t len = load_be16(p + 4);
+  if (len < 8 || raw.size() < len) return false;
+  out.src_port = port(load_be16(p));
+  out.dst_port = port(load_be16(p + 2));
+  out.payload = raw.subspan(8, len - 8);
+  return true;
+}
+
+bool parse_tcp(BytesView raw, TcpSegment& out) {
+  if (raw.size() < 20) return false;
+  const std::uint8_t* p = raw.data();
+  const std::size_t header_len = static_cast<std::size_t>(p[12] >> 4) * 4;
+  if (header_len < 20 || raw.size() < header_len) return false;
+  out.src_port = port(load_be16(p));
+  out.dst_port = port(load_be16(p + 2));
+  out.seq = load_be32(p + 4);
+  out.ack = load_be32(p + 8);
+  out.flags = TcpFlags::from_byte(p[13]);
+  out.window = load_be16(p + 14);
+  out.payload = raw.subspan(header_len);
+  return true;
+}
+
+bool parse_icmp(BytesView raw, IcmpMessage& out) {
+  if (raw.size() < 4) return false;
+  out.type = raw[0];
+  out.code = raw[1];
+  out.body = raw.subspan(4);
+  return true;
+}
+
+bool is_ndp(Icmpv6Type type) {
+  return type == Icmpv6Type::kNeighborSolicitation ||
+         type == Icmpv6Type::kNeighborAdvertisement;
+}
+
+bool parse_icmpv6(BytesView raw, Icmpv6Message& out) {
+  if (raw.size() < 4) return false;
+  out.type = static_cast<Icmpv6Type>(raw[0]);
+  out.code = raw[1];
+  if (!is_ndp(out.type)) {
+    out.extra = raw.subspan(4);
+    return true;
+  }
+  // Reserved/flags, then the target address.
+  if (raw.size() < 24) return false;
+  out.target = load_ipv6(raw.data() + 8);
+  // Options: the last source/target link-layer address option wins; an
+  // option running past the end rejects the message.
+  std::size_t at = 24;
+  while (raw.size() - at >= 8) {
+    const std::uint8_t type = raw[at];
+    const std::size_t len = static_cast<std::size_t>(raw[at + 1]) * 8;
+    if (len == 0) break;
+    if (raw.size() - at < len) return false;
+    if (type == 1 || type == 2) out.link_layer_option = load_mac(raw.data() + at + 2);
+    at += len;
+  }
+  return true;
+}
+
+bool parse_igmp(BytesView raw, IgmpMessage& out) {
+  if (raw.size() < 8) return false;
+  out.type = raw[0];
+  out.group = Ipv4Address(load_be32(raw.data() + 4));
+  return true;
+}
+
+/// Decodes `raw` into `slot` in place; leaves it empty if `parse` rejects.
+template <typename Layer>
+void decode_into(std::optional<Layer>& slot, BytesView raw,
+                 bool (*parse)(BytesView, Layer&)) {
+  if (!parse(raw, slot.emplace())) slot.reset();
+}
+
+template <typename Layer>
+std::optional<Layer> decode_alone(BytesView raw,
+                                  bool (*parse)(BytesView, Layer&)) {
+  std::optional<Layer> out;
+  decode_into(out, raw, parse);
+  return out;
 }
 }  // namespace
 
 // ----------------------------------------------------------------- Ethernet
 
 void append_ethernet_header(ByteWriter& w, const EthernetFrame& frame) {
-  write_mac(w, frame.dst);
-  write_mac(w, frame.src);
-  w.u16(frame.ethertype);
+  std::uint8_t* p = w.grow(14);
+  store_mac(p, frame.dst);
+  store_mac(p + 6, frame.src);
+  store_be16(p + 12, frame.ethertype);
 }
 
 Bytes encode_ethernet(const EthernetFrame& frame) {
@@ -43,27 +216,20 @@ Bytes encode_ethernet(const EthernetFrame& frame) {
 }
 
 std::optional<EthernetFrame> decode_ethernet(BytesView raw) {
-  ByteReader r(raw);
-  EthernetFrame f;
-  f.dst = read_mac(r);
-  f.src = read_mac(r);
-  f.ethertype = r.u16().value_or(0);
-  if (!r.ok()) return std::nullopt;
-  f.payload = r.rest();
-  return f;
+  return decode_alone(raw, parse_ethernet);
 }
 
 // ---------------------------------------------------------------------- ARP
 
 void append_arp(ByteWriter& w, const ArpPacket& arp) {
-  w.u16(1);       // hardware type: Ethernet
-  w.u16(0x0800);  // protocol type: IPv4
-  w.u8(6).u8(4);  // address lengths
-  w.u16(static_cast<std::uint16_t>(arp.op));
-  write_mac(w, arp.sender_mac);
-  w.u32(arp.sender_ip.value());
-  write_mac(w, arp.target_mac);
-  w.u32(arp.target_ip.value());
+  std::uint8_t* p = w.grow(28);
+  store_be32(p, 0x00010800);  // hardware Ethernet, protocol IPv4
+  store_be16(p + 4, 0x0604);  // address lengths
+  store_be16(p + 6, static_cast<std::uint16_t>(arp.op));
+  store_mac(p + 8, arp.sender_mac);
+  store_be32(p + 14, arp.sender_ip.value());
+  store_mac(p + 18, arp.target_mac);
+  store_be32(p + 24, arp.target_ip.value());
 }
 
 Bytes encode_arp(const ArpPacket& arp) {
@@ -73,31 +239,16 @@ Bytes encode_arp(const ArpPacket& arp) {
 }
 
 std::optional<ArpPacket> decode_arp(BytesView raw) {
-  ByteReader r(raw);
-  const auto htype = r.u16();
-  const auto ptype = r.u16();
-  const auto hlen = r.u8();
-  const auto plen = r.u8();
-  const auto op = r.u16();
-  if (!r.ok() || *htype != 1 || *ptype != 0x0800 || *hlen != 6 || *plen != 4)
-    return std::nullopt;
-  if (*op != 1 && *op != 2) return std::nullopt;
-  ArpPacket a;
-  a.op = static_cast<ArpOp>(*op);
-  a.sender_mac = read_mac(r);
-  a.sender_ip = read_ipv4(r);
-  a.target_mac = read_mac(r);
-  a.target_ip = read_ipv4(r);
-  if (!r.ok()) return std::nullopt;
-  return a;
+  return decode_alone(raw, parse_arp);
 }
 
 // ------------------------------------------------------------------ LLC/XID
 
 void append_llc_xid(ByteWriter& w, const LlcXidFrame& frame) {
-  w.u8(frame.dsap);
-  w.u8(frame.ssap);
-  w.u8(frame.is_xid ? 0xaf : 0x03);  // XID command vs UI
+  std::uint8_t* p = w.grow(3);
+  p[0] = frame.dsap;
+  p[1] = frame.ssap;
+  p[2] = frame.is_xid ? 0xaf : 0x03;  // XID command vs UI
   w.raw(frame.info);
 }
 
@@ -108,23 +259,17 @@ Bytes encode_llc_xid(const LlcXidFrame& frame) {
 }
 
 std::optional<LlcXidFrame> decode_llc(BytesView raw) {
-  ByteReader r(raw);
-  LlcXidFrame f;
-  f.dsap = r.u8().value_or(0);
-  f.ssap = r.u8().value_or(0);
-  const auto control = r.u8();
-  if (!r.ok()) return std::nullopt;
-  f.is_xid = (*control & 0xef) == 0xaf;
-  f.info = r.rest();
-  return f;
+  return decode_alone(raw, parse_llc);
 }
 
 // -------------------------------------------------------------------- EAPOL
 
 void append_eapol(ByteWriter& w, const EapolFrame& frame) {
-  w.u8(frame.version);
-  w.u8(static_cast<std::uint8_t>(frame.type));
-  w.u16(static_cast<std::uint16_t>(frame.body.size()));
+  check_length(frame.body.size(), 0xffff, "EAPOL body");
+  std::uint8_t* p = w.grow(4);
+  p[0] = frame.version;
+  p[1] = static_cast<std::uint8_t>(frame.type);
+  store_be16(p + 2, static_cast<std::uint16_t>(frame.body.size()));
   w.raw(frame.body);
 }
 
@@ -135,35 +280,24 @@ Bytes encode_eapol(const EapolFrame& frame) {
 }
 
 std::optional<EapolFrame> decode_eapol(BytesView raw) {
-  ByteReader r(raw);
-  EapolFrame f;
-  f.version = r.u8().value_or(0);
-  const auto type = r.u8();
-  const auto len = r.u16();
-  if (!r.ok() || *type > 3) return std::nullopt;
-  f.type = static_cast<EapolType>(*type);
-  const auto body = r.view(*len);
-  if (!body) return std::nullopt;
-  f.body = *body;
-  return f;
+  return decode_alone(raw, parse_eapol);
 }
 
 // --------------------------------------------------------------------- IPv4
 
 void append_ipv4_header(ByteWriter& w, const Ipv4Packet& packet,
                         std::size_t payload_len) {
-  const std::size_t at = w.size();
-  w.u8(0x45);  // version 4, IHL 5
-  w.u8(0);     // DSCP/ECN
-  w.u16(static_cast<std::uint16_t>(20 + payload_len));
-  w.u16(packet.identification);
-  w.u16(0x4000);  // flags: DF
-  w.u8(packet.ttl);
-  w.u8(packet.protocol);
-  w.u16(0);  // checksum placeholder
-  w.u32(packet.src.value());
-  w.u32(packet.dst.value());
-  w.patch_u16(at + 10, internet_checksum(written_since(w, at)));
+  check_length(payload_len, 0xffff - 20, "IPv4 payload");
+  std::uint8_t* p = w.grow(20);
+  p[0] = 0x45;  // version 4, IHL 5; p[1] DSCP/ECN 0
+  store_be16(p + 2, static_cast<std::uint16_t>(20 + payload_len));
+  store_be16(p + 4, packet.identification);
+  store_be16(p + 6, 0x4000);  // flags: DF
+  p[8] = packet.ttl;
+  p[9] = packet.protocol;
+  store_be32(p + 12, packet.src.value());
+  store_be32(p + 16, packet.dst.value());
+  store_be16(p + 10, internet_checksum(BytesView(p, 20)));
 }
 
 Bytes encode_ipv4(const Ipv4Packet& packet) {
@@ -174,39 +308,21 @@ Bytes encode_ipv4(const Ipv4Packet& packet) {
 }
 
 std::optional<Ipv4Packet> decode_ipv4(BytesView raw) {
-  ByteReader r(raw);
-  const auto ver_ihl = r.u8();
-  if (!ver_ihl || (*ver_ihl >> 4) != 4) return std::nullopt;
-  const std::size_t ihl = static_cast<std::size_t>(*ver_ihl & 0x0f) * 4;
-  if (ihl < 20) return std::nullopt;
-  r.skip(1);  // DSCP
-  const auto total_len = r.u16();
-  Ipv4Packet p;
-  p.identification = r.u16().value_or(0);
-  p.fragment_offset = r.u16().value_or(0) & 0x1fff;  // drop the 3 flag bits
-  p.ttl = r.u8().value_or(0);
-  p.protocol = r.u8().value_or(0);
-  r.skip(2);  // checksum (trusted; simulator always writes valid ones)
-  p.src = read_ipv4(r);
-  p.dst = read_ipv4(r);
-  if (!r.ok() || *total_len < ihl || raw.size() < *total_len) return std::nullopt;
-  if (!r.seek(ihl)) return std::nullopt;
-  const auto payload = r.view(*total_len - ihl);
-  if (!payload) return std::nullopt;
-  p.payload = *payload;
-  return p;
+  return decode_alone(raw, parse_ipv4);
 }
 
 // --------------------------------------------------------------------- IPv6
 
 void append_ipv6_header(ByteWriter& w, const Ipv6Packet& packet,
                         std::size_t payload_len) {
-  w.u32(0x60000000);  // version 6, no traffic class/flow label
-  w.u16(static_cast<std::uint16_t>(payload_len));
-  w.u8(packet.next_header);
-  w.u8(packet.hop_limit);
-  write_ipv6(w, packet.src);
-  write_ipv6(w, packet.dst);
+  check_length(payload_len, 0xffff, "IPv6 payload");
+  std::uint8_t* p = w.grow(40);
+  store_be32(p, 0x60000000);  // version 6, no traffic class/flow label
+  store_be16(p + 4, static_cast<std::uint16_t>(payload_len));
+  p[6] = packet.next_header;
+  p[7] = packet.hop_limit;
+  store_ipv6(p + 8, packet.src);
+  store_ipv6(p + 24, packet.dst);
 }
 
 Bytes encode_ipv6(const Ipv6Packet& packet) {
@@ -217,20 +333,7 @@ Bytes encode_ipv6(const Ipv6Packet& packet) {
 }
 
 std::optional<Ipv6Packet> decode_ipv6(BytesView raw) {
-  ByteReader r(raw);
-  const auto vcf = r.u32();
-  if (!vcf || (*vcf >> 28) != 6) return std::nullopt;
-  const auto payload_len = r.u16();
-  Ipv6Packet p;
-  p.next_header = r.u8().value_or(0);
-  p.hop_limit = r.u8().value_or(0);
-  p.src = read_ipv6(r);
-  p.dst = read_ipv6(r);
-  if (!r.ok()) return std::nullopt;
-  const auto payload = r.view(*payload_len);
-  if (!payload) return std::nullopt;
-  p.payload = *payload;
-  return p;
+  return decode_alone(raw, parse_ipv6);
 }
 
 // ---------------------------------------------------------------------- UDP
@@ -238,12 +341,13 @@ std::optional<Ipv6Packet> decode_ipv6(BytesView raw) {
 namespace {
 /// Appends the datagram with a zero checksum; returns where it starts.
 std::size_t append_udp_unsummed(ByteWriter& w, const UdpDatagram& udp) {
+  check_length(udp.payload.size(), 0xffff - 8, "UDP payload");
   const std::size_t at = w.size();
-  w.u16(value(udp.src_port));
-  w.u16(value(udp.dst_port));
-  w.u16(static_cast<std::uint16_t>(8 + udp.payload.size()));
-  w.u16(0);  // checksum placeholder
-  w.raw(udp.payload);
+  std::uint8_t* p = w.grow(8);
+  store_be16(p, value(udp.src_port));
+  store_be16(p + 2, value(udp.dst_port));
+  store_be16(p + 4, static_cast<std::uint16_t>(8 + udp.payload.size()));
+  w.raw(udp.payload);  // p[6..7]: checksum, patched by the caller
   return at;
 }
 }  // namespace
@@ -278,17 +382,7 @@ Bytes encode_udp_v6(const UdpDatagram& udp, const Ipv6Address& src,
 }
 
 std::optional<UdpDatagram> decode_udp(BytesView raw) {
-  ByteReader r(raw);
-  UdpDatagram u;
-  u.src_port = port(r.u16().value_or(0));
-  u.dst_port = port(r.u16().value_or(0));
-  const auto len = r.u16();
-  r.skip(2);  // checksum
-  if (!r.ok() || *len < 8 || raw.size() < *len) return std::nullopt;
-  const auto payload = r.view(*len - 8);
-  if (!payload) return std::nullopt;
-  u.payload = *payload;
-  return u;
+  return decode_alone(raw, parse_udp);
 }
 
 // ---------------------------------------------------------------------- TCP
@@ -296,15 +390,15 @@ std::optional<UdpDatagram> decode_udp(BytesView raw) {
 void append_tcp_v4(ByteWriter& w, const TcpSegment& tcp, Ipv4Address src,
                    Ipv4Address dst) {
   const std::size_t at = w.size();
-  w.u16(value(tcp.src_port));
-  w.u16(value(tcp.dst_port));
-  w.u32(tcp.seq);
-  w.u32(tcp.ack);
-  w.u8(0x50);  // data offset 5 words
-  w.u8(tcp.flags.to_byte());
-  w.u16(tcp.window);
-  w.u16(0);  // checksum placeholder
-  w.u16(0);  // urgent pointer
+  std::uint8_t* p = w.grow(20);
+  store_be16(p, value(tcp.src_port));
+  store_be16(p + 2, value(tcp.dst_port));
+  store_be32(p + 4, tcp.seq);
+  store_be32(p + 8, tcp.ack);
+  p[12] = 0x50;  // data offset 5 words
+  p[13] = tcp.flags.to_byte();
+  store_be16(p + 14, tcp.window);
+  // p[16..17] checksum, patched below; p[18..19] urgent pointer 0
   w.raw(tcp.payload);
   const std::uint16_t csum = transport_checksum_v4(
       src, dst, static_cast<std::uint8_t>(IpProto::kTcp), written_since(w, at));
@@ -318,32 +412,16 @@ Bytes encode_tcp_v4(const TcpSegment& tcp, Ipv4Address src, Ipv4Address dst) {
 }
 
 std::optional<TcpSegment> decode_tcp(BytesView raw) {
-  ByteReader r(raw);
-  TcpSegment t;
-  t.src_port = port(r.u16().value_or(0));
-  t.dst_port = port(r.u16().value_or(0));
-  t.seq = r.u32().value_or(0);
-  t.ack = r.u32().value_or(0);
-  const auto offset_byte = r.u8();
-  const auto flags_byte = r.u8();
-  t.window = r.u16().value_or(0);
-  r.skip(4);  // checksum + urgent
-  if (!r.ok()) return std::nullopt;
-  const std::size_t header_len = static_cast<std::size_t>(*offset_byte >> 4) * 4;
-  if (header_len < 20 || raw.size() < header_len) return std::nullopt;
-  t.flags = TcpFlags::from_byte(*flags_byte);
-  if (!r.seek(header_len)) return std::nullopt;
-  t.payload = r.rest();
-  return t;
+  return decode_alone(raw, parse_tcp);
 }
 
 // --------------------------------------------------------------------- ICMP
 
 void append_icmp(ByteWriter& w, const IcmpMessage& icmp) {
   const std::size_t at = w.size();
-  w.u8(icmp.type);
-  w.u8(icmp.code);
-  w.u16(0);
+  std::uint8_t* p = w.grow(4);
+  p[0] = icmp.type;
+  p[1] = icmp.code;
   w.raw(icmp.body);
   w.patch_u16(at + 2, internet_checksum(written_since(w, at)));
 }
@@ -355,14 +433,7 @@ Bytes encode_icmp(const IcmpMessage& icmp) {
 }
 
 std::optional<IcmpMessage> decode_icmp(BytesView raw) {
-  ByteReader r(raw);
-  IcmpMessage m;
-  m.type = r.u8().value_or(0);
-  m.code = r.u8().value_or(0);
-  r.skip(2);
-  if (!r.ok()) return std::nullopt;
-  m.body = r.rest();
-  return m;
+  return decode_alone(raw, parse_icmp);
 }
 
 // ------------------------------------------------------------------- ICMPv6
@@ -370,20 +441,23 @@ std::optional<IcmpMessage> decode_icmp(BytesView raw) {
 void append_icmpv6(ByteWriter& w, const Icmpv6Message& msg,
                    const Ipv6Address& src, const Ipv6Address& dst) {
   const std::size_t at = w.size();
-  const bool ndp = msg.type == Icmpv6Type::kNeighborSolicitation ||
-                   msg.type == Icmpv6Type::kNeighborAdvertisement;
-  w.u8(static_cast<std::uint8_t>(msg.type));
-  w.u8(msg.code);
-  w.u16(0);  // checksum placeholder
+  const bool ndp = is_ndp(msg.type);
+  const bool lladdr = msg.link_layer_option.has_value();
+  std::uint8_t* p = w.grow(4 + (ndp ? 20 : 0) + (lladdr ? 8 : 0));
+  p[0] = static_cast<std::uint8_t>(msg.type);
+  p[1] = msg.code;
+  p += 4;  // past the checksum, patched below
   if (ndp) {
-    w.u32(0);  // reserved/flags
-    write_ipv6(w, msg.target.value_or(Ipv6Address{}));
+    // Reserved/flags 0, then the target.
+    store_ipv6(p + 4, msg.target.value_or(Ipv6Address{}));
+    p += 20;
   }
-  if (msg.link_layer_option) {
-    // Option type 1 (source lladdr) for solicitations, 2 (target) for ads.
-    w.u8(msg.type == Icmpv6Type::kNeighborAdvertisement ? 2 : 1);
-    w.u8(1);  // length in units of 8 bytes
-    write_mac(w, *msg.link_layer_option);
+  if (lladdr) {
+    // Option type 1 (source lladdr) for solicitations, 2 (target) for ads,
+    // length 1 (in units of 8 bytes).
+    p[0] = msg.type == Icmpv6Type::kNeighborAdvertisement ? 2 : 1;
+    p[1] = 1;
+    store_mac(p + 2, *msg.link_layer_option);
   }
   w.raw(msg.extra);
   const std::uint16_t csum = transport_checksum_v6(
@@ -394,54 +468,21 @@ void append_icmpv6(ByteWriter& w, const Icmpv6Message& msg,
 Bytes encode_icmpv6(const Icmpv6Message& msg, const Ipv6Address& src,
                     const Ipv6Address& dst) {
   ByteWriter w;
-  append_icmpv6(w, msg, src, dst);
+  append_icmpv6(w.reserve(32 + msg.extra.size()), msg, src, dst);
   return w.take();
 }
 
 std::optional<Icmpv6Message> decode_icmpv6(BytesView raw) {
-  ByteReader r(raw);
-  const auto type = r.u8();
-  const auto code = r.u8();
-  r.skip(2);
-  if (!r.ok()) return std::nullopt;
-  Icmpv6Message m;
-  m.type = static_cast<Icmpv6Type>(*type);
-  m.code = *code;
-  const bool ndp = m.type == Icmpv6Type::kNeighborSolicitation ||
-                   m.type == Icmpv6Type::kNeighborAdvertisement;
-  if (ndp) {
-    if (!r.skip(4)) return std::nullopt;
-    m.target = read_ipv6(r);
-    if (!r.ok()) return std::nullopt;
-    // Parse options looking for a link-layer address.
-    while (r.remaining() >= 8) {
-      const auto opt_type = r.u8().value_or(0);
-      const auto opt_len = r.u8().value_or(0);
-      if (opt_len == 0) break;
-      const std::size_t body_len = static_cast<std::size_t>(opt_len) * 8 - 2;
-      if ((opt_type == 1 || opt_type == 2) && body_len >= 6) {
-        m.link_layer_option = read_mac(r);
-        r.skip(body_len - 6);
-      } else {
-        r.skip(body_len);
-      }
-      if (!r.ok()) return std::nullopt;
-    }
-  } else {
-    m.extra = r.rest();
-  }
-  return m;
+  return decode_alone(raw, parse_icmpv6);
 }
 
 // --------------------------------------------------------------------- IGMP
 
 void append_igmp(ByteWriter& w, const IgmpMessage& msg) {
-  const std::size_t at = w.size();
-  w.u8(msg.type);
-  w.u8(0);
-  w.u16(0);
-  w.u32(msg.group.value());
-  w.patch_u16(at + 2, internet_checksum(written_since(w, at)));
+  std::uint8_t* p = w.grow(8);
+  p[0] = msg.type;
+  store_be32(p + 4, msg.group.value());
+  store_be16(p + 2, internet_checksum(BytesView(p, 8)));
 }
 
 Bytes encode_igmp(const IgmpMessage& msg) {
@@ -451,13 +492,78 @@ Bytes encode_igmp(const IgmpMessage& msg) {
 }
 
 std::optional<IgmpMessage> decode_igmp(BytesView raw) {
-  ByteReader r(raw);
-  IgmpMessage m;
-  m.type = r.u8().value_or(0);
-  r.skip(3);
-  m.group = read_ipv4(r);
-  if (!r.ok()) return std::nullopt;
-  return m;
+  return decode_alone(raw, parse_igmp);
+}
+
+// -------------------------------------------------------------- whole frame
+
+std::optional<PacketView> decode_frame_view(BytesView raw) {
+  std::optional<PacketView> out;
+  PacketView& p = out.emplace();
+  if (!parse_ethernet(raw, p.eth)) {
+    out.reset();
+    return out;
+  }
+  const BytesView body = p.eth.payload;
+
+  if (p.eth.is_llc()) {
+    decode_into(p.llc, body, parse_llc);
+    return out;
+  }
+  switch (static_cast<EtherType>(p.eth.ethertype)) {
+    case EtherType::kArp:
+      decode_into(p.arp, body, parse_arp);
+      break;
+    case EtherType::kEapol:
+      decode_into(p.eapol, body, parse_eapol);
+      break;
+    case EtherType::kIpv4: {
+      decode_into(p.ipv4, body, parse_ipv4);
+      // A non-first fragment carries the middle of a datagram: reading it
+      // as a transport header would invent ports.
+      if (!p.ipv4 || p.ipv4->fragment_offset != 0) break;
+      const BytesView segment = p.ipv4->payload;
+      switch (static_cast<IpProto>(p.ipv4->protocol)) {
+        case IpProto::kUdp:
+          decode_into(p.udp, segment, parse_udp);
+          break;
+        case IpProto::kTcp:
+          decode_into(p.tcp, segment, parse_tcp);
+          break;
+        case IpProto::kIcmp:
+          decode_into(p.icmp, segment, parse_icmp);
+          break;
+        case IpProto::kIgmp:
+          decode_into(p.igmp, segment, parse_igmp);
+          break;
+        default:
+          break;
+      }
+      break;
+    }
+    case EtherType::kIpv6: {
+      decode_into(p.ipv6, body, parse_ipv6);
+      if (!p.ipv6) break;
+      const BytesView segment = p.ipv6->payload;
+      switch (static_cast<IpProto>(p.ipv6->next_header)) {
+        case IpProto::kUdp:
+          decode_into(p.udp, segment, parse_udp);
+          break;
+        case IpProto::kTcp:
+          decode_into(p.tcp, segment, parse_tcp);
+          break;
+        case IpProto::kIcmpv6:
+          decode_into(p.icmpv6, segment, parse_icmpv6);
+          break;
+        default:
+          break;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return out;
 }
 
 }  // namespace roomnet

@@ -4,7 +4,10 @@
 //
 // Every encoder produces genuine wire bytes (correct framing and checksums);
 // every decoder is safe on arbitrary untrusted input and returns nullopt on
-// malformed data.
+// malformed data. A fixed header is written through one reservation
+// (ByteWriter::grow) and read after one length check, each field stored or
+// loaded directly. An encoder throws std::length_error rather than wrap a
+// 16-bit length field its payload does not fit (IPv4, IPv6, UDP, EAPOL).
 //
 // Each encoder has two forms. `append_*` writes the layer at the end of a
 // ByteWriter and patches its checksum in place, so a sender can build a

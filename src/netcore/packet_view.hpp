@@ -59,7 +59,8 @@ struct PacketView {
 };
 
 /// Parses a full Ethernet frame down to the transport layer without copying
-/// a single payload byte. A sub-layer that fails to parse stops the descent,
+/// a single payload byte, filling the PacketView in place. Defined in
+/// packet.cpp, next to the layer parsers it inlines. A sub-layer that fails to parse stops the descent,
 /// as does a non-first IPv4 fragment (its payload starts mid-datagram); the
 /// Ethernet layer itself must be valid or the whole decode fails.
 std::optional<PacketView> decode_frame_view(BytesView raw);

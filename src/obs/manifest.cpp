@@ -76,8 +76,12 @@ void CanonicalHasher::boolean(bool v) { u8(v ? 1 : 0); }
 
 void CanonicalHasher::str(std::string_view s) {
   u64(s.size());
-  hash_.update(BytesView(reinterpret_cast<const std::uint8_t*>(s.data()),
-                         s.size()));
+  raw(s);
+}
+
+void CanonicalHasher::raw(std::string_view piece) {
+  hash_.update(BytesView(reinterpret_cast<const std::uint8_t*>(piece.data()),
+                         piece.size()));
 }
 
 void CanonicalHasher::bytes(BytesView data) {

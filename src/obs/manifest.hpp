@@ -39,6 +39,9 @@ class CanonicalHasher {
   void f64(double v);
   void boolean(bool v);
   void str(std::string_view s);
+  /// Unprefixed bytes: u64(total size), then raw() of each piece, hashes a
+  /// string fed in pieces exactly as str() hashes it whole.
+  void raw(std::string_view piece);
   void bytes(BytesView data);
 
   [[nodiscard]] Sha256Digest digest() const { return hash_.digest(); }

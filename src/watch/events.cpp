@@ -44,33 +44,59 @@ std::optional<Severity> parse_severity(std::string_view name) {
   return std::nullopt;
 }
 
-std::string to_json(const NetEvent& event) {
-  std::string out = "{\"seq\":" + std::to_string(event.seq) +
-                    ",\"t_us\":" + std::to_string(event.at.us()) +
-                    ",\"type\":\"" + to_string(event.type) +
-                    "\",\"severity\":\"" + to_string(event.severity) +
-                    "\",\"device\":\"" + event.device.to_string() +
-                    "\",\"label\":\"" + escape_json(event.device_label) + "\"";
-  if (!event.flow.empty()) out += ",\"flow\":\"" + escape_json(event.flow) + "\"";
+namespace {
+
+/// Appends `to_json(event)` to `out`, so a caller can write many lines into
+/// one buffer.
+void append_json(std::string& out, const NetEvent& event) {
+  out += "{\"seq\":";
+  out += std::to_string(event.seq);
+  out += ",\"t_us\":";
+  out += std::to_string(event.at.us());
+  out += ",\"type\":\"";
+  out += to_string(event.type);
+  out += "\",\"severity\":\"";
+  out += to_string(event.severity);
+  out += "\",\"device\":\"";
+  out += event.device.to_string();
+  out += "\",\"label\":\"";
+  out += escape_json(event.device_label);
+  out += '"';
+  if (!event.flow.empty()) {
+    out += ",\"flow\":\"";
+    out += escape_json(event.flow);
+    out += '"';
+  }
   if (!event.fields.empty()) {
     out += ",\"fields\":{";
     bool first = true;
     for (const auto& [k, v] : event.fields) {
-      if (!first) out += ",";
+      if (!first) out += ',';
       first = false;
-      out += "\"" + escape_json(k) + "\":\"" + escape_json(v) + "\"";
+      out += '"';
+      out += escape_json(k);
+      out += "\":\"";
+      out += escape_json(v);
+      out += '"';
     }
-    out += "}";
+    out += '}';
   }
-  out += "}";
+  out += '}';
+}
+
+}  // namespace
+
+std::string to_json(const NetEvent& event) {
+  std::string out;
+  append_json(out, event);
   return out;
 }
 
 std::string events_to_jsonl(const std::vector<NetEvent>& events) {
   std::string out;
   for (const NetEvent& event : events) {
-    out += to_json(event);
-    out += "\n";
+    append_json(out, event);
+    out += '\n';
   }
   return out;
 }
@@ -138,9 +164,26 @@ std::optional<std::vector<NetEvent>> load_events(const std::string& path) {
 }
 
 std::string hash_events(const std::vector<NetEvent>& events) {
+  // Hashes events_to_jsonl() line by line without building it: a run's
+  // text is most of a megabyte, and its one doubling string would set the
+  // process's peak memory. The first pass sums the line lengths for the
+  // length prefix str() would fold in.
+  std::string line;
+  std::uint64_t size = 0;
+  for (const NetEvent& event : events) {
+    line.clear();
+    append_json(line, event);
+    size += line.size() + 1;
+  }
   obs::CanonicalHasher hasher;
   hasher.str("roomnet-watch-events-v1");
-  hasher.str(events_to_jsonl(events));
+  hasher.u64(size);
+  for (const NetEvent& event : events) {
+    line.clear();
+    append_json(line, event);
+    line += '\n';
+    hasher.raw(line);
+  }
   return hasher.hex();
 }
 

@@ -89,7 +89,8 @@ struct NetEvent {
     const std::string& path);
 
 /// SHA-256 hex of `events_to_jsonl` — the "watch" stage's manifest hash, so
-/// `roomnet audit diff` catches a timeline divergence by name.
+/// `roomnet audit diff` catches a timeline divergence by name. Hashed a line
+/// at a time: the text itself is never built.
 [[nodiscard]] std::string hash_events(const std::vector<NetEvent>& events);
 
 /// First divergence between two event streams (the `roomnet events diff`

@@ -27,7 +27,8 @@ namespace roomnet::fuzz {
 /// frame_contract_violation() below.
 int fuzz_frame(BytesView data);
 /// Round-trip: input-driven construction of every layer + payload message;
-/// encode must decode, and re-encoding the decode must be a fixpoint.
+/// encode must decode, and re-encoding the decode must be a fixpoint. Layer
+/// encoders and decoders must also match their reference copies.
 int fuzz_roundtrip(BytesView data);
 /// Structure-aware DNS/mDNS: raw decode, decode-encode idempotence, and
 /// field-granularity mutations of a well-formed message (counts, label
@@ -50,9 +51,10 @@ int fuzz_stream(BytesView data);
 /// The frame decode contract: nullptr when decode_frame_view(raw) keeps
 /// every view inside the input and each layer inside its parent, has at most
 /// one layer per level, matches the standalone decode of each layer's parent
-/// payload, buckets wire_proto by the present layers, and has app-layer
-/// accessors (proto/app.hpp) that agree with a direct decode of the payload
-/// and memoize it; otherwise the clause that failed.
+/// payload, buckets wire_proto by the present layers, equals the reference
+/// frame decoder (reference_frame_codecs.hpp) layer for layer, and has
+/// app-layer accessors (proto/app.hpp) that agree with a direct decode of
+/// the payload and memoize it; otherwise the clause that failed.
 const char* frame_contract_violation(BytesView raw);
 
 // -- registry ---------------------------------------------------------------

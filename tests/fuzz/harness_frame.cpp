@@ -5,12 +5,15 @@
 // bucket that agrees with the present layers; and app-layer accessors
 // (dns_of, ssdp_of, dhcp_of) that agree with a direct decode of the
 // payload and return the same object when asked again. DESIGN.md §13
-// states the contract; the capture hot path relies on it.
+// states the contract; the capture hot path relies on it. The decode must
+// also match the reference frame decoder (reference_frame_codecs.hpp)
+// layer for layer, field for field and slice for slice.
 #include <functional>
 
 #include "harness.hpp"
 #include "netcore/packet_view.hpp"
 #include "proto/app.hpp"
+#include "reference_frame_codecs.hpp"
 
 namespace roomnet::fuzz {
 
@@ -34,56 +37,7 @@ bool within(const std::optional<Layer>& layer, BytesView Layer::*view,
   return !layer || inside((*layer).*view, parent);
 }
 
-/// The same slice of the same buffer, not merely equal bytes.
-bool same(BytesView a, BytesView b) {
-  return a.data() == b.data() && a.size() == b.size();
-}
-
-bool same(const EthernetFrame& a, const EthernetFrame& b) {
-  return a.dst == b.dst && a.src == b.src && a.ethertype == b.ethertype &&
-         same(a.payload, b.payload);
-}
-bool same(const ArpPacket& a, const ArpPacket& b) {
-  return a.op == b.op && a.sender_mac == b.sender_mac &&
-         a.sender_ip == b.sender_ip && a.target_mac == b.target_mac &&
-         a.target_ip == b.target_ip;
-}
-bool same(const LlcXidFrame& a, const LlcXidFrame& b) {
-  return a.dsap == b.dsap && a.ssap == b.ssap && a.is_xid == b.is_xid &&
-         same(a.info, b.info);
-}
-bool same(const EapolFrame& a, const EapolFrame& b) {
-  return a.version == b.version && a.type == b.type && same(a.body, b.body);
-}
-bool same(const Ipv4Packet& a, const Ipv4Packet& b) {
-  return a.src == b.src && a.dst == b.dst && a.protocol == b.protocol &&
-         a.ttl == b.ttl && a.identification == b.identification &&
-         a.fragment_offset == b.fragment_offset && same(a.payload, b.payload);
-}
-bool same(const Ipv6Packet& a, const Ipv6Packet& b) {
-  return a.src == b.src && a.dst == b.dst && a.next_header == b.next_header &&
-         a.hop_limit == b.hop_limit && same(a.payload, b.payload);
-}
-bool same(const UdpDatagram& a, const UdpDatagram& b) {
-  return a.src_port == b.src_port && a.dst_port == b.dst_port &&
-         same(a.payload, b.payload);
-}
-bool same(const TcpSegment& a, const TcpSegment& b) {
-  return a.src_port == b.src_port && a.dst_port == b.dst_port &&
-         a.seq == b.seq && a.ack == b.ack &&
-         a.flags.to_byte() == b.flags.to_byte() && a.window == b.window &&
-         same(a.payload, b.payload);
-}
-bool same(const IcmpMessage& a, const IcmpMessage& b) {
-  return a.type == b.type && a.code == b.code && same(a.body, b.body);
-}
-bool same(const Icmpv6Message& a, const Icmpv6Message& b) {
-  return a.type == b.type && a.code == b.code && a.target == b.target &&
-         a.link_layer_option == b.link_layer_option && same(a.extra, b.extra);
-}
-bool same(const IgmpMessage& a, const IgmpMessage& b) {
-  return a.type == b.type && a.group == b.group;
-}
+using reference::same;
 
 /// An absent layer holds trivially; a present one must equal the standalone
 /// decode of its parent's payload.
@@ -131,6 +85,9 @@ bool memo_agrees(const PacketView& p,
 
 const char* frame_contract_violation(BytesView raw) {
   const auto p = decode_frame_view(raw);
+  if (const char* diff =
+          reference::view_differs(p, reference::decode_frame_view(raw)))
+    return diff;
   const auto eth = decode_ethernet(raw);
   if (p.has_value() != eth.has_value())
     return "frame accepted unless its Ethernet layer is rejected";

@@ -4,7 +4,10 @@
 // Protocols whose decode normalizes the wire form (DNS name compression,
 // SSDP/HTTP header layout, NetBIOS name padding) are held to idempotence —
 // encode∘decode applied twice must agree with itself — while everything
-// else is held to strict equality of the first and second encode.
+// else is held to strict equality of the first and second encode. Every
+// link/network/transport encoder must also write the same bytes as its
+// reference copy (reference_frame_codecs.hpp), and every layer decoder must
+// make of the raw input what its reference copy makes of it.
 #include <string>
 
 #include "harness.hpp"
@@ -22,6 +25,7 @@
 #include "proto/tls.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
+#include "reference_frame_codecs.hpp"
 
 namespace roomnet::fuzz {
 
@@ -48,6 +52,38 @@ void roundtrip(const char* what, const Msg& m, Enc&& enc, Dec&& dec,
   if (!d2.has_value()) fuzz_fail(kName, what);
   const Bytes e3 = enc(*d2);
   if (e2 != e3) fuzz_fail(kName, what);
+}
+
+/// The encoder writes the same bytes as its reference copy.
+template <typename Msg, typename Enc, typename RefEnc>
+void matches_reference(const char* what, const Msg& m, Enc&& enc,
+                       RefEnc&& ref_enc) {
+  if (enc(m) != ref_enc(m)) fuzz_fail(kName, what);
+}
+
+/// Each layer decoder accepts and rejects `raw` as its reference copy does,
+/// with the same fields and slices.
+template <typename Dec, typename RefDec>
+void decodes_as_reference(const char* what, BytesView raw, Dec&& dec,
+                          RefDec&& ref_dec) {
+  if (!reference::same(dec(raw), ref_dec(raw))) fuzz_fail(kName, what);
+}
+
+void layer_decoders_match_reference(BytesView raw) {
+  decodes_as_reference("ethernet decode", raw, decode_ethernet,
+                       reference::decode_ethernet);
+  decodes_as_reference("arp decode", raw, decode_arp, reference::decode_arp);
+  decodes_as_reference("llc decode", raw, decode_llc, reference::decode_llc);
+  decodes_as_reference("eapol decode", raw, decode_eapol,
+                       reference::decode_eapol);
+  decodes_as_reference("ipv4 decode", raw, decode_ipv4, reference::decode_ipv4);
+  decodes_as_reference("ipv6 decode", raw, decode_ipv6, reference::decode_ipv6);
+  decodes_as_reference("udp decode", raw, decode_udp, reference::decode_udp);
+  decodes_as_reference("tcp decode", raw, decode_tcp, reference::decode_tcp);
+  decodes_as_reference("icmp decode", raw, decode_icmp, reference::decode_icmp);
+  decodes_as_reference("icmpv6 decode", raw, decode_icmpv6,
+                       reference::decode_icmpv6);
+  decodes_as_reference("igmp decode", raw, decode_igmp, reference::decode_igmp);
 }
 
 DnsName fuzz_dns_name(FuzzInput& in) {
@@ -81,6 +117,7 @@ json::Value fuzz_json(FuzzInput& in) {
 }  // namespace
 
 int fuzz_roundtrip(BytesView data) {
+  layer_decoders_match_reference(data);
   FuzzInput in(data);
   const Ipv4Address src4(192, 168, 10, static_cast<std::uint8_t>(in.u8() | 1));
   const Ipv4Address dst4(192, 168, 10, static_cast<std::uint8_t>(in.u8() | 2));
@@ -104,6 +141,8 @@ int fuzz_roundtrip(BytesView data) {
       const Bytes payload = in.bytes(in.range(0, 64));
       f.payload = payload;
       roundtrip("ethernet", f, encode_ethernet, decode_ethernet, true);
+      matches_reference("ethernet encode", f, encode_ethernet,
+                        reference::encode_ethernet);
       break;
     }
     case 1: {
@@ -114,6 +153,7 @@ int fuzz_roundtrip(BytesView data) {
       a.target_mac = in.mac();
       a.target_ip = in.ipv4();
       roundtrip("arp", a, encode_arp, decode_arp, true);
+      matches_reference("arp encode", a, encode_arp, reference::encode_arp);
       break;
     }
     case 2: {
@@ -124,6 +164,8 @@ int fuzz_roundtrip(BytesView data) {
       const Bytes info = in.bytes(in.range(0, 48));
       f.info = info;
       roundtrip("llc", f, encode_llc_xid, decode_llc, true);
+      matches_reference("llc encode", f, encode_llc_xid,
+                        reference::encode_llc_xid);
       break;
     }
     case 3: {
@@ -133,6 +175,8 @@ int fuzz_roundtrip(BytesView data) {
       const Bytes body = in.bytes(in.range(0, 48));
       f.body = body;
       roundtrip("eapol", f, encode_eapol, decode_eapol, true);
+      matches_reference("eapol encode", f, encode_eapol,
+                        reference::encode_eapol);
       break;
     }
     case 4: {
@@ -145,6 +189,7 @@ int fuzz_roundtrip(BytesView data) {
       const Bytes payload = in.bytes(in.range(0, 96));
       p.payload = payload;
       roundtrip("ipv4", p, encode_ipv4, decode_ipv4, true);
+      matches_reference("ipv4 encode", p, encode_ipv4, reference::encode_ipv4);
       break;
     }
     case 5: {
@@ -156,6 +201,7 @@ int fuzz_roundtrip(BytesView data) {
       const Bytes payload = in.bytes(in.range(0, 96));
       p.payload = payload;
       roundtrip("ipv6", p, encode_ipv6, decode_ipv6, true);
+      matches_reference("ipv6 encode", p, encode_ipv6, reference::encode_ipv6);
       break;
     }
     case 6: {
@@ -168,6 +214,11 @@ int fuzz_roundtrip(BytesView data) {
           "udp", u,
           [&](const UdpDatagram& m) { return encode_udp_v4(m, src4, dst4); },
           decode_udp, true);
+      if (encode_udp_v4(u, src4, dst4) !=
+              reference::encode_udp_v4(u, src4, dst4) ||
+          encode_udp_v6(u, src6, dst6) !=
+              reference::encode_udp_v6(u, src6, dst6))
+        fuzz_fail(kName, "udp encode");
       break;
     }
     case 7: {
@@ -184,6 +235,8 @@ int fuzz_roundtrip(BytesView data) {
           "tcp", t,
           [&](const TcpSegment& m) { return encode_tcp_v4(m, src4, dst4); },
           decode_tcp, true);
+      if (encode_tcp_v4(t, src4, dst4) != reference::encode_tcp_v4(t, src4, dst4))
+        fuzz_fail(kName, "tcp encode");
       break;
     }
     case 8: {
@@ -193,6 +246,7 @@ int fuzz_roundtrip(BytesView data) {
       const Bytes body = in.bytes(in.range(0, 48));
       m.body = body;
       roundtrip("icmp", m, encode_icmp, decode_icmp, true);
+      matches_reference("icmp encode", m, encode_icmp, reference::encode_icmp);
       break;
     }
     case 9: {
@@ -218,6 +272,8 @@ int fuzz_roundtrip(BytesView data) {
           "icmpv6", m,
           [&](const Icmpv6Message& x) { return encode_icmpv6(x, src6, dst6); },
           decode_icmpv6, true);
+      if (encode_icmpv6(m, src6, dst6) != reference::encode_icmpv6(m, src6, dst6))
+        fuzz_fail(kName, "icmpv6 encode");
       break;
     }
     case 10: {
@@ -225,6 +281,7 @@ int fuzz_roundtrip(BytesView data) {
       m.type = in.u8();
       m.group = in.ipv4();
       roundtrip("igmp", m, encode_igmp, decode_igmp, true);
+      matches_reference("igmp encode", m, encode_igmp, reference::encode_igmp);
       break;
     }
     case 11: {

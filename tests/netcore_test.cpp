@@ -5,6 +5,7 @@
 #include <array>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "netcore/address.hpp"
 #include "netcore/bytes.hpp"
@@ -277,9 +278,10 @@ TEST(Checksum, WideSumMatchesBytePairReferenceAtEveryLength) {
 
 // ------------------------------------------------------- byte fast paths
 //
-// read_mac/read_ipv6 take one view of the whole address. The per-byte
-// readers they replaced are kept here: every decode must agree with them at
-// every truncation length of a valid frame.
+// The layer decoders load each field after one length check. Per-byte
+// ByteReader decoders are kept here: every decode must agree with them at
+// every truncation length of a valid frame. packet_view_test holds the
+// full differential against reference_frame_codecs.hpp.
 
 namespace per_byte {
 MacAddress read_mac(ByteReader& r) {
@@ -425,6 +427,79 @@ TEST(ByteFastPath, Icmpv6DecodeMatchesPerByteReaderAtEveryTruncation) {
 }
 
 // ------------------------------------------------------------------ codecs
+
+// Each encoder with a 16-bit length field encodes the largest payload the
+// field can carry, which decodes back whole, and throws std::length_error
+// one byte past it without writing anything.
+
+TEST(EncoderLengthLimit, Ipv4TotalLengthCarriesAtMost65515PayloadBytes) {
+  const Bytes largest(65515, 0xab), over(65516, 0xab);
+  Ipv4Packet ip{.src = Ipv4Address(10, 0, 0, 1), .dst = Ipv4Address(10, 0, 0, 2),
+                .protocol = 17};
+  ip.payload = largest;
+  const Bytes wire = encode_ipv4(ip);
+  const auto back = decode_ipv4(wire);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->payload.size(), largest.size());
+  ip.payload = over;
+  EXPECT_THROW(encode_ipv4(ip), std::length_error);
+  ByteWriter w;
+  EXPECT_THROW(append_ipv4_header(w, ip, over.size()), std::length_error);
+  EXPECT_EQ(w.size(), 0u);
+}
+
+TEST(EncoderLengthLimit, Ipv6PayloadLengthCarriesAtMost65535Bytes) {
+  const Bytes largest(65535, 0xab), over(65536, 0xab);
+  Ipv6Packet ip{.src = Ipv6Address::parse("fe80::1").value(),
+                .dst = Ipv6Address::parse("fe80::2").value(),
+                .next_header = 17};
+  ip.payload = largest;
+  const Bytes wire = encode_ipv6(ip);
+  const auto back = decode_ipv6(wire);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->payload.size(), largest.size());
+  ip.payload = over;
+  EXPECT_THROW(encode_ipv6(ip), std::length_error);
+  ByteWriter w;
+  EXPECT_THROW(append_ipv6_header(w, ip, over.size()), std::length_error);
+  EXPECT_EQ(w.size(), 0u);
+}
+
+TEST(EncoderLengthLimit, UdpLengthCarriesAtMost65527PayloadBytes) {
+  const Bytes largest(65527, 0xab), over(65528, 0xab);
+  const Ipv4Address src4(10, 0, 0, 1), dst4(10, 0, 0, 2);
+  const auto src6 = Ipv6Address::parse("fe80::1").value();
+  const auto dst6 = Ipv6Address::parse("fe80::2").value();
+  UdpDatagram udp{.src_port = port(5353), .dst_port = port(5353)};
+  udp.payload = largest;
+  for (const Bytes& wire :
+       {encode_udp_v4(udp, src4, dst4), encode_udp_v6(udp, src6, dst6)}) {
+    const auto back = decode_udp(wire);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->payload.size(), largest.size());
+  }
+  udp.payload = over;
+  EXPECT_THROW(encode_udp_v4(udp, src4, dst4), std::length_error);
+  EXPECT_THROW(encode_udp_v6(udp, src6, dst6), std::length_error);
+  ByteWriter w;
+  EXPECT_THROW(append_udp_v4(w, udp, src4, dst4), std::length_error);
+  EXPECT_EQ(w.size(), 0u);
+}
+
+TEST(EncoderLengthLimit, EapolBodyLengthCarriesAtMost65535Bytes) {
+  const Bytes largest(65535, 0xab), over(65536, 0xab);
+  EapolFrame eapol;
+  eapol.body = largest;
+  const Bytes wire = encode_eapol(eapol);
+  const auto back = decode_eapol(wire);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->body.size(), largest.size());
+  eapol.body = over;
+  EXPECT_THROW(encode_eapol(eapol), std::length_error);
+  ByteWriter w;
+  EXPECT_THROW(append_eapol(w, eapol), std::length_error);
+  EXPECT_EQ(w.size(), 0u);
+}
 
 TEST(Ethernet, RoundTrip) {
   const Bytes payload = bytes_of("payload");

@@ -28,6 +28,17 @@ TEST(CanonicalHasher, SameInputsSameDigest) {
   EXPECT_EQ(a.hex().size(), 64u);
 }
 
+TEST(CanonicalHasher, RawPiecesAfterTheirTotalSizeHashLikeStr) {
+  CanonicalHasher whole;
+  whole.str("line one\nline two\n");
+  CanonicalHasher pieces;
+  pieces.u64(18);
+  pieces.raw("line one\n");
+  pieces.raw("");
+  pieces.raw("line two\n");
+  EXPECT_EQ(pieces.hex(), whole.hex());
+}
+
 TEST(CanonicalHasher, OrderAndTypeMatter) {
   CanonicalHasher ab;
   ab.str("a");

@@ -30,7 +30,7 @@ TEST(ResourceSampleTest, SamplesAreSane) {
   const prof::ResourceSample a = prof::ResourceSample::now();
   // Burn a little CPU so the second sample can only move forward.
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   const prof::ResourceSample b = prof::ResourceSample::now();
 
   EXPECT_GE(b.wall_us, a.wall_us);
@@ -260,7 +260,7 @@ TEST(ProfilerTest, AttributesArenaAllocsToTheOpenStage) {
   {
     prof::StageScope stage("quiet_stage", profiler);
     volatile int sink = 0;
-    for (int i = 0; i < 1000; ++i) sink += i;
+    for (int i = 0; i < 1000; ++i) sink = sink + i;
   }
   const prof::ProfReport report = profiler.finish();
 

@@ -423,7 +423,9 @@ TEST_P(FlowProperty, EveryTransportPacketLandsInExactlyOneFlow) {
     std::swap(reverse.client_ip, reverse.server_ip);
     std::swap(reverse.client_port, reverse.server_port);
     EXPECT_TRUE(keys.insert(record.key).second);
-    if (reverse != record.key) EXPECT_EQ(keys.count(reverse), 0u);
+    if (reverse != record.key) {
+      EXPECT_EQ(keys.count(reverse), 0u);
+    }
   }
   EXPECT_EQ(in_flows, transport_packets);
   EXPECT_EQ(cache.stats().packets, transport_packets);

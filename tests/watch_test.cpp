@@ -13,6 +13,7 @@
 #include "core/pipeline.hpp"
 #include "core/stage_names.hpp"
 #include "netcore/packet_view.hpp"
+#include "obs/manifest.hpp"
 #include "watch/events.hpp"
 #include "watch/rules.hpp"
 #include "watch/watch.hpp"
@@ -56,6 +57,28 @@ TEST(WatchEvents, JsonlRoundTripAndStableHash) {
   EXPECT_EQ(*parsed, events);
   // Hash is a pure function of the serialized bytes.
   EXPECT_EQ(hash_events(*parsed), hash_events(events));
+}
+
+TEST(WatchEvents, HashIsTheCanonicalHashOfTheJsonlText) {
+  // hash_events streams the lines; it must equal str() over the whole text.
+  const auto expected = [](const std::vector<NetEvent>& events) {
+    obs::CanonicalHasher hasher;
+    hasher.str("roomnet-watch-events-v1");
+    hasher.str(events_to_jsonl(events));
+    return hasher.hex();
+  };
+  std::vector<NetEvent> events;
+  EXPECT_EQ(hash_events(events), expected(events));
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    NetEvent event = sample_event(i);
+    if (i % 3 == 0) event.flow.clear();
+    if (i % 5 == 0) event.fields.clear();
+    event.device_label += std::string(i % 40, '\\');
+    events.push_back(std::move(event));
+  }
+  EXPECT_EQ(hash_events(events), expected(events));
+  events.pop_back();
+  EXPECT_EQ(hash_events(events), expected(events));
 }
 
 TEST(WatchEvents, ParseRejectsMalformedLines) {
